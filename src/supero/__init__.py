@@ -39,6 +39,7 @@ from .cohomology import (
     CochainSpace,
     CohomologyReport,
     RelativeComplex,
+    RelativePair,
     cohomology,
     differential,
     relative_cochains,
@@ -51,7 +52,7 @@ from .invariants import (
     ext_growth,
     invariant_dims,
 )
-from .linalg import SparseMatrix, kernel_basis, rank, simultaneous_kernel
+from .linalg import SparseMatrix, kernel_basis, rank
 from .reps import (
     Representation,
     adjoint,

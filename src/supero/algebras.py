@@ -29,7 +29,7 @@ from .errors import (
     NotASubalgebra,
     UnsupportedRank,
 )
-from .linalg import SpanSolver, SparseMatrix, kernel_basis
+from .linalg import SpanSolver, SparseMatrix, _add_scaled, kernel_basis
 
 EVEN = 0
 ODD = 1
@@ -95,24 +95,14 @@ class LieSuperalgebra:
         """[b_i, y] for a sparse vector y."""
         out: SparseVec = {}
         for j, c in y.items():
-            for k, v in self.bracket_basis(i, j):
-                s = out.get(k, Fraction(0)) + c * v
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+            _add_scaled(out, self.bracket_basis(i, j), c)
         return out
 
     def bracket_sparse(self, x: SparseVec, y: SparseVec) -> SparseVec:
         out: SparseVec = {}
         for i, a in x.items():
             for j, b in y.items():
-                for k, v in self.bracket_basis(i, j):
-                    s = out.get(k, Fraction(0)) + a * b * v
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                _add_scaled(out, self.bracket_basis(i, j), a * b)
         return out
 
     def ad_matrix(self, i: int) -> SparseMatrix:
@@ -217,13 +207,7 @@ def check_super_jacobi(g: LieSuperalgebra) -> tuple[bool, tuple[int, int, int] |
                     (p[k] * p[j], k, dict(bij)),
                 ):
                     term = g.bracket_basis_vec(a, inner)
-                    sgn = -1 if sign_par % 2 else 1
-                    for idx, v in term.items():
-                        s = acc.get(idx, Fraction(0)) + sgn * v
-                        if s:
-                            acc[idx] = s
-                        elif idx in acc:
-                            del acc[idx]
+                    _add_scaled(acc, term.items(), -1 if sign_par % 2 else 1)
                 if acc:
                     return False, (i, j, k)
     return True, None
@@ -249,12 +233,7 @@ def _mat_mul(a: MatDict, b: MatDict) -> MatDict:
         by_row.setdefault(r, []).append((c, v))
     out: MatDict = {}
     for (r, k), v in a.items():
-        for c, w in by_row.get(k, ()):
-            s = out.get((r, c), Fraction(0)) + v * w
-            if s:
-                out[r, c] = s
-            elif (r, c) in out:
-                del out[r, c]
+        _add_scaled(out, (((r, c), w) for c, w in by_row.get(k, ())), v)
     return out
 
 
@@ -262,14 +241,7 @@ def _super_commutator(a: MatDict, b: MatDict, pa: int, pb: int) -> MatDict:
     ab = _mat_mul(a, b)
     ba = _mat_mul(b, a)
     sign = -1 if pa * pb % 2 == 0 else 1
-    out = dict(ab)
-    for key, v in ba.items():
-        s = out.get(key, Fraction(0)) + sign * v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+    return _add_scaled(dict(ab), ba.items(), sign)
 
 
 def _from_matrix_basis(
@@ -459,22 +431,13 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
         # invariance of the form: for every output position (a, b),
         #   phi(P(b), b) X[P(b), a] + (-1)^{sector*par(a)} phi(a, P(a)) X[P(a), b] = 0
         eq_rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-        def add(eq: tuple[int, int], col: int, coeff: Fraction) -> None:
-            row = eq_rows.setdefault(eq, {})
-            s = row.get(col, Fraction(0)) + coeff
-            if s:
-                row[col] = s
-            elif col in row:
-                del row[col]
-
         for (c, d) in positions:
             col = index[c, d]
             b = pair(c)  # X[c, d] appears in equation (d, b) via the first sum
-            add((d, b), col, phi(c, b))
+            _add_scaled(eq_rows.setdefault((d, b), {}), [(col, phi(c, b))])
             a = pair(c)  # and in equation (a, d) via the second sum
             sgn = Fraction(-1) if (sector * cpar[a]) % 2 else Fraction(1)
-            add((a, d), col, sgn * phi(a, c))
+            _add_scaled(eq_rows.setdefault((a, d), {}), [(col, sgn * phi(a, c))])
         rows = [eq_rows[key] for key in sorted(eq_rows) if eq_rows[key]]
         mat = SparseMatrix(
             len(rows),
@@ -629,7 +592,7 @@ class SubalgebraSpan:
                     vec[kk] = v
                 coords = self.solver.coordinates(vec)
                 if coords is None:
-                    raise NotASubalgebra(f"{self.label}: not closed at pair ({i},{j})")
+                    raise NotASubalgebra(f"{self.label}: not closed at pair ({i}, {j})")
                 terms = tuple((kk, c) for kk, c in enumerate(coords) if c)
                 if terms:
                     table[i, j] = terms
@@ -715,12 +678,10 @@ def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
 
     if h.parent is not g:
         raise DimensionMismatch("span does not belong to this algebra")
-    witness = h.closure_witness()
-    if witness is not None:
-        raise NotASubalgebra(f"{h.label}: not closed at pair {witness}")
-    complement = [i for i in range(g.dim) if i not in set(h.solver.pivot_cols)]
+    algebra = h.to_algebra()  # raises NotASubalgebra unless h is bracket-closed
+    pivots = set(h.solver.pivot_cols)
+    complement = [i for i in range(g.dim) if i not in pivots]
     comp_pos = {c: t for t, c in enumerate(complement)}
-    algebra = h.to_algebra()
     actions = []
     sparse = h.sparse_vectors()
     for x in sparse:
@@ -742,9 +703,3 @@ def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
         tuple(actions),
         basis_labels=tuple(g.basis_labels[c] for c in complement),
     )
-
-
-def quotient_complement(g: LieSuperalgebra, h: SubalgebraSpan) -> list[int]:
-    """Indices of the canonical coordinate complement of h in g."""
-    pivots = set(h.solver.pivot_cols)
-    return [i for i in range(g.dim) if i not in pivots]

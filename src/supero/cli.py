@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -80,7 +79,10 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
         piece = piece.strip()
         if not piece:
             continue
-        out.append(Fraction(piece))
+        try:
+            out.append(Fraction(piece))
+        except (ValueError, ZeroDivisionError):
+            raise UnsupportedSubalgebra(f"not a rational number: {piece!r}") from None
     return tuple(out)
 
 
@@ -109,12 +111,18 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
 def parse_subalgebra(g: LieSuperalgebra, spec: str, H: tuple[Fraction, ...] | None) -> SubalgebraSpan:
     if spec.startswith("span:"):
         path = spec[5:]
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        vectors = [
-            tuple(Fraction(num, den) for num, den in vec) for vec in data["vectors"]
-        ]
-        return SubalgebraSpan(g, vectors, data.get("label", "span"))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            vectors = [
+                tuple(Fraction(num, den) for num, den in vec) for vec in data["vectors"]
+            ]
+            label = data.get("label", "span")
+        except (ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
+            raise UnsupportedSubalgebra(
+                f'{path}: expected {{"vectors": [[[num, den], ...], ...]}}'
+            ) from None
+        return SubalgebraSpan(g, vectors, label)
     return named_subalgebra(g, spec, H=H)
 
 
@@ -160,19 +168,6 @@ def verify_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def thread_workers() -> int:
-    raw = os.environ.get("SUPERO_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DimensionMismatch(f"SUPERO_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise DimensionMismatch("SUPERO_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def cmd_build(args) -> int:
     g = build_family(args.family, args.params)
     emit(dumps(g.to_json_dict()), args.out)
@@ -211,8 +206,7 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}\n"
         )
         return 2
-    workers = thread_workers()
-    report = run_suite(args.suite, workers=workers)
+    report = run_suite(args.suite)
     if args.format == "json":
         emit(dumps(report), args.out)
     else:

@@ -3,7 +3,17 @@
 The cochain space in degree p consists of the h-equivariant linear maps
 from the super p-th exterior power of g/h to the coefficient module M,
 
-    C^p = { phi : L^p_s(g/h) -> M  with  phi(x.w) = (-1)^{|x||phi|} x.phi(w) }.
+    C^p(g, h; M) = Hom_h(L^p_s(g/h), M)
+                 = { phi : L^p_s(g/h) -> M  with  phi(x.w) = (-1)^{|x||phi|} x.phi(w) }.
+
+Everything but the action on M depends only on the pair (g, h), and the
+code is split the same way.  ``RelativePair(g, h)`` holds the coordinate
+complement of h, the action of h on g/h, the monomial bases of L^p_s(g/h)
+with their action matrices, the projected brackets and the structure maps
+of the differential.  ``RelativeComplex(pair, M)`` adds the action on M:
+the diagonal filter, the shortcut plan, the equivariant bases, the
+differential matrices and the report.  One pair serves any number of
+coefficient modules.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 
@@ -18,13 +28,15 @@ h, and lifts of quotient vectors given by that complement.  The complex
 splits into even and odd map parities, which the differential preserves.
 
 Cochain bases are found as simultaneous kernels of the equivariance
-constraints.  Two exact reductions keep this affordable at scale:
-elements acting diagonally on both the monomial basis and M filter
-coordinates directly, and when the non-diagonal even part of h is spanned
-by paired root vectors (a reductive situation), a weight-zero map killed by
-the simple positive root vectors is automatically killed by all of h's even
-part.  Every returned basis vector is re-verified against every constraint
-exactly; on any failure the full kernel is recomputed without shortcuts.
+constraints.  Two exact reductions keep this affordable at scale, and both
+belong to the complex because they depend on which elements of h act
+diagonally on M: elements acting diagonally on both the monomial basis and
+M filter coordinates directly, and when the non-diagonal even part of h is
+spanned by paired root vectors (a reductive situation), a weight-zero map
+killed by the simple positive root vectors is automatically killed by all
+of h's even part.  Every returned basis vector is re-verified against every
+constraint exactly; on any failure the full kernel is recomputed without
+shortcuts.
 
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
@@ -33,14 +45,20 @@ ConventionError instead of silently projecting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
-from .errors import AlgebraMismatch, ConventionError, NotASubalgebra
-from .linalg import SparseMatrix, kernel_basis_with_free
-from .reps import Representation, dual, super_exterior_power, tensor, wedge_insert
+from .errors import AlgebraMismatch, ConventionError
+from .linalg import SparseMatrix, _add_scaled, kernel_basis_with_free
+from .reps import (
+    Representation,
+    dual,
+    super_exterior_power,
+    super_monomials,
+    tensor,
+    wedge_insert,
+)
 
 Coord = tuple[int, int]  # (module basis index, monomial index)
 Cochain = dict[Coord, Fraction]
@@ -55,6 +73,15 @@ class CochainSpace:
     monomial_parities: tuple[int, ...]
     basis: tuple[list[Cochain], list[Cochain]]  # index 0: even maps, 1: odd maps
     free_coords: tuple[list[Coord], list[Coord]]
+    # per sector: anchor coordinate -> index of the basis vector it anchors
+    free_index: tuple[dict[Coord, int], dict[Coord, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self.free_index = tuple(
+            {coord: k for k, coord in enumerate(coords)} for coords in self.free_coords
+        )
 
     @property
     def dim_even(self) -> int:
@@ -67,15 +94,6 @@ class CochainSpace:
     @property
     def dim(self) -> int:
         return self.dim_even + self.dim_odd
-
-    def free_map(self, sector: int) -> dict[Coord, int]:
-        maps = getattr(self, "_free_maps", None)
-        if maps is None:
-            maps = [None, None]
-            self._free_maps = maps
-        if maps[sector] is None:
-            maps[sector] = {coord: k for k, coord in enumerate(self.free_coords[sector])}
-        return maps[sector]
 
 
 @dataclass
@@ -127,68 +145,37 @@ class CohomologyReport:
         }
 
 
-def _apply_sparse_cols(cols: list[dict[int, Fraction]], phi: Cochain, sign: Fraction) -> Cochain:
-    """sign * (matrix o phi) acting on the module index of a cochain."""
-    out: Cochain = {}
-    for (v, w), c in phi.items():
-        for v2, a in cols[v].items():
-            key = (v2, w)
-            s = out.get(key, Fraction(0)) + sign * c * a
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+class RelativePair:
+    """The part of C^p(g, h; M) that does not depend on M, built on demand."""
 
-
-class RelativeComplex:
-    """Cochain complex of a pair (g, h) with coefficients in a g-module."""
-
-    def __init__(self, g: LieSuperalgebra, h: SubalgebraSpan, m: Representation):
+    def __init__(self, g: LieSuperalgebra, h: SubalgebraSpan):
         if h.parent is not g:
             raise AlgebraMismatch("subalgebra span does not belong to g")
-        if m.algebra is not g:
-            raise AlgebraMismatch("coefficient module does not belong to g")
-        witness = h.closure_witness()
-        if witness is not None:
-            raise NotASubalgebra(f"{h.label}: not closed at pair {witness}")
         self.g = g
         self.h = h
-        self.m = m
-
         pivots = set(h.solver.pivot_cols)
         self.complement = [i for i in range(g.dim) if i not in pivots]
         self.complement_pos = {c: t for t, c in enumerate(self.complement)}
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
-        self.quotient_rep = quotient_action(g, h)
-
-        # h acting on M (one matrix per span vector)
-        self.m_actions = [m.action_of_vector(vec) for vec in h.vectors]
-        self.m_action_cols = [a.col_dicts() for a in self.m_actions]
-
-        # diagonal h vectors filter coordinates; the rest become constraints
-        self.diag_idx: list[int] = []
-        self.nondiag_idx: list[int] = []
-        for i in range(h.dim):
-            if self.quotient_rep.actions[i].is_diagonal() and self.m_actions[i].is_diagonal():
-                self.diag_idx.append(i)
-            else:
-                self.nondiag_idx.append(i)
-        self.m_eigen = {
-            i: [self.m_actions[i].entry(v, v) for v in range(m.dim)] for i in self.diag_idx
-        }
-        self.q_eigen = {
-            i: [self.quotient_rep.actions[i].entry(t, t) for t in range(len(self.complement))]
-            for i in self.diag_idx
-        }
-
-        self._plan_reduction()
-        self._spaces: dict[int, CochainSpace] = {}
+        self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
         self._lambda: dict[int, Representation] = {}
         self._monos: dict[int, tuple] = {}
-        self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix, SparseMatrix]] = {}
         self._proj_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._smaps: dict[int, tuple] = {}
+
+    def lambda_rep(self, p: int) -> Representation:
+        """Exterior power with its full action matrices (constraint path only)."""
+        if p not in self._lambda:
+            self._lambda[p] = super_exterior_power(self.quotient_rep, p)
+        return self._lambda[p]
+
+    def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Monomial basis of L^p_s(g/h) with parities (no action matrices)."""
+        if p not in self._monos:
+            monos = tuple(super_monomials(self.quotient_parities, p))
+            pars = tuple(sum(self.quotient_parities[y] for y in mo) % 2 for mo in monos)
+            self._monos[p] = (monos, pars)
+        return self._monos[p]
 
     def _projected_bracket(self, qa: int, qb: int) -> dict[int, Fraction]:
         """pi[lift(q_a), lift(q_b)] in quotient coordinates, cached."""
@@ -209,6 +196,96 @@ class RelativeComplex:
         self._proj_brackets[key] = out
         return out
 
+    def structure_maps(self, p: int):
+        """Adjacency of the two sums of the differential from C^p to C^{p+1}.
+
+        bracket_adj[w] lists (w1, coeff): contributions phi(...)(w1) taking
+        the value phi at monomial w of L^p, via the projected bracket.
+        action_adj[w] lists (x, w1, sign): apply the lift of quotient basis
+        vector x to phi(monomial w), landing at monomial w1 of L^{p+1}.
+        """
+        if p in self._smaps:
+            return self._smaps[p]
+        monos_hi, _ = self.monomials(p + 1)
+        monos_lo, _ = self.monomials(p)
+        lo_index = {mo: t for t, mo in enumerate(monos_lo)}
+        qpar = self.quotient_parities
+        bracket_adj: dict[int, list[tuple[int, Fraction]]] = {}
+        action_adj: dict[int, list[tuple[int, int, int]]] = {}
+        for t1, mo in enumerate(monos_hi):
+            pref = [0] * (len(mo) + 1)
+            for a, y in enumerate(mo):
+                pref[a + 1] = pref[a] + qpar[y]
+            for i in range(len(mo)):
+                yi = mo[i]
+                # second sum: gamma base sign (1-based position i+1)
+                base = (i + (qpar[yi] * pref[i])) % 2
+                rest_i = mo[:i] + mo[i + 1 :]
+                w_lo = lo_index[rest_i]
+                action_adj.setdefault(w_lo, []).append((yi, t1, -1 if base else 1))
+                for j in range(i + 1, len(mo)):
+                    yj = mo[j]
+                    proj = self._projected_bracket(yi, yj)
+                    if not proj:
+                        continue
+                    # sigma sign, 1-based positions
+                    sig = (
+                        (i + 1)
+                        + (j + 1)
+                        + qpar[yi] * pref[i]
+                        + qpar[yj] * (pref[j] + qpar[yi])
+                    ) % 2
+                    ssign = Fraction(-1) if sig else Fraction(1)
+                    rest = mo[:i] + mo[i + 1 : j] + mo[j + 1 :]
+                    for q, v in proj.items():
+                        ins = wedge_insert(q, rest, qpar)
+                        if ins is None:
+                            continue
+                        sgn, mo2 = ins
+                        bracket_adj.setdefault(lo_index[mo2], []).append(
+                            (t1, ssign * sgn * v)
+                        )
+        self._smaps[p] = (bracket_adj, action_adj)
+        return self._smaps[p]
+
+
+class RelativeComplex:
+    """Cochain complex of a pair (g, h) with coefficients in a g-module."""
+
+    def __init__(self, pair: RelativePair, m: Representation):
+        if m.algebra is not pair.g:
+            raise AlgebraMismatch("coefficient module does not belong to g")
+        self.pair = pair
+        self.m = m
+        h = pair.h
+
+        # h acting on M (one matrix per span vector)
+        m_actions = [m.action_of_vector(vec) for vec in h.vectors]
+        self.m_action_cols = [a.col_dicts() for a in m_actions]
+        # M actions of the lifts of the quotient basis vectors
+        self.m_cols_by_complement = [m.actions[c].col_dicts() for c in pair.complement]
+
+        # diagonal h vectors filter coordinates; the rest become constraints
+        q_actions = pair.quotient_rep.actions
+        self.diag_idx: list[int] = []
+        self.nondiag_idx: list[int] = []
+        for i in range(h.dim):
+            if q_actions[i].is_diagonal() and m_actions[i].is_diagonal():
+                self.diag_idx.append(i)
+            else:
+                self.nondiag_idx.append(i)
+        self.m_eigen = {
+            i: [m_actions[i].entry(v, v) for v in range(m.dim)] for i in self.diag_idx
+        }
+        self.q_eigen = {
+            i: [q_actions[i].entry(t, t) for t in range(len(pair.complement))]
+            for i in self.diag_idx
+        }
+
+        self._plan_reduction()
+        self._spaces: dict[int, CochainSpace] = {}
+        self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix, SparseMatrix]] = {}
+
     # -- constraint reduction plan -------------------------------------------
 
     def _plan_reduction(self) -> None:
@@ -220,7 +297,7 @@ class RelativeComplex:
         suffice as even constraints (weight-zero highest-weight maps are
         invariant); odd constraints are always kept in full.
         """
-        h_alg = self.quotient_rep.algebra
+        h_alg = self.pair.quotient_rep.algebra
         self.reduced_even_idx: list[int] | None = None
         self.odd_nondiag_idx = [i for i in self.nondiag_idx if h_alg.parities[i] == ODD]
         even_nondiag = [i for i in self.nondiag_idx if h_alg.parities[i] == EVEN]
@@ -254,34 +331,22 @@ class RelativeComplex:
     # -- cochain spaces --------------------------------------------------------
 
     def lambda_rep(self, p: int) -> Representation:
-        """Exterior power with its full action matrices (constraint path only)."""
-        if p not in self._lambda:
-            self._lambda[p] = super_exterior_power(self.quotient_rep, p)
-        return self._lambda[p]
+        """Exterior power of g/h in degree p, shared through the pair."""
+        return self.pair.lambda_rep(p)
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Monomial basis of L^p_s(g/h) with parities (no action matrices)."""
-        if p not in self._monos:
-            from .reps import super_monomials
-
-            monos = tuple(super_monomials(self.quotient_parities, p))
-            pars = tuple(sum(self.quotient_parities[y] for y in mo) % 2 for mo in monos)
-            self._monos[p] = (monos, pars)
-        return self._monos[p]
+        """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
+        return self.pair.monomials(p)
 
     def _constraint_apply(self, i: int, sector: int, lam_rows: list[dict[int, Fraction]], phi: Cochain) -> Cochain:
         """Equivariance defect of phi for the i-th span vector of h."""
-        h_alg = self.quotient_rep.algebra
-        sign = Fraction(-1) if (h_alg.parities[i] * sector) % 2 else Fraction(1)
-        out = _apply_sparse_cols(self.m_action_cols[i], phi, sign)
+        odd = (self.pair.h.vector_parities[i] * sector) % 2
+        cols = self.m_action_cols[i]
+        out: Cochain = {}
         for (v, w), c in phi.items():
-            for w2, a in lam_rows[w].items():
-                key = (v, w2)
-                s = out.get(key, Fraction(0)) - c * a
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+            _add_scaled(out, (((v2, w), a) for v2, a in cols[v].items()), -c if odd else c)
+        for (v, w), c in phi.items():
+            _add_scaled(out, (((v, w2), a) for w2, a in lam_rows[w].items()), -c)
         return out
 
     def _impose(
@@ -309,14 +374,8 @@ class RelativeComplex:
         for combo in combos:
             vec: Cochain = {}
             for k, c in enumerate(combo):
-                if not c:
-                    continue
-                for coord, val in candidates[k].items():
-                    s = vec.get(coord, Fraction(0)) + c * val
-                    if s:
-                        vec[coord] = s
-                    elif coord in vec:
-                        del vec[coord]
+                if c:
+                    _add_scaled(vec, candidates[k].items(), c)
             out.append(vec)
         # candidate k carries 1 at its own anchor coordinate and 0 at the other
         # anchors, so anchors of the free candidate columns anchor the output
@@ -388,91 +447,19 @@ class RelativeComplex:
 
     # -- differential ----------------------------------------------------------
 
-    def _structure_maps(self, p: int):
-        """Adjacency of the two sums of the differential from C^p to C^{p+1}.
-
-        bracket_adj[w] lists (w1, coeff): contributions phi(...)(w1) taking
-        the value phi at monomial w of L^p, via the projected bracket.
-        action_adj[w] lists (x, w1, sign): apply the lift of quotient basis
-        vector x to phi(monomial w), landing at monomial w1 of L^{p+1}.
-        """
-        if p in self._smaps:
-            return self._smaps[p]
-        monos_hi, _ = self.monomials(p + 1)
-        monos_lo, _ = self.monomials(p)
-        lo_index = {mo: t for t, mo in enumerate(monos_lo)}
-        qpar = self.quotient_parities
-        bracket_adj: dict[int, list[tuple[int, Fraction]]] = {}
-        action_adj: dict[int, list[tuple[int, int, int]]] = {}
-        for t1, mo in enumerate(monos_hi):
-            pref = [0] * (len(mo) + 1)
-            for a, y in enumerate(mo):
-                pref[a + 1] = pref[a] + qpar[y]
-            for i in range(len(mo)):
-                yi = mo[i]
-                # second sum: gamma base sign (1-based position i+1)
-                base = (i + (qpar[yi] * pref[i])) % 2
-                rest_i = mo[:i] + mo[i + 1 :]
-                w_lo = lo_index[rest_i]
-                action_adj.setdefault(w_lo, []).append((yi, t1, -1 if base else 1))
-                for j in range(i + 1, len(mo)):
-                    yj = mo[j]
-                    proj = self._projected_bracket(yi, yj)
-                    if not proj:
-                        continue
-                    # sigma sign, 1-based positions
-                    sig = (
-                        (i + 1)
-                        + (j + 1)
-                        + qpar[yi] * pref[i]
-                        + qpar[yj] * (pref[j] + qpar[yi])
-                    ) % 2
-                    ssign = Fraction(-1) if sig else Fraction(1)
-                    rest = mo[:i] + mo[i + 1 : j] + mo[j + 1 :]
-                    for q, v in proj.items():
-                        ins = wedge_insert(q, rest, qpar)
-                        if ins is None:
-                            continue
-                        sgn, mo2 = ins
-                        bracket_adj.setdefault(lo_index[mo2], []).append(
-                            (t1, ssign * sgn * v)
-                        )
-        self._smaps[p] = (bracket_adj, action_adj)
-        return self._smaps[p]
-
-    def apply_differential(self, p: int, sector: int, phi: Cochain, maps=None) -> Cochain:
-        bracket_adj, action_adj = maps if maps is not None else self._structure_maps(p)
+    def apply_differential(self, p: int, sector: int, phi: Cochain) -> Cochain:
+        bracket_adj, action_adj = self.pair.structure_maps(p)
+        qpar = self.pair.quotient_parities
         out: Cochain = {}
         for (v, w), c in phi.items():
-            for t1, coeff in bracket_adj.get(w, ()):
-                key = (v, t1)
-                s = out.get(key, Fraction(0)) + c * coeff
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            for (x, t1, base) in action_adj.get(w, ()):
-                sgn = base
-                if (self.quotient_parities[x] * sector) % 2:
-                    sgn = -sgn
-                cols = self._m_cols_by_complement(x)
-                for v2, a in cols[v].items():
-                    key = (v2, t1)
-                    s = out.get(key, Fraction(0)) + sgn * c * a
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+            _add_scaled(out, (((v, t1), coeff) for t1, coeff in bracket_adj.get(w, ())), c)
+            for x, t1, sgn in action_adj.get(w, ()):
+                col = self.m_cols_by_complement[x][v]
+                if col:
+                    if (qpar[x] * sector) % 2:
+                        sgn = -sgn
+                    _add_scaled(out, (((v2, t1), a) for v2, a in col.items()), c if sgn > 0 else -c)
         return out
-
-    def _m_cols_by_complement(self, q: int) -> list[dict[int, Fraction]]:
-        cache = getattr(self, "_mc_cache", None)
-        if cache is None:
-            cache = {}
-            self._mc_cache = cache
-        if q not in cache:
-            cache[q] = self.m.actions[self.complement[q]].col_dicts()
-        return cache[q]
 
     def _expand(self, target: Cochain, space: CochainSpace, sector: int) -> list[tuple[int, Fraction]]:
         """Coordinates of a cochain in the equivariant basis, verified exactly.
@@ -481,19 +468,14 @@ class RelativeComplex:
         expansion is then checked against every coordinate of the target,
         so any image outside the span aborts the computation.
         """
-        fmap = space.free_map(sector)
+        anchors = space.free_index[sector]
         coeffs = []
         residual = dict(target)
         for coord, c in target.items():
-            k = fmap.get(coord)
+            k = anchors.get(coord)
             if k is not None and c:
                 coeffs.append((k, c))
-                for cc, val in space.basis[sector][k].items():
-                    s = residual.get(cc, Fraction(0)) - c * val
-                    if s:
-                        residual[cc] = s
-                    elif cc in residual:
-                        del residual[cc]
+                _add_scaled(residual, space.basis[sector][k].items(), -c)
         if residual:
             raise ConventionError(
                 "differential image escapes the equivariant span "
@@ -514,13 +496,11 @@ class RelativeComplex:
         """
         src = self.space(p)
         dst = self.space(p + 1)
-        maps_lo = self._structure_maps(p)
-        maps_hi = self._structure_maps(p + 1)
         for sector in (EVEN, ODD):
             for phi in src.basis[sector]:
-                image = self.apply_differential(p, sector, phi, maps_lo)
+                image = self.apply_differential(p, sector, phi)
                 self._expand(image, dst, sector)  # consistency: image lies in C^{p+1}
-                if self.apply_differential(p + 1, sector, image, maps_hi):
+                if self.apply_differential(p + 1, sector, image):
                     return False
         return True
 
@@ -530,7 +510,6 @@ class RelativeComplex:
             return self._diffs[p]
         src = self.space(p)
         dst = self.space(p + 1)
-        maps = self._structure_maps(p)
         blocks = []
         entries_full = []
         col_off = 0
@@ -538,7 +517,7 @@ class RelativeComplex:
         for sector in (EVEN, ODD):
             entries = []
             for k, phi in enumerate(src.basis[sector]):
-                image = self.apply_differential(p, sector, phi, maps)
+                image = self.apply_differential(p, sector, phi)
                 for r, c in self._expand(image, dst, sector):
                     entries.append((r, k, c))
             block = SparseMatrix(len(dst.basis[sector]), len(src.basis[sector]), entries)
@@ -575,8 +554,8 @@ class RelativeComplex:
                 CohomologyRow(p, sp.dim_even, sp.dim_odd, ranks_even[p] + ranks_odd[p], he, ho)
             )
         return CohomologyReport(
-            self.g.name,
-            self.h.label,
+            self.pair.g.name,
+            self.pair.h.label,
             self.m.name,
             max_degree,
             rows,
@@ -591,17 +570,17 @@ class RelativeComplex:
 def relative_cochains(
     g: LieSuperalgebra, h: SubalgebraSpan, m: Representation, p: int
 ) -> CochainSpace:
-    return RelativeComplex(g, h, m).space(p)
+    return RelativeComplex(RelativePair(g, h), m).space(p)
 
 
 def differential(g: LieSuperalgebra, h: SubalgebraSpan, m: Representation, p: int) -> SparseMatrix:
-    return RelativeComplex(g, h, m).differential(p)
+    return RelativeComplex(RelativePair(g, h), m).differential(p)
 
 
 def cohomology(
     g: LieSuperalgebra, h: SubalgebraSpan, m: Representation, max_degree: int
 ) -> CohomologyReport:
-    return RelativeComplex(g, h, m).report(max_degree)
+    return RelativeComplex(RelativePair(g, h), m).report(max_degree)
 
 
 def relative_ext(

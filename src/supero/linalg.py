@@ -23,6 +23,29 @@ from .errors import DimensionMismatch
 Vector = tuple[Fraction, ...]
 
 
+def _add_scaled(acc: dict, items: Iterable[tuple], scale=1) -> dict:
+    """Add ``scale * v`` to ``acc[k]`` for every (k, v) in ``items``.
+
+    Entries that sum to zero are deleted, so ``acc`` never stores a zero;
+    a key keeps its insertion position while its value stays nonzero.
+    Returns ``acc``.
+    """
+    if scale != 1:  # multiplying a Fraction by 1 costs as much as any product
+        items = ((k, scale * v) for k, v in items)
+    for k, v in items:
+        old = acc.get(k)
+        if old is None:
+            if v:
+                acc[k] = v
+        else:
+            v = old + v
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return acc
+
+
 class SparseMatrix:
     """Immutable sparse matrix over Q.
 
@@ -119,13 +142,7 @@ class SparseMatrix:
             by_row.setdefault(r, []).append((c, v))
         acc: dict[tuple[int, int], Fraction] = {}
         for (r, k), v in self._data.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                s = acc.get(key, Fraction(0)) + v * w
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
+            _add_scaled(acc, (((r, c), w) for c, w in by_row.get(k, ())), v)
         return SparseMatrix(self.rows, other.cols, ((r, c, v) for (r, c), v in acc.items()))
 
     def scaled(self, a: Fraction) -> "SparseMatrix":
@@ -136,13 +153,7 @@ class SparseMatrix:
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
-        acc = dict(self._data)
-        for key, v in other._data.items():
-            s = acc.get(key, Fraction(0)) + v
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+        acc = _add_scaled(dict(self._data), other._data.items())
         return SparseMatrix(self.rows, self.cols, ((r, c, v) for (r, c), v in acc.items()))
 
     def __eq__(self, other: object) -> bool:
@@ -202,13 +213,7 @@ def _echelon(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int,
             row = rows[rid]
             b = row[c]
             # new = a*row - b*pivot; entry at c cancels exactly
-            new: dict[int, int] = {k: a * v for k, v in row.items()}
-            for k, v in pivot.items():
-                w = new.get(k, 0) - b * v
-                if w:
-                    new[k] = w
-                elif k in new:
-                    del new[k]
+            new = _add_scaled({k: a * v for k, v in row.items()}, pivot.items(), -b)
             if new:
                 g = math.gcd(*new.values())
                 if g > 1:
@@ -267,43 +272,6 @@ def nullity(m: SparseMatrix) -> int:
     return m.cols - rank(m)
 
 
-def stack(ms: Sequence[SparseMatrix]) -> SparseMatrix:
-    """Stack matrices vertically; all must share a column count."""
-    if not ms:
-        raise DimensionMismatch("cannot stack an empty list without a column count")
-    cols = ms[0].cols
-    entries = []
-    offset = 0
-    for m in ms:
-        if m.cols != cols:
-            raise DimensionMismatch(f"column counts differ: {m.cols} != {cols}")
-        for r, c, v in m.entries():
-            entries.append((offset + r, c, v))
-        offset += m.rows
-    return SparseMatrix(offset, cols, entries)
-
-
-def simultaneous_kernel(ms: Sequence[SparseMatrix], cols: int | None = None) -> list[Vector]:
-    """Basis of the intersection of the kernels of all matrices.
-
-    Equals ``kernel_basis`` of the vertically stacked matrix.  ``cols``
-    is required when the list is empty (no constraints).
-    """
-    if not ms:
-        if cols is None:
-            raise DimensionMismatch("empty constraint list needs an explicit column count")
-        eye = [Fraction(0)] * cols
-        out = []
-        for i in range(cols):
-            v = list(eye)
-            v[i] = Fraction(1)
-            out.append(tuple(v))
-        return out
-    if cols is not None and ms[0].cols != cols:
-        raise DimensionMismatch(f"column counts differ: {ms[0].cols} != {cols}")
-    return kernel_basis(stack(ms))
-
-
 class SpanSolver:
     """Row-reduced form of a list of vectors, for membership and coordinates.
 
@@ -323,7 +291,7 @@ class SpanSolver:
                 raise DimensionMismatch(f"span vector {idx} has length {len(vec)} != {ambient_dim}")
             row = {i: Fraction(v) for i, v in enumerate(vec) if v}
             comb = {idx: Fraction(1)}
-            row, comb = self._reduce_row(rows, row, comb)
+            row, comb = self._eliminate(rows, row, comb, -1)
             if row:
                 lead = min(row)
                 inv = 1 / row[lead]
@@ -332,58 +300,28 @@ class SpanSolver:
                 rows.append((row, comb))
                 rows.sort(key=lambda rc: min(rc[0]))
                 # re-reduce upper entries so the form stays fully reduced
-                rows = self._normalize(rows)
+                rows = [
+                    self._eliminate(rows[:i] + rows[i + 1 :], dict(r), dict(c), -1)
+                    for i, (r, c) in enumerate(rows)
+                ]
         self._rows = rows
         self.pivot_cols = [min(r) for r, _ in rows]
         self.rank = len(rows)
         self.n_inputs = len(vectors)
 
     @staticmethod
-    def _reduce_row(rows, row: dict[int, Fraction], comb: dict[int, Fraction]):
-        for prow, pcomb in rows:
-            lead = min(prow)
-            coef = row.get(lead)
-            if coef:
-                for k, v in prow.items():
-                    w = row.get(k, Fraction(0)) - coef * v
-                    if w:
-                        row[k] = w
-                    elif k in row:
-                        del row[k]
-                for k, v in pcomb.items():
-                    w = comb.get(k, Fraction(0)) - coef * v
-                    if w:
-                        comb[k] = w
-                    elif k in comb:
-                        del comb[k]
-        return row, comb
+    def _eliminate(rows, row: dict[int, Fraction], comb: dict[int, Fraction], sign: int):
+        """Clear the lead column of every row in ``rows`` from ``row``.
 
-    @staticmethod
-    def _normalize(rows):
-        out = []
-        for i, (row, comb) in enumerate(rows):
-            row = dict(row)
-            comb = dict(comb)
-            for j, (prow, pcomb) in enumerate(rows):
-                if i == j:
-                    continue
-                lead = min(prow)
-                coef = row.get(lead)
-                if coef and lead != min(row):
-                    for k, v in prow.items():
-                        w = row.get(k, Fraction(0)) - coef * v
-                        if w:
-                            row[k] = w
-                        elif k in row:
-                            del row[k]
-                    for k, v in pcomb.items():
-                        w = comb.get(k, Fraction(0)) - coef * v
-                        if w:
-                            comb[k] = w
-                        elif k in comb:
-                            del comb[k]
-            out.append((row, comb))
-        return out
+        Each step subtracts coef * (pivot row) from ``row`` and adds
+        sign * coef * (its input combination) to ``comb``.
+        """
+        for prow, pcomb in rows:
+            coef = row.get(min(prow))
+            if coef:
+                _add_scaled(row, prow.items(), -coef)
+                _add_scaled(comb, pcomb.items(), sign * coef)
+        return row, comb
 
     def reduce(self, vec: Sequence[Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
         """Split ``vec`` = (span part) + residual.
@@ -394,20 +332,7 @@ class SpanSolver:
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch in reduce")
         row = {i: Fraction(v) for i, v in enumerate(vec) if v}
-        comb: dict[int, Fraction] = {}
-        for prow, pcomb in self._rows:
-            lead = min(prow)
-            coef = row.get(lead)
-            if coef:
-                for k, v in prow.items():
-                    w = row.get(k, Fraction(0)) - coef * v
-                    if w:
-                        row[k] = w
-                    elif k in row:
-                        del row[k]
-                for k, v in pcomb.items():
-                    comb[k] = comb.get(k, Fraction(0)) + coef * v
-        return row, comb
+        return self._eliminate(self._rows, row, {}, 1)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         residual, _ = self.reduce(vec)

@@ -19,7 +19,7 @@ from .errors import (
     DimensionMismatch,
     UnsupportedModule,
 )
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _add_scaled
 
 
 class Representation:
@@ -64,15 +64,8 @@ class Representation:
             raise DimensionMismatch("coordinate length mismatch")
         acc: dict[tuple[int, int], Fraction] = {}
         for i, c in enumerate(coords):
-            if not c:
-                continue
-            for r, cc, v in self.actions[i].entries():
-                key = (r, cc)
-                s = acc.get(key, Fraction(0)) + c * v
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
+            if c:
+                _add_scaled(acc, (((r, cc), v) for r, cc, v in self.actions[i].entries()), c)
         return SparseMatrix(self.dim, self.dim, ((r, c, v) for (r, c), v in acc.items()))
 
     def __repr__(self) -> str:
@@ -162,17 +155,14 @@ def tensor(r: Representation, s: Representation) -> Representation:
     for i in range(g.dim):
         acc: dict[tuple[int, int], Fraction] = {}
         for row, col, v in r.actions[i].entries():
-            for b in range(s.dim):
-                key = (idx(row, b), idx(col, b))
-                acc[key] = acc.get(key, Fraction(0)) + v
+            _add_scaled(acc, (((idx(row, b), idx(col, b)), v) for b in range(s.dim)))
         for row, col, v in s.actions[i].entries():
-            for a in range(r.dim):
-                sgn = Fraction(-1) if (g.parities[i] * r.parities[a]) % 2 else Fraction(1)
-                key = (idx(a, row), idx(a, col))
-                acc[key] = acc.get(key, Fraction(0)) + sgn * v
-        actions.append(
-            SparseMatrix(dim, dim, ((a, b, v) for (a, b), v in acc.items() if v))
-        )
+            _add_scaled(
+                acc,
+                (((idx(a, row), idx(a, col)), -v if (g.parities[i] * r.parities[a]) % 2 else v)
+                 for a in range(r.dim)),
+            )
+        actions.append(SparseMatrix(dim, dim, ((a, b, v) for (a, b), v in acc.items())))
     labels = tuple(
         f"{la}(x){lb}" for la in r.basis_labels for lb in s.basis_labels
     )
@@ -236,10 +226,6 @@ def wedge_insert(
     return sign, mono[:pos] + (x,) + mono[pos:]
 
 
-def wedge_remove(mono: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return mono[:i] + mono[i + 1 :]
-
-
 def super_exterior_power(r: Representation, p: int) -> Representation:
     """Super p-th exterior power with the derivation action.
 
@@ -264,19 +250,15 @@ def super_exterior_power(r: Representation, p: int) -> Representation:
                 # pull-out permutation sign into (-1)^i (-1)^{|y| prefix}
                 # (the |x| dependence cancels exactly)
                 prefix = sum(r.parities[z] for z in mo[:i])
-                pull = Fraction(-1) if (i + r.parities[y] * prefix) % 2 else Fraction(1)
-                rest = wedge_remove(mo, i)
+                pull = -1 if (i + r.parities[y] * prefix) % 2 else 1
+                rest = mo[:i] + mo[i + 1 :]
+                terms = []
                 for y2, coef in cols[y].items():
                     ins = wedge_insert(y2, rest, r.parities)
-                    if ins is None:
-                        continue
-                    sgn, mo2 = ins
-                    key = (index[mo2], t)
-                    s = acc.get(key, Fraction(0)) + pull * sgn * coef
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
+                    if ins is not None:
+                        sgn, mo2 = ins
+                        terms.append(((index[mo2], t), coef if sgn == pull else -coef))
+                _add_scaled(acc, terms)
         actions.append(
             SparseMatrix(len(monos), len(monos), ((a, b, v) for (a, b), v in acc.items()))
         )
@@ -307,14 +289,10 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
         for t, mo in enumerate(monos):
             for i, y in enumerate(mo):
                 rest = mo[:i] + mo[i + 1 :]
-                for y2, coef in cols[y].items():
-                    mo2 = tuple(sorted(rest + (y2,)))
-                    key = (index[mo2], t)
-                    s = acc.get(key, Fraction(0)) + coef
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
+                _add_scaled(
+                    acc,
+                    (((index[tuple(sorted(rest + (y2,)))], t), coef) for y2, coef in cols[y].items()),
+                )
         actions.append(
             SparseMatrix(len(monos), len(monos), ((a, b, v) for (a, b), v in acc.items()))
         )
@@ -325,12 +303,7 @@ def restrict(r: Representation, h: SubalgebraSpan) -> Representation:
     """Action matrices of the span vectors (must be bracket-closed)."""
     if h.parent is not r.algebra:
         raise AlgebraMismatch("span does not belong to the module's algebra")
-    witness = h.closure_witness()
-    if witness is not None:
-        from .errors import NotASubalgebra
-
-        raise NotASubalgebra(f"{h.label}: not closed at pair {witness}")
-    algebra = h.to_algebra()
+    algebra = h.to_algebra()  # raises NotASubalgebra unless h is bracket-closed
     actions = tuple(r.action_of_vector(vec) for vec in h.vectors)
     return Representation(algebra, f"{r.name}|{h.label}", r.parities, actions, r.basis_labels)
 

@@ -32,7 +32,7 @@ from .checks import (
     kunneth_check,
     positive_even_roots,
 )
-from .cohomology import RelativeComplex, cohomology
+from .cohomology import RelativeComplex, RelativePair
 from .invariants import compare_invariants_vs_cohomology, ext_growth, invariant_dims
 from .reps import Representation, adjoint, natural, trivial
 from .roots import borel_span, generic_functional, named_subalgebra, root_decomposition
@@ -134,52 +134,25 @@ def suite_jacobi() -> dict:
     return _report("jacobi", rows)
 
 
-def _ddzero_group(task) -> list[dict]:
-    g, hname, h, max_p = task
-    rows = []
-    shared: RelativeComplex | None = None
-    for mod in coefficient_modules(g):
-        cx = RelativeComplex(g, h, mod)
-        if shared is not None:
-            # monomial/bracket combinatorics depend only on (g, h)
-            cx._monos = shared._monos
-            cx._smaps = shared._smaps
-            cx._proj_brackets = shared._proj_brackets
-        shared = cx
-        ok = True
-        witness = None
-        for p in range(max_p + 1):
-            if not cx.ddzero(p):
-                ok = False
-                witness = f"p={p}"
-                break
-        rows.append(_row("dd_zero", g.name, {"h": hname, "coefficients": mod.name}, ok, witness))
-    return rows
-
-
-def suite_ddzero(max_p: int = 4, workers: int = 1) -> dict:
+def suite_ddzero(max_p: int = 4) -> dict:
     """d(d(phi)) = 0 for every cochain basis vector, composites p <= max_p."""
-    tasks = [
-        (g, hname, h, max_p)
-        for g in ddzero_algebras()
-        for hname, h in ddzero_subalgebras(g)
-    ]
-    rows = [row for group in _map_tasks(_ddzero_group, tasks, workers) for row in group]
+    rows = []
+    for g in ddzero_algebras():
+        for hname, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)  # shared by the three coefficient modules
+            for mod in coefficient_modules(g):
+                cx = RelativeComplex(pair, mod)
+                bad = next((p for p in range(max_p + 1) if not cx.ddzero(p)), None)
+                rows.append(
+                    _row(
+                        "dd_zero",
+                        g.name,
+                        {"h": hname, "coefficients": mod.name},
+                        bad is None,
+                        None if bad is None else f"p={bad}",
+                    )
+                )
     return _report("ddzero", rows)
-
-
-def _map_tasks(fn, tasks, workers: int):
-    """Map over independent tasks, optionally on a thread pool.
-
-    Results come back in task order regardless of completion order, so the
-    report is identical for any worker count.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def g0_vanishing_families() -> list[LieSuperalgebra]:
@@ -191,7 +164,7 @@ def suite_g0_vanishing(max_degree: int = 6) -> dict:
     cohomology equals the independently computed invariant dimensions."""
     rows = []
     for g in g0_vanishing_families():
-        cx = RelativeComplex(g, even_part_span(g), trivial(g))
+        cx = RelativeComplex(RelativePair(g, even_part_span(g)), trivial(g))
         zero = all(cx.differential(p).is_zero() for p in range(max_degree + 1))
         rows.append(_row("differentials_vanish", g.name, {"N": max_degree}, zero))
         report = cx.report(max_degree)
@@ -394,40 +367,34 @@ def growth_cells() -> list[tuple[LieSuperalgebra, str, SubalgebraSpan, str]]:
     return cells
 
 
-def _growth_cell(task) -> list[dict]:
-    g, hname, h, kind, max_degree = task
+def suite_growth(max_degree: int = 8) -> dict:
     rows = []
-    for label in ("trivial", "natural"):
-        if label == "natural":
-            if g.matrix_model is None:
-                continue
-            mod = natural(g)
-        else:
-            mod = trivial(g)
-        est = ext_growth(g, h, mod, mod, max_degree)
-        ok = est.within_bound
-        witness = None
-        if kind == "even":
-            ok = ok and est.eventually_zero
-            if not est.eventually_zero:
-                witness = f"dims={est.dims}"
-        if not est.within_bound:
-            witness = f"rate={est.estimated_rate:.3f} > bound={est.bound}"
-        row = _row(
-            "complexity_bound",
-            g.name,
-            {"h": hname, "coefficients": label, "N": max_degree},
-            ok,
-            witness,
-        )
-        row["estimate"] = est.to_json_dict()  # raw dims and window, for re-fitting
-        rows.append(row)
-    return rows
-
-
-def suite_growth(max_degree: int = 8, workers: int = 1) -> dict:
-    tasks = [(g, hname, h, kind, max_degree) for g, hname, h, kind in growth_cells()]
-    rows = [row for group in _map_tasks(_growth_cell, tasks, workers) for row in group]
+    for g, hname, h, kind in growth_cells():
+        for label in ("trivial", "natural"):
+            if label == "natural":
+                if g.matrix_model is None:
+                    continue
+                mod = natural(g)
+            else:
+                mod = trivial(g)
+            est = ext_growth(g, h, mod, mod, max_degree)
+            ok = est.within_bound
+            witness = None
+            if kind == "even":
+                ok = ok and est.eventually_zero
+                if not est.eventually_zero:
+                    witness = f"dims={est.dims}"
+            if not est.within_bound:
+                witness = f"rate={est.estimated_rate:.3f} > bound={est.bound}"
+            row = _row(
+                "complexity_bound",
+                g.name,
+                {"h": hname, "coefficients": label, "N": max_degree},
+                ok,
+                witness,
+            )
+            row["estimate"] = est.to_json_dict()  # raw dims and window, for re-fitting
+            rows.append(row)
     return _report("growth", rows)
 
 
@@ -441,12 +408,8 @@ SUITES = {
     "growth": suite_growth,
 }
 
-_PARALLEL = {"ddzero", "growth"}
 
-
-def run_suite(name: str, workers: int = 1) -> dict:
+def run_suite(name: str) -> dict:
     if name not in SUITES:
         raise KeyError(name)
-    if name in _PARALLEL:
-        return SUITES[name](workers=workers)
     return SUITES[name]()

@@ -128,6 +128,30 @@ def test_coh_span_file_missing_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--H", "abc"),
+        ("--H", "1/0"),
+        ("span", "not json"),
+        ("span", json.dumps({"vectors": [[1, 2, 3, 4]]})),
+    ],
+    ids=["H-not-rational", "H-zero-denominator", "span-not-json", "span-flat-vector"],
+)
+def test_coh_malformed_input_exit_2(tmp_path, capsys, option, value):
+    argv = ["coh", "gl", "1", "1", "-N", "1"]
+    if option == "span":
+        path = tmp_path / "span.json"
+        path.write_text(value)
+        argv += ["--sub", f"span:{path}"]
+    else:
+        argv += ["--sub", "levi", "--H", value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
@@ -161,15 +185,6 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["dim"] == 8
-
-
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERO_THREADS", "2")
-    code, out, _ = run_cli(capsys, "verify", "invariants", "--format", "json")
-    assert code == 0
-    monkeypatch.setenv("SUPERO_THREADS", "zzz")
-    code, _, err = run_cli(capsys, "verify", "invariants")
-    assert code == 2
 
 
 def test_console_entry_point_subprocess():

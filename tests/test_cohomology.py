@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -11,17 +12,19 @@ from supero.algebras import (
     build_q,
     even_part_span,
     full_span,
+    quotient_action,
     special_linear_span,
 )
 from supero.cohomology import (
     RelativeComplex,
+    RelativePair,
     cohomology,
     differential,
     relative_cochains,
     relative_ext,
 )
 from supero.errors import ConventionError, NotASubalgebra
-from supero.reps import adjoint, natural, trivial
+from supero.reps import adjoint, natural, restrict, super_exterior_power, trivial
 from supero.roots import named_subalgebra
 
 F = Fraction
@@ -46,7 +49,7 @@ assert GL11_EXPECTED == [1, 0, 1, 0, 1, 0, 1]
 
 def test_gl11_cochain_dims_match_monomial_oracle():
     g = build_gl(1, 1)
-    cx = RelativeComplex(g, even_part_span(g), trivial(g))
+    cx = RelativeComplex(RelativePair(g, even_part_span(g)), trivial(g))
     for p in range(7):
         sp = cx.space(p)
         assert sp.dim == GL11_EXPECTED[p]
@@ -59,7 +62,7 @@ def test_sl2_torus_three_term_complex():
     # differentials vanish for weight reasons.
     g = sl2()
     h = named_subalgebra(g, "torus")
-    cx = RelativeComplex(g, h, trivial(g))
+    cx = RelativeComplex(RelativePair(g, h), trivial(g))
     assert [cx.space(p).dim for p in range(3)] == [1, 0, 1]
     rep = cx.report(2)
     assert rep.dims() == [1, 0, 1]
@@ -77,14 +80,14 @@ def test_cochains_p0_are_invariants():
 def test_differential_zero_for_g0_trivial():
     # with h = g0 and M = C both sums of the differential vanish identically
     for g in (build_gl(1, 1), build_q(2), build_p_tilde(2)):
-        cx = RelativeComplex(g, even_part_span(g), trivial(g))
+        cx = RelativeComplex(RelativePair(g, even_part_span(g)), trivial(g))
         for p in range(5):
             assert cx.differential(p).is_zero()
 
 
 def test_differential_shape():
     g = build_gl(1, 1)
-    cx = RelativeComplex(g, named_subalgebra(g, "torus"), trivial(g))
+    cx = RelativeComplex(RelativePair(g, named_subalgebra(g, "torus")), trivial(g))
     d1 = cx.differential(1)
     assert d1.cols == cx.space(1).dim
     assert d1.rows == cx.space(2).dim
@@ -100,14 +103,14 @@ for _g in (build_gl(1, 1), build_gl(2, 1), build_q(2), build_osp(1, 2)):
 def test_dd_zero_small_matrix(g, spec):
     h = named_subalgebra(g, spec)
     for mod in (trivial(g), natural(g), adjoint(g)):
-        cx = RelativeComplex(g, h, mod)
+        cx = RelativeComplex(RelativePair(g, h), mod)
         for p in range(3):
             assert cx.ddzero(p), (g.name, spec, mod.name, p)
 
 
 def test_dd_zero_matrix_composite():
     g = build_q(2)
-    cx = RelativeComplex(g, named_subalgebra(g, "torus"), natural(g))
+    cx = RelativeComplex(RelativePair(g, named_subalgebra(g, "torus")), natural(g))
     for p in range(3):
         d_hi = cx.differential(p + 1)
         d_lo = cx.differential(p)
@@ -116,7 +119,7 @@ def test_dd_zero_matrix_composite():
 
 def test_sl2_torus_d1_is_zero_matrix():
     g = sl2()
-    cx = RelativeComplex(g, named_subalgebra(g, "torus"), trivial(g))
+    cx = RelativeComplex(RelativePair(g, named_subalgebra(g, "torus")), trivial(g))
     d1 = cx.differential(1)
     assert d1.cols == 0  # C^1 vanishes for weight reasons
     assert cx.report(2).dims()[2] == 1
@@ -146,7 +149,7 @@ def test_full_subalgebra_cohomology():
 
 def test_report_consistency_identities():
     g = build_gl(2, 1)
-    cx = RelativeComplex(g, named_subalgebra(g, "torus"), natural(g))
+    cx = RelativeComplex(RelativePair(g, named_subalgebra(g, "torus")), natural(g))
     rep = cx.report(3)
     for row in rep.rows:
         assert row.dim_cohomology_even >= 0 and row.dim_cohomology_odd >= 0
@@ -227,9 +230,29 @@ def test_non_closed_subalgebra_rejected():
         relative_cochains(g, span, trivial(g), 1)
 
 
+def test_non_closed_subalgebra_reported_at_first_escaping_pair():
+    # one closure check (in to_algebra) serves every consumer of the span
+    g = build_gl(1, 1)
+    odd1 = [F(0)] * 4
+    odd1[g.basis_labels.index("e[1,2]")] = F(1)
+    odd2 = [F(0)] * 4
+    odd2[g.basis_labels.index("e[2,1]")] = F(1)
+    span = SubalgebraSpan(g, [tuple(odd1), tuple(odd2)], "odds")
+    message = f"odds: not closed at pair {span.closure_witness()}"
+    for build in (
+        span.to_algebra,
+        lambda: quotient_action(g, span),
+        lambda: restrict(trivial(g), span),
+        lambda: RelativePair(g, span),
+    ):
+        with pytest.raises(NotASubalgebra) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_expansion_outside_span_raises_convention_error():
     g = build_gl(1, 1)
-    cx = RelativeComplex(g, even_part_span(g), trivial(g))
+    cx = RelativeComplex(RelativePair(g, even_part_span(g)), trivial(g))
     sp1 = cx.space(1)  # zero-dimensional
     assert sp1.dim == 0
     with pytest.raises(ConventionError):
@@ -240,3 +263,35 @@ def test_module_level_differential_function():
     g = build_gl(1, 1)
     d = differential(g, even_part_span(g), trivial(g), 2)
     assert d.is_zero()
+
+
+@pytest.mark.parametrize(
+    "build, sub, H",
+    [
+        (lambda: build_gl(2, 1), "levi", (F(1), F(0), F(1))),
+        (lambda: build_q(2), "borel", None),
+    ],
+    ids=["gl(2|1)-levi", "q(2)-borel"],
+)
+def test_shared_pair_matches_independent_pairs(build, sub, H, monkeypatch):
+    engine = importlib.import_module("supero.cohomology")
+    built = []
+
+    def counted_exterior_power(rep, p):
+        built.append(p)
+        return super_exterior_power(rep, p)
+
+    monkeypatch.setattr(engine, "super_exterior_power", counted_exterior_power)
+    g = build()
+    h = named_subalgebra(g, sub, H=H)
+    modules = (trivial(g), natural(g), adjoint(g))
+    pair = RelativePair(g, h)
+    shared = [RelativeComplex(pair, mod) for mod in modules]
+    reports = [cx.report(3).to_json_dict() for cx in shared]
+    # the three modules used one exterior power per degree between them
+    assert built and len(built) == len(set(built))
+    for mod, cx, report in zip(modules, shared, reports):
+        alone = RelativeComplex(RelativePair(g, h), mod)
+        assert report == alone.report(3).to_json_dict()
+        for p in range(5):
+            assert cx.space(p).basis == alone.space(p).basis, (mod.name, p)

@@ -8,7 +8,7 @@ import pytest
 from supero.algebras import build_gl, build_q, special_linear_span
 from supero.checks import abstract_root_data
 from supero.cli import main
-from supero.cohomology import RelativeComplex
+from supero.cohomology import RelativeComplex, RelativePair
 from supero.errors import UnsupportedRank
 from supero.reps import trivial
 from supero.roots import named_subalgebra, principal_parabolic, root_decomposition
@@ -23,7 +23,7 @@ def test_euler_characteristic_purely_even_finite_complex():
         (special_linear_span(build_gl(2, 0), 2, 0).to_algebra("sl(2)"), "torus", 3),
         (special_linear_span(build_gl(3, 0), 3, 0).to_algebra("sl(3)"), "borel", 4),
     ):
-        cx = RelativeComplex(g, named_subalgebra(g, spec), trivial(g))
+        cx = RelativeComplex(RelativePair(g, named_subalgebra(g, spec)), trivial(g))
         assert cx.space(stop).dim == 0  # window really is finite
         rep = cx.report(stop)
         euler_c = sum((-1) ** p * (r.dim_cochains_even + r.dim_cochains_odd)

@@ -7,10 +7,9 @@ from supero.errors import DimensionMismatch
 from supero.linalg import (
     SpanSolver,
     SparseMatrix,
+    _add_scaled,
     kernel_basis,
     rank,
-    simultaneous_kernel,
-    stack,
 )
 
 
@@ -43,34 +42,6 @@ def test_kernel_zero_matrix():
 def test_kernel_one_row():
     (v,) = kernel_basis(SparseMatrix.from_rows([[1, 1]]))
     assert v[0] == -v[1] != 0
-
-
-def test_simultaneous_kernel_no_constraints():
-    basis = simultaneous_kernel([], cols=4)
-    assert len(basis) == 4
-    assert basis[0][0] == 1
-
-
-def test_simultaneous_kernel_identity():
-    assert simultaneous_kernel([SparseMatrix.identity(3)]) == []
-
-
-def test_simultaneous_kernel_two_rows():
-    a = SparseMatrix.from_rows([[1, 0]])
-    b = SparseMatrix.from_rows([[0, 1]])
-    assert simultaneous_kernel([a, b]) == []
-
-
-def test_simultaneous_kernel_mismatched_cols():
-    a = SparseMatrix.from_rows([[1, 0]])
-    b = SparseMatrix.from_rows([[1, 0, 0]])
-    with pytest.raises(DimensionMismatch):
-        simultaneous_kernel([a, b])
-
-
-def test_empty_simultaneous_kernel_needs_cols():
-    with pytest.raises(DimensionMismatch):
-        simultaneous_kernel([])
 
 
 def _random_matrix(rng, rows, cols):
@@ -129,14 +100,6 @@ def test_matmul_and_matvec():
     assert a.matvec((F(1), F(1))) == (F(3), F(7))
 
 
-def test_stack_shapes():
-    a = SparseMatrix.from_rows([[1, 0]])
-    b = SparseMatrix.from_rows([[0, 1], [1, 1]])
-    s = stack([a, b])
-    assert (s.rows, s.cols) == (3, 2)
-    assert s.entry(2, 0) == 1
-
-
 def test_duplicate_entry_rejected():
     with pytest.raises(DimensionMismatch):
         SparseMatrix(2, 2, [(0, 0, F(1)), (0, 0, F(2))])
@@ -162,3 +125,18 @@ def test_span_solver_residual_on_free_columns():
     # residual differs from the input by a span element
     diff = [a - b for a, b in zip((F(1), F(2), F(3)), back)]
     assert s.contains(diff)
+
+
+def test_add_scaled_prunes_zeros_and_keeps_order():
+    acc = {"x": 1, "y": 2, "z": 3}
+    assert _add_scaled(acc, [("y", -1), ("w", 5), ("x", 2)], 2) is acc
+    # y cancels and is dropped; x keeps its place; w is appended
+    assert list(acc.items()) == [("x", 5), ("z", 3), ("w", 10)]
+    _add_scaled(acc, [("x", 1), ("y", 0)], -5)
+    assert list(acc.items()) == [("z", 3), ("w", 10)]  # a zero term stores nothing
+
+    frac = {0: F(1, 2), 1: F(1, 3)}
+    _add_scaled(frac, [(0, F(1, 4)), (2, F(1, 6))], F(-2))
+    assert frac == {1: F(1, 3), 2: F(-1, 3)}
+    assert list(frac) == [1, 2]
+    assert _add_scaled(frac, [(1, F(1, 3)), (2, F(-1, 3))], -1) == {}
