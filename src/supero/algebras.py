@@ -151,10 +151,29 @@ class LieSuperalgebra:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LieSuperalgebra":
+        """Inverse of ``to_json_dict``; raises DimensionMismatch on bad
+        indices, parities or denominators."""
+        parities = d["parities"]
+        n = len(parities)
+        if d.get("dim", n) != n:
+            raise DimensionMismatch(f"dim {d['dim']} != {n} parities")
+        for p in parities:
+            if p not in (EVEN, ODD):
+                raise DimensionMismatch(f"parity {p!r} is not 0 or 1")
+        for t in d["torus"]:
+            if not 0 <= t < n:
+                raise DimensionMismatch(f"torus index {t} outside 0..{n - 1}")
         table = {}
         for i, j, terms in d["bracket"]:
+            for idx in (i, j, *(k for k, _, _ in terms)):
+                if not 0 <= idx < n:
+                    raise DimensionMismatch(
+                        f"bracket index {idx} of [{i}, {j}] outside 0..{n - 1}"
+                    )
+            if any(den == 0 for _, _, den in terms):
+                raise DimensionMismatch(f"zero denominator in bracket [{i}, {j}]")
             table[i, j] = tuple((k, Fraction(num, den)) for k, num, den in terms)
-        return cls(d["name"], d["parities"], table, d["torus"])
+        return cls(d["name"], parities, table, d["torus"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -524,7 +543,7 @@ class SubalgebraSpan:
     by consumers that require honest subalgebras).
     """
 
-    __slots__ = ("parent", "vectors", "label", "vector_parities", "solver")
+    __slots__ = ("parent", "vectors", "label", "vector_parities", "solver", "_projections")
 
     def __init__(self, parent: LieSuperalgebra, vectors: Sequence[Sequence[Fraction]], label: str = "span"):
         self.parent = parent
@@ -546,6 +565,7 @@ class SubalgebraSpan:
         self.solver = SpanSolver(self.vectors, parent.dim)
         if self.solver.rank != len(self.vectors):
             raise NotASubalgebra(f"{label}: span vectors are linearly dependent")
+        self._projections: list[dict[int, Fraction]] | None = None
 
     @property
     def dim(self) -> int:
@@ -556,6 +576,22 @@ class SubalgebraSpan:
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return self.solver.contains(vec)
+
+    def projections(self) -> list[dict[int, Fraction]]:
+        """Residual of each parent basis vector modulo the span, cached.
+
+        The residual lives on the non-pivot columns, so this is the
+        projection onto the coordinate complement; it is linear, so the
+        projection of any vector is combined from these.
+        """
+        if self._projections is None:
+            out = []
+            for k in range(self.parent.dim):
+                unit = [Fraction(0)] * self.parent.dim
+                unit[k] = Fraction(1)
+                out.append(self.solver.reduce(unit)[0])
+            self._projections = out
+        return self._projections
 
     def closure_witness(self) -> tuple[int, int] | None:
         """First pair (i, j) whose bracket escapes the span, if any."""
@@ -682,16 +718,15 @@ def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
     pivots = set(h.solver.pivot_cols)
     complement = [i for i in range(g.dim) if i not in pivots]
     comp_pos = {c: t for t, c in enumerate(complement)}
+    projections = h.projections()
     actions = []
     sparse = h.sparse_vectors()
     for x in sparse:
         entries = []
         for t, c in enumerate(complement):
-            out = g.bracket_sparse(x, {c: Fraction(1)})
-            vec = [Fraction(0)] * g.dim
-            for kk, v in out.items():
-                vec[kk] = v
-            residual, _ = h.solver.reduce(vec)
+            residual: dict[int, Fraction] = {}
+            for k, v in g.bracket_sparse(x, {c: Fraction(1)}).items():
+                _add_scaled(residual, projections[k].items(), v)
             for kk, v in residual.items():
                 entries.append((comp_pos[kk], t, v))
         actions.append(SparseMatrix(len(complement), len(complement), entries))

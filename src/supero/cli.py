@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     EmptyAlgebra,
     FormError,
+    NotASubalgebra,
     SuperoError,
     UnsupportedModule,
     UnsupportedRank,
@@ -122,7 +123,15 @@ def parse_subalgebra(g: LieSuperalgebra, spec: str, H: tuple[Fraction, ...] | No
             raise UnsupportedSubalgebra(
                 f'{path}: expected {{"vectors": [[[num, den], ...], ...]}}'
             ) from None
-        return SubalgebraSpan(g, vectors, label)
+        # the file is outside input: a span that is no subalgebra is a usage error
+        try:
+            span = SubalgebraSpan(g, vectors, label)
+        except NotASubalgebra as exc:
+            raise UnsupportedSubalgebra(f"{path}: {exc}") from None
+        witness = span.closure_witness()
+        if witness is not None:
+            raise UnsupportedSubalgebra(f"{path}: {label}: not closed at pair {witness}")
+        return span
     return named_subalgebra(g, spec, H=H)
 
 

@@ -8,12 +8,21 @@ from the super p-th exterior power of g/h to the coefficient module M,
 
 Everything but the action on M depends only on the pair (g, h), and the
 code is split the same way.  ``RelativePair(g, h)`` holds the coordinate
-complement of h, the action of h on g/h, the monomial bases of L^p_s(g/h)
-with their action matrices, the projected brackets and the structure maps
-of the differential.  ``RelativeComplex(pair, M)`` adds the action on M:
-the diagonal filter, the shortcut plan, the equivariant bases, the
-differential matrices and the report.  One pair serves any number of
-coefficient modules.
+complement of h, the action of h on g/h, the monomial bases of L^p_s(g/h),
+and, built lazily and once per pair: the action rows of each span vector
+of h on L^p_s(g/h) (``action_rows``), the weights of the monomials under
+the diagonal span vectors (``weights``, incremental in p), the projected
+brackets and the structure maps of the differential.  ``RelativeComplex(pair,
+M)`` adds the action on M: the diagonal filter, the shortcut plan, the
+equivariant bases, the differential matrices and the report.  One pair
+serves any number of coefficient modules, and a complex asks the pair only
+for the action rows of its non-diagonal span vectors.
+
+Scalars are exact: ``int`` where the denominator is 1 and ``Fraction``
+otherwise.  Every value enters the cochain layer through ``_integral``:
+the actions of g/h and of M, the structure-map coefficients, and the
+kernel combinations and basis vectors made by the constraint solve.  So
+the integral bulk of the arithmetic stays in ``int``; nothing here divides.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 
@@ -40,7 +49,8 @@ shortcuts.
 
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
-ConventionError instead of silently projecting.
+ConventionError, naming the first escaping coordinate and its residual,
+instead of silently projecting.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .errors import AlgebraMismatch, ConventionError
 from .linalg import SparseMatrix, _add_scaled, kernel_basis_with_free
 from .reps import (
     Representation,
+    derivation_rows,
     dual,
     super_exterior_power,
     super_monomials,
@@ -60,8 +71,19 @@ from .reps import (
     wedge_insert,
 )
 
+Scalar = int | Fraction  # int whenever the denominator is 1
 Coord = tuple[int, int]  # (module basis index, monomial index)
-Cochain = dict[Coord, Fraction]
+Cochain = dict[Coord, Scalar]
+
+
+def _integral(v: Scalar) -> Scalar:
+    """``v`` as an int when its denominator is 1, else unchanged."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _integral_cols(a: SparseMatrix) -> list[dict[int, Scalar]]:
+    """Column dicts of ``a`` with ``_integral`` values."""
+    return [{r: _integral(v) for r, v in col.items()} for col in a.col_dicts()]
 
 
 @dataclass
@@ -158,13 +180,18 @@ class RelativePair:
         self.complement_pos = {c: t for t, c in enumerate(self.complement)}
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
         self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
+        self._quotient_cols = [_integral_cols(a) for a in self.quotient_rep.actions]
         self._lambda: dict[int, Representation] = {}
         self._monos: dict[int, tuple] = {}
-        self._proj_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._rows: dict[tuple[int, int], list[dict[int, Scalar]]] = {}
+        self._weights: dict[tuple[int, int], list[Scalar]] = {}
+        self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
         self._smaps: dict[int, tuple] = {}
 
     def lambda_rep(self, p: int) -> Representation:
-        """Exterior power with its full action matrices (constraint path only)."""
+        """Exterior power with its full action matrices (the engine reads
+        ``action_rows`` and ``weights`` instead)."""
         if p not in self._lambda:
             self._lambda[p] = super_exterior_power(self.quotient_rep, p)
         return self._lambda[p]
@@ -175,26 +202,72 @@ class RelativePair:
             monos = tuple(super_monomials(self.quotient_parities, p))
             pars = tuple(sum(self.quotient_parities[y] for y in mo) % 2 for mo in monos)
             self._monos[p] = (monos, pars)
+            self._mono_index[p] = {mo: t for t, mo in enumerate(monos)}
         return self._monos[p]
 
-    def _projected_bracket(self, qa: int, qb: int) -> dict[int, Fraction]:
-        """pi[lift(q_a), lift(q_b)] in quotient coordinates, cached."""
-        key = (qa, qb)
-        hit = self._proj_brackets.get(key)
+    def _index(self, p: int) -> dict[tuple[int, ...], int]:
+        """Position of each monomial in ``monomials(p)``."""
+        self.monomials(p)
+        return self._mono_index[p]
+
+    def action_rows(self, p: int, i: int) -> list[dict[int, Scalar]]:
+        """Rows of the action of span vector i of h on L^p_s(g/h), cached."""
+        rows = self._rows.get((p, i))
+        if rows is None:
+            rows = self._rows[p, i] = self._build_action_rows(p, i)
+        return rows
+
+    def _build_action_rows(self, p: int, i: int) -> list[dict[int, Scalar]]:
+        monos, _ = self.monomials(p)
+        return derivation_rows(
+            self._quotient_cols[i], self.quotient_parities, monos, self._index(p)
+        )
+
+    def weights(self, p: int, i: int) -> list[Scalar]:
+        """Eigenvalue of each monomial of degree p under span vector i of h.
+
+        Only meaningful when i acts diagonally on g/h.  Built incrementally:
+        w(mo) = w(mo[:-1]) + eig(mo[-1]), since dropping the last factor of a
+        normal-form monomial leaves a normal-form monomial.
+        """
+        hit = self._weights.get((p, i))
         if hit is not None:
             return hit
-        br = self.g.bracket_sparse(
-            {self.complement[qa]: Fraction(1)}, {self.complement[qb]: Fraction(1)}
-        )
-        out: dict[int, Fraction] = {}
-        if br:
-            vec = [Fraction(0)] * self.g.dim
-            for kk, v in br.items():
-                vec[kk] = v
-            residual, _ = self.h.solver.reduce(vec)
-            out = {self.complement_pos[kk]: v for kk, v in residual.items()}
-        self._proj_brackets[key] = out
+        monos, _ = self.monomials(p)
+        if p == 0:
+            out: list[Scalar] = [0] * len(monos)
+        else:
+            action = self.quotient_rep.actions[i]
+            eig = [_integral(action.entry(t, t)) for t in range(len(self.complement))]
+            prev = self.weights(p - 1, i)
+            prev_index = self._index(p - 1)
+            out = [prev[prev_index[mo[:-1]]] + eig[mo[-1]] for mo in monos]
+        self._weights[p, i] = out
         return out
+
+    def _projected_brackets(self) -> list[list[list[tuple[int, Scalar]]]]:
+        """pi[lift(q_a), lift(q_b)] in quotient coordinates for every (a, b), cached.
+
+        pi is linear, so each bracket is combined from the projections of
+        the basis vectors of g (``SubalgebraSpan.projections``).
+        """
+        if self._proj_brackets is None:
+            g = self.g
+            projections = [
+                [(self.complement_pos[kk], v) for kk, v in residual.items()]
+                for residual in self.h.projections()
+            ]
+            table = []
+            for a in self.complement:
+                row = []
+                for b in self.complement:
+                    acc: dict[int, Scalar] = {}
+                    for k, c in g.bracket_basis(a, b):
+                        _add_scaled(acc, projections[k], c)
+                    row.append([(q, _integral(v)) for q, v in acc.items()])
+                table.append(row)
+            self._proj_brackets = table
+        return self._proj_brackets
 
     def structure_maps(self, p: int):
         """Adjacency of the two sums of the differential from C^p to C^{p+1}.
@@ -207,10 +280,10 @@ class RelativePair:
         if p in self._smaps:
             return self._smaps[p]
         monos_hi, _ = self.monomials(p + 1)
-        monos_lo, _ = self.monomials(p)
-        lo_index = {mo: t for t, mo in enumerate(monos_lo)}
+        lo_index = self._index(p)
         qpar = self.quotient_parities
-        bracket_adj: dict[int, list[tuple[int, Fraction]]] = {}
+        proj_table = self._projected_brackets()
+        bracket_adj: dict[int, list[tuple[int, Scalar]]] = {}
         action_adj: dict[int, list[tuple[int, int, int]]] = {}
         for t1, mo in enumerate(monos_hi):
             pref = [0] * (len(mo) + 1)
@@ -225,7 +298,7 @@ class RelativePair:
                 action_adj.setdefault(w_lo, []).append((yi, t1, -1 if base else 1))
                 for j in range(i + 1, len(mo)):
                     yj = mo[j]
-                    proj = self._projected_bracket(yi, yj)
+                    proj = proj_table[yi][yj]
                     if not proj:
                         continue
                     # sigma sign, 1-based positions
@@ -235,9 +308,9 @@ class RelativePair:
                         + qpar[yi] * pref[i]
                         + qpar[yj] * (pref[j] + qpar[yi])
                     ) % 2
-                    ssign = Fraction(-1) if sig else Fraction(1)
+                    ssign = -1 if sig else 1
                     rest = mo[:i] + mo[i + 1 : j] + mo[j + 1 :]
-                    for q, v in proj.items():
+                    for q, v in proj:
                         ins = wedge_insert(q, rest, qpar)
                         if ins is None:
                             continue
@@ -261,9 +334,9 @@ class RelativeComplex:
 
         # h acting on M (one matrix per span vector)
         m_actions = [m.action_of_vector(vec) for vec in h.vectors]
-        self.m_action_cols = [a.col_dicts() for a in m_actions]
+        self.m_action_cols = [_integral_cols(a) for a in m_actions]
         # M actions of the lifts of the quotient basis vectors
-        self.m_cols_by_complement = [m.actions[c].col_dicts() for c in pair.complement]
+        self.m_cols_by_complement = [_integral_cols(m.actions[c]) for c in pair.complement]
 
         # diagonal h vectors filter coordinates; the rest become constraints
         q_actions = pair.quotient_rep.actions
@@ -276,10 +349,6 @@ class RelativeComplex:
                 self.nondiag_idx.append(i)
         self.m_eigen = {
             i: [m_actions[i].entry(v, v) for v in range(m.dim)] for i in self.diag_idx
-        }
-        self.q_eigen = {
-            i: [q_actions[i].entry(t, t) for t in range(len(pair.complement))]
-            for i in self.diag_idx
         }
 
         self._plan_reduction()
@@ -338,7 +407,7 @@ class RelativeComplex:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
         return self.pair.monomials(p)
 
-    def _constraint_apply(self, i: int, sector: int, lam_rows: list[dict[int, Fraction]], phi: Cochain) -> Cochain:
+    def _constraint_apply(self, i: int, sector: int, lam_rows: list[dict[int, Scalar]], phi: Cochain) -> Cochain:
         """Equivariance defect of phi for the i-th span vector of h."""
         odd = (self.pair.h.vector_parities[i] * sector) % 2
         cols = self.m_action_cols[i]
@@ -353,7 +422,7 @@ class RelativeComplex:
         self,
         constraint_ids: list[int],
         sector: int,
-        lam_rows_by_id: dict[int, list[dict[int, Fraction]]],
+        lam_rows_by_id: dict[int, list[dict[int, Scalar]]],
         candidates: list[Cochain],
         free: list[Coord],
     ) -> tuple[list[Cochain], list[Coord]]:
@@ -375,8 +444,8 @@ class RelativeComplex:
             vec: Cochain = {}
             for k, c in enumerate(combo):
                 if c:
-                    _add_scaled(vec, candidates[k].items(), c)
-            out.append(vec)
+                    _add_scaled(vec, candidates[k].items(), _integral(c))
+            out.append({coord: _integral(v) for coord, v in vec.items()})
         # candidate k carries 1 at its own anchor coordinate and 0 at the other
         # anchors, so anchors of the free candidate columns anchor the output
         return out, [free[k] for k in free_cols]
@@ -385,21 +454,17 @@ class RelativeComplex:
         if p in self._spaces:
             return self._spaces[p]
         monos, mono_par = self.monomials(p)
-        lam_rows_by_id: dict[int, list[dict[int, Fraction]]] = {}
-        if self.nondiag_idx:
-            lam = self.lambda_rep(p)
-            lam_rows_by_id = {i: lam.actions[i].row_dicts() for i in self.nondiag_idx}
+        lam_rows_by_id = {i: self.pair.action_rows(p, i) for i in self.nondiag_idx}
         # joint eigenvalue keys for bucket matching: a coordinate map E_{vw}
         # commutes with every diagonal element iff the keys agree
         m_buckets: dict[tuple, list[int]] = {}
         for v in range(self.m.dim):
             key = tuple(self.m_eigen[i][v] for i in self.diag_idx)
             m_buckets.setdefault(key, []).append(v)
-        mono_keys = []
-        for mo in monos:
-            mono_keys.append(
-                tuple(sum((self.q_eigen[i][y] for y in mo), Fraction(0)) for i in self.diag_idx)
-            )
+        if self.diag_idx:
+            mono_keys = list(zip(*(self.pair.weights(p, i) for i in self.diag_idx)))
+        else:
+            mono_keys = [()] * len(monos)
         basis_pair: list[list[Cochain]] = [[], []]
         free_pair: list[list[Coord]] = [[], []]
         for sector in (EVEN, ODD):
@@ -408,7 +473,7 @@ class RelativeComplex:
                 for v in m_buckets.get(mono_keys[w], ()):
                     if (self.m.parities[v] + mono_par[w]) % 2 == sector:
                         kept.append((v, w))
-            candidates: list[Cochain] = [{coord: Fraction(1)} for coord in kept]
+            candidates: list[Cochain] = [{coord: 1} for coord in kept]
             free: list[Coord] = list(kept)
             if self.reduced_even_idx is not None:
                 candidates, free = self._impose(
@@ -431,7 +496,7 @@ class RelativeComplex:
                 if bad:
                     break
             if bad:
-                candidates = [{coord: Fraction(1)} for coord in kept]
+                candidates = [{coord: 1} for coord in kept]
                 free = list(kept)
                 candidates, free = self._impose(
                     self.nondiag_idx, sector, lam_rows_by_id, candidates, free
@@ -461,7 +526,7 @@ class RelativeComplex:
                     _add_scaled(out, (((v2, t1), a) for v2, a in col.items()), c if sgn > 0 else -c)
         return out
 
-    def _expand(self, target: Cochain, space: CochainSpace, sector: int) -> list[tuple[int, Fraction]]:
+    def _expand(self, target: Cochain, space: CochainSpace, sector: int) -> list[tuple[int, Scalar]]:
         """Coordinates of a cochain in the equivariant basis, verified exactly.
 
         Candidate coefficients are read off at the anchor coordinates; the
@@ -477,9 +542,11 @@ class RelativeComplex:
                 coeffs.append((k, c))
                 _add_scaled(residual, space.basis[sector][k].items(), -c)
         if residual:
+            (v, w), c = next(iter(residual.items()))
             raise ConventionError(
                 "differential image escapes the equivariant span "
-                f"(degree {space.degree}, sector {sector})"
+                f"(degree {space.degree}, sector {sector}) at coordinate "
+                f"({v}, {space.monomials[w]}) with residual {c}"
             )
         return coeffs
 

@@ -3,7 +3,9 @@
 A Representation stores one action matrix per basis element of its algebra.
 All constructions (duals, graded tensor products, super exterior and
 symmetric powers, restrictions) produce exact matrices; Koszul signs follow
-the left-derivation convention fixed in ``wedge_insert``.
+the left-derivation convention fixed in ``wedge_insert``, and the super
+exterior power takes its action from ``derivation_rows``, which the
+cochain engine also calls directly.
 """
 
 from __future__ import annotations
@@ -226,45 +228,63 @@ def wedge_insert(
     return sign, mono[:pos] + (x,) + mono[pos:]
 
 
-def super_exterior_power(r: Representation, p: int) -> Representation:
-    """Super p-th exterior power with the derivation action.
+def derivation_rows(
+    cols: Sequence[dict[int, Fraction]],
+    parities: Sequence[int],
+    monos: Sequence[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+) -> list[dict[int, Fraction]]:
+    """Derivation action of one algebra element on normal-form monomials.
+
+    ``cols[y]`` is x.y for a module basis vector y, and ``index`` maps each
+    monomial of ``monos`` to its position.  Row t2 maps every monomial t to
+    the coefficient of monos[t2] in
 
     x.(y_1 ^ ... ^ y_p) = sum_i (-1)^{|x|(|y_1|+...+|y_{i-1}|)}
                           y_1 ^ ... ^ (x.y_i) ^ ... ^ y_p.
     """
-    if p < 0:
-        raise DimensionMismatch("negative exterior degree")
-    g = r.algebra
-    monos = super_monomials(r.parities, p)
-    index = {mo: t for t, mo in enumerate(monos)}
-    parities = tuple(sum(r.parities[y] for y in mo) % 2 for mo in monos)
-    action_cols = [a.col_dicts() for a in r.actions]
-    actions = []
-    for gi in range(g.dim):
-        cols = action_cols[gi]
-        acc: dict[tuple[int, int], Fraction] = {}
-        for t, mo in enumerate(monos):
-            for i, y in enumerate(mo):
+    rows: list[dict[int, Fraction]] = [{} for _ in monos]
+    for t, mo in enumerate(monos):
+        terms = []
+        prefix = 0
+        for i, y in enumerate(mo):
+            col = cols[y]
+            if col:
                 # replace y by x.y at slot i, then pull the replacement to the
                 # front: the derivation lead (-1)^{|x| prefix} combines with the
                 # pull-out permutation sign into (-1)^i (-1)^{|y| prefix}
                 # (the |x| dependence cancels exactly)
-                prefix = sum(r.parities[z] for z in mo[:i])
-                pull = -1 if (i + r.parities[y] * prefix) % 2 else 1
+                pull = -1 if (i + parities[y] * prefix) % 2 else 1
                 rest = mo[:i] + mo[i + 1 :]
-                terms = []
-                for y2, coef in cols[y].items():
-                    ins = wedge_insert(y2, rest, r.parities)
+                for y2, coef in col.items():
+                    ins = wedge_insert(y2, rest, parities)
                     if ins is not None:
                         sgn, mo2 = ins
-                        terms.append(((index[mo2], t), coef if sgn == pull else -coef))
-                _add_scaled(acc, terms)
+                        terms.append((index[mo2], coef if sgn == pull else -coef))
+            prefix += parities[y]
+        for t2, v in _add_scaled({}, terms).items():
+            rows[t2][t] = v
+    return rows
+
+
+def super_exterior_power(r: Representation, p: int) -> Representation:
+    """Super p-th exterior power with the derivation action (``derivation_rows``)."""
+    if p < 0:
+        raise DimensionMismatch("negative exterior degree")
+    monos = super_monomials(r.parities, p)
+    index = {mo: t for t, mo in enumerate(monos)}
+    parities = tuple(sum(r.parities[y] for y in mo) % 2 for mo in monos)
+    actions = []
+    for a in r.actions:
+        rows = derivation_rows(a.col_dicts(), r.parities, monos, index)
         actions.append(
-            SparseMatrix(len(monos), len(monos), ((a, b, v) for (a, b), v in acc.items()))
+            SparseMatrix(
+                len(monos), len(monos),
+                ((t2, t, v) for t2, row in enumerate(rows) for t, v in row.items()),
+            )
         )
-    # basis labels are the monomial tuples themselves; the cochain engine
-    # reads them back to build differentials
-    return Representation(g, f"L^{p}_s({r.name})", parities, tuple(actions), monos)
+    # basis labels are the monomial tuples themselves
+    return Representation(r.algebra, f"L^{p}_s({r.name})", parities, tuple(actions), monos)
 
 
 def super_symmetric_power(r: Representation, j: int) -> Representation:

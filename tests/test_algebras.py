@@ -271,6 +271,31 @@ def test_quotient_action_is_representation():
     assert verify_representation(r) == (True, None)
 
 
+@pytest.mark.parametrize(
+    "make_span",
+    [
+        lambda: even_part_span(build_q(2)),
+        lambda: torus_span(build_osp(1, 2)),
+        lambda: special_linear_span(build_gl(2, 1), 2, 1),  # not a coordinate span
+    ],
+    ids=["q(2)-g0", "osp(1|2)-torus", "sl(2|1)-in-gl(2|1)"],
+)
+def test_projections_kill_the_span_and_fix_the_complement(make_span):
+    span = make_span()
+    proj = span.projections()
+    pivots = set(span.solver.pivot_cols)
+    for k in range(span.parent.dim):
+        if k not in pivots:
+            assert proj[k] == {k: Fraction(1)}
+        assert all(kk not in pivots for kk in proj[k])
+    for vec in span.vectors:
+        total = {}
+        for k, v in enumerate(vec):
+            for kk, c in proj[k].items():
+                total[kk] = total.get(kk, 0) + v * c
+        assert not any(total.values())
+
+
 def test_quotient_rejects_non_closed_span():
     g = build_gl(1, 1)
     span = SubalgebraSpan(g, [unit(g, idx(g, "e[1,2]")), unit(g, idx(g, "e[2,1]"))])
@@ -289,6 +314,30 @@ def test_json_round_trip_bit_exact(g):
     assert g2.table == g.table
     assert g2.parities == g.parities
     assert g2.torus == g.torus
+
+
+GOOD_JSON = {"name": "t", "dim": 2, "parities": [0, 1], "torus": [0], "bracket": [[0, 1, [[1, 1, 1]]]]}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bracket", [[0, 1, [[7, 1, 1]]]]),
+        ("bracket", [[2, 1, [[1, 1, 1]]]]),
+        ("bracket", [[0, -1, [[1, 1, 1]]]]),
+        ("bracket", [[0, 1, [[1, 1, 0]]]]),
+        ("torus", [2]),
+        ("torus", [-1]),
+        ("parities", [0, 2]),
+        ("dim", 3),
+    ],
+    ids=["k-out-of-range", "i-out-of-range", "j-negative", "zero-denominator",
+         "torus-out-of-range", "torus-negative", "parity-2", "dim-mismatch"],
+)
+def test_from_json_dict_rejects_malformed_input(key, value):
+    assert LieSuperalgebra.from_json_dict(GOOD_JSON).table == {(0, 1): ((1, Fraction(1)),)}
+    with pytest.raises(DimensionMismatch):
+        LieSuperalgebra.from_json_dict({**GOOD_JSON, key: value})
 
 
 def test_json_is_deterministic():

@@ -135,8 +135,17 @@ def test_coh_span_file_missing_exit_2(capsys):
         ("--H", "1/0"),
         ("span", "not json"),
         ("span", json.dumps({"vectors": [[1, 2, 3, 4]]})),
+        # gl(1|1) basis order: e[1,1], e[2,2], e[1,2], e[2,1]
+        ("span", json.dumps({"vectors": [[[0, 1], [0, 1], [1, 1], [0, 1]],
+                                         [[0, 1], [0, 1], [0, 1], [1, 1]]]})),
+        ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [1, 1], [0, 1]]]})),
+        ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [0, 1], [0, 1]],
+                                         [[2, 1], [0, 1], [0, 1], [0, 1]]]})),
     ],
-    ids=["H-not-rational", "H-zero-denominator", "span-not-json", "span-flat-vector"],
+    ids=[
+        "H-not-rational", "H-zero-denominator", "span-not-json", "span-flat-vector",
+        "span-not-closed", "span-not-homogeneous", "span-dependent",
+    ],
 )
 def test_coh_malformed_input_exit_2(tmp_path, capsys, option, value):
     argv = ["coh", "gl", "1", "1", "-N", "1"]

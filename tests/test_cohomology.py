@@ -1,4 +1,5 @@
 import importlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,16 @@ def test_expansion_outside_span_raises_convention_error():
         cx._expand({(0, 0): F(1)}, sp1, 0)
 
 
+def test_convention_error_names_its_witness():
+    g = build_gl(1, 1)
+    cx = RelativeComplex(RelativePair(g, even_part_span(g)), trivial(g))
+    sp1 = cx.space(1)  # zero-dimensional
+    mono = sp1.monomials[1]
+    witness = f"(degree 1, sector 1) at coordinate (0, {mono}) with residual -1/2"
+    with pytest.raises(ConventionError, match=re.escape(witness) + "$"):
+        cx._expand({(0, 1): F(-1, 2)}, sp1, 1)
+
+
 def test_module_level_differential_function():
     g = build_gl(1, 1)
     d = differential(g, even_part_span(g), trivial(g), 2)
@@ -276,22 +287,89 @@ def test_module_level_differential_function():
 def test_shared_pair_matches_independent_pairs(build, sub, H, monkeypatch):
     engine = importlib.import_module("supero.cohomology")
     built = []
+    build_rows = engine.RelativePair._build_action_rows
 
-    def counted_exterior_power(rep, p):
-        built.append(p)
-        return super_exterior_power(rep, p)
+    def counted_action_rows(self, p, i):
+        built.append((p, i))
+        return build_rows(self, p, i)
 
-    monkeypatch.setattr(engine, "super_exterior_power", counted_exterior_power)
+    monkeypatch.setattr(engine.RelativePair, "_build_action_rows", counted_action_rows)
     g = build()
     h = named_subalgebra(g, sub, H=H)
     modules = (trivial(g), natural(g), adjoint(g))
     pair = RelativePair(g, h)
     shared = [RelativeComplex(pair, mod) for mod in modules]
     reports = [cx.report(3).to_json_dict() for cx in shared]
-    # the three modules used one exterior power per degree between them
+    # the three modules built the rows of each (degree, span vector) once between them
     assert built and len(built) == len(set(built))
     for mod, cx, report in zip(modules, shared, reports):
         alone = RelativeComplex(RelativePair(g, h), mod)
         assert report == alone.report(3).to_json_dict()
         for p in range(5):
             assert cx.space(p).basis == alone.space(p).basis, (mod.name, p)
+
+
+# --- pair-level action rows and weights -------------------------------------
+
+
+def _pair(g, sub, H=None):
+    return RelativePair(g, named_subalgebra(g, sub, H=H))
+
+
+PAIRS = {
+    "gl(2|1)-levi": lambda: _pair(build_gl(2, 1), "levi", (F(1), F(0), F(1))),
+    "q(2)-borel": lambda: _pair(build_q(2), "borel"),
+    "osp(1|2)-g0": lambda: _pair(build_osp(1, 2), "g0"),
+    "p~(2)-levi": lambda: _pair(build_p_tilde(2), "levi", (F(0), F(1))),
+}
+
+
+@pytest.mark.parametrize("case", PAIRS)
+def test_action_rows_match_exterior_power(case):
+    pair = PAIRS[case]()
+    for p in range(5):
+        lam = super_exterior_power(pair.quotient_rep, p)
+        for i in range(pair.h.dim):  # diagonal elements too
+            assert pair.action_rows(p, i) == lam.actions[i].row_dicts(), (p, i)
+
+
+@pytest.mark.parametrize("case", PAIRS)
+def test_incremental_weights_equal_direct_sums(case):
+    pair = PAIRS[case]()
+    actions = pair.quotient_rep.actions
+    diagonal = [i for i in range(pair.h.dim) if actions[i].is_diagonal()]
+    assert diagonal
+    for i in diagonal:
+        for p in range(5):
+            monos, _ = pair.monomials(p)
+            direct = [sum((actions[i].entry(y, y) for y in mo), F(0)) for mo in monos]
+            assert pair.weights(p, i) == direct, (p, i)
+
+
+def test_report_builds_no_rows_for_diagonal_elements():
+    pair = PAIRS["gl(2|1)-levi"]()
+    for mod in (trivial(pair.g), natural(pair.g), adjoint(pair.g)):
+        cx = RelativeComplex(pair, mod)
+        cx.report(3)
+        assert cx.diag_idx and cx.nondiag_idx
+        built = {i for _, i in pair._rows}
+        assert built <= set(cx.nondiag_idx)
+        assert not built & set(cx.diag_idx)
+
+
+def test_basis_values_are_int_where_integral():
+    seen = set()
+    for make_pair in PAIRS.values():
+        pair = make_pair()
+        for mod in (trivial(pair.g), natural(pair.g), adjoint(pair.g)):
+            cx = RelativeComplex(pair, mod)
+            for p in range(4):
+                for sector, basis in enumerate(cx.space(p).basis):
+                    for phi in basis:
+                        for v in phi.values():
+                            assert type(v) in (int, Fraction), (pair.g.name, p, v)
+                            assert (type(v) is int) == (v.denominator == 1), (pair.g.name, p, v)
+                            seen.add(type(v))
+                        image = cx.apply_differential(p, sector, phi)
+                        assert all(type(v) in (int, Fraction) for v in image.values())
+    assert int in seen
