@@ -21,8 +21,11 @@ for the action rows of its non-diagonal span vectors.
 Scalars are exact: ``int`` where the denominator is 1 and ``Fraction``
 otherwise.  Every value enters the cochain layer through ``_integral``:
 the actions of g/h and of M, the structure-map coefficients, and the
-kernel combinations and basis vectors made by the constraint solve.  So
-the integral bulk of the arithmetic stays in ``int``; nothing here divides.
+basis vectors made by the constraint solve.  So the integral bulk of the
+arithmetic stays in ``int``.  The constraint solve itself runs on integer
+cochains: each candidate is a primitive integer multiple of its basis
+vector, and the one division, by the value at the anchor coordinate,
+happens when the basis is written out.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 
@@ -55,6 +58,7 @@ instead of silently projecting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -423,10 +427,16 @@ class RelativeComplex:
         constraint_ids: list[int],
         sector: int,
         lam_rows_by_id: dict[int, list[dict[int, Scalar]]],
-        candidates: list[Cochain],
+        candidates: list[dict[Coord, int]],
         free: list[Coord],
-    ) -> tuple[list[Cochain], list[Coord]]:
-        """Cut the span of candidates by the listed equivariance constraints."""
+    ) -> tuple[list[dict[Coord, int]], list[Coord]]:
+        """Cut the span of candidates by the listed equivariance constraints.
+
+        Candidates are integer cochains: candidate k is positive at its anchor
+        ``free[k]`` and 0 at the other anchors.  The output vectors are the
+        primitive integer multiples of the canonical kernel combinations, so
+        they are integer cochains of the same kind.
+        """
         if not constraint_ids or not candidates:
             return candidates, free
         row_ids: dict[tuple[int, Coord], int] = {}
@@ -439,15 +449,15 @@ class RelativeComplex:
                     entries.append((rid, k, val))
         mat = SparseMatrix(len(row_ids), len(candidates), entries)
         combos, free_cols = kernel_basis_with_free(mat)
-        out: list[Cochain] = []
-        for combo in combos:
-            vec: Cochain = {}
-            for k, c in enumerate(combo):
-                if c:
-                    _add_scaled(vec, candidates[k].items(), _integral(c))
-            out.append({coord: _integral(v) for coord, v in vec.items()})
-        # candidate k carries 1 at its own anchor coordinate and 0 at the other
-        # anchors, so anchors of the free candidate columns anchor the output
+        out: list[dict[Coord, int]] = []
+        for nums, _ in combos:
+            vec: dict[Coord, int] = {}
+            for k, c in nums.items():  # ascending k, so the key order is canonical
+                _add_scaled(vec, candidates[k].items(), c)
+            g = math.gcd(*vec.values())
+            out.append({coord: v // g for coord, v in vec.items()} if g > 1 else vec)
+        # candidate k is nonzero at its own anchor only, so the anchors of the
+        # free candidate columns anchor the output
         return out, [free[k] for k in free_cols]
 
     def space(self, p: int) -> CochainSpace:
@@ -473,7 +483,7 @@ class RelativeComplex:
                 for v in m_buckets.get(mono_keys[w], ()):
                     if (self.m.parities[v] + mono_par[w]) % 2 == sector:
                         kept.append((v, w))
-            candidates: list[Cochain] = [{coord: 1} for coord in kept]
+            candidates: list[dict[Coord, int]] = [{coord: 1} for coord in kept]
             free: list[Coord] = list(kept)
             if self.reduced_even_idx is not None:
                 candidates, free = self._impose(
@@ -487,21 +497,30 @@ class RelativeComplex:
                     self.nondiag_idx, sector, lam_rows_by_id, candidates, free
                 )
             # exact re-verification of every constraint on every basis vector
-            bad = False
-            for phi in candidates:
-                for i in self.nondiag_idx:
-                    if self._constraint_apply(i, sector, lam_rows_by_id[i], phi):
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                candidates = [{coord: 1} for coord in kept]
-                free = list(kept)
+            # (on its integer multiple: scaling keeps a zero defect zero)
+            if any(
+                self._constraint_apply(i, sector, lam_rows_by_id[i], phi)
+                for phi in candidates
+                for i in self.nondiag_idx
+            ):
                 candidates, free = self._impose(
-                    self.nondiag_idx, sector, lam_rows_by_id, candidates, free
+                    self.nondiag_idx,
+                    sector,
+                    lam_rows_by_id,
+                    [{coord: 1} for coord in kept],
+                    list(kept),
                 )
-            basis_pair[sector] = candidates
+            # divide each vector by its value at its anchor
+            basis: list[Cochain] = []
+            for phi, anchor in zip(candidates, free):
+                den = phi[anchor]
+                if den == 1:
+                    basis.append(phi)
+                else:
+                    basis.append(
+                        {coord: _integral(Fraction(v, den)) for coord, v in phi.items()}
+                    )
+            basis_pair[sector] = basis
             free_pair[sector] = free
         space = CochainSpace(
             p, tuple(monos), tuple(mono_par), (basis_pair[0], basis_pair[1]),

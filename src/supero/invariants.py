@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import cohomology, relative_ext
 from .errors import DimensionMismatch
-from .linalg import SparseMatrix, kernel_basis
+from .linalg import SparseMatrix, nullity
 from .reps import Representation, dual, odd_part_module, super_symmetric_power, trivial
 
 
@@ -68,7 +68,7 @@ def invariant_subspace_dim(r: Representation) -> int:
             rid = row_ids.setdefault((ci, row), len(row_ids))
             entries.append((rid, t, val))
     mat = SparseMatrix(len(row_ids), len(kept), entries)
-    return len(kernel_basis(mat))
+    return nullity(mat)
 
 
 def invariant_dims(g: LieSuperalgebra, max_degree: int) -> HilbertTable:

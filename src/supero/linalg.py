@@ -3,17 +3,32 @@
 Everything downstream (root decompositions, equivariant cochain bases,
 differential ranks) reduces to kernels and ranks of sparse matrices with
 rational entries.  Ranks and kernels are computed by fraction-free
-elimination on integer-scaled rows: each row is multiplied by the lcm of
-its denominators, and after every combination step the row is divided by
-the gcd of its entries.  This keeps intermediate entries small without
-ever leaving exact arithmetic.
+elimination (Bareiss 1968) on integer-scaled rows: each row is multiplied
+by the lcm of its denominators, and after every combination step the row
+is divided by the gcd of its entries.  This keeps intermediate entries
+small without ever leaving exact arithmetic.
 
-Pivoting is deterministic (first nonzero row in original order, columns
-left to right), so kernel bases are reproducible across runs.
+One routine, ``_eliminate``, does the forward elimination for both rank
+and kernel.  It pivots in a fill-reducing order after Markowitz (1957):
+the next pivot column is the one with the fewest active rows, its pivot
+row the holder with the fewest nonzeros, ties going to the lower index.
+The order is a pure function of the matrix, so results are reproducible.
+
+The kernel basis does not depend on that order.  Its free columns F are
+the columns not in the span of the columns to their left (the complement
+of the leftmost independent columns, whichever rows pivot), and basis
+vector f is the unique kernel vector that is 1 at f and 0 at every other
+free column.  ``kernel_basis_with_free`` back-substitutes Gauss-Jordan
+style over the pivot rows to get a basis anchored at the pivot order's own
+free columns, then, only if those differ from F, reduces that small
+nullity x cols basis from the rightmost column leftwards, which recovers F
+and the normalised vectors.  Both steps stay in integers, one denominator
+per vector; a ``Fraction`` appears only in the dense ``kernel_basis``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -21,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionMismatch
 
 Vector = tuple[Fraction, ...]
+KernelVector = tuple[dict[int, int], int]  # (integer numerators, denominator)
 
 
 def _add_scaled(acc: dict, items: Iterable[tuple], scale=1) -> dict:
@@ -169,7 +185,7 @@ class SparseMatrix:
 
 
 def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Scale each row to integer entries (kernel and rank are unchanged)."""
+    """Scale each nonzero row to primitive integer entries (kernel and rank are unchanged)."""
     rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
     for (r, c), v in m._data.items():
         rows[r][c] = v
@@ -178,7 +194,7 @@ def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
         if not row:
             continue
         scale = math.lcm(*(v.denominator for v in row.values()))
-        ints = {c: int(v * scale) for c, v in row.items()}
+        ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
         g = math.gcd(*ints.values())
         if g > 1:
             ints = {c: v // g for c, v in ints.items()}
@@ -186,86 +202,198 @@ def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _echelon(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free forward elimination.
+def _cancel(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
+    """Replace ``row``, in place, by the primitive integer combination of
+    ``row`` and ``pivot`` that is 0 at column c."""
+    a, b = pivot[c], row[c]
+    g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+    a, b = a // g, b // g  # a > 0, so a row is scaled only when |a| > 1
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    get = row.get
+    for k, v in pivot.items():
+        w = get(k, 0) - b * v
+        if w:
+            row[k] = w
+        else:  # b * v != 0, so k was present
+            del row[k]
+    if row:
+        g = math.gcd(*row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
 
-    Returns the pivot rows as (pivot column, row) pairs, in pivot-column
-    order.  Input rows are consumed destructively.
+
+def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free forward elimination in a fill-reducing (Markowitz) order.
+
+    The next pivot column is an active column with the fewest active rows,
+    and its pivot row is the holder with the fewest nonzeros; ties go to
+    the lower index.  Returns (pivot column, pivot row) pairs in pivot
+    order; a pivot row holds no earlier pivot column.  Input rows are
+    consumed destructively.
     """
     # col -> set of active row ids having a nonzero entry there
     occupancy: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
             occupancy.setdefault(c, set()).add(i)
-    active = set(range(len(rows)))
+    # (active count, col); an entry is stale once its count no longer matches
+    heap = [(len(ids), c) for c, ids in occupancy.items()]
+    heapq.heapify(heap)
     pivots: list[tuple[int, dict[int, int]]] = []
-    for c in range(cols):
+    while heap:
+        n, c = heapq.heappop(heap)
         holders = occupancy.get(c)
-        if not holders:
+        if holders is None or len(holders) != n:
             continue
-        pivot_id = min(holders)
+        del occupancy[c]
+        pivot_id = min(holders, key=lambda i: (len(rows[i]), i))
         pivot = rows[pivot_id]
-        active.discard(pivot_id)
-        for cc in pivot:
-            occupancy[cc].discard(pivot_id)
-        a = pivot[c]
-        for rid in sorted(holders & active):
+        holders.discard(pivot_id)
+        p = pivot[c]
+        rest = [(k, v) for k, v in pivot.items() if k != c]
+        for k, _ in rest:
+            occupancy[k].discard(pivot_id)
+        # _cancel on every holder, inlined (this is the hot loop of every
+        # solve) to keep occupancy current as entries appear and cancel
+        for rid in holders:
             row = rows[rid]
-            b = row[c]
-            # new = a*row - b*pivot; entry at c cancels exactly
-            new = _add_scaled({k: a * v for k, v in row.items()}, pivot.items(), -b)
-            if new:
-                g = math.gcd(*new.values())
+            b = row.pop(c)
+            g = math.gcd(p, b) if p > 0 else -math.gcd(p, b)
+            a, b = p // g, b // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            get = row.get
+            for k, v in rest:
+                w = get(k)
+                if w is None:
+                    row[k] = -b * v
+                    occupancy[k].add(rid)
+                else:
+                    w -= b * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+                        occupancy[k].discard(rid)
+            if row:
+                g = math.gcd(*row.values())
                 if g > 1:
-                    new = {k: v // g for k, v in new.items()}
-            for k in row:
-                if k not in new:
-                    occupancy[k].discard(rid)
-            for k in new:
-                if k not in row:
-                    occupancy.setdefault(k, set()).add(rid)
-            rows[rid] = new
+                    for k in row:
+                        row[k] //= g
+        for k, _ in rest:
+            ids = occupancy[k]
+            if ids:
+                heapq.heappush(heap, (len(ids), k))
+            else:
+                del occupancy[k]
         pivots.append((c, pivot))
     return pivots
 
 
+def _reduce_from_right(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Primitive integer rows of the reduced echelon form of independent
+    ``rows``, taking each lead at the rightmost column still possible.
+
+    Row i of the result is 0 at every other row's lead column, and its
+    entry at its own lead is positive.  Rows come sorted by lead.  Input
+    rows are consumed destructively.
+    """
+    pending = set(range(len(rows)))
+    tops = {i: max(row) for i, row in enumerate(rows)}
+    leads: dict[int, int] = {}
+    while pending:
+        i = max(pending, key=lambda j: (tops[j], -j))
+        pending.discard(i)
+        c = tops[i]
+        leads[c] = i
+        prow = rows[i]
+        for j, row in enumerate(rows):
+            if j != i and c in row:
+                _cancel(row, prow, c)
+                if j in pending:
+                    tops[j] = max(row)
+    out = []
+    for c in sorted(leads):
+        row = rows[leads[c]]
+        if row[c] < 0:
+            row = {k: -v for k, v in row.items()}
+        out.append(row)
+    return out
+
+
 def rank(m: SparseMatrix) -> int:
     """Rank over Q, computed exactly."""
-    return len(_echelon(_int_rows(m), m.cols))
+    return len(_eliminate(_int_rows(m)))
 
 
-def kernel_basis_with_free(m: SparseMatrix) -> tuple[list[Vector], list[int]]:
+def kernel_basis_with_free(m: SparseMatrix) -> tuple[list[KernelVector], list[int]]:
     """Kernel basis plus the free columns anchoring it.
 
-    Basis vector i has entry 1 at free column i and entry 0 at every other
-    free column, so expanding a kernel element in this basis amounts to
-    reading its values at the free columns.
+    The free columns are those not in the span of the columns to their
+    left.  Basis vector i has entry 1 at free column i and entry 0 at every
+    other free column, so expanding a kernel element in this basis amounts
+    to reading its values at the free columns.  Vector i comes as
+    (numerators, denominator): its primitive integer multiple as a sparse
+    dict in ascending column order, and that multiple's entry at free
+    column i, which is positive.
     """
-    pivots = _echelon(_int_rows(m), m.cols)
-    pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
+    pivots = _eliminate(_int_rows(m))
+    # Gauss-Jordan: leave each pivot row with its pivot and free columns only
+    reduced: dict[int, dict[int, int]] = {}
+    for c, row in reversed(pivots):
+        for k in [k for k in row if k in reduced]:
+            _cancel(row, reduced[k], k)
+        reduced[c] = row
+    # pivot c of the kernel vector anchored at free column f is -row[f]/row[c]
+    entries: dict[int, list[tuple[int, int, int]]] = {}
+    for c, row in reduced.items():
+        a = row[c]
+        for f, v in row.items():
+            if f != c:
+                entries.setdefault(f, []).append((c, v, a))
+    vectors = []
+    canonical = True
+    for f in range(m.cols):
+        if f in reduced:
+            continue
+        terms = entries.get(f, ())
+        den = math.lcm(*(a // math.gcd(v, a) for _, v, a in terms)) if terms else 1
+        vec = {c: (-v * den) // a for c, v, a in terms}
+        vec[f] = den
+        g = math.gcd(*vec.values())
+        if g > 1:
+            vec = {k: v // g for k, v in vec.items()}
+        # the pivot order may anchor at other columns than the leftmost
+        # independent ones; a vector reaching right of its anchor shows it
+        canonical = canonical and all(c < f for c, _, _ in terms)
+        vectors.append(vec)
+    if not canonical:
+        vectors = _reduce_from_right(vectors)
     basis = []
-    for f in free_cols:
-        x: dict[int, Fraction] = {f: Fraction(1)}
-        for c, row in reversed(pivots):
-            s = Fraction(0)
-            for k, v in row.items():
-                if k != c and k in x:
-                    s += v * x[k]
-            if s:
-                x[c] = -s / row[c]
-        basis.append(tuple(x.get(c, Fraction(0)) for c in range(m.cols)))
+    free_cols = []
+    for vec in vectors:
+        f = max(vec)
+        free_cols.append(f)
+        basis.append((dict(sorted(vec.items())), vec[f]))
     return basis, free_cols
 
 
 def kernel_basis(m: SparseMatrix) -> list[Vector]:
-    """Basis of the right null space of ``m``.
+    """Basis of the right null space of ``m`` as dense vectors.
 
-    One basis vector per free column f, normalized so that the entry at f
-    is 1 and the entries at all other free columns are 0.  The basis is
-    therefore canonical given the deterministic pivoting.
+    One basis vector per free column f (see ``kernel_basis_with_free``),
+    normalized so that the entry at f is 1 and the entries at all other
+    free columns are 0.  The basis is therefore canonical.
     """
-    return kernel_basis_with_free(m)[0]
+    zero = Fraction(0)
+    return [
+        tuple(Fraction(nums[c], den) if c in nums else zero for c in range(m.cols))
+        for nums, den in kernel_basis_with_free(m)[0]
+    ]
 
 
 def nullity(m: SparseMatrix) -> int:

@@ -96,3 +96,28 @@ def test_reduction_shortcut_matches_full_solve():
         sp_s = slow.space(p)
         assert (sp_f.dim_even, sp_f.dim_odd) == (sp_s.dim_even, sp_s.dim_odd), p
     assert fast.report(3).dims() == slow.report(3).dims()
+
+
+def test_wrong_shortcut_plan_falls_back_to_the_full_solve(monkeypatch):
+    # An empty even plan drops every even constraint, so the re-verification
+    # in space must catch the unconstrained candidates and re-solve in full.
+    g = build_gl(2, 2)
+    pair = RelativePair(g, even_part_span(g))
+    good = RelativeComplex(pair, adjoint(g))
+    wrong = RelativeComplex(pair, adjoint(g))
+    assert good.reduced_even_idx and wrong.odd_nondiag_idx == []
+    wrong.reduced_even_idx = []
+    full_solves = []
+    impose = RelativeComplex._impose
+
+    def spy(self, constraint_ids, *args):
+        if self is wrong and constraint_ids == self.nondiag_idx:
+            full_solves.append(constraint_ids)
+        return impose(self, constraint_ids, *args)
+
+    monkeypatch.setattr(RelativeComplex, "_impose", spy)
+    for p in range(4):
+        sp_good, sp_wrong = good.space(p), wrong.space(p)
+        assert sp_wrong.basis == sp_good.basis, p
+        assert sp_wrong.free_coords == sp_good.free_coords, p
+    assert len(full_solves) == 4

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ from supero.linalg import (
     SpanSolver,
     SparseMatrix,
     _add_scaled,
+    _eliminate,
+    _int_rows,
     kernel_basis,
+    kernel_basis_with_free,
     rank,
 )
 
@@ -140,3 +144,142 @@ def test_add_scaled_prunes_zeros_and_keeps_order():
     assert frac == {1: F(1, 3), 2: F(-1, 3)}
     assert list(frac) == [1, 2]
     assert _add_scaled(frac, [(1, F(1, 3)), (2, F(-1, 3))], -1) == {}
+
+
+def _oracle(rows, cols):
+    """Dense Fraction Gauss-Jordan, left to right: (rank, kernel basis, free columns).
+
+    Shares no code with supero.linalg.  The pivots are the leftmost
+    independent columns; basis vector f is 1 at f and 0 at the other free
+    columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][f]
+        basis.append(tuple(v))
+    return len(pivots), basis, free
+
+
+def _arrow(n, rng, singular=False, tail=False):
+    """Dense first row and first column plus a nonzero diagonal.
+
+    ``singular`` sets the corner so that the first row is a combination of
+    the others.  ``tail`` appends two columns that are nonzero in the first
+    row only.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[0][i] = rng.choice([-2, -1, 1, 3])
+        rows[i][0] = rng.choice([-1, 1, 2])
+        rows[i][i] = rng.choice([-3, 1, 2])
+    if singular:
+        rows[0][0] = sum(Fraction(rows[0][i] * rows[i][0], rows[i][i]) for i in range(1, n))
+    else:
+        rows[0][0] = rng.choice([-1, 1])
+    if tail:
+        for i, row in enumerate(rows):
+            row.extend([5, -3] if i == 0 else [0, 0])
+    return rows
+
+
+def _oracle_cases():
+    """Seeded sparse matrices: tall, wide, rank-deficient, with zero rows and
+    columns, duplicate rows, non-integral entries, and arrow matrices."""
+    rng = random.Random(1968)
+
+    def entry(frac):
+        if rng.random() >= 0.35:
+            return 0
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7)) if frac else rng.randint(-3, 3)
+
+    def sparse(nr, nc, frac=False):
+        return [[entry(frac) for _ in range(nc)] for _ in range(nr)]
+
+    cases = []
+    for n in range(240):
+        kind = n % 6
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        if kind == 0:  # tall
+            rows = sparse(nc + rng.randint(1, 5), nc)
+        elif kind == 1:  # wide
+            rows = sparse(nr, nr + rng.randint(1, 6))
+        elif kind == 2:  # rank at most k: a product of thin factors
+            k = rng.randint(1, 3)
+            left, right = sparse(nr, k, frac=True), sparse(k, nc)
+            rows = [[sum(l * r for l, r in zip(lrow, col)) for col in zip(*right)] for lrow in left]
+        elif kind == 3:  # zero rows and zero columns
+            rows = sparse(nr, nc)
+            for i in rng.sample(range(nr), rng.randint(0, nr)):
+                rows[i] = [0] * nc
+            for j in rng.sample(range(nc), rng.randint(0, nc)):
+                for row in rows:
+                    row[j] = 0
+        elif kind == 4:  # duplicate rows and multiples of rows
+            rows = sparse(nr, nc)
+            for _ in range(rng.randint(1, 4)):
+                rows.append([rng.choice([1, -2, Fraction(1, 3)]) * x for x in rng.choice(rows)])
+            rng.shuffle(rows)
+        else:  # non-integral entries
+            rows = sparse(nr, nc, frac=True)
+        cases.append((rows, len(rows[0])))
+    for n in range(2, 12):
+        cases.append((_arrow(n, rng), n))
+        cases.append((_arrow(n, rng, singular=True), n))
+        cases.append((_arrow(n, rng, tail=True), n + 2))
+    return cases
+
+
+def _dense(nums, den, cols):
+    return tuple(Fraction(nums.get(c, 0), den) for c in range(cols))
+
+
+def test_kernel_and_rank_match_dense_oracle():
+    cases = _oracle_cases()
+    assert len(cases) >= 200
+    for rows, cols in cases:
+        m = SparseMatrix.from_rows(rows)
+        want_rank, want_basis, want_free = _oracle(rows, cols)
+        basis, free = kernel_basis_with_free(m)
+        assert free == want_free, rows
+        assert [_dense(nums, den, cols) for nums, den in basis] == want_basis, rows
+        for (nums, den), f in zip(basis, free):
+            # primitive integer numerators in column order, positive at the anchor
+            assert all(type(v) is int and v for v in nums.values())
+            assert list(nums) == sorted(nums)
+            assert nums[f] == den > 0 and math.gcd(*nums.values()) == 1
+        assert kernel_basis(m) == want_basis
+        assert rank(m) == want_rank
+
+
+def test_arrow_matrix_pivots_out_of_column_order():
+    # A tail column has one entry, so column 8 is pivoted first, taking the
+    # dense first row; the diagonal columns follow, and the dense first
+    # column, in every row, comes last.  That leaves columns 7 and 9 over,
+    # but the kernel must anchor at columns 8 and 9, the ones dependent on
+    # the columns to their left.
+    rows = _arrow(8, random.Random(3), tail=True)
+    m = SparseMatrix.from_rows(rows)
+    assert [c for c, _ in _eliminate(_int_rows(m))] == [8, 1, 2, 3, 4, 5, 6, 0]
+    _, want_basis, want_free = _oracle(rows, 10)
+    assert want_free == [8, 9]
+    assert kernel_basis_with_free(m)[1] == want_free
+    assert kernel_basis(m) == want_basis
