@@ -40,6 +40,15 @@ MatDict = dict[tuple[int, int], Fraction]
 SCHEMA = "superO/1"
 
 
+def _is_triple(x, ints: int) -> bool:
+    """Whether x is a list of three items whose first ``ints`` are ints."""
+    return (
+        isinstance(x, (list, tuple))
+        and len(x) == 3
+        and all(isinstance(v, int) for v in x[:ints])
+    )
+
+
 class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra over Q.
 
@@ -151,8 +160,12 @@ class LieSuperalgebra:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LieSuperalgebra":
-        """Inverse of ``to_json_dict``; raises DimensionMismatch on bad
-        indices, parities or denominators."""
+        """Inverse of ``to_json_dict``; raises DimensionMismatch on a missing
+        key, a malformed or repeated bracket entry, bad indices, parities or
+        denominators."""
+        for key in ("name", "parities", "torus", "bracket"):
+            if key not in d:
+                raise DimensionMismatch(f"algebra JSON has no {key!r} key")
         parities = d["parities"]
         n = len(parities)
         if d.get("dim", n) != n:
@@ -164,7 +177,17 @@ class LieSuperalgebra:
             if not 0 <= t < n:
                 raise DimensionMismatch(f"torus index {t} outside 0..{n - 1}")
         table = {}
-        for i, j, terms in d["bracket"]:
+        for entry in d["bracket"]:
+            if not (_is_triple(entry, 2) and isinstance(entry[2], (list, tuple))):
+                raise DimensionMismatch(f"bracket entry {entry!r} is not [i, j, terms]")
+            i, j, terms = entry
+            if (i, j) in table:
+                raise DimensionMismatch(f"bracket entry [{i}, {j}] is given twice")
+            for term in terms:
+                if not _is_triple(term, 3):
+                    raise DimensionMismatch(
+                        f"bracket term {term!r} of [{i}, {j}] is not [k, num, den]"
+                    )
             for idx in (i, j, *(k for k, _, _ in terms)):
                 if not 0 <= idx < n:
                     raise DimensionMismatch(

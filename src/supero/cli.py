@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from .algebras import (
+    EVEN,
     LieSuperalgebra,
     SubalgebraSpan,
     build_gl,
@@ -35,7 +36,7 @@ from .errors import (
     UnsupportedRank,
     UnsupportedSubalgebra,
 )
-from .reps import Representation, adjoint, dual, natural, tensor, trivial
+from .reps import Representation, adjoint, dual, natural, super_monomial_count, tensor, trivial
 from .roots import named_subalgebra
 from .suites import SUITES, run_suite
 
@@ -47,6 +48,25 @@ USAGE_ERRORS = (
     UnsupportedModule,
     DimensionMismatch,
 )
+
+
+# Coordinates of the largest cochain space a ``coh`` request may build.
+# q(3) with h = g0, adjoint coefficients and N = 6 (115830 coordinates)
+# takes about 7 s on a 2-vCPU x86 machine (CPython 3.11); the largest
+# request in the tests, the README and the benchmark has 23166.
+COCHAIN_BUDGET = 200_000
+
+
+def largest_cochain_space(even: int, odd: int, top: int, dim_m: int) -> int:
+    """Upper bound on the coordinates of C^p(g, h; M) for p <= top: the
+    monomial count of L^p_s(g/h) times dim M, at its largest p.
+
+    With odd quotient directions the count grows with p, so p = top is
+    largest; without, it is C(even, p), largest at p = even // 2.
+    """
+    return dim_m * max(
+        super_monomial_count(even, odd, p) for p in {top, min(top, even // 2)}
+    )
 
 
 def build_family(family: str, params: list[int]) -> LieSuperalgebra:
@@ -188,19 +208,24 @@ def cmd_coh(args) -> int:
     H = parse_rationals(args.H) if args.H else None
     h = parse_subalgebra(g, args.sub, H)
     mod = parse_module(g, args.mod)
+    pivots = set(h.solver.pivot_cols)
+    quotient = [g.parities[i] for i in range(g.dim) if i not in pivots]
+    even_quot = quotient.count(EVEN)
     if args.N is not None:
         max_degree = args.N
     else:
         # largest degree where mixed even/odd quotient directions still
         # contribute new monomials once
-        even_quot = sum(
-            1
-            for i in g.even_indices
-            if i not in set(h.solver.pivot_cols)
-        )
         max_degree = len(g.odd_indices) + even_quot
     if max_degree < 0:
         raise DimensionMismatch("N must be nonnegative")
+    # the report builds C^0 .. C^{N+1}
+    size = largest_cochain_space(even_quot, len(quotient) - even_quot, max_degree + 1, mod.dim)
+    if size > COCHAIN_BUDGET:
+        raise DimensionMismatch(
+            f"request too large: C^p for p <= {max_degree + 1} may have {size} "
+            f"coordinates, over the budget of {COCHAIN_BUDGET}"
+        )
     report = cohomology(g, h, mod, max_degree)
     if args.format == "json":
         emit(dumps(report.to_json_dict()), args.out)

@@ -9,14 +9,20 @@ from the super p-th exterior power of g/h to the coefficient module M,
 Everything but the action on M depends only on the pair (g, h), and the
 code is split the same way.  ``RelativePair(g, h)`` holds the coordinate
 complement of h, the action of h on g/h, the monomial bases of L^p_s(g/h),
-and, built lazily and once per pair: the action rows of each span vector
-of h on L^p_s(g/h) (``action_rows``), the weights of the monomials under
-the diagonal span vectors (``weights``, incremental in p), the projected
+and, built lazily and once per pair: the weights of the monomials under
+the span vectors acting diagonally on g/h (``weights``, incremental in p),
+which group the monomials of each degree into weight buckets
+(``buckets``); the action rows of each span vector of h on L^p_s(g/h) per
+(degree, span vector, weight bucket) (``action_rows``); the projected
 brackets and the structure maps of the differential.  ``RelativeComplex(pair,
 M)`` adds the action on M: the diagonal filter, the shortcut plan, the
 equivariant bases, the differential matrices and the report.  One pair
 serves any number of coefficient modules, and a complex asks the pair only
-for the action rows of its non-diagonal span vectors.
+for the action rows of its non-diagonal span vectors, in the buckets that
+hold its kept monomials.  A span vector that shifts every weight by the
+same amount (``shift``) reaches bucket k only from bucket k - shift, so
+only those monomials are acted on; for one that does not, every monomial
+is a source.  Either way each row is the full row.
 
 Scalars are exact: ``int`` where the denominator is 1 and ``Fraction``
 otherwise.  Every value enters the cochain layer through ``_integral``:
@@ -185,11 +191,16 @@ class RelativePair:
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
         self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
         self._quotient_cols = [_integral_cols(a) for a in self.quotient_rep.actions]
+        # span vectors acting diagonally on g/h; their weights key the monomials
+        self.diagonal = [i for i, a in enumerate(self.quotient_rep.actions) if a.is_diagonal()]
         self._lambda: dict[int, Representation] = {}
         self._monos: dict[int, tuple] = {}
         self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._rows: dict[tuple[int, int], list[dict[int, Scalar]]] = {}
         self._weights: dict[tuple[int, int], list[Scalar]] = {}
+        self._keys: dict[int, list[tuple[Scalar, ...]]] = {}
+        self._buckets: dict[int, dict[tuple[Scalar, ...], list[int]]] = {}
+        self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
+        self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
         self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
         self._smaps: dict[int, tuple] = {}
 
@@ -214,18 +225,69 @@ class RelativePair:
         self.monomials(p)
         return self._mono_index[p]
 
-    def action_rows(self, p: int, i: int) -> list[dict[int, Scalar]]:
-        """Rows of the action of span vector i of h on L^p_s(g/h), cached."""
-        rows = self._rows.get((p, i))
+    def action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
+        """Rows of span vector i of h acting on L^p_s(g/h), for the monomials
+        of weight bucket k (position -> row), cached per (p, i, k)."""
+        rows = self._rows.get((p, i, k))
         if rows is None:
-            rows = self._rows[p, i] = self._build_action_rows(p, i)
+            rows = self._rows[p, i, k] = self._build_action_rows(p, i, k)
         return rows
 
-    def _build_action_rows(self, p: int, i: int) -> list[dict[int, Scalar]]:
+    def _build_action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
+        # only the bucket k - shift(i) reaches bucket k; without a uniform
+        # shift every monomial is a source.  Sources go in ascending order, so
+        # each row is the full row, key order included.
         monos, _ = self.monomials(p)
-        return derivation_rows(
-            self._quotient_cols[i], self.quotient_parities, monos, self._index(p)
+        buckets = self.buckets(p)
+        shift = self.shift(i)
+        if shift is None:
+            sources = range(len(monos))
+        else:
+            sources = buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
+        rows = derivation_rows(
+            self._quotient_cols[i], self.quotient_parities, monos, self._index(p), sources
         )
+        return {t: rows.get(t, {}) for t in buckets.get(k, ())}
+
+    def weight_keys(self, p: int) -> list[tuple[Scalar, ...]]:
+        """Weights of each monomial of degree p under the ``diagonal`` span vectors."""
+        keys = self._keys.get(p)
+        if keys is None:
+            if self.diagonal:
+                keys = list(zip(*(self.weights(p, i) for i in self.diagonal)))
+            else:
+                keys = [()] * len(self.monomials(p)[0])
+            self._keys[p] = keys
+        return keys
+
+    def buckets(self, p: int) -> dict[tuple[Scalar, ...], list[int]]:
+        """Positions of the monomials of degree p grouped by weight key, ascending."""
+        buckets = self._buckets.get(p)
+        if buckets is None:
+            buckets = self._buckets[p] = {}
+            for t, key in enumerate(self.weight_keys(p)):
+                buckets.setdefault(key, []).append(t)
+        return buckets
+
+    def shift(self, i: int) -> tuple[Scalar, ...] | None:
+        """Weight-key change made by span vector i on g/h, None unless uniform.
+
+        Every entry y -> y2 of its quotient action must change the key by
+        the same amount; a vector acting as zero shifts by 0.  Keys are
+        additive over the factors of a monomial, so the action maps weight
+        bucket k into bucket k + shift.
+        """
+        if i not in self._shifts:
+            key = self.weight_keys(1)  # monomial (y,) sits at position y
+            shifts = {
+                tuple(a - b for a, b in zip(key[y2], key[y]))
+                for y, col in enumerate(self._quotient_cols[i])
+                for y2 in col
+            }
+            if not shifts:
+                shifts = {tuple(0 for _ in self.diagonal)}
+            self._shifts[i] = shifts.pop() if len(shifts) == 1 else None
+        return self._shifts[i]
 
     def weights(self, p: int, i: int) -> list[Scalar]:
         """Eigenvalue of each monomial of degree p under span vector i of h.
@@ -343,11 +405,11 @@ class RelativeComplex:
         self.m_cols_by_complement = [_integral_cols(m.actions[c]) for c in pair.complement]
 
         # diagonal h vectors filter coordinates; the rest become constraints
-        q_actions = pair.quotient_rep.actions
+        diagonal_on_quotient = set(pair.diagonal)
         self.diag_idx: list[int] = []
         self.nondiag_idx: list[int] = []
         for i in range(h.dim):
-            if q_actions[i].is_diagonal() and m_actions[i].is_diagonal():
+            if i in diagonal_on_quotient and m_actions[i].is_diagonal():
                 self.diag_idx.append(i)
             else:
                 self.nondiag_idx.append(i)
@@ -411,7 +473,7 @@ class RelativeComplex:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
         return self.pair.monomials(p)
 
-    def _constraint_apply(self, i: int, sector: int, lam_rows: list[dict[int, Scalar]], phi: Cochain) -> Cochain:
+    def _constraint_apply(self, i: int, sector: int, lam_rows: dict[int, dict[int, Scalar]], phi: Cochain) -> Cochain:
         """Equivariance defect of phi for the i-th span vector of h."""
         odd = (self.pair.h.vector_parities[i] * sector) % 2
         cols = self.m_action_cols[i]
@@ -426,7 +488,7 @@ class RelativeComplex:
         self,
         constraint_ids: list[int],
         sector: int,
-        lam_rows_by_id: dict[int, list[dict[int, Scalar]]],
+        lam_rows_by_id: dict[int, dict[int, dict[int, Scalar]]],
         candidates: list[dict[Coord, int]],
         free: list[Coord],
     ) -> tuple[list[dict[Coord, int]], list[Coord]]:
@@ -464,7 +526,6 @@ class RelativeComplex:
         if p in self._spaces:
             return self._spaces[p]
         monos, mono_par = self.monomials(p)
-        lam_rows_by_id = {i: self.pair.action_rows(p, i) for i in self.nondiag_idx}
         # joint eigenvalue keys for bucket matching: a coordinate map E_{vw}
         # commutes with every diagonal element iff the keys agree
         m_buckets: dict[tuple, list[int]] = {}
@@ -475,14 +536,23 @@ class RelativeComplex:
             mono_keys = list(zip(*(self.pair.weights(p, i) for i in self.diag_idx)))
         else:
             mono_keys = [()] * len(monos)
+        kept_pair: list[list[Coord]] = [[], []]
+        for w in range(len(monos)):
+            for v in m_buckets.get(mono_keys[w], ()):
+                kept_pair[(self.m.parities[v] + mono_par[w]) % 2].append((v, w))
+        # the constraints read action rows only at kept monomials: build the
+        # weight buckets holding them
+        pair_keys = self.pair.weight_keys(p)
+        needed = dict.fromkeys(pair_keys[w] for kept in kept_pair for _, w in kept)
+        lam_rows_by_id: dict[int, dict[int, dict[int, Scalar]]] = {}
+        for i in self.nondiag_idx:
+            lam_rows = lam_rows_by_id[i] = {}
+            for k in needed:
+                lam_rows.update(self.pair.action_rows(p, i, k))
         basis_pair: list[list[Cochain]] = [[], []]
         free_pair: list[list[Coord]] = [[], []]
         for sector in (EVEN, ODD):
-            kept: list[Coord] = []
-            for w in range(len(monos)):
-                for v in m_buckets.get(mono_keys[w], ()):
-                    if (self.m.parities[v] + mono_par[w]) % 2 == sector:
-                        kept.append((v, w))
+            kept = kept_pair[sector]
             candidates: list[dict[Coord, int]] = [{coord: 1} for coord in kept]
             free: list[Coord] = list(kept)
             if self.reduced_even_idx is not None:
@@ -675,9 +745,17 @@ def relative_ext(
     m: Representation,
     n: Representation,
     max_degree: int,
+    pair: RelativePair | None = None,
 ) -> CohomologyReport:
-    """Ext between modules as cohomology with coefficients in dual(m) (x) n."""
-    coeff = tensor(dual(m), n)
-    report = cohomology(g, h, coeff, max_degree)
+    """Ext between modules as cohomology with coefficients in dual(m) (x) n.
+
+    ``pair`` is the ``RelativePair(g, h)`` to build on, to share it between
+    several Ext computations; by default a new one is built.
+    """
+    if pair is None:
+        pair = RelativePair(g, h)
+    elif pair.g is not g or pair.h is not h:
+        raise AlgebraMismatch("pair is not built on (g, h)")
+    report = RelativeComplex(pair, tensor(dual(m), n)).report(max_degree)
     report.module = f"Ext({m.name},{n.name})"
     return report

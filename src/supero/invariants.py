@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
-from .cohomology import cohomology, relative_ext
+from .cohomology import RelativePair, cohomology, relative_ext
 from .errors import DimensionMismatch
 from .linalg import SparseMatrix, nullity
 from .reps import Representation, dual, odd_part_module, super_symmetric_power, trivial
@@ -173,11 +173,15 @@ def ext_growth(
     m: Representation,
     n: Representation,
     max_degree: int,
+    pair: RelativePair | None = None,
 ) -> GrowthEstimate:
-    """Estimate the growth rate of Ext dims and compare with dim(odd part)."""
+    """Estimate the growth rate of Ext dims and compare with dim(odd part).
+
+    ``pair`` is passed on to ``relative_ext``.
+    """
     if max_degree < 4:
         raise DimensionMismatch("growth estimation needs max_degree >= 4")
-    report = relative_ext(g, h, m, n, max_degree)
+    report = relative_ext(g, h, m, n, max_degree, pair)
     dims = report.dims()
     start = math.ceil(max_degree / 2)
     rate, eventually_zero = _fit_rate(dims, start, max_degree)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan
 from .errors import (
@@ -193,12 +193,14 @@ def super_monomials(parities: Sequence[int], p: int) -> list[tuple[int, ...]]:
 
 
 def super_monomial_count(a: int, b: int, p: int) -> int:
-    """Closed-form dimension: sum_k C(a,k) C(b+p-k-1, p-k)."""
+    """Closed-form dimension: sum_k C(a,k) C(b+p-k-1, p-k), where the
+    second factor (multisets of size p-k from b odd directions) is 1 at k = p."""
     import math as _math
 
     total = 0
     for k in range(min(a, p) + 1):
-        total += _math.comb(a, k) * _math.comb(b + p - k - 1, p - k)
+        j = p - k
+        total += _math.comb(a, k) * (_math.comb(b + j - 1, j) if j else 1)
     return total
 
 
@@ -233,18 +235,23 @@ def derivation_rows(
     parities: Sequence[int],
     monos: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], int],
-) -> list[dict[int, Fraction]]:
+    sources: Iterable[int],
+) -> dict[int, dict[int, Fraction]]:
     """Derivation action of one algebra element on normal-form monomials.
 
     ``cols[y]`` is x.y for a module basis vector y, and ``index`` maps each
-    monomial of ``monos`` to its position.  Row t2 maps every monomial t to
-    the coefficient of monos[t2] in
+    monomial of ``monos`` to its position.  Only the monomials at the
+    positions ``sources`` (ascending) are acted on.  Row t2 of the result
+    maps each such t to the coefficient of monos[t2] in
 
     x.(y_1 ^ ... ^ y_p) = sum_i (-1)^{|x|(|y_1|+...+|y_{i-1}|)}
-                          y_1 ^ ... ^ (x.y_i) ^ ... ^ y_p.
+                          y_1 ^ ... ^ (x.y_i) ^ ... ^ y_p;
+
+    rows that no source reaches are absent.
     """
-    rows: list[dict[int, Fraction]] = [{} for _ in monos]
-    for t, mo in enumerate(monos):
+    rows: dict[int, dict[int, Fraction]] = {}
+    for t in sources:
+        mo = monos[t]
         terms = []
         prefix = 0
         for i, y in enumerate(mo):
@@ -263,7 +270,7 @@ def derivation_rows(
                         terms.append((index[mo2], coef if sgn == pull else -coef))
             prefix += parities[y]
         for t2, v in _add_scaled({}, terms).items():
-            rows[t2][t] = v
+            rows.setdefault(t2, {})[t] = v
     return rows
 
 
@@ -276,11 +283,11 @@ def super_exterior_power(r: Representation, p: int) -> Representation:
     parities = tuple(sum(r.parities[y] for y in mo) % 2 for mo in monos)
     actions = []
     for a in r.actions:
-        rows = derivation_rows(a.col_dicts(), r.parities, monos, index)
+        rows = derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
         actions.append(
             SparseMatrix(
                 len(monos), len(monos),
-                ((t2, t, v) for t2, row in enumerate(rows) for t, v in row.items()),
+                ((t2, t, v) for t2 in sorted(rows) for t, v in rows[t2].items()),
             )
         )
     # basis labels are the monomial tuples themselves

@@ -370,6 +370,7 @@ def growth_cells() -> list[tuple[LieSuperalgebra, str, SubalgebraSpan, str]]:
 def suite_growth(max_degree: int = 8) -> dict:
     rows = []
     for g, hname, h, kind in growth_cells():
+        pair = RelativePair(g, h)  # shared by the trivial and natural coefficients
         for label in ("trivial", "natural"):
             if label == "natural":
                 if g.matrix_model is None:
@@ -377,7 +378,7 @@ def suite_growth(max_degree: int = 8) -> dict:
                 mod = natural(g)
             else:
                 mod = trivial(g)
-            est = ext_growth(g, h, mod, mod, max_degree)
+            est = ext_growth(g, h, mod, mod, max_degree, pair)
             ok = est.within_bound
             witness = None
             if kind == "even":

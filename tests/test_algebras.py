@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,7 @@ def test_json_round_trip_bit_exact(g):
 
 
 GOOD_JSON = {"name": "t", "dim": 2, "parities": [0, 1], "torus": [0], "bracket": [[0, 1, [[1, 1, 1]]]]}
+MISSING = object()  # the key is left out
 
 
 @pytest.mark.parametrize(
@@ -330,14 +332,42 @@ GOOD_JSON = {"name": "t", "dim": 2, "parities": [0, 1], "torus": [0], "bracket":
         ("torus", [-1]),
         ("parities", [0, 2]),
         ("dim", 3),
+        ("name", MISSING),
+        ("parities", MISSING),
+        ("torus", MISSING),
+        ("bracket", MISSING),
+        ("bracket", [[0, 1, [[1, 1]]]]),
+        ("bracket", [[0, 1, [[1, "1", 1]]]]),
+        ("bracket", [[0, 1, [1, 1, 1]]]),
+        ("bracket", [[0, 1]]),
+        ("bracket", [[0, 1, [[1, 1, 1]]], [0, 1, [[1, 2, 1]]]]),
     ],
     ids=["k-out-of-range", "i-out-of-range", "j-negative", "zero-denominator",
-         "torus-out-of-range", "torus-negative", "parity-2", "dim-mismatch"],
+         "torus-out-of-range", "torus-negative", "parity-2", "dim-mismatch",
+         "no-name", "no-parities", "no-torus", "no-bracket", "term-too-short",
+         "term-not-int", "term-not-a-list", "entry-too-short", "entry-repeated"],
 )
 def test_from_json_dict_rejects_malformed_input(key, value):
     assert LieSuperalgebra.from_json_dict(GOOD_JSON).table == {(0, 1): ((1, Fraction(1)),)}
+    bad = {k: v for k, v in GOOD_JSON.items() if k != key}
+    if value is not MISSING:
+        bad[key] = value
     with pytest.raises(DimensionMismatch):
-        LieSuperalgebra.from_json_dict({**GOOD_JSON, key: value})
+        LieSuperalgebra.from_json_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ({k: v for k, v in GOOD_JSON.items() if k != "torus"}, "'torus'"),
+        ({**GOOD_JSON, "bracket": [[0, 1, [[1, 1]]]]}, "[1, 1] of [0, 1]"),
+        ({**GOOD_JSON, "bracket": [[0, 1, [[1, 1, 1]]], [0, 1, []]]}, "[0, 1] is given twice"),
+    ],
+    ids=["missing-key", "bad-term", "repeated-entry"],
+)
+def test_from_json_dict_error_names_key_or_entry(bad, named):
+    with pytest.raises(DimensionMismatch, match=re.escape(named)):
+        LieSuperalgebra.from_json_dict(bad)
 
 
 def test_json_is_deterministic():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from supero.cli import main
+from supero.cli import COCHAIN_BUDGET, largest_cochain_space, main
+from supero.reps import super_monomials
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +160,32 @@ def test_coh_malformed_input_exit_2(tmp_path, capsys, option, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gl", "3", "3"],  # default N = 18: C^19 has about 8.6e9 coordinates
+        ["q", "3", "--sub", "g0", "--mod", "adjoint", "-N", "7"],
+        ["gl", "1", "1", "--sub", "g0", "-N", "300000"],
+    ],
+    ids=["gl33-default-N", "q3-adjoint-N7", "gl11-huge-N"],
+)
+def test_coh_over_the_size_budget_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "coh", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: request too large") and err.count("\n") == 1
+    assert f"budget of {COCHAIN_BUDGET}" in err
+
+
+def test_size_budget_bounds_every_cochain_space():
+    # the bound is at least the monomial count of every degree up to top
+    for even in range(5):
+        for odd in range(4):
+            for top in range(7):
+                counts = [len(super_monomials((0,) * even + (1,) * odd, p)) for p in range(top + 1)]
+                assert largest_cochain_space(even, odd, top, 3) == 3 * max(counts)
 
 
 def test_verify_unknown_suite_exit_2(capsys):

@@ -24,7 +24,7 @@ from supero.cohomology import (
     relative_cochains,
     relative_ext,
 )
-from supero.errors import ConventionError, NotASubalgebra
+from supero.errors import AlgebraMismatch, ConventionError, NotASubalgebra
 from supero.reps import adjoint, natural, restrict, super_exterior_power, trivial
 from supero.roots import named_subalgebra
 
@@ -217,6 +217,13 @@ def test_ext_gl11_natural_natural_degree0():
     assert rep.dims()[0] == 1
 
 
+def test_ext_rejects_a_pair_of_another_subalgebra():
+    g = build_gl(1, 1)
+    pair = RelativePair(g, even_part_span(g))
+    with pytest.raises(AlgebraMismatch):
+        relative_ext(g, named_subalgebra(g, "torus"), natural(g), natural(g), 1, pair)
+
+
 # --- error paths ------------------------------------------------------------
 
 
@@ -289,9 +296,9 @@ def test_shared_pair_matches_independent_pairs(build, sub, H, monkeypatch):
     built = []
     build_rows = engine.RelativePair._build_action_rows
 
-    def counted_action_rows(self, p, i):
-        built.append((p, i))
-        return build_rows(self, p, i)
+    def counted_action_rows(self, p, i, k):
+        built.append((p, i, k))
+        return build_rows(self, p, i, k)
 
     monkeypatch.setattr(engine.RelativePair, "_build_action_rows", counted_action_rows)
     g = build()
@@ -300,7 +307,8 @@ def test_shared_pair_matches_independent_pairs(build, sub, H, monkeypatch):
     pair = RelativePair(g, h)
     shared = [RelativeComplex(pair, mod) for mod in modules]
     reports = [cx.report(3).to_json_dict() for cx in shared]
-    # the three modules built the rows of each (degree, span vector) once between them
+    # the three modules built the rows of each (degree, span vector, weight
+    # bucket) once between them
     assert built and len(built) == len(set(built))
     for mod, cx, report in zip(modules, shared, reports):
         alone = RelativeComplex(RelativePair(g, h), mod)
@@ -316,12 +324,41 @@ def _pair(g, sub, H=None):
     return RelativePair(g, named_subalgebra(g, sub, H=H))
 
 
+def _rotated_g0_pair():
+    """g0 of gl(2|1) spanned by e11, e22, e33, e12+e21 and e12-e21: the two
+    mixed vectors are no weight vectors, so they shift weights non-uniformly."""
+    g = build_gl(2, 1)
+
+    def vec(*terms):
+        out = [F(0)] * g.dim
+        for label, c in terms:
+            out[g.basis_labels.index(label)] = F(c)
+        return tuple(out)
+
+    span = SubalgebraSpan(
+        g,
+        [vec(("e[1,1]", 1)), vec(("e[2,2]", 1)), vec(("e[3,3]", 1)),
+         vec(("e[1,2]", 1), ("e[2,1]", 1)), vec(("e[1,2]", 1), ("e[2,1]", -1))],
+        "g0-rotated",
+    )
+    return RelativePair(g, span)
+
+
 PAIRS = {
     "gl(2|1)-levi": lambda: _pair(build_gl(2, 1), "levi", (F(1), F(0), F(1))),
     "q(2)-borel": lambda: _pair(build_q(2), "borel"),
     "osp(1|2)-g0": lambda: _pair(build_osp(1, 2), "g0"),
     "p~(2)-levi": lambda: _pair(build_p_tilde(2), "levi", (F(0), F(1))),
+    "gl(2|1)-g0-rotated": _rotated_g0_pair,
 }
+
+
+def _all_action_rows(pair, p, i):
+    """The rows of every weight bucket, in monomial order."""
+    rows = {}
+    for k in pair.buckets(p):
+        rows.update(pair.action_rows(p, i, k))
+    return [rows[t] for t in range(len(rows))]
 
 
 @pytest.mark.parametrize("case", PAIRS)
@@ -330,7 +367,39 @@ def test_action_rows_match_exterior_power(case):
     for p in range(5):
         lam = super_exterior_power(pair.quotient_rep, p)
         for i in range(pair.h.dim):  # diagonal elements too
-            assert pair.action_rows(p, i) == lam.actions[i].row_dicts(), (p, i)
+            assert _all_action_rows(pair, p, i) == lam.actions[i].row_dicts(), (p, i)
+
+
+def test_rotated_span_shifts_and_reports():
+    pair = _rotated_g0_pair()
+    g = pair.g
+    assert pair.diagonal == [0, 1, 2]
+    assert [pair.shift(i) for i in range(5)] == [(0, 0, 0)] * 3 + [None, None]
+    plain = RelativePair(g, even_part_span(g))
+    for mod in (trivial(g), natural(g), adjoint(g)):
+        rotated = RelativeComplex(pair, mod).report(4)
+        assert rotated.rows == RelativeComplex(plain, mod).report(4).rows, mod.name
+
+
+def test_growth_cell_builds_each_bucket_once(monkeypatch):
+    engine = importlib.import_module("supero.cohomology")
+    suites = importlib.import_module("supero.suites")
+    built = []
+    build_rows = engine.RelativePair._build_action_rows
+
+    def counted_action_rows(self, p, i, k):
+        built.append((id(self), p, i, k))
+        return build_rows(self, p, i, k)
+
+    monkeypatch.setattr(engine.RelativePair, "_build_action_rows", counted_action_rows)
+    g = build_gl(2, 1)
+    cell = (g, "levi", named_subalgebra(g, "levi", H=(F(1), F(0), F(1))), "super")
+    monkeypatch.setattr(suites, "growth_cells", lambda: [cell])
+    report = suites.suite_growth(4)
+    assert [row["params"]["coefficients"] for row in report["rows"]] == ["trivial", "natural"]
+    # one pair serves both modules, and no (degree, span vector, bucket) is built twice
+    assert built and len({pair for pair, *_ in built}) == 1
+    assert len(built) == len(set(built))
 
 
 @pytest.mark.parametrize("case", PAIRS)
@@ -352,7 +421,7 @@ def test_report_builds_no_rows_for_diagonal_elements():
         cx = RelativeComplex(pair, mod)
         cx.report(3)
         assert cx.diag_idx and cx.nondiag_idx
-        built = {i for _, i in pair._rows}
+        built = {i for _, i, _ in pair._rows}
         assert built <= set(cx.nondiag_idx)
         assert not built & set(cx.diag_idx)
 

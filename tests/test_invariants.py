@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from supero.algebras import build_gl, build_p_tilde, build_q, even_part_span
+from supero.cohomology import RelativeComplex, RelativePair
 from supero.errors import DimensionMismatch
 from supero.invariants import (
     compare_invariants_vs_cohomology,
     ext_growth,
     invariant_dims,
+    invariant_subspace_dim,
 )
 from supero.reps import natural, trivial
 from supero.roots import named_subalgebra
+from supero.suites import coefficient_modules, ddzero_algebras, ddzero_subalgebras
 
 F = Fraction
 
@@ -197,3 +200,19 @@ def test_growth_json_round_trip_fields():
     assert d["schema"] == "superO/1"
     assert d["window"] == [2, 4]
     assert d["dims"] == est.dims
+
+
+def test_degree_zero_cohomology_is_the_invariant_subspace():
+    # H^0(g, h; M) = M^g on every ddzero cell: the cochain engine (equivariant
+    # basis of C^0, rank of d^0) against the kernel of the g-action on M
+    cells = 0
+    for g in ddzero_algebras():
+        modules = coefficient_modules(g)
+        invariant = [invariant_subspace_dim(mod) for mod in modules]
+        for hname, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)
+            for mod, expected in zip(modules, invariant):
+                h0 = RelativeComplex(pair, mod).report(0).dims()[0]
+                assert h0 == expected, (g.name, hname, mod.name)
+                cells += 1
+    assert cells == 132

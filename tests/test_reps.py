@@ -146,7 +146,7 @@ def test_tensor_weights_are_sums():
 
 
 def test_monomial_counts_match_formula():
-    cases = [((0, 0), 3, 0), ((1, 1), 3, 4), ((0, 1), 2, 2)]
+    cases = [((0, 0), 3, 0), ((1, 1), 3, 4), ((0, 1), 2, 2), ((0, 0, 0), 2, 3), ((0, 0), 0, 1), ((), 0, 1)]
     for parities, p, expected in cases:
         a = sum(1 for q in parities if q == 0)
         b = len(parities) - a
