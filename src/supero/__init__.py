@@ -40,7 +40,6 @@ from .cohomology import (
     CohomologyReport,
     RelativeComplex,
     RelativePair,
-    cohomology,
     differential,
     relative_cochains,
     relative_ext,

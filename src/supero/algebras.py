@@ -29,13 +29,13 @@ from .errors import (
     NotASubalgebra,
     UnsupportedRank,
 )
-from .linalg import SpanSolver, SparseMatrix, _add_scaled, kernel_basis
+from .linalg import Scalar, SpanSolver, SparseMatrix, _add_scaled, _dict_matmul, _exact, kernel_basis
 
 EVEN = 0
 ODD = 1
 
-SparseVec = dict[int, Fraction]
-MatDict = dict[tuple[int, int], Fraction]
+SparseVec = dict[int, Scalar]
+MatDict = dict[tuple[int, int], Scalar]
 
 SCHEMA = "superO/1"
 
@@ -53,9 +53,10 @@ class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra over Q.
 
     Immutable after construction.  ``table[(i, j)]`` holds the bracket
-    [b_i, b_j] as a sparse tuple of (index, coefficient); missing keys mean
-    zero.  ``torus`` lists the indices of a designated maximal torus of the
-    even part, which for all built-in families acts diagonally on the basis.
+    [b_i, b_j] as a sparse tuple of (index, coefficient), each coefficient
+    an ``int`` where integral (``linalg._exact``); missing keys mean zero.
+    ``torus`` lists the indices of a designated maximal torus of the even
+    part, which for all built-in families acts diagonally on the basis.
     """
 
     __slots__ = ("name", "parities", "table", "torus", "basis_labels", "matrix_model")
@@ -71,7 +72,7 @@ class LieSuperalgebra:
     ):
         self.name = name
         self.parities = tuple(int(p) for p in parities)
-        self.table = {k: tuple(v) for k, v in table.items() if v}
+        self.table = {k: tuple((i, _exact(c)) for i, c in v) for k, v in table.items() if v}
         self.torus = tuple(torus)
         n = len(self.parities)
         if basis_labels is None:
@@ -132,7 +133,7 @@ class LieSuperalgebra:
         for t in self.torus:
             terms = self.bracket_basis(t, j)
             if not terms:
-                w.append(Fraction(0))
+                w.append(0)
             elif len(terms) == 1 and terms[0][0] == j:
                 w.append(terms[0][1])
             else:
@@ -244,8 +245,8 @@ def check_super_jacobi(g: LieSuperalgebra) -> tuple[bool, tuple[int, int, int] |
             for k in range(j, g.dim):
                 acc: SparseVec = {}
                 for sign_par, a, inner in (
-                    (p[i] * p[k], i, g.bracket_basis_vec(j, {k: Fraction(1)})),
-                    (p[j] * p[i], j, g.bracket_basis_vec(k, {i: Fraction(1)})),
+                    (p[i] * p[k], i, g.bracket_basis_vec(j, {k: 1})),
+                    (p[j] * p[i], j, g.bracket_basis_vec(k, {i: 1})),
                     (p[k] * p[j], k, dict(bij)),
                 ):
                     term = g.bracket_basis_vec(a, inner)
@@ -269,19 +270,9 @@ def check_parity_consistency(g: LieSuperalgebra) -> tuple[bool, tuple[int, int] 
 # generic construction from a matrix basis
 
 
-def _mat_mul(a: MatDict, b: MatDict) -> MatDict:
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in b.items():
-        by_row.setdefault(r, []).append((c, v))
-    out: MatDict = {}
-    for (r, k), v in a.items():
-        _add_scaled(out, (((r, c), w) for c, w in by_row.get(k, ())), v)
-    return out
-
-
 def _super_commutator(a: MatDict, b: MatDict, pa: int, pb: int) -> MatDict:
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
+    ab = _dict_matmul(a, b)
+    ba = _dict_matmul(b, a)
     sign = -1 if pa * pb % 2 == 0 else 1
     return _add_scaled(dict(ab), ba.items(), sign)
 
@@ -297,7 +288,7 @@ def _from_matrix_basis(
 ) -> LieSuperalgebra:
     flat = []
     for mat in mats:
-        vec = [Fraction(0)] * (size * size)
+        vec = [0] * (size * size)
         for (a, b), v in mat.items():
             vec[a * size + b] = v
         flat.append(tuple(vec))
@@ -310,7 +301,7 @@ def _from_matrix_basis(
             comm = _super_commutator(mats[i], mats[j], parities[i], parities[j])
             if not comm:
                 continue
-            vec = [Fraction(0)] * (size * size)
+            vec = [0] * (size * size)
             for (a, b), v in comm.items():
                 vec[a * size + b] = v
             coords = solver.coordinates(vec)
@@ -346,7 +337,7 @@ def build_gl(m: int, n: int) -> LieSuperalgebra:
     cpar = [EVEN] * m + [ODD] * n
     pairs = [(i, j) for i in range(size) for j in range(size) if cpar[i] == cpar[j]]
     pairs += [(i, j) for i in range(size) for j in range(size) if cpar[i] != cpar[j]]
-    mats = [{(i, j): Fraction(1)} for (i, j) in pairs]
+    mats = [{(i, j): 1} for (i, j) in pairs]
     parities = [(cpar[i] + cpar[j]) % 2 for (i, j) in pairs]
     torus = [pairs.index((i, i)) for i in range(size)]
     labels = [f"e[{i + 1},{j + 1}]" for (i, j) in pairs]
@@ -364,12 +355,12 @@ def build_q(n: int) -> LieSuperalgebra:
     labels: list[str] = []
     for i in range(n):
         for j in range(n):
-            mats.append({(i, j): Fraction(1), (n + i, n + j): Fraction(1)})
+            mats.append({(i, j): 1, (n + i, n + j): 1})
             parities.append(EVEN)
             labels.append(f"E[{i + 1},{j + 1}]")
     for i in range(n):
         for j in range(n):
-            mats.append({(i, n + j): Fraction(1), (n + i, j): Fraction(1)})
+            mats.append({(i, n + j): 1, (n + i, j): 1})
             parities.append(ODD)
             labels.append(f"F[{i + 1},{j + 1}]")
     torus = [i * n + i for i in range(n)]
@@ -391,20 +382,20 @@ def build_p_tilde(n: int) -> LieSuperalgebra:
     labels: list[str] = []
     for i in range(n):
         for j in range(n):
-            mats.append({(i, j): Fraction(1), (n + j, n + i): Fraction(-1)})
+            mats.append({(i, j): 1, (n + j, n + i): -1})
             parities.append(EVEN)
             labels.append(f"a[{i + 1},{j + 1}]")
     for i in range(n):
         for j in range(i, n):
             if i == j:
-                mats.append({(i, n + i): Fraction(1)})
+                mats.append({(i, n + i): 1})
             else:
-                mats.append({(i, n + j): Fraction(1), (j, n + i): Fraction(1)})
+                mats.append({(i, n + j): 1, (j, n + i): 1})
             parities.append(ODD)
             labels.append(f"b[{i + 1},{j + 1}]")
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append({(n + i, j): Fraction(1), (n + j, i): Fraction(-1)})
+            mats.append({(n + i, j): 1, (n + j, i): -1})
             parities.append(ODD)
             labels.append(f"c[{i + 1},{j + 1}]")
     torus = [i * n + i for i in range(n)]
@@ -575,7 +566,7 @@ class SubalgebraSpan:
         for vec in vectors:
             if len(vec) != parent.dim:
                 raise DimensionMismatch("span vector length mismatch")
-            tup = tuple(Fraction(v) for v in vec)
+            tup = tuple(_exact(v) for v in vec)
             support_par = {parent.parities[i] for i, v in enumerate(tup) if v}
             if len(support_par) > 1:
                 raise NotASubalgebra("span vector is not parity homogeneous")
@@ -610,8 +601,8 @@ class SubalgebraSpan:
         if self._projections is None:
             out = []
             for k in range(self.parent.dim):
-                unit = [Fraction(0)] * self.parent.dim
-                unit[k] = Fraction(1)
+                unit = [0] * self.parent.dim
+                unit[k] = 1
                 out.append(self.solver.reduce(unit)[0])
             self._projections = out
         return self._projections
@@ -622,7 +613,7 @@ class SubalgebraSpan:
         for i in range(self.dim):
             for j in range(self.dim):
                 out = self.parent.bracket_sparse(sparse[i], sparse[j])
-                vec = [Fraction(0)] * self.parent.dim
+                vec = [0] * self.parent.dim
                 for kk, v in out.items():
                     vec[kk] = v
                 if not self.solver.contains(vec):
@@ -646,7 +637,7 @@ class SubalgebraSpan:
                 out = self.parent.bracket_sparse(sparse[i], sparse[j])
                 if not out:
                     continue
-                vec = [Fraction(0)] * self.parent.dim
+                vec = [0] * self.parent.dim
                 for kk, v in out.items():
                     vec[kk] = v
                 coords = self.solver.coordinates(vec)
@@ -675,8 +666,8 @@ def _unit_span(g: LieSuperalgebra, indices: Iterable[int], label: str) -> Subalg
     idx = sorted(set(indices), key=lambda i: (g.parities[i], i))
     vectors = []
     for i in idx:
-        vec = [Fraction(0)] * g.dim
-        vec[i] = Fraction(1)
+        vec = [0] * g.dim
+        vec[i] = 1
         vectors.append(tuple(vec))
     return SubalgebraSpan(g, vectors, label)
 
@@ -748,7 +739,7 @@ def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
         entries = []
         for t, c in enumerate(complement):
             residual: dict[int, Fraction] = {}
-            for k, v in g.bracket_sparse(x, {c: Fraction(1)}).items():
+            for k, v in g.bracket_sparse(x, {c: 1}).items():
                 _add_scaled(residual, projections[k].items(), v)
             for kk, v in residual.items():
                 entries.append((comp_pos[kk], t, v))

@@ -24,13 +24,15 @@ same amount (``shift``) reaches bucket k only from bucket k - shift, so
 only those monomials are acted on; for one that does not, every monomial
 is a source.  Either way each row is the full row.
 
-Scalars are exact: ``int`` where the denominator is 1 and ``Fraction``
-otherwise.  Every value enters the cochain layer through ``_integral``:
-the actions of g/h and of M, the structure-map coefficients, and the
-basis vectors made by the constraint solve.  So the integral bulk of the
-arithmetic stays in ``int``.  The constraint solve itself runs on integer
-cochains: each candidate is a primitive integer multiple of its basis
-vector, and the one division, by the value at the anchor coordinate,
+Scalars follow the one convention of ``linalg``: ``int`` where the
+denominator is 1 and ``Fraction`` otherwise.  The actions of g/h and of M
+arrive as ``SparseMatrix`` columns and the projections of g as
+``SpanSolver`` residuals, both already under it, so this module converts
+nothing on the way in.  It applies ``linalg._exact`` only where it makes
+a new value that may be an integral ``Fraction``: the projected brackets
+and the division of each basis vector by its anchor value.  The
+constraint solve itself runs on integer cochains: each candidate is a
+primitive integer multiple of its basis vector, and that one division
 happens when the basis is written out.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
@@ -70,7 +72,7 @@ from fractions import Fraction
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError
-from .linalg import SparseMatrix, _add_scaled, kernel_basis_with_free
+from .linalg import Scalar, SparseMatrix, _add_scaled, _exact, kernel_basis_with_free, rank
 from .reps import (
     Representation,
     derivation_rows,
@@ -81,19 +83,8 @@ from .reps import (
     wedge_insert,
 )
 
-Scalar = int | Fraction  # int whenever the denominator is 1
 Coord = tuple[int, int]  # (module basis index, monomial index)
 Cochain = dict[Coord, Scalar]
-
-
-def _integral(v: Scalar) -> Scalar:
-    """``v`` as an int when its denominator is 1, else unchanged."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def _integral_cols(a: SparseMatrix) -> list[dict[int, Scalar]]:
-    """Column dicts of ``a`` with ``_integral`` values."""
-    return [{r: _integral(v) for r, v in col.items()} for col in a.col_dicts()]
 
 
 @dataclass
@@ -190,10 +181,9 @@ class RelativePair:
         self.complement_pos = {c: t for t, c in enumerate(self.complement)}
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
         self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
-        self._quotient_cols = [_integral_cols(a) for a in self.quotient_rep.actions]
+        self._quotient_cols = [a.col_dicts() for a in self.quotient_rep.actions]
         # span vectors acting diagonally on g/h; their weights key the monomials
         self.diagonal = [i for i, a in enumerate(self.quotient_rep.actions) if a.is_diagonal()]
-        self._lambda: dict[int, Representation] = {}
         self._monos: dict[int, tuple] = {}
         self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
         self._weights: dict[tuple[int, int], list[Scalar]] = {}
@@ -203,13 +193,6 @@ class RelativePair:
         self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
         self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
         self._smaps: dict[int, tuple] = {}
-
-    def lambda_rep(self, p: int) -> Representation:
-        """Exterior power with its full action matrices (the engine reads
-        ``action_rows`` and ``weights`` instead)."""
-        if p not in self._lambda:
-            self._lambda[p] = super_exterior_power(self.quotient_rep, p)
-        return self._lambda[p]
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Monomial basis of L^p_s(g/h) with parities (no action matrices)."""
@@ -304,7 +287,7 @@ class RelativePair:
             out: list[Scalar] = [0] * len(monos)
         else:
             action = self.quotient_rep.actions[i]
-            eig = [_integral(action.entry(t, t)) for t in range(len(self.complement))]
+            eig = [action.entry(t, t) for t in range(len(self.complement))]
             prev = self.weights(p - 1, i)
             prev_index = self._index(p - 1)
             out = [prev[prev_index[mo[:-1]]] + eig[mo[-1]] for mo in monos]
@@ -330,7 +313,7 @@ class RelativePair:
                     acc: dict[int, Scalar] = {}
                     for k, c in g.bracket_basis(a, b):
                         _add_scaled(acc, projections[k], c)
-                    row.append([(q, _integral(v)) for q, v in acc.items()])
+                    row.append([(q, _exact(v)) for q, v in acc.items()])
                 table.append(row)
             self._proj_brackets = table
         return self._proj_brackets
@@ -400,9 +383,9 @@ class RelativeComplex:
 
         # h acting on M (one matrix per span vector)
         m_actions = [m.action_of_vector(vec) for vec in h.vectors]
-        self.m_action_cols = [_integral_cols(a) for a in m_actions]
+        self.m_action_cols = [a.col_dicts() for a in m_actions]
         # M actions of the lifts of the quotient basis vectors
-        self.m_cols_by_complement = [_integral_cols(m.actions[c]) for c in pair.complement]
+        self.m_cols_by_complement = [m.actions[c].col_dicts() for c in pair.complement]
 
         # diagonal h vectors filter coordinates; the rest become constraints
         diagonal_on_quotient = set(pair.diagonal)
@@ -419,7 +402,7 @@ class RelativeComplex:
 
         self._plan_reduction()
         self._spaces: dict[int, CochainSpace] = {}
-        self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix, SparseMatrix]] = {}
+        self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
 
     # -- constraint reduction plan -------------------------------------------
 
@@ -439,13 +422,13 @@ class RelativeComplex:
         if not even_nondiag:
             self.reduced_even_idx = []
             return
-        roots: dict[int, tuple[Fraction, ...]] = {}
+        roots: dict[int, tuple[Scalar, ...]] = {}
         for x in even_nondiag:
             wt = []
             for t in self.diag_idx:
                 terms = h_alg.bracket_basis(t, x)
                 if not terms:
-                    wt.append(Fraction(0))
+                    wt.append(0)
                 elif len(terms) == 1 and terms[0][0] == x:
                     wt.append(terms[0][1])
                 else:
@@ -458,7 +441,7 @@ class RelativeComplex:
         negated = sorted(tuple(-c for c in w) for w in roots.values())
         if values != negated:
             return  # asymmetric (e.g. a Borel): no shortcut
-        positive = {w for w in roots.values() if w > tuple(Fraction(0) for _ in w)}
+        positive = {w for w in roots.values() if w > tuple(0 for _ in w)}
         sums = {tuple(a + b for a, b in zip(u, v)) for u in positive for v in positive}
         simple = positive - sums
         self.reduced_even_idx = [x for x in even_nondiag if roots[x] in simple]
@@ -466,8 +449,9 @@ class RelativeComplex:
     # -- cochain spaces --------------------------------------------------------
 
     def lambda_rep(self, p: int) -> Representation:
-        """Exterior power of g/h in degree p, shared through the pair."""
-        return self.pair.lambda_rep(p)
+        """Exterior power of g/h in degree p with its full action matrices
+        (the engine reads the pair's ``action_rows`` and ``weights`` instead)."""
+        return super_exterior_power(self.pair.quotient_rep, p)
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
@@ -587,9 +571,7 @@ class RelativeComplex:
                 if den == 1:
                     basis.append(phi)
                 else:
-                    basis.append(
-                        {coord: _integral(Fraction(v, den)) for coord, v in phi.items()}
-                    )
+                    basis.append({coord: _exact(Fraction(v, den)) for coord, v in phi.items()})
             basis_pair[sector] = basis
             free_pair[sector] = free
         space = CochainSpace(
@@ -640,7 +622,13 @@ class RelativeComplex:
         return coeffs
 
     def differential(self, p: int) -> SparseMatrix:
-        return self._differential_blocks(p)[0]
+        """Matrix of d^p: C^p -> C^{p+1}, the even block then the odd block on
+        the diagonal (map parity is preserved)."""
+        even, odd = self._differential_blocks(p)
+        shifted = ((even.rows + r, even.cols + c, v) for r, c, v in odd.entries())
+        return SparseMatrix(
+            even.rows + odd.rows, even.cols + odd.cols, [*even.entries(), *shifted]
+        )
 
     def ddzero(self, p: int) -> bool:
         """Exact check that d(d(phi)) = 0 for every basis cochain of C^p.
@@ -660,55 +648,44 @@ class RelativeComplex:
                     return False
         return True
 
-    def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-        """(full matrix, even block, odd block) of d^p: C^p -> C^{p+1}."""
+    def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
+        """(even block, odd block) of d^p: C^p -> C^{p+1}, cached."""
         if p in self._diffs:
             return self._diffs[p]
         src = self.space(p)
         dst = self.space(p + 1)
         blocks = []
-        entries_full = []
-        col_off = 0
-        row_off = 0
         for sector in (EVEN, ODD):
             entries = []
             for k, phi in enumerate(src.basis[sector]):
                 image = self.apply_differential(p, sector, phi)
                 for r, c in self._expand(image, dst, sector):
                     entries.append((r, k, c))
-            block = SparseMatrix(len(dst.basis[sector]), len(src.basis[sector]), entries)
-            blocks.append(block)
-            for r, c, v in block.entries():
-                entries_full.append((row_off + r, col_off + c, v))
-            col_off = len(src.basis[EVEN])
-            row_off = len(dst.basis[EVEN])
-        full = SparseMatrix(dst.dim, src.dim, entries_full)
-        result = (full, blocks[0], blocks[1])
-        self._diffs[p] = result
-        return result
+            blocks.append(
+                SparseMatrix(len(dst.basis[sector]), len(src.basis[sector]), entries)
+            )
+        self._diffs[p] = blocks[0], blocks[1]
+        return self._diffs[p]
 
     def report(self, max_degree: int) -> CohomologyReport:
-        from .linalg import rank as mat_rank
-
-        ranks_even = []
-        ranks_odd = []
-        all_zero = True
-        for p in range(max_degree + 1):
-            full, be, bo = self._differential_blocks(p)
-            if not full.is_zero():
-                all_zero = False
-            ranks_even.append(mat_rank(be))
-            ranks_odd.append(mat_rank(bo))
         rows = []
+        all_zero = True
+        prev = (0, 0)  # ranks of d^{p-1} per sector
         for p in range(max_degree + 1):
+            if not self.pair.monomials(p)[0]:
+                # C^p = 0, and so is every higher degree: dropping the last
+                # factor of a monomial leaves a monomial of one degree less
+                rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]
+                break
+            blocks = self._differential_blocks(p)
+            if not all(b.is_zero() for b in blocks):
+                all_zero = False
+            ranks = [rank(b) for b in blocks]
             sp = self.space(p)
-            prev_e = ranks_even[p - 1] if p > 0 else 0
-            prev_o = ranks_odd[p - 1] if p > 0 else 0
-            he = sp.dim_even - ranks_even[p] - prev_e
-            ho = sp.dim_odd - ranks_odd[p] - prev_o
-            rows.append(
-                CohomologyRow(p, sp.dim_even, sp.dim_odd, ranks_even[p] + ranks_odd[p], he, ho)
-            )
+            he = sp.dim_even - ranks[EVEN] - prev[EVEN]
+            ho = sp.dim_odd - ranks[ODD] - prev[ODD]
+            rows.append(CohomologyRow(p, sp.dim_even, sp.dim_odd, sum(ranks), he, ho))
+            prev = ranks
         return CohomologyReport(
             self.pair.g.name,
             self.pair.h.label,

@@ -24,6 +24,14 @@ free columns, then, only if those differ from F, reduces that small
 nullity x cols basis from the rightmost column leftwards, which recovers F
 and the normalised vectors.  Both steps stay in integers, one denominator
 per vector; a ``Fraction`` appears only in the dense ``kernel_basis``.
+
+This module owns the package's one scalar convention: a value is an
+``int`` when its denominator is 1 and a ``Fraction`` otherwise.  The
+helper ``_exact`` applies it, and every value that leaves this module in
+a ``SparseMatrix``, a ``SpanSolver`` residual or coordinate, or a dense
+kernel vector follows it.  So an integral entry is stored as the ``int``
+it already is, and the integral bulk of the arithmetic downstream never
+builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -35,8 +43,19 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch
 
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction  # int whenever the denominator is 1 (see ``_exact``)
+Vector = tuple[Scalar, ...]
 KernelVector = tuple[dict[int, int], int]  # (integer numerators, denominator)
+
+
+def _exact(v) -> Scalar:
+    """``v`` under the scalar convention: an ``int`` when its denominator
+    is 1, else a ``Fraction``.  An ``int`` is returned as is."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def _add_scaled(acc: dict, items: Iterable[tuple], scale=1) -> dict:
@@ -62,33 +81,45 @@ def _add_scaled(acc: dict, items: Iterable[tuple], scale=1) -> dict:
     return acc
 
 
+def _dict_matmul(a: dict[tuple[int, int], Scalar], b: dict[tuple[int, int], Scalar]) -> dict:
+    """Product of two matrices given as {(row, col): value} dicts, without zeros."""
+    by_row: dict[int, list[tuple[int, Scalar]]] = {}
+    for (r, c), v in b.items():
+        by_row.setdefault(r, []).append((c, v))
+    out: dict[tuple[int, int], Scalar] = {}
+    for (r, k), v in a.items():
+        _add_scaled(out, (((r, c), w) for c, w in by_row.get(k, ())), v)
+    return out
+
+
 class SparseMatrix:
     """Immutable sparse matrix over Q.
 
-    Entries are stored as a dict keyed by (row, col); zeros are never
-    stored and duplicate positions are rejected.
+    Entries are stored as a dict keyed by (row, col), each value under the
+    scalar convention (``_exact``); zeros are never stored and duplicate
+    positions are rejected.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int, Fraction]] = ()):
+    def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]] = ()):
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"negative shape {rows}x{cols}")
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], Scalar] = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
             if (r, c) in data:
                 raise DimensionMismatch(f"duplicate entry at ({r},{c})")
-            v = Fraction(v)
-            if v != 0:
+            v = _exact(v)
+            if v:
                 data[r, c] = v
         self.rows = rows
         self.cols = cols
         self._data = data
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "SparseMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "SparseMatrix":
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
         entries = []
@@ -97,21 +128,21 @@ class SparseMatrix:
                 raise DimensionMismatch("ragged rows")
             for j, v in enumerate(row):
                 if v:
-                    entries.append((i, j, Fraction(v)))
+                    entries.append((i, j, v))
         return cls(nr, nc, entries)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, ((i, i, Fraction(1)) for i in range(n)))
+        return cls(n, n, ((i, i, 1) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
         return cls(rows, cols)
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self._data.get((r, c), Fraction(0))
+    def entry(self, r: int, c: int) -> Scalar:
+        return self._data.get((r, c), 0)
 
-    def entries(self) -> Iterator[tuple[int, int, Fraction]]:
+    def entries(self) -> Iterator[tuple[int, int, Scalar]]:
         for (r, c) in sorted(self._data):
             yield r, c, self._data[r, c]
 
@@ -128,40 +159,35 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows, ((c, r, v) for (r, c), v in self._data.items()))
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
+    def row_dicts(self) -> list[dict[int, Scalar]]:
+        out: list[dict[int, Scalar]] = [dict() for _ in range(self.rows)]
         for (r, c), v in self._data.items():
             out[r][c] = v
         return out
 
-    def col_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
+    def col_dicts(self) -> list[dict[int, Scalar]]:
+        out: list[dict[int, Scalar]] = [dict() for _ in range(self.cols)]
         for (r, c), v in self._data.items():
             out[c][r] = v
         return out
 
-    def matvec(self, vec: Sequence[Fraction]) -> Vector:
+    def matvec(self, vec: Sequence[Scalar]) -> Vector:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
-        acc = [Fraction(0)] * self.rows
+        acc: list[Scalar] = [0] * self.rows
         for (r, c), v in self._data.items():
             x = vec[c]
             if x:
                 acc[r] += v * x
-        return tuple(acc)
+        return tuple(map(_exact, acc))
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in other._data.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (r, k), v in self._data.items():
-            _add_scaled(acc, (((r, c), w) for c, w in by_row.get(k, ())), v)
+        acc = _dict_matmul(self._data, other._data)
         return SparseMatrix(self.rows, other.cols, ((r, c, v) for (r, c), v in acc.items()))
 
-    def scaled(self, a: Fraction) -> "SparseMatrix":
+    def scaled(self, a: Scalar) -> "SparseMatrix":
         if a == 0:
             return SparseMatrix(self.rows, self.cols)
         return SparseMatrix(self.rows, self.cols, ((r, c, a * v) for (r, c), v in self._data.items()))
@@ -186,19 +212,17 @@ class SparseMatrix:
 
 def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
     """Scale each nonzero row to primitive integer entries (kernel and rank are unchanged)."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
-    for (r, c), v in m._data.items():
-        rows[r][c] = v
     out = []
-    for row in rows:
+    for row in m.row_dicts():
         if not row:
             continue
         scale = math.lcm(*(v.denominator for v in row.values()))
-        ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-        g = math.gcd(*ints.values())
+        if scale > 1:
+            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        g = math.gcd(*row.values())
         if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
+            row = {c: v // g for c, v in row.items()}
+        out.append(row)
     return out
 
 
@@ -389,9 +413,8 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
     normalized so that the entry at f is 1 and the entries at all other
     free columns are 0.  The basis is therefore canonical.
     """
-    zero = Fraction(0)
     return [
-        tuple(Fraction(nums[c], den) if c in nums else zero for c in range(m.cols))
+        tuple(_exact(Fraction(nums[c], den)) if c in nums else 0 for c in range(m.cols))
         for nums, den in kernel_basis_with_free(m)[0]
     ]
 
@@ -410,21 +433,20 @@ class SpanSolver:
     non-pivot columns.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[Fraction]], ambient_dim: int):
+    def __init__(self, vectors: Sequence[Sequence[Scalar]], ambient_dim: int):
         self.ambient_dim = ambient_dim
         # each reduced row carries the combination of input vectors producing it
-        rows: list[tuple[dict[int, Fraction], dict[int, Fraction]]] = []
+        rows: list[tuple[dict[int, Scalar], dict[int, Scalar]]] = []
         for idx, vec in enumerate(vectors):
             if len(vec) != ambient_dim:
                 raise DimensionMismatch(f"span vector {idx} has length {len(vec)} != {ambient_dim}")
-            row = {i: Fraction(v) for i, v in enumerate(vec) if v}
-            comb = {idx: Fraction(1)}
-            row, comb = self._eliminate(rows, row, comb, -1)
+            row = {i: _exact(v) for i, v in enumerate(vec) if v}
+            row, comb = self._eliminate(rows, row, {idx: 1}, -1)
             if row:
-                lead = min(row)
-                inv = 1 / row[lead]
-                row = {k: v * inv for k, v in row.items()}
-                comb = {k: v * inv for k, v in comb.items()}
+                lead = row[min(row)]
+                if lead != 1:
+                    row = {k: _exact(Fraction(v, lead)) for k, v in row.items()}
+                    comb = {k: _exact(Fraction(v, lead)) for k, v in comb.items()}
                 rows.append((row, comb))
                 rows.sort(key=lambda rc: min(rc[0]))
                 # re-reduce upper entries so the form stays fully reduced
@@ -438,20 +460,21 @@ class SpanSolver:
         self.n_inputs = len(vectors)
 
     @staticmethod
-    def _eliminate(rows, row: dict[int, Fraction], comb: dict[int, Fraction], sign: int):
+    def _eliminate(rows, row: dict[int, Scalar], comb: dict[int, Scalar], sign: int):
         """Clear the lead column of every row in ``rows`` from ``row``.
 
         Each step subtracts coef * (pivot row) from ``row`` and adds
-        sign * coef * (its input combination) to ``comb``.
+        sign * coef * (its input combination) to ``comb``.  Both results
+        come back under the scalar convention.
         """
         for prow, pcomb in rows:
             coef = row.get(min(prow))
             if coef:
                 _add_scaled(row, prow.items(), -coef)
                 _add_scaled(comb, pcomb.items(), sign * coef)
-        return row, comb
+        return {k: _exact(v) for k, v in row.items()}, {k: _exact(v) for k, v in comb.items()}
 
-    def reduce(self, vec: Sequence[Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    def reduce(self, vec: Sequence[Scalar]) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
         """Split ``vec`` = (span part) + residual.
 
         Returns (residual as sparse dict, coordinates of the span part in
@@ -459,16 +482,16 @@ class SpanSolver:
         """
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch in reduce")
-        row = {i: Fraction(v) for i, v in enumerate(vec) if v}
+        row = {i: _exact(v) for i, v in enumerate(vec) if v}
         return self._eliminate(self._rows, row, {}, 1)
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def contains(self, vec: Sequence[Scalar]) -> bool:
         residual, _ = self.reduce(vec)
         return not residual
 
-    def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    def coordinates(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
         """Coordinates of ``vec`` in terms of the input vectors, or None."""
         residual, comb = self.reduce(vec)
         if residual:
             return None
-        return tuple(comb.get(i, Fraction(0)) for i in range(self.n_inputs))
+        return tuple(comb.get(i, 0) for i in range(self.n_inputs))

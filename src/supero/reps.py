@@ -11,7 +11,6 @@ cochain engine also calls directly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan
@@ -21,7 +20,7 @@ from .errors import (
     DimensionMismatch,
     UnsupportedModule,
 )
-from .linalg import SparseMatrix, _add_scaled
+from .linalg import Scalar, SparseMatrix, _add_scaled
 
 
 class Representation:
@@ -60,11 +59,11 @@ class Representation:
     def dim(self) -> int:
         return len(self.parities)
 
-    def action_of_vector(self, coords: Sequence[Fraction]) -> SparseMatrix:
+    def action_of_vector(self, coords: Sequence[Scalar]) -> SparseMatrix:
         """Action matrix of an arbitrary algebra element."""
         if len(coords) != self.algebra.dim:
             raise DimensionMismatch("coordinate length mismatch")
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Scalar] = {}
         for i, c in enumerate(coords):
             if c:
                 _add_scaled(acc, (((r, cc), v) for r, cc, v in self.actions[i].entries()), c)
@@ -89,7 +88,7 @@ def verify_representation(r: Representation) -> tuple[bool, tuple[int, int] | No
         ai = r.actions[i]
         for j in range(g.dim):
             aj = r.actions[j]
-            sign = Fraction(1) if (g.parities[i] * g.parities[j]) % 2 else Fraction(-1)
+            sign = 1 if (g.parities[i] * g.parities[j]) % 2 else -1
             lhs = ai.matmul(aj).add(aj.matmul(ai).scaled(sign))
             rhs = SparseMatrix(r.dim, r.dim)
             for k, c in g.bracket_basis(i, j):
@@ -135,8 +134,7 @@ def dual(r: Representation) -> Representation:
         entries = []
         for row, col, v in r.actions[i].entries():
             # action on the dual basis: x.f_row = -(-1)^{|x||f_row|} v f_col
-            sgn = Fraction(-1) if (g.parities[i] * r.parities[row]) % 2 else Fraction(1)
-            entries.append((col, row, -sgn * v))
+            entries.append((col, row, v if (g.parities[i] * r.parities[row]) % 2 else -v))
         actions.append(SparseMatrix(r.dim, r.dim, entries))
     labels = tuple(f"{lab}*" for lab in r.basis_labels)
     return Representation(g, f"dual({r.name})", r.parities, tuple(actions), labels)
@@ -155,7 +153,7 @@ def tensor(r: Representation, s: Representation) -> Representation:
     parities = tuple((r.parities[a] + s.parities[b]) % 2 for a in range(r.dim) for b in range(s.dim))
     actions = []
     for i in range(g.dim):
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Scalar] = {}
         for row, col, v in r.actions[i].entries():
             _add_scaled(acc, (((idx(row, b), idx(col, b)), v) for b in range(s.dim)))
         for row, col, v in s.actions[i].entries():
@@ -231,12 +229,12 @@ def wedge_insert(
 
 
 def derivation_rows(
-    cols: Sequence[dict[int, Fraction]],
+    cols: Sequence[dict[int, Scalar]],
     parities: Sequence[int],
     monos: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], int],
     sources: Iterable[int],
-) -> dict[int, dict[int, Fraction]]:
+) -> dict[int, dict[int, Scalar]]:
     """Derivation action of one algebra element on normal-form monomials.
 
     ``cols[y]`` is x.y for a module basis vector y, and ``index`` maps each
@@ -249,7 +247,7 @@ def derivation_rows(
 
     rows that no source reaches are absent.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, Scalar]] = {}
     for t in sources:
         mo = monos[t]
         terms = []
@@ -312,7 +310,7 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
     actions = []
     for gi in range(g.dim):
         cols = action_cols[gi]
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Scalar] = {}
         for t, mo in enumerate(monos):
             for i, y in enumerate(mo):
                 rest = mo[:i] + mo[i + 1 :]
@@ -337,7 +335,7 @@ def restrict(r: Representation, h: SubalgebraSpan) -> Representation:
 
 def weight_decomposition(
     r: Representation, torus_indices: Sequence[int] | None = None
-) -> dict[tuple[Fraction, ...], tuple[int, int]]:
+) -> dict[tuple[Scalar, ...], tuple[int, int]]:
     """Simultaneous eigenspace dimensions under the torus, split by parity.
 
     Requires every torus action matrix to be diagonal in the module basis
@@ -351,7 +349,7 @@ def weight_decomposition(
         if not a.is_diagonal():
             raise DecompositionError(f"torus element {t} does not act diagonally on {r.name}")
         diag.append([a.entry(v, v) for v in range(r.dim)])
-    out: dict[tuple[Fraction, ...], list[int]] = {}
+    out: dict[tuple[Scalar, ...], list[int]] = {}
     for v in range(r.dim):
         w = tuple(d[v] for d in diag)
         slot = out.setdefault(w, [0, 0])

@@ -65,12 +65,6 @@ class RootDatum:
     def weights(self) -> list[Weight]:
         return [r.weight for r in self.roots]
 
-    def root_by_weight(self, w: Weight) -> RootSpace | None:
-        for r in self.roots:
-            if r.weight == w:
-                return r
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "superO/1",

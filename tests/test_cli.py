@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +187,22 @@ def test_size_budget_bounds_every_cochain_space():
             for top in range(7):
                 counts = [len(super_monomials((0,) * even + (1,) * odd, p)) for p in range(top + 1)]
                 assert largest_cochain_space(even, odd, top, 3) == 3 * max(counts)
+
+
+def test_coh_huge_N_stops_at_the_first_empty_degree(capsys):
+    # g/h has no odd directions, so every C^p with p > dim g/h = 6 is 0
+    argv = ("coh", "gl", "3", "0", "--sub", "torus", "--format", "json")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv, "-N", "100000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 10  # walking every degree took over a minute
+    _, small, _ = run_cli(capsys, *argv, "-N", "10")
+    huge, small = json.loads(out), json.loads(small)
+    assert huge["rows"][:11] == small["rows"]
+    zero = dict.fromkeys(("dimC_even", "dimC_odd", "rank_d", "dimH_even", "dimH_odd"), 0)
+    assert huge["rows"][11:] == [{**zero, "p": p} for p in range(11, 100001)]
+    assert huge["all_differentials_zero"] == small["all_differentials_zero"]
 
 
 def test_verify_unknown_suite_exit_2(capsys):

@@ -344,12 +344,22 @@ def _rotated_g0_pair():
     return RelativePair(g, span)
 
 
+def _skew_torus_pair():
+    """h of q(2) spanned by 2 E11 + E22: E11 projects to -E22 / 2, and the
+    bracket [F11, F11] = 2 E11 projects to -E22, integral from a Fraction."""
+    g = build_q(2)
+    vec = [0] * g.dim
+    vec[g.torus[0]], vec[g.torus[1]] = 2, 1
+    return RelativePair(g, SubalgebraSpan(g, [vec], "skew-torus"))
+
+
 PAIRS = {
     "gl(2|1)-levi": lambda: _pair(build_gl(2, 1), "levi", (F(1), F(0), F(1))),
     "q(2)-borel": lambda: _pair(build_q(2), "borel"),
     "osp(1|2)-g0": lambda: _pair(build_osp(1, 2), "g0"),
     "p~(2)-levi": lambda: _pair(build_p_tilde(2), "levi", (F(0), F(1))),
     "gl(2|1)-g0-rotated": _rotated_g0_pair,
+    "q(2)-skew-torus": _skew_torus_pair,
 }
 
 
@@ -426,19 +436,42 @@ def test_report_builds_no_rows_for_diagonal_elements():
         assert not built & set(cx.diag_idx)
 
 
+def _check_exact(values, where, seen):
+    """Every value is an int, or a Fraction whose denominator is not 1."""
+    for v in values:
+        assert type(v) in (int, Fraction), (where, v)
+        assert (type(v) is int) == (v.denominator == 1), (where, v)
+        seen.add(type(v))
+
+
 def test_basis_values_are_int_where_integral():
     seen = set()
     for make_pair in PAIRS.values():
         pair = make_pair()
+        name = pair.g.name
+        _check_exact(
+            (v for cols in pair._quotient_cols for col in cols for v in col.values()),
+            (name, "quotient columns"), seen,
+        )
+        _check_exact(
+            (v for row in pair._projected_brackets() for terms in row for _, v in terms),
+            (name, "projected brackets"), seen,
+        )
+        _check_exact(
+            (v for residual in pair.h.projections() for v in residual.values()),
+            (name, "projections"), seen,
+        )
         for mod in (trivial(pair.g), natural(pair.g), adjoint(pair.g)):
             cx = RelativeComplex(pair, mod)
+            _check_exact(
+                (v for cols in cx.m_action_cols + cx.m_cols_by_complement
+                 for col in cols for v in col.values()),
+                (name, mod.name, "M columns"), seen,
+            )
             for p in range(4):
                 for sector, basis in enumerate(cx.space(p).basis):
                     for phi in basis:
-                        for v in phi.values():
-                            assert type(v) in (int, Fraction), (pair.g.name, p, v)
-                            assert (type(v) is int) == (v.denominator == 1), (pair.g.name, p, v)
-                            seen.add(type(v))
+                        _check_exact(phi.values(), (name, mod.name, p), seen)
                         image = cx.apply_differential(p, sector, phi)
                         assert all(type(v) in (int, Fraction) for v in image.values())
-    assert int in seen
+    assert seen == {int, Fraction}

@@ -1,6 +1,7 @@
 """Cross-module invariants and serialization surfaces."""
 
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -99,3 +100,11 @@ def test_growth_rows_carry_raw_dims():
     assert "estimate" in row
     assert isinstance(row["estimate"]["dims"], list)
     assert row["estimate"]["window"][1] == 8
+
+
+def test_cohomology_module_is_not_shadowed_by_its_function():
+    import supero.cohomology as engine
+
+    assert isinstance(engine, types.ModuleType)
+    assert callable(engine.cohomology)
+    assert engine.cohomology.__module__ == "supero.cohomology"

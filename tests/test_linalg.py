@@ -131,6 +131,23 @@ def test_span_solver_residual_on_free_columns():
     assert s.contains(diff)
 
 
+def test_entries_are_int_where_integral():
+    m = SparseMatrix(1, 2, [(0, 0, Fraction(4, 2))])
+    assert type(m.entry(0, 0)) is int and m.entry(0, 0) == 2
+    assert type(m.entry(0, 1)) is int and m.entry(0, 1) == 0  # empty position
+    assert m == SparseMatrix.from_rows([[2, 0]])
+
+
+def test_span_solver_divides_exactly():
+    # an int lead of 3 must scale by Fraction(1, 3), never by the float 1 / 3
+    s = SpanSolver([(3, 1, 0)], 3)
+    residual, comb = s.reduce((1, 0, 5))
+    assert residual == {1: F(-1, 3), 2: 5} and comb == {0: F(1, 3)}
+    assert type(residual[1]) is Fraction and type(residual[2]) is int
+    coords = s.coordinates((6, 2, 0))
+    assert coords == (2,) and type(coords[0]) is int
+
+
 def test_add_scaled_prunes_zeros_and_keeps_order():
     acc = {"x": 1, "y": 2, "z": 3}
     assert _add_scaled(acc, [("y", -1), ("w", 5), ("x", 2)], 2) is acc
