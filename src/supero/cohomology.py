@@ -14,15 +14,17 @@ the span vectors acting diagonally on g/h (``weights``, incremental in p),
 which group the monomials of each degree into weight buckets
 (``buckets``); the action rows of each span vector of h on L^p_s(g/h) per
 (degree, span vector, weight bucket) (``action_rows``); the projected
-brackets and the structure maps of the differential.  ``RelativeComplex(pair,
-M)`` adds the action on M: the diagonal filter, the shortcut plan, the
-equivariant bases, the differential matrices and the report.  One pair
-serves any number of coefficient modules, and a complex asks the pair only
-for the action rows of its non-diagonal span vectors, in the buckets that
-hold its kept monomials.  A span vector that shifts every weight by the
-same amount (``shift``) reaches bucket k only from bucket k - shift, so
-only those monomials are acted on; for one that does not, every monomial
-is a source.  Either way each row is the full row.
+brackets, and the structure maps of the differential per source monomial
+(``source_maps``), built only for the monomials that d reads.
+``RelativeComplex(pair, M)`` adds the action on M: the diagonal filter, the
+shortcut plan, the equivariant bases, the differential matrices and the
+report.  One pair serves any number of coefficient modules, and a complex
+asks the pair only for the action rows of its non-diagonal span vectors, in
+the buckets that hold its kept monomials.  A span vector that shifts every
+weight by the same amount (``shift``) reaches bucket k only from bucket
+k - shift, so only those monomials are acted on; for one that does not,
+every monomial is a source, and one pass builds the rows of every bucket.
+Either way each row is the full row.
 
 Scalars follow the one convention of ``linalg``: ``int`` where the
 denominator is 1 and ``Fraction`` otherwise.  The actions of g/h and of M
@@ -46,6 +48,10 @@ The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 with 1-based positions, pi the projection onto the coordinate complement of
 h, and lifts of quotient vectors given by that complement.  The complex
 splits into even and odd map parities, which the differential preserves.
+The terms are pushed from the monomials of phi's support: a source w
+reaches x ^ w in the second sum, and, for each factor q of w and each
+(x_a, x_b) whose projected bracket holds q, the monomial (w / q) ^ x_a ^ x_b
+in the first.
 
 Cochain bases are found as simultaneous kernels of the equivariance
 constraints.  Two exact reductions keep this affordable at scale, and both
@@ -61,7 +67,9 @@ shortcuts.
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
 ConventionError, naming the first escaping coordinate and its residual,
-instead of silently projecting.
+instead of silently projecting.  The d o d = 0 check reuses those
+coefficients: d(d(phi)) = sum_k c_k d(psi_k), with d on the basis vectors
+psi_k of the next degree built once and shared with the next degree's check.
 """
 
 from __future__ import annotations
@@ -192,7 +200,8 @@ class RelativePair:
         self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
         self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
         self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
-        self._smaps: dict[int, tuple] = {}
+        self._inverse: list[list[tuple[int, int, int, Scalar]]] | None = None
+        self._sources: dict[int, dict[int, tuple[list, list]]] = {}
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Monomial basis of L^p_s(g/h) with parities (no action matrices)."""
@@ -217,19 +226,24 @@ class RelativePair:
         return rows
 
     def _build_action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
-        # only the bucket k - shift(i) reaches bucket k; without a uniform
-        # shift every monomial is a source.  Sources go in ascending order, so
-        # each row is the full row, key order included.
+        # only the bucket k - shift(i) reaches bucket k.  Without a uniform
+        # shift every monomial is a source, so one pass builds the rows of
+        # every bucket of (p, i).  Sources go in ascending order, so each row
+        # is the full row, key order included.
         monos, _ = self.monomials(p)
         buckets = self.buckets(p)
         shift = self.shift(i)
-        if shift is None:
-            sources = range(len(monos))
-        else:
-            sources = buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
+        sources = (
+            range(len(monos)) if shift is None
+            else buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
+        )
         rows = derivation_rows(
             self._quotient_cols[i], self.quotient_parities, monos, self._index(p), sources
         )
+        if shift is None:
+            for k2, ts in buckets.items():
+                self._rows[p, i, k2] = {t: rows.get(t, {}) for t in ts}
+            return self._rows.get((p, i, k), {})
         return {t: rows.get(t, {}) for t in buckets.get(k, ())}
 
     def weight_keys(self, p: int) -> list[tuple[Scalar, ...]]:
@@ -318,57 +332,82 @@ class RelativePair:
             self._proj_brackets = table
         return self._proj_brackets
 
-    def structure_maps(self, p: int):
-        """Adjacency of the two sums of the differential from C^p to C^{p+1}.
+    def _bracket_inverse(self) -> list[list[tuple[int, int, int, Scalar]]]:
+        """For each quotient basis vector q, the (a, b, k, v) such that q is
+        term k of pi[lift(q_a), lift(q_b)] with coefficient v, for a before or
+        equal to b in normal order (the only order a monomial holds them in)."""
+        if self._inverse is None:
+            qpar = self.quotient_parities
+            inverse: list[list[tuple[int, int, int, Scalar]]] = [[] for _ in qpar]
+            for a, row in enumerate(self._projected_brackets()):
+                for b, terms in enumerate(row):
+                    if (qpar[a], a) <= (qpar[b], b):
+                        for k, (q, v) in enumerate(terms):
+                            inverse[q].append((a, b, k, v))
+            self._inverse = inverse
+        return self._inverse
 
-        bracket_adj[w] lists (w1, coeff): contributions phi(...)(w1) taking
-        the value phi at monomial w of L^p, via the projected bracket.
-        action_adj[w] lists (x, w1, sign): apply the lift of quotient basis
-        vector x to phi(monomial w), landing at monomial w1 of L^{p+1}.
+    def source_maps(
+        self, p: int, w: int
+    ) -> tuple[list[tuple[int, Scalar]], list[tuple[int, int, int]]]:
+        """The terms of d from C^p to C^{p+1} that read phi at monomial w of
+        degree p, built on first use and cached per (p, w).
+
+        Bracket terms (t1, coeff): phi(w) contributes coeff * phi(w) to
+        (d phi)(monomial t1 of degree p+1), one term per pair of positions
+        i < j of t1 whose projected bracket holds the factor inserted into
+        the rest.  Action terms (x, t1, sign): the lift of quotient basis
+        vector x acts on phi(w) and lands at t1 = x ^ w, once per position
+        of x in t1.  Both lists follow the position order of the formula in
+        the module docstring: (t1, i, j, term of pi) and (t1, i).
         """
-        if p in self._smaps:
-            return self._smaps[p]
-        monos_hi, _ = self.monomials(p + 1)
-        lo_index = self._index(p)
+        cache = self._sources.setdefault(p, {})
+        hit = cache.get(w)
+        if hit is not None:
+            return hit
+        mo_w = self.monomials(p)[0][w]
+        hi_index = self._index(p + 1)
         qpar = self.quotient_parities
-        proj_table = self._projected_brackets()
-        bracket_adj: dict[int, list[tuple[int, Scalar]]] = {}
-        action_adj: dict[int, list[tuple[int, int, int]]] = {}
-        for t1, mo in enumerate(monos_hi):
-            pref = [0] * (len(mo) + 1)
-            for a, y in enumerate(mo):
-                pref[a + 1] = pref[a] + qpar[y]
-            for i in range(len(mo)):
-                yi = mo[i]
-                # second sum: gamma base sign (1-based position i+1)
-                base = (i + (qpar[yi] * pref[i])) % 2
-                rest_i = mo[:i] + mo[i + 1 :]
-                w_lo = lo_index[rest_i]
-                action_adj.setdefault(w_lo, []).append((yi, t1, -1 if base else 1))
-                for j in range(i + 1, len(mo)):
-                    yj = mo[j]
-                    proj = proj_table[yi][yj]
-                    if not proj:
-                        continue
-                    # sigma sign, 1-based positions
-                    sig = (
-                        (i + 1)
-                        + (j + 1)
-                        + qpar[yi] * pref[i]
-                        + qpar[yj] * (pref[j] + qpar[yi])
-                    ) % 2
-                    ssign = -1 if sig else 1
-                    rest = mo[:i] + mo[i + 1 : j] + mo[j + 1 :]
-                    for q, v in proj:
-                        ins = wedge_insert(q, rest, qpar)
-                        if ins is None:
-                            continue
-                        sgn, mo2 = ins
-                        bracket_adj.setdefault(lo_index[mo2], []).append(
-                            (t1, ssign * sgn * v)
-                        )
-        self._smaps[p] = (bracket_adj, action_adj)
-        return self._smaps[p]
+        # second sum: x at position i of t1, with x ^ w = sign * t1; every
+        # copy of an odd x carries the sign (-1)^{i + |x| pref[i]} of the first
+        action: list[tuple[int, int, int]] = []
+        for x in range(len(qpar)):
+            ins = wedge_insert(x, mo_w, qpar)
+            if ins is not None:
+                sgn, mo = ins
+                action += [(x, hi_index[mo], sgn)] * mo.count(x)
+        action.sort(key=lambda term: term[1])
+        # first sum: w = q ^ rest up to the sign s_q, and every (a, b) whose
+        # projected bracket holds q reaches the target rest ^ a ^ b
+        inverse = self._bracket_inverse()
+        bracket: list[tuple[int, int, int, int, Scalar]] = []
+        for q in dict.fromkeys(mo_w):
+            pos = mo_w.index(q)
+            rest = mo_w[:pos] + mo_w[pos + 1 :]
+            s_q = wedge_insert(q, rest, qpar)[0]
+            for a, b, k, v in inverse[q]:
+                ins = wedge_insert(a, rest, qpar)
+                if ins is None:
+                    continue
+                ins = wedge_insert(b, ins[1], qpar)
+                if ins is None:
+                    continue
+                mo = ins[1]
+                t1 = hi_index[mo]
+                pref = [0]
+                for y in mo:
+                    pref.append(pref[-1] + qpar[y])
+                pa, pb = qpar[a], qpar[b]
+                # the copies of a and of b each form one block of positions
+                first_a, first_b = mo.index(a), mo.index(b)
+                for i in range(first_a, first_a + mo.count(a)):
+                    for j in range(max(i + 1, first_b), first_b + mo.count(b)):
+                        # sigma sign, 1-based positions
+                        sig = (i + j + pa * pref[i] + pb * (pref[j] + pa)) % 2
+                        bracket.append((t1, i, j, k, -s_q * v if sig else s_q * v))
+        bracket.sort(key=lambda term: term[:4])
+        hit = cache[w] = ([(t1, coeff) for t1, _, _, _, coeff in bracket], action)
+        return hit
 
 
 class RelativeComplex:
@@ -403,6 +442,8 @@ class RelativeComplex:
         self._plan_reduction()
         self._spaces: dict[int, CochainSpace] = {}
         self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
+        # ddzero: d on the basis of C^p per (sector, basis index), by degree p
+        self._basis_images: dict[int, dict[tuple[int, int], Cochain]] = {}
 
     # -- constraint reduction plan -------------------------------------------
 
@@ -584,17 +625,22 @@ class RelativeComplex:
     # -- differential ----------------------------------------------------------
 
     def apply_differential(self, p: int, sector: int, phi: Cochain) -> Cochain:
-        bracket_adj, action_adj = self.pair.structure_maps(p)
+        source_maps = self.pair.source_maps
         qpar = self.pair.quotient_parities
+        m_cols = self.m_cols_by_complement
         out: Cochain = {}
         for (v, w), c in phi.items():
-            _add_scaled(out, (((v, t1), coeff) for t1, coeff in bracket_adj.get(w, ())), c)
-            for x, t1, sgn in action_adj.get(w, ()):
-                col = self.m_cols_by_complement[x][v]
+            bracket_terms, action_terms = source_maps(p, w)
+            _add_scaled(out, (((v, t1), coeff) for t1, coeff in bracket_terms), c)
+            neg = None  # -c, built at most once per coordinate
+            for x, t1, sgn in action_terms:
+                col = m_cols[x][v]
                 if col:
-                    if (qpar[x] * sector) % 2:
+                    if qpar[x] and sector:
                         sgn = -sgn
-                    _add_scaled(out, (((v2, t1), a) for v2, a in col.items()), c if sgn > 0 else -c)
+                    if sgn < 0 and neg is None:
+                        neg = -c
+                    _add_scaled(out, (((v2, t1), a) for v2, a in col.items()), c if sgn > 0 else neg)
         return out
 
     def _expand(self, target: Cochain, space: CochainSpace, sector: int) -> list[tuple[int, Scalar]]:
@@ -633,18 +679,30 @@ class RelativeComplex:
     def ddzero(self, p: int) -> bool:
         """Exact check that d(d(phi)) = 0 for every basis cochain of C^p.
 
-        Applies the differential twice as raw cochain maps, so degree p+2
-        only contributes its monomial combinatorics (no equivariant basis
-        is needed there).  Equivalent to the vanishing of the composite
-        matrix, since expansion in an equivariant basis is injective.
+        Each image d(phi) is expanded in the basis of C^{p+1} (``_expand``,
+        which verifies image = sum_k c_k psi_k exactly), so by linearity
+        d(d(phi)) = sum_k c_k d(psi_k).  Each d(psi_k) is built on the first
+        use of that k and kept for ``ddzero(p + 1)``, which needs d on the
+        basis of C^{p+1} anyway; degree p+2 only contributes its monomial
+        combinatorics (no equivariant basis is needed there).
         """
         src = self.space(p)
         dst = self.space(p + 1)
+        images = self._basis_images.pop(p, {})
+        next_images = self._basis_images.setdefault(p + 1, {})
         for sector in (EVEN, ODD):
-            for phi in src.basis[sector]:
-                image = self.apply_differential(p, sector, phi)
-                self._expand(image, dst, sector)  # consistency: image lies in C^{p+1}
-                if self.apply_differential(p + 1, sector, image):
+            for k, phi in enumerate(src.basis[sector]):
+                image = images.pop((sector, k), None)
+                if image is None:
+                    image = self.apply_differential(p, sector, phi)
+                dd: Cochain = {}
+                for k2, c in self._expand(image, dst, sector):
+                    d_psi = next_images.get((sector, k2))
+                    if d_psi is None:
+                        psi = dst.basis[sector][k2]
+                        d_psi = next_images[sector, k2] = self.apply_differential(p + 1, sector, psi)
+                    _add_scaled(dd, d_psi.items(), c)
+                if dd:
                     return False
         return True
 

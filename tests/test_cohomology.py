@@ -25,7 +25,7 @@ from supero.cohomology import (
     relative_ext,
 )
 from supero.errors import AlgebraMismatch, ConventionError, NotASubalgebra
-from supero.reps import adjoint, natural, restrict, super_exterior_power, trivial
+from supero.reps import adjoint, natural, restrict, super_exterior_power, trivial, wedge_insert
 from supero.roots import named_subalgebra
 
 F = Fraction
@@ -475,3 +475,127 @@ def test_basis_values_are_int_where_integral():
                         image = cx.apply_differential(p, sector, phi)
                         assert all(type(v) in (int, Fraction) for v in image.values())
     assert seen == {int, Fraction}
+
+
+# --- structure maps per source monomial ------------------------------------
+
+
+def _pull_structure_maps(pair, p):
+    """Oracle: the two sums of d from C^p to C^{p+1} pulled from every
+    monomial of degree p+1 and every position pair (i, j), keyed by the
+    source monomial of degree p."""
+    monos_hi, _ = pair.monomials(p + 1)
+    lo_index = {mo: t for t, mo in enumerate(pair.monomials(p)[0])}
+    qpar = pair.quotient_parities
+    proj_table = pair._projected_brackets()
+    bracket_adj, action_adj = {}, {}
+    for t1, mo in enumerate(monos_hi):
+        pref = [0] * (len(mo) + 1)
+        for a, y in enumerate(mo):
+            pref[a + 1] = pref[a] + qpar[y]
+        for i in range(len(mo)):
+            yi = mo[i]
+            base = (i + (qpar[yi] * pref[i])) % 2
+            w_lo = lo_index[mo[:i] + mo[i + 1 :]]
+            action_adj.setdefault(w_lo, []).append((yi, t1, -1 if base else 1))
+            for j in range(i + 1, len(mo)):
+                yj = mo[j]
+                proj = proj_table[yi][yj]
+                if not proj:
+                    continue
+                sig = (
+                    (i + 1) + (j + 1) + qpar[yi] * pref[i] + qpar[yj] * (pref[j] + qpar[yi])
+                ) % 2
+                ssign = -1 if sig else 1
+                rest = mo[:i] + mo[i + 1 : j] + mo[j + 1 :]
+                for q, v in proj:
+                    ins = wedge_insert(q, rest, qpar)
+                    if ins is None:
+                        continue
+                    sgn, mo2 = ins
+                    bracket_adj.setdefault(lo_index[mo2], []).append((t1, ssign * sgn * v))
+    return bracket_adj, action_adj
+
+
+@pytest.mark.parametrize("case", PAIRS)
+def test_source_maps_match_pull_form(case):
+    pair = PAIRS[case]()
+    repeated_odd = False
+    for p in range(6):
+        bracket_adj, action_adj = _pull_structure_maps(pair, p)
+        for w, mo in enumerate(pair.monomials(p)[0]):
+            bracket, action = pair.source_maps(p, w)
+            # entry for entry: order, signs, types and repeated terms
+            assert bracket == bracket_adj.get(w, []), (p, mo)
+            assert [type(c) for _, c in bracket] == [type(c) for _, c in bracket_adj.get(w, [])]
+            assert action == action_adj.get(w, []), (p, mo)
+            repeated_odd = repeated_odd or len(action) > len(set(action))
+    assert repeated_odd == any(par for par in pair.quotient_parities)
+
+
+@pytest.mark.parametrize("p_break", [0, 1, 2])
+def test_ddzero_sees_one_broken_sign(p_break, monkeypatch):
+    engine = importlib.import_module("supero.cohomology")
+    g = build_gl(2, 1)
+    pair = RelativePair(g, named_subalgebra(g, "torus"))
+    cx = RelativeComplex(pair, adjoint(g))
+    # the first source monomial of degree p_break read by a basis cochain
+    w0 = next(w for phi in cx.space(p_break).basis[0] for _, w in phi)
+    source_maps = engine.RelativePair.source_maps
+
+    def broken(self, p, w):
+        bracket, action = source_maps(self, p, w)
+        if (p, w) == (p_break, w0):  # flip the first term's sign
+            if bracket:
+                (t1, coeff), *tail = bracket
+                bracket = [(t1, -coeff), *tail]
+            else:
+                (x, t1, sgn), *tail = action
+                action = [(x, t1, -sgn), *tail]
+        return bracket, action
+
+    monkeypatch.setattr(engine.RelativePair, "source_maps", broken)
+    try:
+        assert not all(cx.ddzero(p) for p in range(p_break + 1))
+    except ConventionError:
+        pass
+
+
+def test_source_maps_built_only_where_d_reads():
+    g = build_gl(2, 2)
+    pair = _pair(g, "levi", (F(3), F(2), F(1), F(0)))
+    cx = RelativeComplex(pair, trivial(g))
+    assert cx.report(6).dims() == [1, 0, 3, 0, 5, 0, 7]
+    assert all(cx.ddzero(p) for p in range(6))
+    # monomials in the support of some basis vector of C^p or of some image
+    # d(psi) of a basis vector psi of C^{p-1}
+    read = {p: set() for p in range(8)}
+    for p in range(7):
+        for sector in (0, 1):
+            for phi in cx.space(p).basis[sector]:
+                read[p].update(w for _, w in phi)
+                read[p + 1].update(w for _, w in cx.apply_differential(p, sector, phi))
+    assert sorted(pair._sources) == [0, 2, 3, 4, 5, 6]
+    for p, cache in pair._sources.items():
+        assert set(cache) <= read[p], p
+    assert len(pair._sources[6]) == 80 < len(pair.monomials(6)[0]) // 90
+
+
+def test_nonuniform_shift_acts_on_each_monomial_once_per_vector(monkeypatch):
+    engine = importlib.import_module("supero.cohomology")
+    pair = _rotated_g0_pair()
+    quotient_cols = {id(cols): i for i, cols in enumerate(pair._quotient_cols)}
+    acted = []
+    derivation_rows = engine.derivation_rows
+
+    def counted(cols, parities, monos, index, sources):
+        sources = list(sources)
+        p = len(monos[0]) if monos else 0
+        acted.extend((p, quotient_cols[id(cols)], t) for t in sources)
+        return derivation_rows(cols, parities, monos, index, sources)
+
+    monkeypatch.setattr(engine, "derivation_rows", counted)
+    RelativeComplex(pair, adjoint(pair.g)).report(4)
+    mixed = {i for _, i, _ in acted if pair.shift(i) is None}
+    assert mixed == {3, 4}
+    assert len(acted) == len(set(acted))

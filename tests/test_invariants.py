@@ -216,3 +216,27 @@ def test_degree_zero_cohomology_is_the_invariant_subspace():
                 assert h0 == expected, (g.name, hname, mod.name)
                 cells += 1
     assert cells == 132
+
+
+# --- the complexity bound on cells with many odd directions -------------------
+
+
+@pytest.mark.parametrize(
+    "g, max_degree, dims, odd_dim",
+    [
+        (build_gl(2, 2), 8, [1, 0, 1, 0, 2, 0, 2, 0, 3], 8),
+        (build_q(3), 6, [1, 1, 2, 3, 4, 5, 7], 9),
+    ],
+    ids=["gl(2|2)", "q(3)"],
+)
+def test_even_part_cohomology_and_growth_within_odd_dimension(g, max_degree, dims, odd_dim):
+    h = even_part_span(g)
+    pair = RelativePair(g, h)
+    report = RelativeComplex(pair, trivial(g)).report(max_degree)
+    # H(g, g0; C) against the invariant ring S(g1*)^{g0}, a separate pipeline
+    assert report.dims() == invariant_dims(g, max_degree).dims == dims
+    est = ext_growth(g, h, trivial(g), trivial(g), max_degree, pair)
+    assert est.dims == dims
+    assert est.bound == odd_dim == len(g.odd_indices)
+    assert not est.eventually_zero
+    assert est.within_bound
