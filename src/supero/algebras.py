@@ -29,7 +29,7 @@ from .errors import (
     NotASubalgebra,
     UnsupportedRank,
 )
-from .linalg import Scalar, SpanSolver, SparseMatrix, _add_scaled, _dict_matmul, _exact, kernel_basis
+from .linalg import Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact, kernel_basis
 
 EVEN = 0
 ODD = 1
@@ -65,7 +65,7 @@ class LieSuperalgebra:
         self,
         name: str,
         parities: Sequence[int],
-        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]],
+        table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]],
         torus: Sequence[int],
         basis_labels: Sequence[str] | None = None,
         matrix_model: tuple[int, tuple[int, ...], tuple[MatDict, ...]] | None = None,
@@ -98,7 +98,7 @@ class LieSuperalgebra:
     def parity(self, i: int) -> int:
         return self.parities[i]
 
-    def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+    def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         return self.table.get((i, j), ())
 
     def bracket_basis_vec(self, i: int, y: SparseVec) -> SparseVec:
@@ -123,7 +123,7 @@ class LieSuperalgebra:
                 entries.append((k, j, v))
         return SparseMatrix(self.dim, self.dim, entries)
 
-    def weight_of_basis_index(self, j: int) -> tuple[Fraction, ...]:
+    def weight_of_basis_index(self, j: int) -> Vector:
         """Joint ad-eigenvalue of basis vector j under the designated torus.
 
         Requires the torus to act diagonally (true for built-ins); checked
@@ -164,9 +164,13 @@ class LieSuperalgebra:
         """Inverse of ``to_json_dict``; raises DimensionMismatch on a missing
         key, a malformed or repeated bracket entry, bad indices, parities or
         denominators."""
+        if not isinstance(d, dict):
+            raise DimensionMismatch("algebra JSON is not an object")
         for key in ("name", "parities", "torus", "bracket"):
             if key not in d:
                 raise DimensionMismatch(f"algebra JSON has no {key!r} key")
+            if key != "name" and not isinstance(d[key], (list, tuple)):
+                raise DimensionMismatch(f"algebra JSON {key!r} is not a list")
         parities = d["parities"]
         n = len(parities)
         if d.get("dim", n) != n:
@@ -175,8 +179,10 @@ class LieSuperalgebra:
             if p not in (EVEN, ODD):
                 raise DimensionMismatch(f"parity {p!r} is not 0 or 1")
         for t in d["torus"]:
-            if not 0 <= t < n:
-                raise DimensionMismatch(f"torus index {t} outside 0..{n - 1}")
+            if not (isinstance(t, int) and 0 <= t < n):
+                raise DimensionMismatch(f"torus index {t!r} outside 0..{n - 1}")
+            if parities[t] != EVEN:
+                raise DimensionMismatch(f"torus index {t} is odd")
         table = {}
         for entry in d["bracket"]:
             if not (_is_triple(entry, 2) and isinstance(entry[2], (list, tuple))):
@@ -210,14 +216,14 @@ class LieSuperalgebra:
         return f"LieSuperalgebra({self.name!r}, dim={self.dim})"
 
 
-def bracket(g: LieSuperalgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def bracket(g: LieSuperalgebra, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
     """Bilinear extension of the structure-constant table."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatch(f"vectors must have length {g.dim}")
-    xs = {i: Fraction(v) for i, v in enumerate(x) if v}
-    ys = {j: Fraction(v) for j, v in enumerate(y) if v}
+    xs = {i: _exact(v) for i, v in enumerate(x) if v}
+    ys = {j: _exact(v) for j, v in enumerate(y) if v}
     out = g.bracket_sparse(xs, ys)
-    return tuple(out.get(k, Fraction(0)) for k in range(g.dim))
+    return tuple(_exact(out.get(k, 0)) for k in range(g.dim))
 
 
 def check_super_antisymmetry(g: LieSuperalgebra) -> tuple[bool, tuple[int, int] | None]:
@@ -295,7 +301,7 @@ def _from_matrix_basis(
     solver = SpanSolver(flat, size * size)
     if solver.rank != len(mats):
         raise NotASubalgebra(f"{name}: matrix basis is linearly dependent")
-    table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
     for i in range(len(mats)):
         for j in range(len(mats)):
             comm = _super_commutator(mats[i], mats[j], parities[i], parities[j])
@@ -424,33 +430,33 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
     def pair(a: int) -> int:
         return (m - 1 - a) if a < m else m + (two_n - 1 - (a - m))
 
-    def phi(a: int, b: int) -> Fraction:
+    def phi(a: int, b: int) -> int:
         # Gram matrix: antidiag 1's on the symmetric part, antidiag +-1 on J
         if a < m and b < m:
-            return Fraction(1) if b == m - 1 - a else Fraction(0)
+            return 1 if b == m - 1 - a else 0
         if a >= m and b >= m:
             j = a - m
             if b - m == two_n - 1 - j:
-                return Fraction(1) if j < n else Fraction(-1)
-        return Fraction(0)
+                return 1 if j < n else -1
+        return 0
 
-    def coord_weight(a: int) -> tuple[Fraction, ...]:
-        w = [Fraction(0)] * rank_t
+    def coord_weight(a: int) -> tuple[int, ...]:
+        w = [0] * rank_t
         if a < m:
             if a < k:
-                w[a] = Fraction(1)
+                w[a] = 1
             elif m - 1 - a < k:
-                w[m - 1 - a] = Fraction(-1)
+                w[m - 1 - a] = -1
         else:
             j = a - m
             if j < n:
-                w[k + j] = Fraction(1)
+                w[k + j] = 1
             else:
-                w[k + (two_n - 1 - j)] = Fraction(-1)
+                w[k + (two_n - 1 - j)] = -1
         return tuple(w)
 
     # unknown entries grouped by (parity sector, weight)
-    groups: dict[tuple[int, tuple[Fraction, ...]], list[tuple[int, int]]] = {}
+    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
     for a in range(size):
         wa = coord_weight(a)
         for b in range(size):
@@ -463,13 +469,13 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
         index = {pos: i for i, pos in enumerate(positions)}
         # invariance of the form: for every output position (a, b),
         #   phi(P(b), b) X[P(b), a] + (-1)^{sector*par(a)} phi(a, P(a)) X[P(a), b] = 0
-        eq_rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        eq_rows: dict[tuple[int, int], dict[int, int]] = {}
         for (c, d) in positions:
             col = index[c, d]
             b = pair(c)  # X[c, d] appears in equation (d, b) via the first sum
             _add_scaled(eq_rows.setdefault((d, b), {}), [(col, phi(c, b))])
             a = pair(c)  # and in equation (a, d) via the second sum
-            sgn = Fraction(-1) if (sector * cpar[a]) % 2 else Fraction(1)
+            sgn = -1 if (sector * cpar[a]) % 2 else 1
             _add_scaled(eq_rows.setdefault((a, d), {}), [(col, sgn * phi(a, c))])
         rows = [eq_rows[key] for key in sorted(eq_rows) if eq_rows[key]]
         mat = SparseMatrix(
@@ -480,7 +486,7 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
         out = []
         for vec in kernel_basis(mat):
             scale = math.lcm(*(x.denominator for x in vec if x)) if any(vec) else 1
-            out.append({positions[i]: x * scale for i, x in enumerate(vec) if x})
+            out.append({positions[i]: _exact(x * scale) for i, x in enumerate(vec) if x})
         return out
 
     mats: list[MatDict] = []
@@ -488,14 +494,12 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
     labels: list[str] = []
 
     # Cartan first: H_i = E[i,i] - E[pair(i), pair(i)]
-    zero_wt = tuple(Fraction(0) for _ in range(rank_t))
+    zero_wt = (0,) * rank_t
     cartan: list[MatDict] = []
     for i in range(k):
-        cartan.append({(i, i): Fraction(1), (m - 1 - i, m - 1 - i): Fraction(-1)})
+        cartan.append({(i, i): 1, (m - 1 - i, m - 1 - i): -1})
     for j in range(n):
-        cartan.append(
-            {(m + j, m + j): Fraction(1), (m + two_n - 1 - j, m + two_n - 1 - j): Fraction(-1)}
-        )
+        cartan.append({(m + j, m + j): 1, (m + two_n - 1 - j, m + two_n - 1 - j): -1})
     zero_solutions = solve_block(EVEN, groups.pop((EVEN, zero_wt)))
     if len(zero_solutions) != rank_t:
         raise FormError(f"osp({m}|{two_n}): unexpected Cartan dimension {len(zero_solutions)}")
@@ -533,12 +537,12 @@ def _check_osp_constraint(x: MatDict, phi, size: int, cpar, sector: int) -> MatD
     out: MatDict = {}
     for a in range(size):
         for b in range(size):
-            s = Fraction(0)
+            s = 0
             for (c, d), v in x.items():
                 if d == a:
                     s += v * phi(c, b)
                 if d == b:
-                    sgn = Fraction(-1) if (sector * cpar[a]) % 2 else Fraction(1)
+                    sgn = -1 if (sector * cpar[a]) % 2 else 1
                     s += sgn * phi(a, c) * v
             if s:
                 out[a, b] = s
@@ -559,7 +563,7 @@ class SubalgebraSpan:
 
     __slots__ = ("parent", "vectors", "label", "vector_parities", "solver", "_projections")
 
-    def __init__(self, parent: LieSuperalgebra, vectors: Sequence[Sequence[Fraction]], label: str = "span"):
+    def __init__(self, parent: LieSuperalgebra, vectors: Sequence[Sequence[Scalar]], label: str = "span"):
         self.parent = parent
         vecs = []
         pars = []
@@ -579,7 +583,7 @@ class SubalgebraSpan:
         self.solver = SpanSolver(self.vectors, parent.dim)
         if self.solver.rank != len(self.vectors):
             raise NotASubalgebra(f"{label}: span vectors are linearly dependent")
-        self._projections: list[dict[int, Fraction]] | None = None
+        self._projections: list[SparseVec] | None = None
 
     @property
     def dim(self) -> int:
@@ -588,10 +592,10 @@ class SubalgebraSpan:
     def sparse_vectors(self) -> list[SparseVec]:
         return [{i: v for i, v in enumerate(vec) if v} for vec in self.vectors]
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def contains(self, vec: Sequence[Scalar]) -> bool:
         return self.solver.contains(vec)
 
-    def projections(self) -> list[dict[int, Fraction]]:
+    def projections(self) -> list[SparseVec]:
         """Residual of each parent basis vector modulo the span, cached.
 
         The residual lives on the non-pivot columns, so this is the
@@ -631,7 +635,7 @@ class SubalgebraSpan:
         """
         sparse = self.sparse_vectors()
         torus_set = set(self.parent.torus)
-        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
         for i in range(self.dim):
             for j in range(self.dim):
                 out = self.parent.bracket_sparse(sparse[i], sparse[j])
@@ -700,9 +704,9 @@ def special_linear_span(g: LieSuperalgebra, m: int, n: int) -> SubalgebraSpan:
 
     vectors = []
     for i in range(1, size):
-        vec = [Fraction(0)] * g.dim
-        vec[e(i, i)] = Fraction(1)
-        vec[e(i + 1, i + 1)] = Fraction(1) if i == m else Fraction(-1)
+        vec = [0] * g.dim
+        vec[e(i, i)] = 1
+        vec[e(i + 1, i + 1)] = 1 if i == m else -1
         vectors.append(tuple(vec))
     for par in (EVEN, ODD):
         for i in range(1, size + 1):
@@ -712,8 +716,8 @@ def special_linear_span(g: LieSuperalgebra, m: int, n: int) -> SubalgebraSpan:
                 idx = e(i, j)
                 if g.parities[idx] != par:
                     continue
-                vec = [Fraction(0)] * g.dim
-                vec[idx] = Fraction(1)
+                vec = [0] * g.dim
+                vec[idx] = 1
                 vectors.append(tuple(vec))
     return SubalgebraSpan(g, vectors, f"sl({m}|{n})")
 
@@ -738,7 +742,7 @@ def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
     for x in sparse:
         entries = []
         for t, c in enumerate(complement):
-            residual: dict[int, Fraction] = {}
+            residual: SparseVec = {}
             for k, v in g.bracket_sparse(x, {c: 1}).items():
                 _add_scaled(residual, projections[k].items(), v)
             for kk, v in residual.items():

@@ -12,16 +12,15 @@ degree cap exceeds that bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import EVEN, LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import cohomology
 from .errors import PositivityNotEstablished, UnsupportedRank, UnsupportedSubalgebra
+from .linalg import Scalar, Vector, _exact
 from .reps import trivial
 
-Vec = tuple[Fraction, ...]
+Vec = Vector
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,12 @@ class GradingTorus:
             raise UnsupportedRank(
                 f"{self.label}: weight has {len(weight)} coordinates, expected {len(self.values)}"
             )
-        acc = [Fraction(0)] * self.rank
+        acc = [0] * self.rank
         for c, vec in zip(weight, self.values):
             if c:
                 for t in range(self.rank):
                     acc[t] += c * vec[t]
-        return tuple(acc)
+        return tuple(map(_exact, acc))
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,7 +61,7 @@ class GradingTorus:
 
 
 def _rank1(vals: list[int]) -> tuple[Vec, ...]:
-    return tuple((Fraction(v),) for v in vals)
+    return tuple((v,) for v in vals)
 
 
 def appendix_torus(family: str, params: tuple = ()) -> GradingTorus:
@@ -99,29 +98,24 @@ def appendix_torus(family: str, params: tuple = ()) -> GradingTorus:
         vals = [n + 1 - i for i in range(1, n + 1)] * 2
         return GradingTorus(f"osp({2 * n}|{2 * n})", 1, "torus-dual", _rank1(vals))
     if family == "d21a":
-        values = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)), (Fraction(2), Fraction(2)))
+        values = ((2, 0), (0, 2), (2, 2))
         return GradingTorus("D(2,1;a)", 2, "simple-roots", values)
     if family == "g3":
         # coordinates: sl2 root, then the two G2 simple roots (alpha2 long)
-        values = ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        values = ((0, 2), (1, 0), (0, 1))
         return GradingTorus("G(3)", 2, "simple-roots", values)
     if family == "f4":
         # coordinates: sl2 root, then the three so(7) simple roots; the
         # two-parameter pattern follows the G(3) calibrated construction
-        values = (
-            (Fraction(0), Fraction(2)),
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(1), Fraction(0)),
-        )
+        values = ((0, 2), (1, 0), (0, 1), (1, 0))
         return GradingTorus("F(4)", 2, "simple-roots", values)
     raise UnsupportedRank(f"unknown grading family {family!r}")
 
 
 def _unit(size: int, *entries: tuple[int, int]) -> Vec:
-    v = [Fraction(0)] * size
+    v = [0] * size
     for i, c in entries:
-        v[i] += Fraction(c)
+        v[i] += c
     return tuple(v)
 
 
@@ -221,7 +215,7 @@ def check_positive_grading(gt: GradingTorus, roots: list[Vec]) -> tuple[bool, Ve
 
 @dataclass(frozen=True)
 class CountCertificate:
-    epsilon: Fraction
+    epsilon: Scalar
     degree_bound: int
     cap: int
     stable: bool
@@ -240,7 +234,7 @@ class CountCertificate:
 def count_graded_monomials(
     gt: GradingTorus,
     roots: list[Vec],
-    target: Vec | Fraction | int,
+    target: Vec | Scalar,
     cap: int,
 ) -> tuple[int, CountCertificate]:
     """Monomials in the root variables whose grading values sum to target.
@@ -253,19 +247,18 @@ def count_graded_monomials(
     ok, witness = check_positive_grading(gt, roots)
     if not ok:
         raise PositivityNotEstablished(f"grading not positive at root {witness}")
-    if isinstance(target, (int, Fraction)):
-        target_v: Vec = (Fraction(target),) + (Fraction(0),) * (gt.rank - 1)
-    else:
-        target_v = tuple(Fraction(c) for c in target)
-        if len(target_v) != gt.rank:
-            raise UnsupportedRank("target length must equal the torus rank")
+    if not isinstance(target, (tuple, list)):
+        target = (target,) + (0,) * (gt.rank - 1)
+    target_v = tuple(map(_exact, target))
+    if len(target_v) != gt.rank:
+        raise UnsupportedRank("target length must equal the torus rank")
     values = [gt.pair(r) for r in roots]
-    epsilon = min(sum(v) for v in values)
+    epsilon = _exact(min(sum(v) for v in values))
     total = sum(target_v)
-    degree_bound = max(0, math.ceil(total / epsilon)) if total >= 0 else 0
+    degree_bound = -(-total // epsilon) if total >= 0 else 0  # exact ceiling
     limit = max(cap, degree_bound)
     # dp[value][degree] = number of monomials; roots are distinguishable variables
-    dp: dict[Vec, dict[int, int]] = {tuple(Fraction(0) for _ in range(gt.rank)): {0: 1}}
+    dp: dict[Vec, dict[int, int]] = {(0,) * gt.rank: {0: 1}}
     for val in values:
         new: dict[Vec, dict[int, int]] = {}
         for base, degs in dp.items():

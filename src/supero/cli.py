@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedRank,
     UnsupportedSubalgebra,
 )
+from .linalg import Scalar, _exact
 from .reps import Representation, adjoint, dual, natural, super_monomial_count, tensor, trivial
 from .roots import named_subalgebra
 from .suites import SUITES, run_suite
@@ -94,14 +95,14 @@ def build_family(family: str, params: list[int]) -> LieSuperalgebra:
     raise UnsupportedRank(f"unknown family {family!r} (choose gl, sl, q, p_tilde, osp)")
 
 
-def parse_rationals(text: str) -> tuple[Fraction, ...]:
+def parse_rationals(text: str) -> tuple[Scalar, ...]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            out.append(Fraction(piece))
+            out.append(_exact(Fraction(piece)))
         except (ValueError, ZeroDivisionError):
             raise UnsupportedSubalgebra(f"not a rational number: {piece!r}") from None
     return tuple(out)
@@ -117,7 +118,14 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
         elif ch == ")":
             depth -= 1
         elif ch == "*" and depth == 0:
-            return tensor(parse_module(g, spec[:i]), parse_module(g, spec[i + 1 :]))
+            left, right = parse_module(g, spec[:i]), parse_module(g, spec[i + 1 :])
+            # C^0 alone has dim M coordinates, so a larger M is over budget anyway
+            if left.dim * right.dim > COCHAIN_BUDGET:
+                raise DimensionMismatch(
+                    f"request too large: module {spec!r} has dimension "
+                    f"{left.dim * right.dim}, over the budget of {COCHAIN_BUDGET}"
+                )
+            return tensor(left, right)
     if spec.startswith("dual(") and spec.endswith(")"):
         return dual(parse_module(g, spec[5:-1]))
     if spec == "trivial":
@@ -129,7 +137,7 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
     raise UnsupportedModule(f"cannot parse module spec {spec!r}")
 
 
-def parse_subalgebra(g: LieSuperalgebra, spec: str, H: tuple[Fraction, ...] | None) -> SubalgebraSpan:
+def parse_subalgebra(g: LieSuperalgebra, spec: str, H: tuple[Scalar, ...] | None) -> SubalgebraSpan:
     if spec.startswith("span:"):
         path = spec[5:]
         try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import RelativePair, cohomology, relative_ext

@@ -32,6 +32,14 @@ a ``SparseMatrix``, a ``SpanSolver`` residual or coordinate, or a dense
 kernel vector follows it.  So an integral entry is stored as the ``int``
 it already is, and the integral bulk of the arithmetic downstream never
 builds a ``Fraction``.
+
+The convention holds in every module, and no other module decides it.
+Elsewhere integral constants are written as ``int``s, and ``_exact`` is
+applied in two places only: once where outside input enters (parsed
+``--H`` values, span files and algebra JSON; the vectors, functionals and
+targets callers pass to the public functions), and to a result of
+``Fraction`` arithmetic that may come out integral before it is returned
+(``algebras.bracket``, ``roots.pair``, ``checks.GradingTorus.pair``).
 """
 
 from __future__ import annotations

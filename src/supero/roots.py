@@ -2,14 +2,14 @@
 
 Weights live in the dual of the designated even torus and are represented
 as tuples of rationals (coordinates against the torus generators fixed by
-each family constructor).  Functionals pair against weights by the dot
-product; all sign decisions are exact.
+each family constructor), under the scalar convention of ``linalg``.
+Functionals pair against weights by the dot product; all sign decisions
+are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .algebras import (
@@ -23,9 +23,10 @@ from .algebras import (
     full_span,
 )
 from .errors import DimensionMismatch, NotASubalgebra, UnsupportedSubalgebra
+from .linalg import Scalar, Vector, _exact
 
-Weight = tuple[Fraction, ...]
-Functional = tuple[Fraction, ...]
+Weight = Vector
+Functional = Vector
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
         w = g.weight_of_basis_index(j)
         slot = by_weight.setdefault(w, ([], []))
         slot[g.parities[j]].append(j)
-    zero = tuple(Fraction(0) for _ in g.torus)
+    zero = (0,) * len(g.torus)
     zero_slot = by_weight.pop(zero, ([], []))
     roots = tuple(
         RootSpace(w, tuple(ev), tuple(od))
@@ -97,10 +98,10 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     return RootDatum(g, roots, tuple(sorted(zero_slot[0] + zero_slot[1])))
 
 
-def pair(H: Functional, w: Weight) -> Fraction:
+def pair(H: Functional, w: Weight) -> Scalar:
     if len(H) != len(w):
         raise DimensionMismatch("functional length != weight length")
-    return sum((a * b for a, b in zip(H, w)), Fraction(0))
+    return _exact(sum(a * b for a, b in zip(H, w)))
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,14 @@ class ParabolicDecomposition:
         }
 
 
-def principal_parabolic(rd: RootDatum, H: Sequence[Fraction]) -> ParabolicDecomposition:
+def principal_parabolic(rd: RootDatum, H: Sequence[Scalar]) -> ParabolicDecomposition:
     """Partition the roots by sign of H and build (n-, l, n+).
 
     The Levi gets the whole zero-weight space (for q(n) this includes the
     odd part of the Cartan) plus the root spaces with H(alpha) = 0.
     """
     g = rd.algebra
-    Ht = tuple(Fraction(x) for x in H)
+    Ht = tuple(map(_exact, H))
     if len(Ht) != rd.rank:
         raise DimensionMismatch(f"functional length {len(Ht)} != torus rank {rd.rank}")
     plus, zero, minus = [], [], []
@@ -169,7 +170,7 @@ def principal_parabolic(rd: RootDatum, H: Sequence[Fraction]) -> ParabolicDecomp
 def check_parabolic_axioms(
     rd: RootDatum,
     P: Sequence[Weight],
-    H: Sequence[Fraction] | None = None,
+    H: Sequence[Scalar] | None = None,
 ) -> tuple[bool, tuple | None]:
     """Parabolic-subset axioms for a set of root weights.
 
@@ -199,7 +200,7 @@ def check_parabolic_axioms(
         raise UnsupportedSubalgebra(
             "asymmetric root system: supply the functional H to test P = P_H"
         )
-    Ht = tuple(Fraction(x) for x in H)
+    Ht = tuple(map(_exact, H))
     expected = {r.weight for r in rd.roots if pair(Ht, r.weight) >= 0}
     if pset != expected:
         diff = sorted(pset.symmetric_difference(expected))[0]
@@ -211,14 +212,15 @@ Comparison = Literal["less", "equal", "greater", "incomparable"]
 
 
 def proset_compare(
-    lam: tuple[Weight, int], mu: tuple[Weight, int], H: Sequence[Fraction]
+    lam: tuple[Weight, int], mu: tuple[Weight, int], H: Sequence[Scalar]
 ) -> Comparison:
     """Preorder on (weight, parity-index) pairs: compare H-values, same parity only."""
     (wl, il), (wm, im) = lam, mu
     if il != im:
         return "incomparable"
-    a = pair(tuple(Fraction(x) for x in H), wl)
-    b = pair(tuple(Fraction(x) for x in H), wm)
+    Ht = tuple(map(_exact, H))
+    a = pair(Ht, wl)
+    b = pair(Ht, wm)
     if a < b:
         return "less"
     if a > b:
@@ -238,7 +240,7 @@ def generic_functional(rd: RootDatum) -> Functional:
         return ()
     base = 2
     while True:
-        H = tuple(Fraction(base ** (rank - 1 - i)) for i in range(rank))
+        H = tuple(base ** (rank - 1 - i) for i in range(rank))
         if all(pair(H, r.weight) != 0 for r in rd.roots):
             return H
         base += 1
@@ -246,11 +248,10 @@ def generic_functional(rd: RootDatum) -> Functional:
             raise UnsupportedSubalgebra("no separating functional found (unexpected)")
 
 
-def borel_span(g: LieSuperalgebra, rd: RootDatum | None = None, H: Sequence[Fraction] | None = None) -> SubalgebraSpan:
+def borel_span(g: LieSuperalgebra, rd: RootDatum | None = None, H: Sequence[Scalar] | None = None) -> SubalgebraSpan:
     """Zero-weight space plus all positive root spaces for H (generic by default)."""
     rd = rd or root_decomposition(g)
-    Ht = tuple(Fraction(x) for x in H) if H is not None else generic_functional(rd)
-    dec = principal_parabolic(rd, Ht)
+    dec = principal_parabolic(rd, H if H is not None else generic_functional(rd))
     idx = list(rd.zero_weight_indices)
     for r in dec.phi_zero:
         idx += list(r.even_indices + r.odd_indices)
@@ -259,14 +260,14 @@ def borel_span(g: LieSuperalgebra, rd: RootDatum | None = None, H: Sequence[Frac
     return _unit_span(g, idx, "borel")
 
 
-def levi_span(g: LieSuperalgebra, H: Sequence[Fraction], rd: RootDatum | None = None) -> SubalgebraSpan:
+def levi_span(g: LieSuperalgebra, H: Sequence[Scalar], rd: RootDatum | None = None) -> SubalgebraSpan:
     rd = rd or root_decomposition(g)
     dec = principal_parabolic(rd, H)
     return dec.levi
 
 
 def named_subalgebra(
-    g: LieSuperalgebra, spec: str, H: Sequence[Fraction] | None = None
+    g: LieSuperalgebra, spec: str, H: Sequence[Scalar] | None = None
 ) -> SubalgebraSpan:
     """Resolve a named subalgebra spec: g0 | torus | full | borel | levi."""
     if spec == "g0":

@@ -362,8 +362,13 @@ def test_from_json_dict_rejects_malformed_input(key, value):
         ({k: v for k, v in GOOD_JSON.items() if k != "torus"}, "'torus'"),
         ({**GOOD_JSON, "bracket": [[0, 1, [[1, 1]]]]}, "[1, 1] of [0, 1]"),
         ({**GOOD_JSON, "bracket": [[0, 1, [[1, 1, 1]]], [0, 1, []]]}, "[0, 1] is given twice"),
+        ({**GOOD_JSON, "parities": 3}, "'parities' is not a list"),
+        ({**GOOD_JSON, "torus": ["a"]}, "torus index 'a'"),
+        ({**GOOD_JSON, "bracket": 5}, "'bracket' is not a list"),
+        ({**GOOD_JSON, "torus": [1]}, "torus index 1 is odd"),
     ],
-    ids=["missing-key", "bad-term", "repeated-entry"],
+    ids=["missing-key", "bad-term", "repeated-entry", "parities-not-a-list",
+         "torus-not-an-int", "bracket-not-a-list", "torus-odd"],
 )
 def test_from_json_dict_error_names_key_or_entry(bad, named):
     with pytest.raises(DimensionMismatch, match=re.escape(named)):

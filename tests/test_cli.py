@@ -169,8 +169,10 @@ def test_coh_malformed_input_exit_2(tmp_path, capsys, option, value):
         ["gl", "3", "3"],  # default N = 18: C^19 has about 8.6e9 coordinates
         ["q", "3", "--sub", "g0", "--mod", "adjoint", "-N", "7"],
         ["gl", "1", "1", "--sub", "g0", "-N", "300000"],
+        # refused before the 1.68M-dimensional module is built (that took over 200 s)
+        ["gl", "3", "3", "--sub", "g0", "--mod", "adjoint*adjoint*adjoint*adjoint", "-N", "1"],
     ],
-    ids=["gl33-default-N", "q3-adjoint-N7", "gl11-huge-N"],
+    ids=["gl33-default-N", "q3-adjoint-N7", "gl11-huge-N", "gl33-tensor-module"],
 )
 def test_coh_over_the_size_budget_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "coh", *argv)

@@ -7,6 +7,7 @@ import pytest
 from supero.algebras import (
     LieSuperalgebra,
     SubalgebraSpan,
+    bracket,
     build_gl,
     build_osp,
     build_p_tilde,
@@ -16,6 +17,12 @@ from supero.algebras import (
     quotient_action,
     special_linear_span,
 )
+from supero.checks import (
+    GradingTorus,
+    appendix_torus,
+    count_graded_monomials,
+    positive_even_roots,
+)
 from supero.cohomology import (
     RelativeComplex,
     RelativePair,
@@ -24,9 +31,17 @@ from supero.cohomology import (
     relative_cochains,
     relative_ext,
 )
+from supero.cli import parse_rationals
 from supero.errors import AlgebraMismatch, ConventionError, NotASubalgebra
 from supero.reps import adjoint, natural, restrict, super_exterior_power, trivial, wedge_insert
-from supero.roots import named_subalgebra
+from supero.roots import (
+    generic_functional,
+    named_subalgebra,
+    pair as pair_with,
+    principal_parabolic,
+    root_decomposition,
+)
+from supero.suites import seeded_levi_functional
 
 F = Fraction
 
@@ -474,6 +489,52 @@ def test_basis_values_are_int_where_integral():
                         _check_exact(phi.values(), (name, mod.name, p), seen)
                         image = cx.apply_differential(p, sector, phi)
                         assert all(type(v) in (int, Fraction) for v in image.values())
+    assert seen == {int, Fraction}
+
+
+def test_public_values_outside_the_engine_are_int_where_integral():
+    seen = set()
+    g = build_gl(2, 1)
+    rd = root_decomposition(g)
+    _check_exact((c for r in rd.roots for c in r.weight), "root weights", seen)
+    _check_exact(generic_functional(rd), "generic_functional", seen)
+    H = (F(3, 2), F(2, 2), F(0))  # integral entries given as Fractions
+    dec = principal_parabolic(rd, H)
+    _check_exact(dec.functional, "principal_parabolic functional", seen)
+    assert dec.functional == (F(3, 2), 1, 0)
+    # a non-integral functional: the integral pairings come back as int
+    values = [pair_with(H, r.weight) for r in rd.roots]
+    _check_exact(values, "roots.pair", seen)
+    assert {type(v) for v in values} == {int, Fraction}
+    assert pair_with((F(1, 2), F(-1, 2), 0), (1, -1, 0)) == 1
+
+    gt = appendix_torus("gl", (2, 1))
+    _check_exact((c for vec in gt.values for c in vec), "appendix_torus gl", seen)
+    _check_exact((c for vec in appendix_torus("f4").values for c in vec), "appendix_torus f4", seen)
+    roots = positive_even_roots("osp_odd", (2,))
+    _check_exact((c for r in roots for c in r), "positive_even_roots", seen)
+    assert gt.pair((F(1, 2), F(-1, 2), 0)) == (1,)
+    _check_exact(gt.pair((F(1, 2), F(-1, 2), 0)), "GradingTorus.pair", seen)
+    # a fractional grading: epsilon = 2/3, and the degree bound is the exact
+    # ceiling of 2 / (2/3)
+    thirds = GradingTorus("thirds", 1, "torus-dual", ((F(1, 3),), (F(-1, 3),)))
+    count, cert = count_graded_monomials(thirds, [(1, -1)], F(2), 5)
+    assert (count, cert.epsilon, cert.degree_bound) == (1, F(2, 3), 3)
+    assert type(cert.degree_bound) is int
+    count, cert = count_graded_monomials(gt, positive_even_roots("gl", (2, 1)), (F(4, 2),), 5)
+    _check_exact((cert.epsilon,), "count_graded_monomials epsilon", seen)
+    assert (count, cert.degree_bound) == (1, 1)
+
+    gl11 = build_gl(1, 1)
+    x, y = [0] * 4, [0] * 4
+    x[0], y[2] = F(1, 2), 2  # e11 / 2 and 2 e12: the bracket is e12
+    assert bracket(gl11, x, y) == (0, 0, 1, 0)
+    _check_exact(bracket(gl11, x, y), "bracket", seen)
+    osp = build_osp(3, 2)
+    _check_exact((c for terms in osp.table.values() for _, c in terms), "osp table", seen)
+    _check_exact((c for mat in osp.matrix_model[2] for c in mat.values()), "osp matrices", seen)
+    _check_exact(seeded_levi_functional(osp), "seeded_levi_functional", seen)
+    _check_exact(parse_rationals("1/2, 4/2, 3"), "parse_rationals", seen)
     assert seen == {int, Fraction}
 
 

@@ -13,7 +13,7 @@ from supero.algebras import (
 )
 from supero.cohomology import RelativeComplex, RelativePair, cohomology
 from supero.invariants import compare_invariants_vs_cohomology, invariant_dims
-from supero.reps import adjoint, natural, trivial
+from supero.reps import adjoint, trivial
 from supero.roots import named_subalgebra
 
 F = Fraction
@@ -83,19 +83,39 @@ def test_algebra_identity_enforced():
         RelativeComplex(RelativePair(g1, h), trivial(g2))
 
 
-def test_reduction_shortcut_matches_full_solve():
-    # force the fallback (full constraint solve) and compare bases sizes
-    g = build_gl(2, 2)
-    h = even_part_span(g)
-    mod = natural(g)
-    fast = RelativeComplex(RelativePair(g, h), mod)
-    slow = RelativeComplex(RelativePair(g, h), mod)
-    slow.reduced_even_idx = None  # disable the reductive shortcut
-    for p in range(4):
-        sp_f = fast.space(p)
-        sp_s = slow.space(p)
-        assert (sp_f.dim_even, sp_f.dim_odd) == (sp_s.dim_even, sp_s.dim_odd), p
-    assert fast.report(3).dims() == slow.report(3).dims()
+def test_reduction_shortcut_matches_full_solve(monkeypatch):
+    # On every ddzero cell whose shortcut drops even constraints, the shortcut
+    # basis must be the full-solve basis, without the fallback firing.
+    from supero.suites import coefficient_modules, ddzero_algebras, ddzero_subalgebras
+
+    fallbacks = []
+    impose = RelativeComplex._impose
+
+    def spy(self, constraint_ids, *args):
+        if constraint_ids is self.nondiag_idx and self.reduced_even_idx is not None:
+            fallbacks.append(self)
+        return impose(self, constraint_ids, *args)
+
+    monkeypatch.setattr(RelativeComplex, "_impose", spy)
+    cells = 0
+    for g in ddzero_algebras():
+        for hname, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)
+            for mod in coefficient_modules(g):
+                fast = RelativeComplex(pair, mod)
+                plan = fast.reduced_even_idx
+                if plan is None or plan + fast.odd_nondiag_idx == fast.nondiag_idx:
+                    continue
+                cells += 1
+                slow = RelativeComplex(pair, mod)
+                slow.reduced_even_idx = None
+                for p in range(5):
+                    sp_f, sp_s = fast.space(p), slow.space(p)
+                    where = (g.name, hname, mod.name, p)
+                    assert sp_f.basis == sp_s.basis, where
+                    assert sp_f.free_coords == sp_s.free_coords, where
+    assert cells == 49
+    assert fallbacks == []
 
 
 def test_wrong_shortcut_plan_falls_back_to_the_full_solve(monkeypatch):

@@ -66,7 +66,7 @@ def test_abstract_root_data_bundles():
 def test_cli_verify_exit_3_on_failure(capsys, monkeypatch):
     import supero.cli as cli
 
-    def fake_run_suite(name, workers=1):
+    def fake_run_suite(name):
         return {
             "schema": "superO/1",
             "kind": "verify_report",
