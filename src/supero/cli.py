@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -111,21 +112,29 @@ def parse_rationals(text: str) -> tuple[Scalar, ...]:
 def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
     """Module expressions: trivial | natural | adjoint | dual(E) | E*E."""
     spec = spec.strip()
-    depth = 0
+    depth, cuts = 0, [-1]
     for i, ch in enumerate(spec):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
         elif ch == "*" and depth == 0:
-            left, right = parse_module(g, spec[:i]), parse_module(g, spec[i + 1 :])
-            # C^0 alone has dim M coordinates, so a larger M is over budget anyway
-            if left.dim * right.dim > COCHAIN_BUDGET:
-                raise DimensionMismatch(
-                    f"request too large: module {spec!r} has dimension "
-                    f"{left.dim * right.dim}, over the budget of {COCHAIN_BUDGET}"
-                )
-            return tensor(left, right)
+            cuts.append(i)
+    if len(cuts) > 1:
+        cuts.append(len(spec))
+        factors = [parse_module(g, spec[a + 1 : b]) for a, b in zip(cuts, cuts[1:])]
+        # C^0 alone has dim M coordinates, so a larger M is over budget anyway;
+        # refuse it before any product is built
+        dim = math.prod(f.dim for f in factors)
+        if dim > COCHAIN_BUDGET:
+            raise DimensionMismatch(
+                f"request too large: module {spec!r} has dimension {dim}, "
+                f"over the budget of {COCHAIN_BUDGET}"
+            )
+        module = factors.pop()
+        while factors:
+            module = tensor(factors.pop(), module)
+        return module
     if spec.startswith("dual(") and spec.endswith(")"):
         return dual(parse_module(g, spec[5:-1]))
     if spec == "trivial":

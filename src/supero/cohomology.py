@@ -9,15 +9,16 @@ from the super p-th exterior power of g/h to the coefficient module M,
 Everything but the action on M depends only on the pair (g, h), and the
 code is split the same way.  ``RelativePair(g, h)`` holds the coordinate
 complement of h, the action of h on g/h, the monomial bases of L^p_s(g/h),
-and, built lazily and once per pair: the weights of the monomials under
-the span vectors acting diagonally on g/h (``weights``, incremental in p),
-which group the monomials of each degree into weight buckets
+and, built lazily and once per pair: one weight key per monomial under
+the span vectors acting diagonally on g/h (``weight_keys``, incremental in
+p), which groups the monomials of each degree into weight buckets
 (``buckets``); the action rows of each span vector of h on L^p_s(g/h) per
 (degree, span vector, weight bucket) (``action_rows``); the projected
 brackets, and the structure maps of the differential per source monomial
 (``source_maps``), built only for the monomials that d reads.
-``RelativeComplex(pair, M)`` adds the action on M: the diagonal filter, the
-shortcut plan, the equivariant bases, the differential matrices and the
+``RelativeComplex(pair, M)`` adds the action on M: the module vectors
+grouped by weight, which pick the kept monomial buckets; the constraint
+plan, the equivariant bases, the differential matrices and the
 report.  One pair serves any number of coefficient modules, and a complex
 asks the pair only for the action rows of its non-diagonal span vectors, in
 the buckets that hold its kept monomials.  A span vector that shifts every
@@ -60,9 +61,12 @@ diagonally on M: elements acting diagonally on both the monomial basis and
 M filter coordinates directly, and when the non-diagonal even part of h is
 spanned by paired root vectors (a reductive situation), a weight-zero map
 killed by the simple positive root vectors is automatically killed by all
-of h's even part.  Every returned basis vector is re-verified against every
-constraint exactly; on any failure the full kernel is recomputed without
-shortcuts.
+of h's even part.  The plan (``constraint_plan``) lists the groups of
+constraints to impose in order.  Every returned basis vector is re-verified
+against every constraint exactly; on any failure the full kernel is
+recomputed without shortcuts and re-verified in turn, and a basis that
+still fails raises ConventionError, naming the span vector, degree, sector
+and first defect coordinate.
 
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
@@ -77,6 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError
@@ -192,10 +197,15 @@ class RelativePair:
         self._quotient_cols = [a.col_dicts() for a in self.quotient_rep.actions]
         # span vectors acting diagonally on g/h; their weights key the monomials
         self.diagonal = [i for i, a in enumerate(self.quotient_rep.actions) if a.is_diagonal()]
+        # weight key of each quotient basis vector
+        self.eig = [
+            tuple(self.quotient_rep.actions[i].entry(y, y) for i in self.diagonal)
+            for y in range(len(self.complement))
+        ]
         self._monos: dict[int, tuple] = {}
         self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._weights: dict[tuple[int, int], list[Scalar]] = {}
-        self._keys: dict[int, list[tuple[Scalar, ...]]] = {}
+        # weight_keys by degree; degree 0 holds the empty monomial, of weight 0
+        self._keys: dict[int, list[tuple[Scalar, ...]]] = {0: [tuple(0 for _ in self.diagonal)]}
         self._buckets: dict[int, dict[tuple[Scalar, ...], list[int]]] = {}
         self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
         self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
@@ -247,14 +257,19 @@ class RelativePair:
         return {t: rows.get(t, {}) for t in buckets.get(k, ())}
 
     def weight_keys(self, p: int) -> list[tuple[Scalar, ...]]:
-        """Weights of each monomial of degree p under the ``diagonal`` span vectors."""
+        """Weights of each monomial of degree p under the ``diagonal`` span vectors.
+
+        Built incrementally: key(mo) = key(mo[:-1]) + eig(mo[-1]), since
+        dropping the last factor of a normal-form monomial leaves a
+        normal-form monomial.
+        """
         keys = self._keys.get(p)
         if keys is None:
-            if self.diagonal:
-                keys = list(zip(*(self.weights(p, i) for i in self.diagonal)))
-            else:
-                keys = [()] * len(self.monomials(p)[0])
-            self._keys[p] = keys
+            prev, prev_index, eig = self.weight_keys(p - 1), self._index(p - 1), self.eig
+            keys = self._keys[p] = [
+                tuple(map(add, prev[prev_index[mo[:-1]]], eig[mo[-1]]))
+                for mo in self.monomials(p)[0]
+            ]
         return keys
 
     def buckets(self, p: int) -> dict[tuple[Scalar, ...], list[int]]:
@@ -275,9 +290,8 @@ class RelativePair:
         bucket k into bucket k + shift.
         """
         if i not in self._shifts:
-            key = self.weight_keys(1)  # monomial (y,) sits at position y
             shifts = {
-                tuple(a - b for a, b in zip(key[y2], key[y]))
+                tuple(a - b for a, b in zip(self.eig[y2], self.eig[y]))
                 for y, col in enumerate(self._quotient_cols[i])
                 for y2 in col
             }
@@ -285,28 +299,6 @@ class RelativePair:
                 shifts = {tuple(0 for _ in self.diagonal)}
             self._shifts[i] = shifts.pop() if len(shifts) == 1 else None
         return self._shifts[i]
-
-    def weights(self, p: int, i: int) -> list[Scalar]:
-        """Eigenvalue of each monomial of degree p under span vector i of h.
-
-        Only meaningful when i acts diagonally on g/h.  Built incrementally:
-        w(mo) = w(mo[:-1]) + eig(mo[-1]), since dropping the last factor of a
-        normal-form monomial leaves a normal-form monomial.
-        """
-        hit = self._weights.get((p, i))
-        if hit is not None:
-            return hit
-        monos, _ = self.monomials(p)
-        if p == 0:
-            out: list[Scalar] = [0] * len(monos)
-        else:
-            action = self.quotient_rep.actions[i]
-            eig = [action.entry(t, t) for t in range(len(self.complement))]
-            prev = self.weights(p - 1, i)
-            prev_index = self._index(p - 1)
-            out = [prev[prev_index[mo[:-1]]] + eig[mo[-1]] for mo in monos]
-        self._weights[p, i] = out
-        return out
 
     def _projected_brackets(self) -> list[list[list[tuple[int, Scalar]]]]:
         """pi[lift(q_a), lift(q_b)] in quotient coordinates for every (a, b), cached.
@@ -427,19 +419,16 @@ class RelativeComplex:
         self.m_cols_by_complement = [m.actions[c].col_dicts() for c in pair.complement]
 
         # diagonal h vectors filter coordinates; the rest become constraints
-        diagonal_on_quotient = set(pair.diagonal)
-        self.diag_idx: list[int] = []
-        self.nondiag_idx: list[int] = []
-        for i in range(h.dim):
-            if i in diagonal_on_quotient and m_actions[i].is_diagonal():
-                self.diag_idx.append(i)
-            else:
-                self.nondiag_idx.append(i)
-        self.m_eigen = {
-            i: [m_actions[i].entry(v, v) for v in range(m.dim)] for i in self.diag_idx
-        }
+        self.diag_idx = [i for i in pair.diagonal if m_actions[i].is_diagonal()]
+        self.nondiag_idx = [i for i in range(h.dim) if i not in self.diag_idx]
+        # module vectors by joint eigenvalue under diag_idx: a coordinate map
+        # E_{vw} commutes with every diagonal element iff the keys agree
+        self.m_buckets: dict[tuple[Scalar, ...], list[int]] = {}
+        for v in range(m.dim):
+            key = tuple(m_actions[i].entry(v, v) for i in self.diag_idx)
+            self.m_buckets.setdefault(key, []).append(v)
 
-        self._plan_reduction()
+        self.constraint_plan = self._plan_reduction()
         self._spaces: dict[int, CochainSpace] = {}
         self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
         # ddzero: d on the basis of C^p per (sector, basis index), by degree p
@@ -447,22 +436,21 @@ class RelativeComplex:
 
     # -- constraint reduction plan -------------------------------------------
 
-    def _plan_reduction(self) -> None:
-        """Detect the reductive shortcut for the even non-diagonal part of h.
+    def _plan_reduction(self) -> list[list[int]]:
+        """The groups of non-diagonal span vectors to impose, in order.
 
-        Requires every even non-diagonal span vector to be a simultaneous
+        Without a shortcut this is ``[nondiag_idx]``.  The reductive shortcut
+        requires every even non-diagonal span vector to be a simultaneous
         ad-eigenvector of the diagonal ones, with nonzero weight, and the
         weight multiset to be symmetric.  Then the simple positive vectors
         suffice as even constraints (weight-zero highest-weight maps are
-        invariant); odd constraints are always kept in full.
+        invariant), and the plan is ``[simple even, odd]``, an empty group
+        dropped: odd constraints are always kept in full.
         """
         h_alg = self.pair.quotient_rep.algebra
-        self.reduced_even_idx: list[int] | None = None
-        self.odd_nondiag_idx = [i for i in self.nondiag_idx if h_alg.parities[i] == ODD]
         even_nondiag = [i for i in self.nondiag_idx if h_alg.parities[i] == EVEN]
         if not even_nondiag:
-            self.reduced_even_idx = []
-            return
+            return [self.nondiag_idx]
         roots: dict[int, tuple[Scalar, ...]] = {}
         for x in even_nondiag:
             wt = []
@@ -473,25 +461,26 @@ class RelativeComplex:
                 elif len(terms) == 1 and terms[0][0] == x:
                     wt.append(terms[0][1])
                 else:
-                    return  # not an eigenvector: no shortcut
+                    return [self.nondiag_idx]  # not an eigenvector
             wt_t = tuple(wt)
             if not any(wt_t):
-                return  # zero weight but non-diagonal action: no shortcut
+                return [self.nondiag_idx]  # zero weight but non-diagonal action
             roots[x] = wt_t
         values = sorted(roots.values())
         negated = sorted(tuple(-c for c in w) for w in roots.values())
         if values != negated:
-            return  # asymmetric (e.g. a Borel): no shortcut
+            return [self.nondiag_idx]  # asymmetric (e.g. a Borel)
         positive = {w for w in roots.values() if w > tuple(0 for _ in w)}
         sums = {tuple(a + b for a, b in zip(u, v)) for u in positive for v in positive}
         simple = positive - sums
-        self.reduced_even_idx = [x for x in even_nondiag if roots[x] in simple]
+        odd = [i for i in self.nondiag_idx if h_alg.parities[i] == ODD]
+        return [ids for ids in ([x for x in even_nondiag if roots[x] in simple], odd) if ids]
 
     # -- cochain spaces --------------------------------------------------------
 
     def lambda_rep(self, p: int) -> Representation:
         """Exterior power of g/h in degree p with its full action matrices
-        (the engine reads the pair's ``action_rows`` and ``weights`` instead)."""
+        (the engine reads the pair's ``action_rows`` and ``weight_keys`` instead)."""
         return super_exterior_power(self.pair.quotient_rep, p)
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -551,24 +540,21 @@ class RelativeComplex:
         if p in self._spaces:
             return self._spaces[p]
         monos, mono_par = self.monomials(p)
-        # joint eigenvalue keys for bucket matching: a coordinate map E_{vw}
-        # commutes with every diagonal element iff the keys agree
-        m_buckets: dict[tuple, list[int]] = {}
-        for v in range(self.m.dim):
-            key = tuple(self.m_eigen[i][v] for i in self.diag_idx)
-            m_buckets.setdefault(key, []).append(v)
-        if self.diag_idx:
-            mono_keys = list(zip(*(self.pair.weights(p, i) for i in self.diag_idx)))
-        else:
-            mono_keys = [()] * len(monos)
+        # kept coordinates, by monomial then module vector: a monomial bucket
+        # whose key, read at diag_idx, is the key of a module bucket; the
+        # constraints read action rows only in those buckets
+        pos = [self.pair.diagonal.index(i) for i in self.diag_idx]
         kept_pair: list[list[Coord]] = [[], []]
-        for w in range(len(monos)):
-            for v in m_buckets.get(mono_keys[w], ()):
-                kept_pair[(self.m.parities[v] + mono_par[w]) % 2].append((v, w))
-        # the constraints read action rows only at kept monomials: build the
-        # weight buckets holding them
-        pair_keys = self.pair.weight_keys(p)
-        needed = dict.fromkeys(pair_keys[w] for kept in kept_pair for _, w in kept)
+        needed = []
+        for key, ts in self.pair.buckets(p).items():
+            vs = self.m_buckets.get(tuple(key[j] for j in pos))
+            if vs:
+                needed.append(key)
+                for w in ts:
+                    for v in vs:
+                        kept_pair[(self.m.parities[v] + mono_par[w]) % 2].append((v, w))
+        for kept in kept_pair:
+            kept.sort(key=lambda coord: coord[::-1])
         lam_rows_by_id: dict[int, dict[int, dict[int, Scalar]]] = {}
         for i in self.nondiag_idx:
             lam_rows = lam_rows_by_id[i] = {}
@@ -578,49 +564,37 @@ class RelativeComplex:
         free_pair: list[list[Coord]] = [[], []]
         for sector in (EVEN, ODD):
             kept = kept_pair[sector]
-            candidates: list[dict[Coord, int]] = [{coord: 1} for coord in kept]
-            free: list[Coord] = list(kept)
-            if self.reduced_even_idx is not None:
-                candidates, free = self._impose(
-                    self.reduced_even_idx, sector, lam_rows_by_id, candidates, free
-                )
-                candidates, free = self._impose(
-                    self.odd_nondiag_idx, sector, lam_rows_by_id, candidates, free
-                )
+            # the plan, then the full solve; either must pass the exact
+            # re-verification of every constraint on every basis vector (on
+            # its integer multiple: scaling keeps a zero defect zero)
+            for plan in (self.constraint_plan, [self.nondiag_idx]):
+                candidates: list[dict[Coord, int]] = [{coord: 1} for coord in kept]
+                free: list[Coord] = list(kept)
+                for ids in plan:
+                    candidates, free = self._impose(ids, sector, lam_rows_by_id, candidates, free)
+                witness = next((
+                    (i, defect) for phi in candidates for i in self.nondiag_idx
+                    if (defect := self._constraint_apply(i, sector, lam_rows_by_id[i], phi))
+                ), None)
+                if witness is None:
+                    break
             else:
-                candidates, free = self._impose(
-                    self.nondiag_idx, sector, lam_rows_by_id, candidates, free
-                )
-            # exact re-verification of every constraint on every basis vector
-            # (on its integer multiple: scaling keeps a zero defect zero)
-            if any(
-                self._constraint_apply(i, sector, lam_rows_by_id[i], phi)
-                for phi in candidates
-                for i in self.nondiag_idx
-            ):
-                candidates, free = self._impose(
-                    self.nondiag_idx,
-                    sector,
-                    lam_rows_by_id,
-                    [{coord: 1} for coord in kept],
-                    list(kept),
+                i, defect = witness
+                (v, w), c = next(iter(defect.items()))
+                raise ConventionError(
+                    f"cochain basis fails equivariance under span vector {i} of h "
+                    f"(degree {p}, sector {sector}) at coordinate ({v}, {monos[w]}) "
+                    f"with defect {c}"
                 )
             # divide each vector by its value at its anchor
-            basis: list[Cochain] = []
-            for phi, anchor in zip(candidates, free):
-                den = phi[anchor]
-                if den == 1:
-                    basis.append(phi)
-                else:
-                    basis.append({coord: _exact(Fraction(v, den)) for coord, v in phi.items()})
-            basis_pair[sector] = basis
+            basis_pair[sector] = [
+                phi if phi[anchor] == 1
+                else {coord: _exact(Fraction(v, phi[anchor])) for coord, v in phi.items()}
+                for phi, anchor in zip(candidates, free)
+            ]
             free_pair[sector] = free
-        space = CochainSpace(
-            p, tuple(monos), tuple(mono_par), (basis_pair[0], basis_pair[1]),
-            (free_pair[0], free_pair[1]),
-        )
-        self._spaces[p] = space
-        return space
+        self._spaces[p] = CochainSpace(p, monos, mono_par, tuple(basis_pair), tuple(free_pair))
+        return self._spaces[p]
 
     # -- differential ----------------------------------------------------------
 

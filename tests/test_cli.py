@@ -1,11 +1,15 @@
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
+from supero import cli
+from supero.algebras import build_gl
 from supero.cli import COCHAIN_BUDGET, largest_cochain_space, main
+from supero.errors import DimensionMismatch
 from supero.reps import super_monomials
 
 
@@ -182,6 +186,18 @@ def test_coh_over_the_size_budget_exit_2(capsys, argv):
     assert f"budget of {COCHAIN_BUDGET}" in err
 
 
+def test_over_budget_module_is_refused_before_any_product(monkeypatch):
+    # each factor (36 dimensions) is within the budget, and so are the
+    # sub-products of two and three factors; the whole is not
+    def no_tensor(*args):
+        raise AssertionError("tensor called")
+
+    monkeypatch.setattr(cli, "tensor", no_tensor)
+    g = build_gl(3, 3)
+    with pytest.raises(DimensionMismatch, match="has dimension 1679616"):
+        cli.parse_module(g, "adjoint*adjoint*adjoint*adjoint")
+
+
 def test_size_budget_bounds_every_cochain_space():
     # the bound is at least the monomial count of every degree up to top
     for even in range(5):
@@ -250,3 +266,57 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 4
+
+
+# Malformed inputs of each kind; each must be refused as a usage error.
+MALFORMED = {
+    "H": ["x", "1/0", ",", "1,x", "1", "1,2,3"],  # gl(1|1) has torus rank 2
+    "mod": ["dual(", "*", "adjoint*", "natural**natural", "dual()", "natural*dual("],
+    "family": [["gl", "-1", "2"], ["q", "0"], ["osp", "1", "3"], ["p", "1"]],
+    "span": [
+        '{"vectors": 3}',
+        "[]",
+        '{"vectors": [[1, 2]]}',
+        "not json",
+        '{"vectors": [[[1, 1]]]}',
+        '{"vectors": [[[1, 0], [0, 1], [0, 1], [0, 1]]]}',
+    ],
+}
+
+
+def test_cli_fuzz_malformed_inputs_exit_2(tmp_path, capsys):
+    rng = random.Random(2505)
+    cases = [(kind, bad) for kind in sorted(MALFORMED) for bad in MALFORMED[kind]]
+    cases += [
+        (kind, rng.choice(MALFORMED[kind]))
+        for kind in rng.choices(sorted(MALFORMED), k=48 - len(cases))
+    ]
+    for n, (kind, bad) in enumerate(cases):
+        options = {
+            "--sub": rng.choice(["g0", "torus"]),
+            "--mod": rng.choice(["trivial", "natural", "adjoint", "dual(natural)*natural"]),
+            "-N": str(rng.randrange(3)),
+            "--format": rng.choice(["table", "json"]),
+        }
+        family = ["gl", "1", "1"]
+        if kind == "H":
+            options["--sub"] = rng.choice(["levi", "borel"])
+            options["--H"] = bad
+        elif kind == "mod":
+            options["--mod"] = bad
+        elif kind == "family":
+            family = bad
+        else:
+            path = tmp_path / f"span{n}.json"
+            path.write_text(bad)
+            options["--sub"] = f"span:{path}"
+        if kind == "family" and rng.random() < 0.5:
+            argv = ["build", *family]
+        else:
+            pairs = list(options.items())
+            rng.shuffle(pairs)
+            argv = ["coh", *family, *(x for pair in pairs for x in pair)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err, argv

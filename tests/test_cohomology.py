@@ -432,12 +432,12 @@ def test_incremental_weights_equal_direct_sums(case):
     pair = PAIRS[case]()
     actions = pair.quotient_rep.actions
     diagonal = [i for i in range(pair.h.dim) if actions[i].is_diagonal()]
-    assert diagonal
-    for i in diagonal:
+    assert diagonal and pair.diagonal == diagonal
+    for col, i in enumerate(diagonal):
         for p in range(5):
             monos, _ = pair.monomials(p)
             direct = [sum((actions[i].entry(y, y) for y in mo), F(0)) for mo in monos]
-            assert pair.weights(p, i) == direct, (p, i)
+            assert [key[col] for key in pair.weight_keys(p)] == direct, (p, i)
 
 
 def test_report_builds_no_rows_for_diagonal_elements():

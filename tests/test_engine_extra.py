@@ -58,7 +58,8 @@ def test_levi_with_odd_part_q2():
     h = named_subalgebra(g, "levi", H=(F(1), F(0)))
     assert h.vector_parities == (0, 0, 1, 1)
     cx = RelativeComplex(RelativePair(g, h), trivial(g))
-    assert cx.odd_nondiag_idx  # odd constraints really are exercised
+    # odd constraints really are exercised
+    assert any(h.vector_parities[i] for ids in cx.constraint_plan for i in ids)
     assert [cx.space(p).dim for p in range(5)] == [1, 0, 1, 0, 1]
     assert all(cx.ddzero(p) for p in range(3))
     assert cx.report(4).dims() == [1, 0, 1, 0, 1]
@@ -92,7 +93,7 @@ def test_reduction_shortcut_matches_full_solve(monkeypatch):
     impose = RelativeComplex._impose
 
     def spy(self, constraint_ids, *args):
-        if constraint_ids is self.nondiag_idx and self.reduced_even_idx is not None:
+        if constraint_ids is self.nondiag_idx and self.constraint_plan != [self.nondiag_idx]:
             fallbacks.append(self)
         return impose(self, constraint_ids, *args)
 
@@ -103,12 +104,11 @@ def test_reduction_shortcut_matches_full_solve(monkeypatch):
             pair = RelativePair(g, h)
             for mod in coefficient_modules(g):
                 fast = RelativeComplex(pair, mod)
-                plan = fast.reduced_even_idx
-                if plan is None or plan + fast.odd_nondiag_idx == fast.nondiag_idx:
+                if fast.constraint_plan == [fast.nondiag_idx]:
                     continue
                 cells += 1
                 slow = RelativeComplex(pair, mod)
-                slow.reduced_even_idx = None
+                slow.constraint_plan = [slow.nondiag_idx]
                 for p in range(5):
                     sp_f, sp_s = fast.space(p), slow.space(p)
                     where = (g.name, hname, mod.name, p)
@@ -125,8 +125,9 @@ def test_wrong_shortcut_plan_falls_back_to_the_full_solve(monkeypatch):
     pair = RelativePair(g, even_part_span(g))
     good = RelativeComplex(pair, adjoint(g))
     wrong = RelativeComplex(pair, adjoint(g))
-    assert good.reduced_even_idx and wrong.odd_nondiag_idx == []
-    wrong.reduced_even_idx = []
+    # a shortcut plan of one group: the simple even vectors, and no odd ones
+    assert len(good.constraint_plan) == 1 and good.constraint_plan != [good.nondiag_idx]
+    wrong.constraint_plan = []
     full_solves = []
     impose = RelativeComplex._impose
 
@@ -141,3 +142,31 @@ def test_wrong_shortcut_plan_falls_back_to_the_full_solve(monkeypatch):
         assert sp_wrong.basis == sp_good.basis, p
         assert sp_wrong.free_coords == sp_good.free_coords, p
     assert len(full_solves) == 4
+
+
+def test_unverified_basis_raises_after_the_full_solve(monkeypatch, capsys):
+    # A kernel solver that returns every candidate leaves the constraints
+    # unimposed: the shortcut and the full solve both fail re-verification,
+    # and space must raise instead of returning the unverified basis.
+    from supero import cli
+    from supero import cohomology as engine
+    from supero.errors import ConventionError
+
+    def identity_kernel(mat):
+        return [({k: 1}, 1) for k in range(mat.cols)], list(range(mat.cols))
+
+    monkeypatch.setattr(engine, "kernel_basis_with_free", identity_kernel)
+    g = build_gl(2, 1)
+    cx = RelativeComplex(RelativePair(g, even_part_span(g)), adjoint(g))
+    assert cx.constraint_plan != [cx.nondiag_idx]  # both attempts run
+    with pytest.raises(ConventionError) as err:
+        cx.space(1)
+    assert str(err.value) == (
+        "cochain basis fails equivariance under span vector 1 of h "
+        "(degree 1, sector 0) at coordinate (5, (1,)) with defect -1"
+    )
+    code = cli.main(["coh", "gl", "2", "1", "--sub", "g0", "--mod", "adjoint", "-N", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("consistency error: cochain basis fails")
+    assert captured.err.count("\n") == 1
