@@ -221,6 +221,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_coh(args) -> int:
+    if args.H is not None and args.sub not in ("levi", "borel"):
+        raise UnsupportedSubalgebra(f"--H applies only to --sub levi or borel, not {args.sub!r}")
     g = build_family(args.family, args.params)
     H = parse_rationals(args.H) if args.H else None
     h = parse_subalgebra(g, args.sub, H)
@@ -285,7 +287,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--sub", default="g0", help="g0 | torus | full | borel | levi | span:FILE")
     p_coh.add_argument("--mod", default="trivial", help="trivial | natural | adjoint | dual(E) | E*E")
     p_coh.add_argument("-N", type=int, default=None, help="maximum degree (default: odd dim + even quotient dim)")
-    p_coh.add_argument("--H", default=None, help="comma-separated rationals for levi/borel")
+    p_coh.add_argument("--H", default=None, help="comma-separated rationals; only with --sub levi or borel")
     p_coh.add_argument("--format", choices=("table", "json"), default="table")
     p_coh.add_argument("--out", default=None)
     p_coh.set_defaults(func=cmd_coh)

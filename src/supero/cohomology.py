@@ -33,10 +33,15 @@ arrive as ``SparseMatrix`` columns and the projections of g as
 ``SpanSolver`` residuals, both already under it, so this module converts
 nothing on the way in.  It applies ``linalg._exact`` only where it makes
 a new value that may be an integral ``Fraction``: the projected brackets
-and the division of each basis vector by its anchor value.  The
-constraint solve itself runs on integer cochains: each candidate is a
-primitive integer multiple of its basis vector, and that one division
-happens when the basis is written out.
+and the divisions by anchor values.  The constraint solve runs on
+integer cochains: each basis vector is kept as its primitive integer
+multiple (``numerators``) and its value at its anchor (``scales``), and
+the public ``basis`` divides the one by the other.  The differential
+layer works on the numerators too: ``apply_differential`` acts on them,
+``_expand`` checks an image against them in integers, scaled by the lcm
+of the scales, and d o d = 0 combines their images.  Values are divided
+only where they leave that layer: the entries of ``differential(p)`` by
+the source scale, and a ``ConventionError`` residual by the lcm.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 
@@ -72,8 +77,9 @@ Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
 ConventionError, naming the first escaping coordinate and its residual,
 instead of silently projecting.  The d o d = 0 check reuses those
-coefficients: d(d(phi)) = sum_k c_k d(psi_k), with d on the basis vectors
-psi_k of the next degree built once and shared with the next degree's check.
+coefficients: d(d(phi)) = sum_k c_k d(psi_k), with d on the numerators
+of the basis vectors psi_k of the next degree built once and shared with
+the next degree's check.
 """
 
 from __future__ import annotations
@@ -102,22 +108,35 @@ Cochain = dict[Coord, Scalar]
 
 @dataclass
 class CochainSpace:
-    """Equivariant cochains in one degree, split by map parity."""
+    """Equivariant cochains in one degree, split by map parity.
+
+    ``basis[s][k]`` is 1 at its anchor ``free_coords[s][k]`` and 0 at the
+    other anchors.  It equals ``numerators[s][k] / scales[s][k]``, where the
+    numerator is a primitive integer cochain and the scale its positive
+    value at the anchor; when the scale is 1 the two are the same dict.
+    """
 
     degree: int
     monomials: tuple[tuple[int, ...], ...]
     monomial_parities: tuple[int, ...]
     basis: tuple[list[Cochain], list[Cochain]]  # index 0: even maps, 1: odd maps
     free_coords: tuple[list[Coord], list[Coord]]
+    numerators: tuple[list[dict[Coord, int]], list[dict[Coord, int]]] = field(
+        repr=False, compare=False
+    )
+    scales: tuple[list[int], list[int]] = field(repr=False, compare=False)
     # per sector: anchor coordinate -> index of the basis vector it anchors
     free_index: tuple[dict[Coord, int], dict[Coord, int]] = field(
         init=False, repr=False, compare=False
     )
+    # per sector: lcm of the scales, so lcm // scale weights each numerator
+    lcm: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.free_index = tuple(
             {coord: k for k, coord in enumerate(coords)} for coords in self.free_coords
         )
+        self.lcm = tuple(math.lcm(*scales) for scales in self.scales)
 
     @property
     def dim_even(self) -> int:
@@ -431,7 +450,7 @@ class RelativeComplex:
         self.constraint_plan = self._plan_reduction()
         self._spaces: dict[int, CochainSpace] = {}
         self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
-        # ddzero: d on the basis of C^p per (sector, basis index), by degree p
+        # ddzero: d on the numerators of C^p per (sector, basis index), by degree p
         self._basis_images: dict[int, dict[tuple[int, int], Cochain]] = {}
 
     # -- constraint reduction plan -------------------------------------------
@@ -560,6 +579,8 @@ class RelativeComplex:
             lam_rows = lam_rows_by_id[i] = {}
             for k in needed:
                 lam_rows.update(self.pair.action_rows(p, i, k))
+        numerators_pair: list[list[dict[Coord, int]]] = [[], []]
+        scales_pair: list[list[int]] = [[], []]
         basis_pair: list[list[Cochain]] = [[], []]
         free_pair: list[list[Coord]] = [[], []]
         for sector in (EVEN, ODD):
@@ -586,14 +607,18 @@ class RelativeComplex:
                     f"(degree {p}, sector {sector}) at coordinate ({v}, {monos[w]}) "
                     f"with defect {c}"
                 )
-            # divide each vector by its value at its anchor
+            # the public basis divides each vector by its value at its anchor
+            scales = [phi[anchor] for phi, anchor in zip(candidates, free)]
             basis_pair[sector] = [
-                phi if phi[anchor] == 1
-                else {coord: _exact(Fraction(v, phi[anchor])) for coord, v in phi.items()}
-                for phi, anchor in zip(candidates, free)
+                phi if s == 1 else {coord: _exact(Fraction(v, s)) for coord, v in phi.items()}
+                for phi, s in zip(candidates, scales)
             ]
+            numerators_pair[sector], scales_pair[sector] = candidates, scales
             free_pair[sector] = free
-        self._spaces[p] = CochainSpace(p, monos, mono_par, tuple(basis_pair), tuple(free_pair))
+        self._spaces[p] = CochainSpace(
+            p, monos, mono_par, tuple(basis_pair), tuple(free_pair),
+            tuple(numerators_pair), tuple(scales_pair),
+        )
         return self._spaces[p]
 
     # -- differential ----------------------------------------------------------
@@ -617,27 +642,34 @@ class RelativeComplex:
                     _add_scaled(out, (((v2, t1), a) for v2, a in col.items()), c if sgn > 0 else neg)
         return out
 
-    def _expand(self, target: Cochain, space: CochainSpace, sector: int) -> list[tuple[int, Scalar]]:
+    def _expand(
+        self, target: Cochain, space: CochainSpace, sector: int, scale: int = 1
+    ) -> list[tuple[int, Scalar]]:
         """Coordinates of a cochain in the equivariant basis, verified exactly.
 
         Candidate coefficients are read off at the anchor coordinates; the
         expansion is then checked against every coordinate of the target,
-        so any image outside the span aborts the computation.
+        so any image outside the span aborts the computation.  The check
+        runs on the numerators: with L the lcm of the scales,
+        L * target - sum_k c_k (L / scale_k) numerator_k must vanish.  A
+        target that is ``scale`` times the cochain of interest (the image of
+        a numerator) reports the residual of that cochain.
         """
         anchors = space.free_index[sector]
+        numerators, scales, lcm = space.numerators[sector], space.scales[sector], space.lcm[sector]
         coeffs = []
-        residual = dict(target)
+        residual = dict(target) if lcm == 1 else {coord: lcm * c for coord, c in target.items()}
         for coord, c in target.items():
             k = anchors.get(coord)
             if k is not None and c:
                 coeffs.append((k, c))
-                _add_scaled(residual, space.basis[sector][k].items(), -c)
+                _add_scaled(residual, numerators[k].items(), -c * (lcm // scales[k]))
         if residual:
             (v, w), c = next(iter(residual.items()))
             raise ConventionError(
                 "differential image escapes the equivariant span "
                 f"(degree {space.degree}, sector {sector}) at coordinate "
-                f"({v}, {space.monomials[w]}) with residual {c}"
+                f"({v}, {space.monomials[w]}) with residual {_exact(Fraction(c, lcm * scale))}"
             )
         return coeffs
 
@@ -653,35 +685,44 @@ class RelativeComplex:
     def ddzero(self, p: int) -> bool:
         """Exact check that d(d(phi)) = 0 for every basis cochain of C^p.
 
-        Each image d(phi) is expanded in the basis of C^{p+1} (``_expand``,
-        which verifies image = sum_k c_k psi_k exactly), so by linearity
-        d(d(phi)) = sum_k c_k d(psi_k).  Each d(psi_k) is built on the first
-        use of that k and kept for ``ddzero(p + 1)``, which needs d on the
-        basis of C^{p+1} anyway; degree p+2 only contributes its monomial
-        combinatorics (no equivariant basis is needed there).
+        The check runs on the integer numerators, which d(d(.)) kills
+        exactly when it kills the basis vectors.  Each image d(phi) is
+        expanded in the basis of C^{p+1} (``_expand``, which verifies
+        image = sum_k c_k psi_k exactly), so by linearity, with psi_k =
+        numerator_k / scale_k and L the lcm of the scales,
+        L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k).  Each
+        d(numerator_k) is built on the first use of that k and kept for
+        ``ddzero(p + 1)``, which needs d on the numerators of C^{p+1} anyway;
+        degree p+2 only contributes its monomial combinatorics (no
+        equivariant basis is needed there).
         """
         src = self.space(p)
         dst = self.space(p + 1)
         images = self._basis_images.pop(p, {})
         next_images = self._basis_images.setdefault(p + 1, {})
         for sector in (EVEN, ODD):
-            for k, phi in enumerate(src.basis[sector]):
+            numerators, scales, lcm = dst.numerators[sector], dst.scales[sector], dst.lcm[sector]
+            for k, phi in enumerate(src.numerators[sector]):
                 image = images.pop((sector, k), None)
                 if image is None:
                     image = self.apply_differential(p, sector, phi)
                 dd: Cochain = {}
-                for k2, c in self._expand(image, dst, sector):
+                for k2, c in self._expand(image, dst, sector, src.scales[sector][k]):
                     d_psi = next_images.get((sector, k2))
                     if d_psi is None:
-                        psi = dst.basis[sector][k2]
-                        d_psi = next_images[sector, k2] = self.apply_differential(p + 1, sector, psi)
-                    _add_scaled(dd, d_psi.items(), c)
+                        d_psi = next_images[sector, k2] = self.apply_differential(
+                            p + 1, sector, numerators[k2]
+                        )
+                    _add_scaled(dd, d_psi.items(), c * (lcm // scales[k2]))
                 if dd:
                     return False
         return True
 
     def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
-        """(even block, odd block) of d^p: C^p -> C^{p+1}, cached."""
+        """(even block, odd block) of d^p: C^p -> C^{p+1}, cached.
+
+        d is applied to the integer numerators; only the matrix entries are
+        divided by the source scale."""
         if p in self._diffs:
             return self._diffs[p]
         src = self.space(p)
@@ -689,10 +730,10 @@ class RelativeComplex:
         blocks = []
         for sector in (EVEN, ODD):
             entries = []
-            for k, phi in enumerate(src.basis[sector]):
+            for k, (phi, s) in enumerate(zip(src.numerators[sector], src.scales[sector])):
                 image = self.apply_differential(p, sector, phi)
-                for r, c in self._expand(image, dst, sector):
-                    entries.append((r, k, c))
+                for r, c in self._expand(image, dst, sector, s):
+                    entries.append((r, k, c if s == 1 else Fraction(c, s)))
             blocks.append(
                 SparseMatrix(len(dst.basis[sector]), len(src.basis[sector]), entries)
             )

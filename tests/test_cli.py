@@ -147,10 +147,19 @@ def test_coh_span_file_missing_exit_2(capsys):
         ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [1, 1], [0, 1]]]})),
         ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [0, 1], [0, 1]],
                                          [[2, 1], [0, 1], [0, 1], [0, 1]]]})),
+        # --H belongs to levi and borel only, even when it is empty
+        ("H-with:g0", "1,2,3"),
+        ("H-with:g0", ","),
+        ("H-with:g0", ""),
+        ("H-with:torus", "1,0"),
+        ("H-with:full", "1,0"),
+        ("H-with:span", "1,0"),
     ],
     ids=[
         "H-not-rational", "H-zero-denominator", "span-not-json", "span-flat-vector",
         "span-not-closed", "span-not-homogeneous", "span-dependent",
+        "H-with-g0", "H-comma-with-g0", "H-empty-with-g0", "H-with-torus",
+        "H-with-full", "H-with-span",
     ],
 )
 def test_coh_malformed_input_exit_2(tmp_path, capsys, option, value):
@@ -159,6 +168,14 @@ def test_coh_malformed_input_exit_2(tmp_path, capsys, option, value):
         path = tmp_path / "span.json"
         path.write_text(value)
         argv += ["--sub", f"span:{path}"]
+    elif option.startswith("H-with:"):
+        sub = option.removeprefix("H-with:")
+        if sub == "span":  # a valid span file: the even part of gl(1|1)
+            path = tmp_path / "span.json"
+            path.write_text(json.dumps({"vectors": [[[1, 1], [0, 1], [0, 1], [0, 1]],
+                                                    [[0, 1], [1, 1], [0, 1], [0, 1]]]}))
+            sub = f"span:{path}"
+        argv += ["--sub", sub, "--H", value]
     else:
         argv += ["--sub", "levi", "--H", value]
     code, out, err = run_cli(capsys, *argv)

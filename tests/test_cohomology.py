@@ -1,6 +1,9 @@
 import importlib
+import math
+import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -33,7 +36,17 @@ from supero.cohomology import (
 )
 from supero.cli import parse_rationals
 from supero.errors import AlgebraMismatch, ConventionError, NotASubalgebra
-from supero.reps import adjoint, natural, restrict, super_exterior_power, trivial, wedge_insert
+from supero.linalg import SparseMatrix
+from supero.reps import (
+    adjoint,
+    dual,
+    natural,
+    restrict,
+    super_exterior_power,
+    tensor,
+    trivial,
+    wedge_insert,
+)
 from supero.roots import (
     generic_functional,
     named_subalgebra,
@@ -660,3 +673,123 @@ def test_nonuniform_shift_acts_on_each_monomial_once_per_vector(monkeypatch):
     mixed = {i for _, i, _ in acted if pair.shift(i) is None}
     assert mixed == {3, 4}
     assert len(acted) == len(set(acted))
+
+
+# --- integer numerators and one scale per basis vector ----------------------
+
+
+def _oracle_blocks(cx, p):
+    """d^p applied to the public basis and expanded with plain Fraction
+    arithmetic: read the coefficients at the anchors, then check that the
+    image minus their combination is zero."""
+    src, dst = cx.space(p), cx.space(p + 1)
+    blocks = []
+    for sector in (0, 1):
+        anchors = {coord: r for r, coord in enumerate(dst.free_coords[sector])}
+        entries = []
+        for k, phi in enumerate(src.basis[sector]):
+            image = cx.apply_differential(p, sector, phi)
+            residual = {coord: F(c) for coord, c in image.items()}
+            for coord, c in image.items():
+                r = anchors.get(coord)
+                if r is not None:
+                    entries.append((r, k, c))
+                    for coord2, v in dst.basis[sector][r].items():
+                        residual[coord2] = residual.get(coord2, F(0)) - c * v
+            assert not any(residual.values()), (p, sector, k)
+        blocks.append(SparseMatrix(len(dst.basis[sector]), len(src.basis[sector]), entries))
+    return blocks
+
+
+def _typed_entries(mat):
+    return sorted((r, c, v, type(v)) for r, c, v in mat.entries())
+
+
+def _q2_ext_natural():
+    """The growth cell q(2), h = g0, Ext(natural, natural): its scales are
+    not all 1 in either sector from p = 2 on."""
+    g = build_q(2)
+    m = natural(g)
+    return RelativeComplex(RelativePair(g, even_part_span(g)), tensor(dual(m), m))
+
+
+def _pairs_complex(case, mod):
+    pair = PAIRS[case]()
+    return RelativeComplex(pair, mod(pair.g))
+
+
+INTEGER_CASES = {
+    **{
+        f"{case}-{mod.__name__}": partial(_pairs_complex, case, mod)
+        for case in PAIRS
+        for mod in (trivial, natural, adjoint)
+    },
+    "q(2)-g0-Ext(natural,natural)": _q2_ext_natural,
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_CASES)
+def test_integer_numerators_reproduce_the_fraction_differential(case):
+    cx = INTEGER_CASES[case]()
+    for p in range(6):
+        sp = cx.space(p)
+        for sector in (0, 1):
+            nums, scales = sp.numerators[sector], sp.scales[sector]
+            assert len(nums) == len(scales) == len(sp.basis[sector])
+            assert sp.lcm[sector] == math.lcm(*scales)
+            for phi, s, anchor, vec in zip(nums, scales, sp.free_coords[sector], sp.basis[sector]):
+                assert all(type(v) is int for v in phi.values())
+                assert math.gcd(*phi.values()) == 1
+                assert phi[anchor] == s > 0
+                assert vec == {coord: F(v, s) for coord, v in phi.items()}
+                assert all(type(v) is int or v.denominator > 1 for v in vec.values())
+                assert (vec is phi) == (s == 1)
+    for p in range(5):
+        blocks = cx._differential_blocks(p)
+        for got, want in zip(blocks, _oracle_blocks(cx, p)):
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert _typed_entries(got) == _typed_entries(want), p
+        assert cx.ddzero(p), p
+    if case.startswith("q(2)-g0-Ext"):
+        assert any(len(set(cx.space(p).scales[s])) > 1 for p in range(6) for s in (0, 1))
+
+
+def test_expand_witness_is_unscaled():
+    cx = _q2_ext_natural()
+    p, sector = next((p, s) for p in range(6) for s in (0, 1) if cx.space(p).lcm[s] > 1)
+    sp = cx.space(p)
+    k = next(k for k, s in enumerate(sp.scales[sector]) if s > 1)
+    anchors = set(sp.free_coords[sector])
+    coord = next(c for c in sp.numerators[sector][k] if c not in anchors)
+    # basis vector k plus 1/3 at one of its non-anchor coordinates
+    target = dict(sp.basis[sector][k])
+    target[coord] += F(1, 3)
+    if not target[coord]:
+        del target[coord]
+    v, w = coord
+    witness = (
+        f"(degree {p}, sector {sector}) at coordinate ({v}, {sp.monomials[w]}) "
+        f"with residual 1/3"
+    )
+    with pytest.raises(ConventionError, match=re.escape(witness) + "$"):
+        cx._expand(target, sp, sector)
+    # the same cochain handed in as 5 times itself, the way d(numerator) is
+    with pytest.raises(ConventionError, match=re.escape(witness) + "$"):
+        cx._expand({c: 5 * x for c, x in target.items()}, sp, sector, 5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_gl(2, 1), lambda: build_q(2), lambda: build_p_tilde(2),
+    lambda: build_osp(1, 2), lambda: build_gl(2, 2),
+], ids=["gl(2|1)", "q(2)", "p~(2)", "osp(1|2)", "gl(2|2)"])
+def test_ddzero_on_seeded_random_functionals(build):
+    # small values repeat often, so many levis lie strictly between the
+    # torus and g, and many borels are parabolics
+    g = build()
+    rng = random.Random(f"ddzero-functional-{g.name}")
+    for sub in ("levi", "borel") * 3:
+        H = tuple(rng.randint(-1, 2) for _ in g.torus)
+        pair = _pair(g, sub, H)
+        for mod in (trivial, natural, adjoint):
+            cx = RelativeComplex(pair, mod(g))
+            assert all(cx.ddzero(p) for p in range(4)), (sub, H, mod.__name__)
