@@ -59,19 +59,31 @@ reaches x ^ w in the second sum, and, for each factor q of w and each
 (x_a, x_b) whose projected bracket holds q, the monomial (w / q) ^ x_a ^ x_b
 in the first.
 
-Cochain bases are found as simultaneous kernels of the equivariance
-constraints.  Two exact reductions keep this affordable at scale, and both
-belong to the complex because they depend on which elements of h act
-diagonally on M: elements acting diagonally on both the monomial basis and
-M filter coordinates directly, and when the non-diagonal even part of h is
-spanned by paired root vectors (a reductive situation), a weight-zero map
-killed by the simple positive root vectors is automatically killed by all
-of h's even part.  The plan (``constraint_plan``) lists the groups of
-constraints to impose in order.  Every returned basis vector is re-verified
-against every constraint exactly; on any failure the full kernel is
-recomputed without shortcuts and re-verified in turn, and a basis that
-still fails raises ConventionError, naming the span vector, degree, sector
-and first defect coordinate.
+Cochain bases are found as the simultaneous kernel of the equivariance
+constraints, cut one span vector at a time.  The candidates start as one
+unit cochain per kept coordinate; each span vector replaces them by the
+canonical kernel combinations of their defects under it, so every cut is
+a small kernel on what the cut before left.  Kernel bases are canonical,
+so the result is the simultaneous kernel, anchored at its free
+coordinates.  The solve numbers each kept coordinate (v, w) by the flat
+int x = w * dim M + v, whose order is the order by (w, v), and decodes it
+only when the space is stored.  Each span vector's defect column of each
+coordinate is built on first use, as a module part with the odd sign
+folded in and an exterior-power part, and the same columns serve the cuts
+and the re-verification.
+
+Two exact reductions keep this affordable at scale, and both belong to
+the complex because they depend on which elements of h act diagonally on
+M: elements acting diagonally on both the monomial basis and M filter
+coordinates directly, and when the non-diagonal even part of h is spanned
+by paired root vectors (a reductive situation), a weight-zero map killed
+by the simple positive root vectors is automatically killed by all of h's
+even part.  The plan (``constraint_plan``) lists the groups of
+constraints to impose in order.  Every returned basis vector is
+re-verified against every constraint exactly; on any failure the full
+kernel is recomputed without shortcuts and re-verified in turn, and a
+basis that still fails raises ConventionError, naming the span vector,
+degree, sector and first defect coordinate.
 
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
@@ -114,6 +126,7 @@ class CochainSpace:
     other anchors.  It equals ``numerators[s][k] / scales[s][k]``, where the
     numerator is a primitive integer cochain and the scale its positive
     value at the anchor; when the scale is 1 the two are the same dict.
+    Every cochain lists its coordinates (v, w) in the order by (w, v).
     """
 
     degree: int
@@ -233,10 +246,19 @@ class RelativePair:
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Monomial basis of L^p_s(g/h) with parities (no action matrices)."""
+        """Monomial basis of L^p_s(g/h) with parities (no action matrices).
+
+        Parities are built incrementally, as ``weight_keys`` are:
+        par(mo) = par(mo[:-1]) + par(mo[-1]) mod 2.
+        """
         if p not in self._monos:
-            monos = tuple(super_monomials(self.quotient_parities, p))
-            pars = tuple(sum(self.quotient_parities[y] for y in mo) % 2 for mo in monos)
+            qpar = self.quotient_parities
+            monos = tuple(super_monomials(qpar, p))
+            if p == 0:
+                pars = (0,) * len(monos)
+            else:
+                prev, prev_index = self.monomials(p - 1)[1], self._index(p - 1)
+                pars = tuple(prev[prev_index[mo[:-1]]] ^ qpar[mo[-1]] for mo in monos)
             self._monos[p] = (monos, pars)
             self._mono_index[p] = {mo: t for t, mo in enumerate(monos)}
         return self._monos[p]
@@ -421,6 +443,30 @@ class RelativePair:
         return hit
 
 
+class _DefectColumns(dict):
+    """Defect columns of one span vector, keyed by flat coordinate and
+    built on first use (see ``RelativeComplex._defect_columns``)."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, x: int):
+        col = self[x] = self.build(x)
+        return col
+
+
+def _defect(columns: _DefectColumns, phi: dict[int, int]) -> dict[int, Scalar]:
+    """Equivariance defect of the flat-coordinate cochain phi under the span
+    vector of ``columns``: the module parts of all its coordinates, then the
+    exterior-power parts, so the defect's keys come in that order."""
+    cols = list(zip(map(columns.__getitem__, phi), phi.values()))
+    out = _add_scaled({}, ((y, c * a) for (module, _), c in cols for y, a in module))
+    return _add_scaled(out, ((y, c * a) for (_, ext), c in cols for y, a in ext))
+
+
 class RelativeComplex:
     """Cochain complex of a pair (g, h) with coefficients in a g-module."""
 
@@ -506,64 +552,84 @@ class RelativeComplex:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
         return self.pair.monomials(p)
 
-    def _constraint_apply(self, i: int, sector: int, lam_rows: dict[int, dict[int, Scalar]], phi: Cochain) -> Cochain:
-        """Equivariance defect of phi for the i-th span vector of h."""
-        odd = (self.pair.h.vector_parities[i] * sector) % 2
+    def _defect_columns(
+        self, p: int, i: int, lam_rows: dict[int, dict[int, Scalar]]
+    ) -> _DefectColumns:
+        """Defect columns of span vector i on the kept coordinates of degree p.
+
+        The column of flat coordinate x = w * dim M + v is the defect of the
+        unit cochain at (v, w): its module part, with the sign of an odd
+        span vector acting on an odd map folded in, then its exterior-power
+        part, which does not depend on the sector.
+        """
+        n = self.m.dim
         cols = self.m_action_cols[i]
-        out: Cochain = {}
-        for (v, w), c in phi.items():
-            _add_scaled(out, (((v2, w), a) for v2, a in cols[v].items()), -c if odd else c)
-        for (v, w), c in phi.items():
-            _add_scaled(out, (((v, w2), a) for w2, a in lam_rows[w].items()), -c)
-        return out
+        odd_vector = self.pair.h.vector_parities[i]
+        m_par, mono_par = self.m.parities, self.pair.monomials(p)[1]
+
+        def build(x: int) -> tuple[list[tuple[int, Scalar]], list[tuple[int, Scalar]]]:
+            w, v = divmod(x, n)
+            base = w * n
+            if odd_vector and (m_par[v] + mono_par[w]) % 2:
+                module = [(base + v2, -a) for v2, a in cols[v].items()]
+            else:
+                module = [(base + v2, a) for v2, a in cols[v].items()]
+            return module, [(w2 * n + v, -a) for w2, a in lam_rows[w].items()]
+
+        return _DefectColumns(build)
 
     def _impose(
         self,
         constraint_ids: list[int],
-        sector: int,
-        lam_rows_by_id: dict[int, dict[int, dict[int, Scalar]]],
-        candidates: list[dict[Coord, int]],
-        free: list[Coord],
-    ) -> tuple[list[dict[Coord, int]], list[Coord]]:
-        """Cut the span of candidates by the listed equivariance constraints.
+        columns_by_id: dict[int, _DefectColumns],
+        candidates: list[dict[int, int]],
+        free: list[int],
+    ) -> tuple[list[dict[int, int]], list[int]]:
+        """Cut the span of candidates by the listed equivariance constraints,
+        one span vector after another.
 
-        Candidates are integer cochains: candidate k is positive at its anchor
-        ``free[k]`` and 0 at the other anchors.  The output vectors are the
-        primitive integer multiples of the canonical kernel combinations, so
-        they are integer cochains of the same kind.
+        Candidates are integer cochains on flat coordinates: candidate k is
+        positive at its anchor ``free[k]`` and 0 at the other anchors.  Each
+        cut keeps the canonical kernel combinations of the candidates left by
+        the one before, so the result is the kernel of all the listed
+        constraints at once, anchored at its free columns.  The output
+        vectors are the primitive integer multiples of those combinations,
+        keys ascending, so they are integer cochains of the same kind.
         """
-        if not constraint_ids or not candidates:
-            return candidates, free
-        row_ids: dict[tuple[int, Coord], int] = {}
-        entries = []
-        for k, phi in enumerate(candidates):
-            for ci in constraint_ids:
-                defect = self._constraint_apply(ci, sector, lam_rows_by_id[ci], phi)
-                for coord, val in defect.items():
-                    rid = row_ids.setdefault((ci, coord), len(row_ids))
-                    entries.append((rid, k, val))
-        mat = SparseMatrix(len(row_ids), len(candidates), entries)
-        combos, free_cols = kernel_basis_with_free(mat)
-        out: list[dict[Coord, int]] = []
-        for nums, _ in combos:
-            vec: dict[Coord, int] = {}
-            for k, c in nums.items():  # ascending k, so the key order is canonical
-                _add_scaled(vec, candidates[k].items(), c)
-            g = math.gcd(*vec.values())
-            out.append({coord: v // g for coord, v in vec.items()} if g > 1 else vec)
-        # candidate k is nonzero at its own anchor only, so the anchors of the
-        # free candidate columns anchor the output
-        return out, [free[k] for k in free_cols]
+        for i in constraint_ids:
+            columns = columns_by_id[i]
+            row_ids: dict[int, int] = {}
+            entries = []
+            for k, phi in enumerate(candidates):
+                for x, val in _defect(columns, phi).items():
+                    entries.append((row_ids.setdefault(x, len(row_ids)), k, val))
+            if not entries:  # no candidates, or none with a defect: nothing to cut
+                continue
+            mat = SparseMatrix(len(row_ids), len(candidates), entries)
+            combos, free_cols = kernel_basis_with_free(mat)
+            out: list[dict[int, int]] = []
+            for nums, _ in combos:
+                vec = _add_scaled({}, (
+                    (x, c * a) for k, c in nums.items() for x, a in candidates[k].items()
+                ))
+                g = math.gcd(*vec.values())
+                out.append({x: vec[x] // g for x in sorted(vec)})
+            # candidate k is nonzero at its own anchor only, so the anchors of
+            # the free candidate columns anchor the output
+            candidates, free = out, [free[k] for k in free_cols]
+        return candidates, free
 
     def space(self, p: int) -> CochainSpace:
         if p in self._spaces:
             return self._spaces[p]
         monos, mono_par = self.monomials(p)
-        # kept coordinates, by monomial then module vector: a monomial bucket
-        # whose key, read at diag_idx, is the key of a module bucket; the
-        # constraints read action rows only in those buckets
+        n = self.m.dim
+        # kept coordinates as flat x = w * dim M + v, ascending, so by
+        # monomial then module vector: a monomial bucket whose key, read at
+        # diag_idx, is the key of a module bucket; the constraints read
+        # action rows only in those buckets
         pos = [self.pair.diagonal.index(i) for i in self.diag_idx]
-        kept_pair: list[list[Coord]] = [[], []]
+        kept_pair: list[list[int]] = [[], []]
         needed = []
         for key, ts in self.pair.buckets(p).items():
             vs = self.m_buckets.get(tuple(key[j] for j in pos))
@@ -571,9 +637,9 @@ class RelativeComplex:
                 needed.append(key)
                 for w in ts:
                     for v in vs:
-                        kept_pair[(self.m.parities[v] + mono_par[w]) % 2].append((v, w))
+                        kept_pair[(self.m.parities[v] + mono_par[w]) % 2].append(w * n + v)
         for kept in kept_pair:
-            kept.sort(key=lambda coord: coord[::-1])
+            kept.sort()
         lam_rows_by_id: dict[int, dict[int, dict[int, Scalar]]] = {}
         for i in self.nondiag_idx:
             lam_rows = lam_rows_by_id[i] = {}
@@ -585,36 +651,47 @@ class RelativeComplex:
         free_pair: list[list[Coord]] = [[], []]
         for sector in (EVEN, ODD):
             kept = kept_pair[sector]
+            # one set of defect columns per span vector, shared by the plan,
+            # the full solve and the re-verification; a coordinate belongs
+            # to one sector, so each sector builds its own
+            columns_by_id = {
+                i: self._defect_columns(p, i, lam_rows_by_id[i]) for i in self.nondiag_idx
+            }
             # the plan, then the full solve; either must pass the exact
             # re-verification of every constraint on every basis vector (on
             # its integer multiple: scaling keeps a zero defect zero)
             for plan in (self.constraint_plan, [self.nondiag_idx]):
-                candidates: list[dict[Coord, int]] = [{coord: 1} for coord in kept]
-                free: list[Coord] = list(kept)
+                candidates: list[dict[int, int]] = [{x: 1} for x in kept]
+                free: list[int] = list(kept)
                 for ids in plan:
-                    candidates, free = self._impose(ids, sector, lam_rows_by_id, candidates, free)
+                    candidates, free = self._impose(ids, columns_by_id, candidates, free)
                 witness = next((
                     (i, defect) for phi in candidates for i in self.nondiag_idx
-                    if (defect := self._constraint_apply(i, sector, lam_rows_by_id[i], phi))
+                    if (defect := _defect(columns_by_id[i], phi))
                 ), None)
                 if witness is None:
                     break
             else:
                 i, defect = witness
-                (v, w), c = next(iter(defect.items()))
+                x, c = next(iter(defect.items()))
+                w, v = divmod(x, n)
                 raise ConventionError(
                     f"cochain basis fails equivariance under span vector {i} of h "
                     f"(degree {p}, sector {sector}) at coordinate ({v}, {monos[w]}) "
                     f"with defect {c}"
                 )
-            # the public basis divides each vector by its value at its anchor
+            # decode the flat coordinates, one (v, w) tuple per coordinate
+            # shared by every vector and anchor; the public basis divides
+            # each vector by its value at its anchor
+            decode = {x: (x % n, x // n) for x in kept}
+            numerators = [{decode[x]: c for x, c in phi.items()} for phi in candidates]
             scales = [phi[anchor] for phi, anchor in zip(candidates, free)]
             basis_pair[sector] = [
-                phi if s == 1 else {coord: _exact(Fraction(v, s)) for coord, v in phi.items()}
-                for phi, s in zip(candidates, scales)
+                phi if s == 1 else {coord: _exact(Fraction(c, s)) for coord, c in phi.items()}
+                for phi, s in zip(numerators, scales)
             ]
-            numerators_pair[sector], scales_pair[sector] = candidates, scales
-            free_pair[sector] = free
+            numerators_pair[sector], scales_pair[sector] = numerators, scales
+            free_pair[sector] = [decode[x] for x in free]
         self._spaces[p] = CochainSpace(
             p, monos, mono_par, tuple(basis_pair), tuple(free_pair),
             tuple(numerators_pair), tuple(scales_pair),

@@ -793,3 +793,36 @@ def test_ddzero_on_seeded_random_functionals(build):
         for mod in (trivial, natural, adjoint):
             cx = RelativeComplex(pair, mod(g))
             assert all(cx.ddzero(p) for p in range(4)), (sub, H, mod.__name__)
+
+
+# Seeded borel functionals per algebra, each drawn in a chamber where the
+# tensor modules below reach Lambda^p(g/b): the weight of a b-singular
+# vector of Lambda^p(g/b) is minus a sum of positive roots, and only there
+# can a finite-dimensional module hold a singular vector of that weight
+# (with trivial, natural or adjoint coefficients C^p = 0 for every p >= 1).
+BOREL_DRAWS = {
+    "gl(1|1)": (lambda: build_gl(1, 1), lambda rng: tuple(rng.sample(range(-3, 4), 2))),
+    "p~(2)": (lambda: build_p_tilde(2), lambda rng: tuple(rng.sample(range(-3, 0), 2))),
+    # |H(eps)| > |H(delta)|: both odd roots eps +- delta on one side
+    "osp(2|2)": (
+        lambda: build_osp(2, 2), lambda rng: (rng.choice((-3, -2, 2, 3)), rng.randint(-1, 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BOREL_DRAWS)
+def test_ddzero_on_seeded_borel_functionals_with_tensor_coefficients(name):
+    build, draw = BOREL_DRAWS[name]
+    g = build()
+    n, ad = natural(g), adjoint(g)
+    modules = [tensor(ad, ad), tensor(tensor(n, dual(n)), ad), tensor(tensor(ad, ad), ad)]
+    rng = random.Random(f"borel-ddzero-{g.name}")
+    for _ in range(3):
+        H = draw(rng)
+        pair = _pair(g, "borel", H)
+        dims = []
+        for mod in modules:
+            cx = RelativeComplex(pair, mod)
+            dims.append([cx.space(p).dim for p in range(5)])
+            assert all(cx.ddzero(p) for p in range(4)), (H, mod.name)
+        assert any(any(d[1:]) for d in dims), (H, dims)

@@ -1,5 +1,6 @@
 """Deeper engine validation: classical closed-form values and edge paths."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from supero.algebras import (
 )
 from supero.cohomology import RelativeComplex, RelativePair, cohomology
 from supero.invariants import compare_invariants_vs_cohomology, invariant_dims
+from supero.linalg import SparseMatrix, _add_scaled, kernel_basis_with_free
 from supero.reps import adjoint, trivial
 from supero.roots import named_subalgebra
+from supero.suites import coefficient_modules, ddzero_algebras, ddzero_subalgebras
 
 F = Fraction
 
@@ -87,8 +90,6 @@ def test_algebra_identity_enforced():
 def test_reduction_shortcut_matches_full_solve(monkeypatch):
     # On every ddzero cell whose shortcut drops even constraints, the shortcut
     # basis must be the full-solve basis, without the fallback firing.
-    from supero.suites import coefficient_modules, ddzero_algebras, ddzero_subalgebras
-
     fallbacks = []
     impose = RelativeComplex._impose
 
@@ -170,3 +171,104 @@ def test_unverified_basis_raises_after_the_full_solve(monkeypatch, capsys):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("consistency error: cochain basis fails")
     assert captured.err.count("\n") == 1
+
+
+# --- the stacked one-kernel solve, kept as the oracle of space ---------------
+
+
+def _stacked_defect(cx, i, sector, lam_rows, phi):
+    """Equivariance defect of phi, keyed by (v, w), for span vector i of h."""
+    odd = (cx.pair.h.vector_parities[i] * sector) % 2
+    cols = cx.m_action_cols[i]
+    out = {}
+    for (v, w), c in phi.items():
+        _add_scaled(out, (((v2, w), a) for v2, a in cols[v].items()), -c if odd else c)
+    for (v, w), c in phi.items():
+        _add_scaled(out, (((v, w2), a) for w2, a in lam_rows[w].items()), -c)
+    return out
+
+
+def _stacked_impose(cx, ids, sector, lam_rows_by_id, candidates, free):
+    """Cut the span of candidates by all the listed constraints at once: the
+    defects under every span vector stacked into one matrix, one kernel."""
+    if not ids or not candidates:
+        return candidates, free
+    row_ids, entries = {}, []
+    for k, phi in enumerate(candidates):
+        for i in ids:
+            for coord, val in _stacked_defect(cx, i, sector, lam_rows_by_id[i], phi).items():
+                entries.append((row_ids.setdefault((i, coord), len(row_ids)), k, val))
+    mat = SparseMatrix(len(row_ids), len(candidates), entries)
+    combos, free_cols = kernel_basis_with_free(mat)
+    out = []
+    for nums, _ in combos:
+        vec = {}
+        for k, c in nums.items():
+            _add_scaled(vec, candidates[k].items(), c)
+        g = math.gcd(*vec.values())
+        out.append({coord: v // g for coord, v in vec.items()})
+    return out, [free[k] for k in free_cols]
+
+
+def _stacked_space(cx, p):
+    """Per sector, (numerators, scales, anchors) of C^p by the stacked solve:
+    the plan, then the full solve unless every constraint holds exactly."""
+    _, mono_par = cx.monomials(p)
+    pos = [cx.pair.diagonal.index(i) for i in cx.diag_idx]
+    kept, needed = ([], []), []
+    for key, ts in cx.pair.buckets(p).items():
+        vs = cx.m_buckets.get(tuple(key[j] for j in pos))
+        if vs:
+            needed.append(key)
+            for w in ts:
+                for v in vs:
+                    kept[(cx.m.parities[v] + mono_par[w]) % 2].append((v, w))
+    lam_rows_by_id = {i: {} for i in cx.nondiag_idx}
+    for i, rows in lam_rows_by_id.items():
+        for key in needed:
+            rows.update(cx.pair.action_rows(p, i, key))
+    out = []
+    for sector in (0, 1):
+        coords = sorted(kept[sector], key=lambda coord: coord[::-1])
+        for plan in (cx.constraint_plan, [cx.nondiag_idx]):
+            candidates, free = [{coord: 1} for coord in coords], coords
+            for ids in plan:
+                candidates, free = _stacked_impose(
+                    cx, ids, sector, lam_rows_by_id, candidates, free
+                )
+            if not any(
+                _stacked_defect(cx, i, sector, lam_rows_by_id[i], phi)
+                for phi in candidates for i in cx.nondiag_idx
+            ):
+                break
+        else:
+            raise AssertionError(f"stacked solve fails equivariance (degree {p})")
+        out.append((candidates, [phi[c] for phi, c in zip(candidates, free)], free))
+    return out
+
+
+def test_space_matches_the_stacked_solve():
+    # every ddzero cell with a shortcut plan to p = 3, and q(3), h = g0,
+    # adjoint coefficients to p = 5, where one span vector at a time cuts
+    # 633 candidates to 130 and then 12
+    cells = []
+    for g in ddzero_algebras():
+        for hname, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)
+            for mod in coefficient_modules(g):
+                cx = RelativeComplex(pair, mod)
+                if cx.constraint_plan != [cx.nondiag_idx]:
+                    big = (g.name, hname, mod.name) == ("q(3)", "g0", "adjoint")
+                    cells.append((cx, 5 if big else 3))
+    assert len(cells) == 49 and max(top for _, top in cells) == 5
+    for cx, top in cells:
+        for p in range(top + 1):
+            sp = cx.space(p)
+            for sector, (nums, scales, free) in enumerate(_stacked_space(cx, p)):
+                where = (cx.pair.g.name, cx.pair.h.label, cx.m.name, p, sector)
+                assert sp.numerators[sector] == nums, where
+                assert sp.scales[sector] == scales, where
+                assert sp.free_coords[sector] == free, where
+                assert sp.basis[sector] == [
+                    {coord: F(v, s) for coord, v in phi.items()} for phi, s in zip(nums, scales)
+                ], where
