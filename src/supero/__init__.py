@@ -28,6 +28,7 @@ from .algebras import (
 )
 from .checks import (
     GradingTorus,
+    abstract_root_data,
     appendix_torus,
     check_positive_grading,
     count_graded_monomials,
@@ -40,8 +41,6 @@ from .cohomology import (
     CohomologyReport,
     RelativeComplex,
     RelativePair,
-    differential,
-    relative_cochains,
     relative_ext,
 )
 from .invariants import (

@@ -17,7 +17,6 @@ odd block) to keep downstream signs and reports reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,11 +40,15 @@ SCHEMA = "superO/1"
 
 
 def _is_triple(x, ints: int) -> bool:
-    """Whether x is a list of three items whose first ``ints`` are ints."""
+    """Whether x is a list of three items whose first ``ints`` are ints.
+
+    An int here is exactly ``int``: JSON ``true``/``false`` load as
+    ``bool``, an ``int`` subclass, and are no indices or numbers.
+    """
     return (
         isinstance(x, (list, tuple))
         and len(x) == 3
-        and all(isinstance(v, int) for v in x[:ints])
+        and all(type(v) is int for v in x[:ints])
     )
 
 
@@ -94,9 +97,6 @@ class LieSuperalgebra:
     @property
     def odd_indices(self) -> list[int]:
         return [i for i, p in enumerate(self.parities) if p == ODD]
-
-    def parity(self, i: int) -> int:
-        return self.parities[i]
 
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         return self.table.get((i, j), ())
@@ -176,10 +176,10 @@ class LieSuperalgebra:
         if d.get("dim", n) != n:
             raise DimensionMismatch(f"dim {d['dim']} != {n} parities")
         for p in parities:
-            if p not in (EVEN, ODD):
+            if type(p) is not int or p not in (EVEN, ODD):
                 raise DimensionMismatch(f"parity {p!r} is not 0 or 1")
         for t in d["torus"]:
-            if not (isinstance(t, int) and 0 <= t < n):
+            if not (type(t) is int and 0 <= t < n):
                 raise DimensionMismatch(f"torus index {t!r} outside 0..{n - 1}")
             if parities[t] != EVEN:
                 raise DimensionMismatch(f"torus index {t} is odd")
@@ -204,13 +204,6 @@ class LieSuperalgebra:
                 raise DimensionMismatch(f"zero denominator in bracket [{i}, {j}]")
             table[i, j] = tuple((k, Fraction(num, den)) for k, num, den in terms)
         return cls(d["name"], parities, table, d["torus"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "LieSuperalgebra":
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.name!r}, dim={self.dim})"
@@ -592,9 +585,6 @@ class SubalgebraSpan:
     def sparse_vectors(self) -> list[SparseVec]:
         return [{i: v for i, v in enumerate(vec) if v} for vec in self.vectors]
 
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return self.solver.contains(vec)
-
     def projections(self) -> list[SparseVec]:
         """Residual of each parent basis vector modulo the span, cached.
 
@@ -623,9 +613,6 @@ class SubalgebraSpan:
                 if not self.solver.contains(vec):
                     return (i, j)
         return None
-
-    def is_closed(self) -> bool:
-        return self.closure_witness() is None
 
     def to_algebra(self, name: str | None = None) -> LieSuperalgebra:
         """Structure constants of the span in its own basis.

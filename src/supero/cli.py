@@ -146,20 +146,29 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
     raise UnsupportedModule(f"cannot parse module spec {spec!r}")
 
 
+def _ratio(num, den) -> Fraction:
+    """num/den from a span file.  JSON ``true``/``false`` load as ``bool``,
+    an ``int`` subclass that ``Fraction`` would take for 1 and 0."""
+    if type(num) is not int or type(den) is not int:
+        raise TypeError(f"{num!r}/{den!r} is not a ratio of integers")
+    return Fraction(num, den)
+
+
 def parse_subalgebra(g: LieSuperalgebra, spec: str, H: tuple[Scalar, ...] | None) -> SubalgebraSpan:
     if spec.startswith("span:"):
         path = spec[5:]
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            vectors = [
-                tuple(Fraction(num, den) for num, den in vec) for vec in data["vectors"]
-            ]
+            vectors = [tuple(_ratio(*entry) for entry in vec) for vec in data["vectors"]]
             label = data.get("label", "span")
         except (ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
             raise UnsupportedSubalgebra(
                 f'{path}: expected {{"vectors": [[[num, den], ...], ...]}}'
             ) from None
+        # a line break would split the "# g  h=..." header of a table report
+        if not isinstance(label, str) or "".join(label.splitlines()) != label:
+            raise UnsupportedSubalgebra(f"{path}: label {label!r} is not a one-line string")
         # the file is outside input: a span that is no subalgebra is a usage error
         try:
             span = SubalgebraSpan(g, vectors, label)

@@ -850,16 +850,6 @@ class RelativeComplex:
 # module-level operations
 
 
-def relative_cochains(
-    g: LieSuperalgebra, h: SubalgebraSpan, m: Representation, p: int
-) -> CochainSpace:
-    return RelativeComplex(RelativePair(g, h), m).space(p)
-
-
-def differential(g: LieSuperalgebra, h: SubalgebraSpan, m: Representation, p: int) -> SparseMatrix:
-    return RelativeComplex(RelativePair(g, h), m).differential(p)
-
-
 def cohomology(
     g: LieSuperalgebra, h: SubalgebraSpan, m: Representation, max_degree: int
 ) -> CohomologyReport:

@@ -103,9 +103,11 @@ def _dict_matmul(a: dict[tuple[int, int], Scalar], b: dict[tuple[int, int], Scal
 class SparseMatrix:
     """Immutable sparse matrix over Q.
 
-    Entries are stored as a dict keyed by (row, col), each value under the
-    scalar convention (``_exact``); zeros are never stored and duplicate
-    positions are rejected.
+    A container, not an algebra: it is built once, handed to ``rank`` and
+    ``kernel_basis_with_free``, and read back as entries or as row and
+    column dicts.  Entries are stored as a dict keyed by (row, col), each
+    value under the scalar convention (``_exact``); zeros are never stored
+    and duplicate positions are rejected.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -126,27 +128,6 @@ class SparseMatrix:
         self.cols = cols
         self._data = data
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "SparseMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        entries = []
-        for i, row in enumerate(rows):
-            if len(row) != nc:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries.append((i, j, v))
-        return cls(nr, nc, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, ((i, i, 1) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols)
-
     def entry(self, r: int, c: int) -> Scalar:
         return self._data.get((r, c), 0)
 
@@ -164,9 +145,6 @@ class SparseMatrix:
     def is_diagonal(self) -> bool:
         return all(r == c for (r, c) in self._data)
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, ((c, r, v) for (r, c), v in self._data.items()))
-
     def row_dicts(self) -> list[dict[int, Scalar]]:
         out: list[dict[int, Scalar]] = [dict() for _ in range(self.rows)]
         for (r, c), v in self._data.items():
@@ -178,33 +156,6 @@ class SparseMatrix:
         for (r, c), v in self._data.items():
             out[c][r] = v
         return out
-
-    def matvec(self, vec: Sequence[Scalar]) -> Vector:
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
-        acc: list[Scalar] = [0] * self.rows
-        for (r, c), v in self._data.items():
-            x = vec[c]
-            if x:
-                acc[r] += v * x
-        return tuple(map(_exact, acc))
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        acc = _dict_matmul(self._data, other._data)
-        return SparseMatrix(self.rows, other.cols, ((r, c, v) for (r, c), v in acc.items()))
-
-    def scaled(self, a: Scalar) -> "SparseMatrix":
-        if a == 0:
-            return SparseMatrix(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols, ((r, c, a * v) for (r, c), v in self._data.items()))
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in add")
-        acc = _add_scaled(dict(self._data), other._data.items())
-        return SparseMatrix(self.rows, self.cols, ((r, c, v) for (r, c), v in acc.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):

@@ -73,31 +73,6 @@ class Representation:
         return f"Representation({self.name!r} over {self.algebra.name}, dim={self.dim})"
 
 
-def verify_representation(r: Representation) -> tuple[bool, tuple[int, int] | None]:
-    """Exact super-homomorphism and parity-consistency check.
-
-    action([x,y]) = action(x)action(y) - (-1)^{|x||y|} action(y)action(x)
-    on all homogeneous basis pairs; actions shift module parity by |x|.
-    """
-    g = r.algebra
-    for i in range(g.dim):
-        for row, col, _ in r.actions[i].entries():
-            if (r.parities[row] - r.parities[col]) % 2 != g.parities[i] % 2:
-                return False, (i, i)
-    for i in range(g.dim):
-        ai = r.actions[i]
-        for j in range(g.dim):
-            aj = r.actions[j]
-            sign = 1 if (g.parities[i] * g.parities[j]) % 2 else -1
-            lhs = ai.matmul(aj).add(aj.matmul(ai).scaled(sign))
-            rhs = SparseMatrix(r.dim, r.dim)
-            for k, c in g.bracket_basis(i, j):
-                rhs = rhs.add(r.actions[k].scaled(c))
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
-
-
 def trivial(g: LieSuperalgebra) -> Representation:
     zero = SparseMatrix(1, 1)
     return Representation(g, "trivial", (EVEN,), tuple(zero for _ in range(g.dim)), ("1",))

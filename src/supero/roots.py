@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .algebras import (
-    EVEN,
-    ODD,
     LieSuperalgebra,
     SubalgebraSpan,
     _unit_span,
@@ -37,14 +35,6 @@ class RootSpace:
     even_indices: tuple[int, ...]
     odd_indices: tuple[int, ...]
 
-    @property
-    def even_multiplicity(self) -> int:
-        return len(self.even_indices)
-
-    @property
-    def odd_multiplicity(self) -> int:
-        return len(self.odd_indices)
-
     def to_json_dict(self) -> dict:
         return {
             "weight": [[c.numerator, c.denominator] for c in self.weight],
@@ -62,9 +52,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return len(self.algebra.torus)
-
-    def weights(self) -> list[Weight]:
-        return [r.weight for r in self.roots]
 
     def to_json_dict(self) -> dict:
         return {

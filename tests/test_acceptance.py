@@ -11,8 +11,8 @@ import time
 import pytest
 
 from supero.algebras import build_gl, build_q, even_part_span, special_linear_span
-from supero.cohomology import RelativeComplex, cohomology
-from supero.invariants import ext_growth, invariant_dims
+from supero.cohomology import cohomology
+from supero.invariants import invariant_dims
 from supero.reps import trivial
 from supero.roots import named_subalgebra
 from supero.suites import SUITES, run_suite

@@ -4,7 +4,6 @@ import pytest
 
 from supero.algebras import build_gl, build_q, even_part_span, special_linear_span
 from supero.checks import (
-    CountCertificate,
     GradingTorus,
     appendix_torus,
     check_positive_grading,
@@ -100,7 +99,7 @@ def test_matrix_family_roots_match_root_decomposition():
         ("q", (3,), build_q(3)),
     ):
         rd = root_decomposition(g)
-        even_weights = {r.weight for r in rd.roots if r.even_multiplicity > 0}
+        even_weights = {r.weight for r in rd.roots if r.even_indices}
         listed = set(positive_even_roots(family, params))
         neg = {tuple(-c for c in w) for w in listed}
         assert listed | neg == even_weights

@@ -147,6 +147,12 @@ def test_coh_span_file_missing_exit_2(capsys):
         ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [1, 1], [0, 1]]]})),
         ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [0, 1], [0, 1]],
                                          [[2, 1], [0, 1], [0, 1], [0, 1]]]})),
+        # JSON true loads as bool, an int subclass that Fraction takes for 1
+        ("span", json.dumps({"vectors": [[[True, 1], [0, 1], [0, 1], [0, 1]]]})),
+        ("span", json.dumps({"vectors": [[[1, True], [0, 1], [0, 1], [0, 1]]]})),
+        # the label goes into the "# g  h=..." header line of a table report
+        ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [0, 1], [0, 1]]], "label": "a\nb"})),
+        ("span", json.dumps({"vectors": [[[1, 1], [0, 1], [0, 1], [0, 1]]], "label": 5})),
         # --H belongs to levi and borel only, even when it is empty
         ("H-with:g0", "1,2,3"),
         ("H-with:g0", ","),
@@ -158,6 +164,8 @@ def test_coh_span_file_missing_exit_2(capsys):
     ids=[
         "H-not-rational", "H-zero-denominator", "span-not-json", "span-flat-vector",
         "span-not-closed", "span-not-homogeneous", "span-dependent",
+        "span-true-numerator", "span-true-denominator", "span-label-newline",
+        "span-label-not-a-string",
         "H-with-g0", "H-comma-with-g0", "H-empty-with-g0", "H-with-torus",
         "H-with-full", "H-with-span",
     ],

@@ -1,11 +1,14 @@
 """Cross-module invariants and serialization surfaces."""
 
+import ast
 import json
+import pathlib
 import types
 from fractions import Fraction
 
 import pytest
 
+import supero
 from supero.algebras import build_gl, build_q, special_linear_span
 from supero.checks import abstract_root_data
 from supero.cli import main
@@ -108,3 +111,19 @@ def test_cohomology_module_is_not_shadowed_by_its_function():
     assert isinstance(engine, types.ModuleType)
     assert callable(engine.cohomology)
     assert engine.cohomology.__module__ == "supero.cohomology"
+
+
+def test_every_public_name_in_src_is_called_in_src_or_exported():
+    # a module-level function or class that only tests reach is a second
+    # spelling of something: delete it, or export it from supero as API
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8"))
+             for f in pathlib.Path(supero.__file__).parent.glob("*.py")}
+    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.asname or node.name
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.alias))}
+    unused = sorted(f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used | exported)
+    assert unused == []

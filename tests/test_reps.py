@@ -7,7 +7,6 @@ from supero.algebras import (
     build_q,
     even_part_span,
     special_linear_span,
-    torus_span,
 )
 from supero.errors import AlgebraMismatch, UnsupportedModule
 from supero.linalg import SparseMatrix
@@ -24,10 +23,11 @@ from supero.reps import (
     super_symmetric_power,
     tensor,
     trivial,
-    verify_representation,
     weight_decomposition,
     wedge_insert,
 )
+
+from oracles import matmul, verify_representation
 
 F = Fraction
 
@@ -44,9 +44,7 @@ def test_adjoint_gl2_commutator():
     r = adjoint(g)
     i12 = g.basis_labels.index("e[1,2]")
     i21 = g.basis_labels.index("e[2,1]")
-    col = [F(0)] * g.dim
-    col[i21] = F(1)
-    out = r.actions[i12].matvec(col)
+    out = [r.actions[i12].entry(k, i21) for k in range(g.dim)]  # the image of e[2,1]
     expected = [F(0)] * g.dim
     expected[g.basis_labels.index("e[1,1]")] = F(1)
     expected[g.basis_labels.index("e[2,2]")] = F(-1)
@@ -98,7 +96,7 @@ def test_double_dual_is_original_up_to_parity_sign():
             r.dim, r.dim, ((i, i, F(-1) if r.parities[i] else F(1)) for i in range(r.dim))
         )
         for a, b in zip(r.actions, dd.actions):
-            assert sign.matmul(b).matmul(sign) == a
+            assert matmul(matmul(sign, b), sign) == a
 
 
 def test_dual_is_representation():

@@ -21,7 +21,7 @@ F = Fraction
 
 def test_gl11_roots():
     rd = root_decomposition(build_gl(1, 1))
-    weights = {r.weight: (r.even_multiplicity, r.odd_multiplicity) for r in rd.roots}
+    weights = {r.weight: (len(r.even_indices), len(r.odd_indices)) for r in rd.roots}
     assert weights == {(F(1), F(-1)): (0, 1), (F(-1), F(1)): (0, 1)}
     assert len(rd.zero_weight_indices) == 2
 
@@ -30,12 +30,12 @@ def test_gl2_classical_roots():
     rd = root_decomposition(build_gl(2, 0))
     weights = {r.weight for r in rd.roots}
     assert weights == {(F(1), F(-1)), (F(-1), F(1))}
-    assert all(r.odd_multiplicity == 0 for r in rd.roots)
+    assert all(len(r.odd_indices) == 0 for r in rd.roots)
 
 
 def test_q2_roots_have_both_parities():
     rd = root_decomposition(build_q(2))
-    weights = {r.weight: (r.even_multiplicity, r.odd_multiplicity) for r in rd.roots}
+    weights = {r.weight: (len(r.even_indices), len(r.odd_indices)) for r in rd.roots}
     assert weights == {(F(1), F(-1)): (1, 1), (F(-1), F(1)): (1, 1)}
     assert len(rd.zero_weight_indices) == 4  # even Cartan + odd Cartan part
 
@@ -48,7 +48,7 @@ def test_q2_roots_have_both_parities():
 def test_dimension_conservation(g):
     rd = root_decomposition(g)
     total = len(rd.zero_weight_indices) + sum(
-        r.even_multiplicity + r.odd_multiplicity for r in rd.roots
+        len(r.even_indices) + len(r.odd_indices) for r in rd.roots
     )
     assert total == g.dim
 
