@@ -17,7 +17,6 @@ odd block) to keep downstream signs and reports reproducible.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,13 +27,16 @@ from .errors import (
     NotASubalgebra,
     UnsupportedRank,
 )
-from .linalg import Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact, kernel_basis
+from .linalg import (
+    Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact, kernel_basis_with_free
+)
 
 EVEN = 0
 ODD = 1
 
 SparseVec = dict[int, Scalar]
 MatDict = dict[tuple[int, int], Scalar]
+BracketTable = dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]  # (i, j) -> [(k, c)]
 
 SCHEMA = "superO/1"
 
@@ -68,7 +70,7 @@ class LieSuperalgebra:
         self,
         name: str,
         parities: Sequence[int],
-        table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]],
+        table: BracketTable,
         torus: Sequence[int],
         basis_labels: Sequence[str] | None = None,
         matrix_model: tuple[int, tuple[int, ...], tuple[MatDict, ...]] | None = None,
@@ -162,19 +164,21 @@ class LieSuperalgebra:
     @classmethod
     def from_json_dict(cls, d: dict) -> "LieSuperalgebra":
         """Inverse of ``to_json_dict``; raises DimensionMismatch on a missing
-        key, a malformed or repeated bracket entry, bad indices, parities or
-        denominators."""
+        key, a name that is no string, a dim other than the exact ``int``
+        number of parities, a malformed or repeated bracket entry, bad
+        indices, parities or denominators."""
         if not isinstance(d, dict):
             raise DimensionMismatch("algebra JSON is not an object")
         for key in ("name", "parities", "torus", "bracket"):
             if key not in d:
                 raise DimensionMismatch(f"algebra JSON has no {key!r} key")
-            if key != "name" and not isinstance(d[key], (list, tuple)):
-                raise DimensionMismatch(f"algebra JSON {key!r} is not a list")
+            kinds, what = (str, "a string") if key == "name" else ((list, tuple), "a list")
+            if not isinstance(d[key], kinds):
+                raise DimensionMismatch(f"algebra JSON {key!r} is not {what}")
         parities = d["parities"]
         n = len(parities)
-        if d.get("dim", n) != n:
-            raise DimensionMismatch(f"dim {d['dim']} != {n} parities")
+        if "dim" in d and not (type(d["dim"]) is int and d["dim"] == n):
+            raise DimensionMismatch(f"dim {d['dim']!r} != {n} parities")
         for p in parities:
             if type(p) is not int or p not in (EVEN, ODD):
                 raise DimensionMismatch(f"parity {p!r} is not 0 or 1")
@@ -276,6 +280,33 @@ def _super_commutator(a: MatDict, b: MatDict, pa: int, pb: int) -> MatDict:
     return _add_scaled(dict(ab), ba.items(), sign)
 
 
+def _solve_brackets(solver: SpanSolver, bracket) -> tuple[BracketTable, tuple[int, int] | None]:
+    """Structure constants of the solver's input vectors.
+
+    ``bracket(i, j)`` is the bracket of inputs i and j as a sparse vector
+    in the solver's ambient coordinates.  Pairs are solved row by row; the
+    result is the table of nonzero coordinates and the first pair whose
+    bracket escapes the span, at which the solve stops, or None.
+    """
+    table: BracketTable = {}
+    n = solver.n_inputs
+    for i in range(n):
+        for j in range(n):
+            out = bracket(i, j)
+            if not out:
+                continue
+            vec = [0] * solver.ambient_dim
+            for k, v in out.items():
+                vec[k] = v
+            coords = solver.coordinates(vec)
+            if coords is None:
+                return table, (i, j)
+            terms = tuple((k, c) for k, c in enumerate(coords) if c)
+            if terms:
+                table[i, j] = terms
+    return table, None
+
+
 def _from_matrix_basis(
     name: str,
     size: int,
@@ -294,21 +325,15 @@ def _from_matrix_basis(
     solver = SpanSolver(flat, size * size)
     if solver.rank != len(mats):
         raise NotASubalgebra(f"{name}: matrix basis is linearly dependent")
-    table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            comm = _super_commutator(mats[i], mats[j], parities[i], parities[j])
-            if not comm:
-                continue
-            vec = [0] * (size * size)
-            for (a, b), v in comm.items():
-                vec[a * size + b] = v
-            coords = solver.coordinates(vec)
-            if coords is None:
-                raise NotASubalgebra(f"{name}: bracket escapes the span at pair ({i},{j})")
-            terms = tuple((k, c) for k, c in enumerate(coords) if c)
-            if terms:
-                table[i, j] = terms
+
+    def bracket(i: int, j: int) -> dict[int, Scalar]:
+        comm = _super_commutator(mats[i], mats[j], parities[i], parities[j])
+        return {a * size + b: v for (a, b), v in comm.items()}
+
+    table, witness = _solve_brackets(solver, bracket)
+    if witness is not None:
+        i, j = witness
+        raise NotASubalgebra(f"{name}: bracket escapes the span at pair ({i},{j})")
     return LieSuperalgebra(
         name,
         parities,
@@ -476,11 +501,9 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
             len(positions),
             ((r, c, v) for r, row in enumerate(rows) for c, v in row.items()),
         )
-        out = []
-        for vec in kernel_basis(mat):
-            scale = math.lcm(*(x.denominator for x in vec if x)) if any(vec) else 1
-            out.append({positions[i]: _exact(x * scale) for i, x in enumerate(vec) if x})
-        return out
+        # each kernel vector as its primitive integer multiple
+        basis, _ = kernel_basis_with_free(mat)
+        return [{positions[c]: v for c, v in nums.items()} for nums, _ in basis]
 
     mats: list[MatDict] = []
     parities: list[int] = []
@@ -550,14 +573,16 @@ class SubalgebraSpan:
     """A homogeneous spanning set of a subalgebra, in parent coordinates.
 
     Vectors must be linearly independent and each supported on a single
-    parity.  Closure under the bracket is checked on demand (and enforced
-    by consumers that require honest subalgebras).
+    parity.  The span owns what its row-reduced form decides: the
+    ``complement`` (parent basis vectors off its pivot columns, in basis
+    order), the ``projections`` onto it, and its bracket table, solved once
+    on first demand for ``closure_witness`` and ``to_algebra``.
     """
 
-    __slots__ = ("parent", "vectors", "label", "vector_parities", "solver", "_projections")
+    __slots__ = ("parent", "vectors", "label", "vector_parities", "solver", "complement",
+                 "_projections", "_brackets")
 
     def __init__(self, parent: LieSuperalgebra, vectors: Sequence[Sequence[Scalar]], label: str = "span"):
-        self.parent = parent
         vecs = []
         pars = []
         for vec in vectors:
@@ -576,7 +601,10 @@ class SubalgebraSpan:
         self.solver = SpanSolver(self.vectors, parent.dim)
         if self.solver.rank != len(self.vectors):
             raise NotASubalgebra(f"{label}: span vectors are linearly dependent")
+        pivots = set(self.solver.pivot_cols)
+        self.complement = tuple(i for i in range(parent.dim) if i not in pivots)
         self._projections: list[SparseVec] | None = None
+        self._brackets: tuple[BracketTable, tuple[int, int] | None] | None = None
 
     @property
     def dim(self) -> int:
@@ -588,9 +616,9 @@ class SubalgebraSpan:
     def projections(self) -> list[SparseVec]:
         """Residual of each parent basis vector modulo the span, cached.
 
-        The residual lives on the non-pivot columns, so this is the
-        projection onto the coordinate complement; it is linear, so the
-        projection of any vector is combined from these.
+        The residual lives on the ``complement``, so this is the
+        projection onto it; it is linear, so the projection of any vector
+        is combined from these.
         """
         if self._projections is None:
             out = []
@@ -601,18 +629,16 @@ class SubalgebraSpan:
             self._projections = out
         return self._projections
 
+    def _solve(self) -> tuple[BracketTable, tuple[int, int] | None]:
+        """The bracket table in the span's basis and the first escaping pair."""
+        if self._brackets is None:
+            sparse, bracket = self.sparse_vectors(), self.parent.bracket_sparse
+            self._brackets = _solve_brackets(self.solver, lambda i, j: bracket(sparse[i], sparse[j]))
+        return self._brackets
+
     def closure_witness(self) -> tuple[int, int] | None:
         """First pair (i, j) whose bracket escapes the span, if any."""
-        sparse = self.sparse_vectors()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out = self.parent.bracket_sparse(sparse[i], sparse[j])
-                vec = [0] * self.parent.dim
-                for kk, v in out.items():
-                    vec[kk] = v
-                if not self.solver.contains(vec):
-                    return (i, j)
-        return None
+        return self._solve()[1]
 
     def to_algebra(self, name: str | None = None) -> LieSuperalgebra:
         """Structure constants of the span in its own basis.
@@ -620,34 +646,13 @@ class SubalgebraSpan:
         Torus indices: span vectors supported entirely on parent torus
         coordinates (diagonal elements stay diagonal).
         """
-        sparse = self.sparse_vectors()
-        torus_set = set(self.parent.torus)
-        table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out = self.parent.bracket_sparse(sparse[i], sparse[j])
-                if not out:
-                    continue
-                vec = [0] * self.parent.dim
-                for kk, v in out.items():
-                    vec[kk] = v
-                coords = self.solver.coordinates(vec)
-                if coords is None:
-                    raise NotASubalgebra(f"{self.label}: not closed at pair ({i}, {j})")
-                terms = tuple((kk, c) for kk, c in enumerate(coords) if c)
-                if terms:
-                    table[i, j] = terms
-        torus = [
-            idx
-            for idx, vec in enumerate(self.vectors)
-            if any(vec) and all(i in torus_set for i, v in enumerate(vec) if v)
-        ]
-        return LieSuperalgebra(
-            name or f"{self.parent.name}<{self.label}>",
-            self.vector_parities,
-            table,
-            torus,
-        )
+        table, witness = self._solve()
+        if witness is not None:
+            raise NotASubalgebra(f"{self.label}: not closed at pair {witness}")
+        on_torus = set(self.parent.torus).issuperset
+        torus = [idx for idx, vec in enumerate(self.sparse_vectors()) if vec and on_torus(vec)]
+        name = name or f"{self.parent.name}<{self.label}>"
+        return LieSuperalgebra(name, self.vector_parities, table, torus)
 
     def __repr__(self) -> str:
         return f"SubalgebraSpan({self.parent.name}, {self.label!r}, dim={self.dim})"
@@ -712,16 +717,15 @@ def special_linear_span(g: LieSuperalgebra, m: int, n: int) -> SubalgebraSpan:
 def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
     """Induced action of h on g/h as a Representation of h.to_algebra().
 
-    The complement is the set of basis vectors of g outside the row-reduced
-    span of h, taken in basis order; for homogeneous h it is homogeneous.
+    The quotient basis is the span's ``complement``; for homogeneous h it
+    is homogeneous.
     """
     from .reps import Representation
 
     if h.parent is not g:
         raise DimensionMismatch("span does not belong to this algebra")
     algebra = h.to_algebra()  # raises NotASubalgebra unless h is bracket-closed
-    pivots = set(h.solver.pivot_cols)
-    complement = [i for i in range(g.dim) if i not in pivots]
+    complement = h.complement
     comp_pos = {c: t for t, c in enumerate(complement)}
     projections = h.projections()
     actions = []

@@ -236,8 +236,7 @@ def cmd_coh(args) -> int:
     H = parse_rationals(args.H) if args.H else None
     h = parse_subalgebra(g, args.sub, H)
     mod = parse_module(g, args.mod)
-    pivots = set(h.solver.pivot_cols)
-    quotient = [g.parities[i] for i in range(g.dim) if i not in pivots]
+    quotient = [g.parities[i] for i in h.complement]
     even_quot = quotient.count(EVEN)
     if args.N is not None:
         max_degree = args.N

@@ -7,15 +7,16 @@ from the super p-th exterior power of g/h to the coefficient module M,
                  = { phi : L^p_s(g/h) -> M  with  phi(x.w) = (-1)^{|x||phi|} x.phi(w) }.
 
 Everything but the action on M depends only on the pair (g, h), and the
-code is split the same way.  ``RelativePair(g, h)`` holds the coordinate
-complement of h, the action of h on g/h, the monomial bases of L^p_s(g/h),
-and, built lazily and once per pair: one weight key per monomial under
-the span vectors acting diagonally on g/h (``weight_keys``, incremental in
-p), which groups the monomials of each degree into weight buckets
-(``buckets``); the action rows of each span vector of h on L^p_s(g/h) per
-(degree, span vector, weight bucket) (``action_rows``); the projected
-brackets, and the structure maps of the differential per source monomial
-(``source_maps``), built only for the monomials that d reads.
+code is split the same way.  ``RelativePair(g, h)`` reads the coordinate
+complement of h from the span, and holds the action of h on g/h, the
+monomial bases of L^p_s(g/h), and, built lazily and once per pair: one
+weight key per monomial under the span vectors acting diagonally on g/h
+(``weight_keys``, incremental in p), which groups the monomials of each
+degree into weight buckets (``buckets``); the action rows of each span
+vector of h on L^p_s(g/h) per (degree, span vector, weight bucket)
+(``action_rows``); the projected brackets, and the structure maps of the
+differential per source monomial (``source_maps``), built only for the
+monomials that d reads.
 ``RelativeComplex(pair, M)`` adds the action on M: the module vectors
 grouped by weight, which pick the kept monomial buckets; the constraint
 plan, the equivariant bases, the differential matrices and the
@@ -78,8 +79,8 @@ M: elements acting diagonally on both the monomial basis and M filter
 coordinates directly, and when the non-diagonal even part of h is spanned
 by paired root vectors (a reductive situation), a weight-zero map killed
 by the simple positive root vectors is automatically killed by all of h's
-even part.  The plan (``constraint_plan``) lists the groups of
-constraints to impose in order.  Every returned basis vector is
+even part.  The plan (``constraint_plan``) lists the span vectors whose
+constraints are imposed, in order.  Every returned basis vector is
 re-verified against every constraint exactly; on any failure the full
 kernel is recomputed without shortcuts and re-verified in turn, and a
 basis that still fails raises ConventionError, naming the span vector,
@@ -221,8 +222,7 @@ class RelativePair:
             raise AlgebraMismatch("subalgebra span does not belong to g")
         self.g = g
         self.h = h
-        pivots = set(h.solver.pivot_cols)
-        self.complement = [i for i in range(g.dim) if i not in pivots]
+        self.complement = h.complement
         self.complement_pos = {c: t for t, c in enumerate(self.complement)}
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
         self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
@@ -501,21 +501,21 @@ class RelativeComplex:
 
     # -- constraint reduction plan -------------------------------------------
 
-    def _plan_reduction(self) -> list[list[int]]:
-        """The groups of non-diagonal span vectors to impose, in order.
+    def _plan_reduction(self) -> list[int]:
+        """The non-diagonal span vectors to impose, in order.
 
-        Without a shortcut this is ``[nondiag_idx]``.  The reductive shortcut
+        Without a shortcut this is ``nondiag_idx``.  The reductive shortcut
         requires every even non-diagonal span vector to be a simultaneous
         ad-eigenvector of the diagonal ones, with nonzero weight, and the
         weight multiset to be symmetric.  Then the simple positive vectors
         suffice as even constraints (weight-zero highest-weight maps are
-        invariant), and the plan is ``[simple even, odd]``, an empty group
-        dropped: odd constraints are always kept in full.
+        invariant), and the plan is the simple even vectors, then the odd
+        ones: odd constraints are always kept in full.
         """
         h_alg = self.pair.quotient_rep.algebra
         even_nondiag = [i for i in self.nondiag_idx if h_alg.parities[i] == EVEN]
         if not even_nondiag:
-            return [self.nondiag_idx]
+            return self.nondiag_idx
         roots: dict[int, tuple[Scalar, ...]] = {}
         for x in even_nondiag:
             wt = []
@@ -526,20 +526,20 @@ class RelativeComplex:
                 elif len(terms) == 1 and terms[0][0] == x:
                     wt.append(terms[0][1])
                 else:
-                    return [self.nondiag_idx]  # not an eigenvector
+                    return self.nondiag_idx  # not an eigenvector
             wt_t = tuple(wt)
             if not any(wt_t):
-                return [self.nondiag_idx]  # zero weight but non-diagonal action
+                return self.nondiag_idx  # zero weight but non-diagonal action
             roots[x] = wt_t
         values = sorted(roots.values())
         negated = sorted(tuple(-c for c in w) for w in roots.values())
         if values != negated:
-            return [self.nondiag_idx]  # asymmetric (e.g. a Borel)
+            return self.nondiag_idx  # asymmetric (e.g. a Borel)
         positive = {w for w in roots.values() if w > tuple(0 for _ in w)}
         sums = {tuple(a + b for a, b in zip(u, v)) for u in positive for v in positive}
         simple = positive - sums
         odd = [i for i in self.nondiag_idx if h_alg.parities[i] == ODD]
-        return [ids for ids in ([x for x in even_nondiag if roots[x] in simple], odd) if ids]
+        return [x for x in even_nondiag if roots[x] in simple] + odd
 
     # -- cochain spaces --------------------------------------------------------
 
@@ -660,11 +660,10 @@ class RelativeComplex:
             # the plan, then the full solve; either must pass the exact
             # re-verification of every constraint on every basis vector (on
             # its integer multiple: scaling keeps a zero defect zero)
-            for plan in (self.constraint_plan, [self.nondiag_idx]):
-                candidates: list[dict[int, int]] = [{x: 1} for x in kept]
-                free: list[int] = list(kept)
-                for ids in plan:
-                    candidates, free = self._impose(ids, columns_by_id, candidates, free)
+            for plan in (self.constraint_plan, self.nondiag_idx):
+                candidates, free = self._impose(
+                    plan, columns_by_id, [{x: 1} for x in kept], list(kept)
+                )
                 witness = next((
                     (i, defect) for phi in candidates for i in self.nondiag_idx
                     if (defect := _defect(columns_by_id[i], phi))

@@ -406,13 +406,11 @@ class SpanSolver:
                 if lead != 1:
                     row = {k: _exact(Fraction(v, lead)) for k, v in row.items()}
                     comb = {k: _exact(Fraction(v, lead)) for k, v in comb.items()}
+                # the other rows are already clear of each other's leads:
+                # clear the new lead from them, so the form stays fully reduced
+                rows = [self._eliminate([(row, comb)], r, c, -1) for r, c in rows]
                 rows.append((row, comb))
                 rows.sort(key=lambda rc: min(rc[0]))
-                # re-reduce upper entries so the form stays fully reduced
-                rows = [
-                    self._eliminate(rows[:i] + rows[i + 1 :], dict(r), dict(c), -1)
-                    for i, (r, c) in enumerate(rows)
-                ]
         self._rows = rows
         self.pivot_cols = [min(r) for r, _ in rows]
         self.rank = len(rows)
@@ -443,10 +441,6 @@ class SpanSolver:
             raise DimensionMismatch("vector length mismatch in reduce")
         row = {i: _exact(v) for i, v in enumerate(vec) if v}
         return self._eliminate(self._rows, row, {}, 1)
-
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
 
     def coordinates(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
         """Coordinates of ``vec`` in terms of the input vectors, or None."""

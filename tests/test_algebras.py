@@ -286,11 +286,12 @@ def test_quotient_action_is_representation():
 def test_projections_kill_the_span_and_fix_the_complement(make_span):
     span = make_span()
     proj = span.projections()
-    pivots = set(span.solver.pivot_cols)
+    complement = set(span.complement)
+    assert complement == set(range(span.parent.dim)) - set(span.solver.pivot_cols)
     for k in range(span.parent.dim):
-        if k not in pivots:
+        if k in complement:
             assert proj[k] == {k: Fraction(1)}
-        assert all(kk not in pivots for kk in proj[k])
+        assert set(proj[k]) <= complement
     for vec in span.vectors:
         total = {}
         for k, v in enumerate(vec):
@@ -354,19 +355,25 @@ MISSING = object()  # the key is left out
         ("torus", [False]),
         ("parities", [False, True]),
         ("parities", [0, 1.0]),
+        ("name", ["t"]),
+        # JSON true equals 1, the dim of one parity, but is no number
+        (("dim", "parities", "torus", "bracket"), (True, [0], [0], [])),
+        ("dim", 2.0),
     ],
     ids=["k-out-of-range", "i-out-of-range", "j-negative", "zero-denominator",
          "torus-out-of-range", "torus-negative", "parity-2", "dim-mismatch",
          "no-name", "no-parities", "no-torus", "no-bracket", "term-too-short",
          "term-not-int", "term-not-a-list", "entry-too-short", "entry-repeated",
          "index-true", "numerator-true", "denominator-true", "torus-false",
-         "parities-bool", "parity-float"],
+         "parities-bool", "parity-float", "name-not-a-string", "dim-true", "dim-float"],
 )
 def test_from_json_dict_rejects_malformed_input(key, value):
     assert LieSuperalgebra.from_json_dict(GOOD_JSON).table == {(0, 1): ((1, Fraction(1)),)}
-    bad = {k: v for k, v in GOOD_JSON.items() if k != key}
-    if value is not MISSING:
-        bad[key] = value
+    keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+    bad = {k: v for k, v in GOOD_JSON.items() if k not in keys}
+    for k, v in zip(keys, values):
+        if v is not MISSING:
+            bad[k] = v
     with pytest.raises(DimensionMismatch):
         LieSuperalgebra.from_json_dict(bad)
 

@@ -34,7 +34,7 @@ from supero.cohomology import (
 )
 from supero.cli import parse_rationals
 from supero.errors import AlgebraMismatch, ConventionError, NotASubalgebra
-from supero.linalg import SparseMatrix
+from supero.linalg import SpanSolver, SparseMatrix
 from supero.reps import (
     adjoint,
     dual,
@@ -255,19 +255,8 @@ def test_ext_rejects_a_pair_of_another_subalgebra():
 # --- error paths ------------------------------------------------------------
 
 
-def test_non_closed_subalgebra_rejected():
-    g = build_gl(1, 1)
-    odd1 = [F(0)] * 4
-    odd1[g.basis_labels.index("e[1,2]")] = F(1)
-    odd2 = [F(0)] * 4
-    odd2[g.basis_labels.index("e[2,1]")] = F(1)
-    span = SubalgebraSpan(g, [tuple(odd1), tuple(odd2)], "odds")
-    with pytest.raises(NotASubalgebra):
-        RelativeComplex(RelativePair(g, span), trivial(g)).space(1)
-
-
 def test_non_closed_subalgebra_reported_at_first_escaping_pair():
-    # one closure check (in to_algebra) serves every consumer of the span
+    # one bracket solve (cached on the span) serves every consumer of it
     g = build_gl(1, 1)
     odd1 = [F(0)] * 4
     odd1[g.basis_labels.index("e[1,2]")] = F(1)
@@ -284,6 +273,28 @@ def test_non_closed_subalgebra_reported_at_first_escaping_pair():
         with pytest.raises(NotASubalgebra) as info:
             build()
         assert str(info.value) == message
+
+
+def test_levi_brackets_are_solved_once(monkeypatch):
+    # principal_parabolic checks the levi's closure and RelativePair builds
+    # its algebra and quotient from the same solve: one reduce per nonzero
+    # bracket of the span, and one per basis vector of g for the projections
+    solvers = []
+    reduce = SpanSolver.reduce
+
+    def spy(self, vec):
+        solvers.append(self)
+        return reduce(self, vec)
+
+    monkeypatch.setattr(SpanSolver, "reduce", spy)
+    g = build_gl(2, 1)
+    levi = named_subalgebra(g, "levi", H=(1, 0, 1))
+    assert levi.vector_parities.count(1) == 2  # e[1,3] and e[3,1] are in it
+    RelativePair(g, levi)
+    sparse = levi.sparse_vectors()
+    nonzero = sum(1 for x in sparse for y in sparse if g.bracket_sparse(x, y))
+    assert nonzero > 0
+    assert sum(s is levi.solver for s in solvers) == nonzero + g.dim
 
 
 def test_expansion_outside_span_raises_convention_error():

@@ -62,7 +62,7 @@ def test_levi_with_odd_part_q2():
     assert h.vector_parities == (0, 0, 1, 1)
     cx = RelativeComplex(RelativePair(g, h), trivial(g))
     # odd constraints really are exercised
-    assert any(h.vector_parities[i] for ids in cx.constraint_plan for i in ids)
+    assert any(h.vector_parities[i] for i in cx.constraint_plan)
     assert [cx.space(p).dim for p in range(5)] == [1, 0, 1, 0, 1]
     assert all(cx.ddzero(p) for p in range(3))
     assert cx.report(4).dims() == [1, 0, 1, 0, 1]
@@ -94,7 +94,7 @@ def test_reduction_shortcut_matches_full_solve(monkeypatch):
     impose = RelativeComplex._impose
 
     def spy(self, constraint_ids, *args):
-        if constraint_ids is self.nondiag_idx and self.constraint_plan != [self.nondiag_idx]:
+        if constraint_ids is self.nondiag_idx and self.constraint_plan != self.nondiag_idx:
             fallbacks.append(self)
         return impose(self, constraint_ids, *args)
 
@@ -105,11 +105,11 @@ def test_reduction_shortcut_matches_full_solve(monkeypatch):
             pair = RelativePair(g, h)
             for mod in coefficient_modules(g):
                 fast = RelativeComplex(pair, mod)
-                if fast.constraint_plan == [fast.nondiag_idx]:
+                if fast.constraint_plan == fast.nondiag_idx:
                     continue
                 cells += 1
                 slow = RelativeComplex(pair, mod)
-                slow.constraint_plan = [slow.nondiag_idx]
+                slow.constraint_plan = slow.nondiag_idx
                 for p in range(5):
                     sp_f, sp_s = fast.space(p), slow.space(p)
                     where = (g.name, hname, mod.name, p)
@@ -126,8 +126,9 @@ def test_wrong_shortcut_plan_falls_back_to_the_full_solve(monkeypatch):
     pair = RelativePair(g, even_part_span(g))
     good = RelativeComplex(pair, adjoint(g))
     wrong = RelativeComplex(pair, adjoint(g))
-    # a shortcut plan of one group: the simple even vectors, and no odd ones
-    assert len(good.constraint_plan) == 1 and good.constraint_plan != [good.nondiag_idx]
+    # a shortcut plan: the simple even vectors, and no odd ones
+    assert good.constraint_plan and good.constraint_plan != good.nondiag_idx
+    assert not any(pair.h.vector_parities[i] for i in good.constraint_plan)
     wrong.constraint_plan = []
     full_solves = []
     impose = RelativeComplex._impose
@@ -159,7 +160,7 @@ def test_unverified_basis_raises_after_the_full_solve(monkeypatch, capsys):
     monkeypatch.setattr(engine, "kernel_basis_with_free", identity_kernel)
     g = build_gl(2, 1)
     cx = RelativeComplex(RelativePair(g, even_part_span(g)), adjoint(g))
-    assert cx.constraint_plan != [cx.nondiag_idx]  # both attempts run
+    assert cx.constraint_plan != cx.nondiag_idx  # both attempts run
     with pytest.raises(ConventionError) as err:
         cx.space(1)
     assert str(err.value) == (
@@ -230,12 +231,10 @@ def _stacked_space(cx, p):
     out = []
     for sector in (0, 1):
         coords = sorted(kept[sector], key=lambda coord: coord[::-1])
-        for plan in (cx.constraint_plan, [cx.nondiag_idx]):
-            candidates, free = [{coord: 1} for coord in coords], coords
-            for ids in plan:
-                candidates, free = _stacked_impose(
-                    cx, ids, sector, lam_rows_by_id, candidates, free
-                )
+        for plan in (cx.constraint_plan, cx.nondiag_idx):
+            candidates, free = _stacked_impose(
+                cx, plan, sector, lam_rows_by_id, [{coord: 1} for coord in coords], coords
+            )
             if not any(
                 _stacked_defect(cx, i, sector, lam_rows_by_id[i], phi)
                 for phi in candidates for i in cx.nondiag_idx
@@ -257,7 +256,7 @@ def test_space_matches_the_stacked_solve():
             pair = RelativePair(g, h)
             for mod in coefficient_modules(g):
                 cx = RelativeComplex(pair, mod)
-                if cx.constraint_plan != [cx.nondiag_idx]:
+                if cx.constraint_plan != cx.nondiag_idx:
                     big = (g.name, hname, mod.name) == ("q(3)", "g0", "adjoint")
                     cells.append((cx, 5 if big else 3))
     assert len(cells) == 49 and max(top for _, top in cells) == 5

@@ -122,8 +122,8 @@ def test_span_solver_membership_and_coords():
     v2 = (F(0), F(1), F(1))
     s = SpanSolver([v1, v2], 3)
     assert s.rank == 2
-    assert s.contains((F(1), F(1), F(2)))
-    assert not s.contains((F(0), F(0), F(1)))
+    assert not s.reduce((F(1), F(1), F(2)))[0]
+    assert s.reduce((F(0), F(0), F(1)))[0]
     assert s.coordinates((F(2), F(-1), F(1))) == (F(2), F(-1))
 
 
@@ -136,7 +136,7 @@ def test_span_solver_residual_on_free_columns():
         back[k] = v
     # residual differs from the input by a span element
     diff = [a - b for a, b in zip((F(1), F(2), F(3)), back)]
-    assert s.contains(diff)
+    assert not s.reduce(diff)[0]
 
 
 def test_entries_are_int_where_integral():
@@ -154,6 +154,42 @@ def test_span_solver_divides_exactly():
     assert type(residual[1]) is Fraction and type(residual[2]) is int
     coords = s.coordinates((6, 2, 0))
     assert coords == (2,) and type(coords[0]) is int
+
+
+def test_span_solver_properties_random():
+    # integer and rational inputs, some of them combinations of earlier ones
+    rng = random.Random(1311)
+    dependent = 0
+    for _ in range(80):
+        cols = rng.randint(1, 6)
+        inputs = []
+        for _ in range(rng.randint(0, 6)):
+            if inputs and rng.random() < 0.3:
+                a, b = rng.choice(inputs), rng.choice(inputs)
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                inputs.append(tuple(x + c * y for x, y in zip(a, b)))
+                dependent += 1
+            else:
+                den = 1 if rng.random() < 0.5 else rng.randint(1, 4)
+                inputs.append(tuple(
+                    F(rng.randint(-3, 3), den) if rng.random() < 0.6 else 0 for _ in range(cols)
+                ))
+        s = SpanSolver(inputs, cols)
+        # pivot columns: the columns not in the span of the columns to their left
+        prefix_ranks = [rank(from_rows([v[:c] for v in inputs])) if inputs else 0
+                        for c in range(cols + 1)]
+        assert s.pivot_cols == [c for c in range(cols) if prefix_ranks[c + 1] > prefix_ranks[c]]
+        assert s.rank == prefix_ranks[cols]
+        for _ in range(4):
+            v = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols))
+            if inputs and rng.random() < 0.5:
+                v = tuple(rng.randint(-2, 2) * x for x in rng.choice(inputs))
+            residual, coords = s.reduce(v)
+            assert not set(residual) & set(s.pivot_cols)
+            span_part = [x - residual.get(k, 0) for k, x in enumerate(v)]
+            combined = [sum(c * inputs[i][k] for i, c in coords.items()) for k in range(cols)]
+            assert span_part == combined
+    assert dependent > 10
 
 
 def test_add_scaled_prunes_zeros_and_keeps_order():
