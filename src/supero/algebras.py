@@ -103,13 +103,6 @@ class LieSuperalgebra:
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         return self.table.get((i, j), ())
 
-    def bracket_basis_vec(self, i: int, y: SparseVec) -> SparseVec:
-        """[b_i, y] for a sparse vector y."""
-        out: SparseVec = {}
-        for j, c in y.items():
-            _add_scaled(out, self.bracket_basis(i, j), c)
-        return out
-
     def bracket_sparse(self, x: SparseVec, y: SparseVec) -> SparseVec:
         out: SparseVec = {}
         for i, a in x.items():
@@ -165,8 +158,15 @@ class LieSuperalgebra:
     def from_json_dict(cls, d: dict) -> "LieSuperalgebra":
         """Inverse of ``to_json_dict``; raises DimensionMismatch on a missing
         key, a name that is no string, a dim other than the exact ``int``
-        number of parities, a malformed or repeated bracket entry, bad
-        indices, parities or denominators."""
+        number of parities, a malformed or repeated bracket entry, a term
+        index repeated within an entry, bad indices, parities, zero
+        coefficients or denominators.
+
+        The loaded table must then pass the axioms, checked in this order:
+        parity consistency, super antisymmetry (after which the Jacobi loop
+        over i <= j <= k covers every triple) and the super Jacobi
+        identity.  A failure raises DimensionMismatch naming the pair or
+        triple."""
         if not isinstance(d, dict):
             raise DimensionMismatch("algebra JSON is not an object")
         for key in ("name", "parities", "torus", "bracket"):
@@ -204,10 +204,23 @@ class LieSuperalgebra:
                     raise DimensionMismatch(
                         f"bracket index {idx} of [{i}, {j}] outside 0..{n - 1}"
                     )
+            if len({k for k, _, _ in terms}) != len(terms):
+                raise DimensionMismatch(f"bracket [{i}, {j}] repeats a term index")
+            if any(num == 0 for _, num, _ in terms):
+                raise DimensionMismatch(f"zero coefficient in bracket [{i}, {j}]")
             if any(den == 0 for _, _, den in terms):
                 raise DimensionMismatch(f"zero denominator in bracket [{i}, {j}]")
             table[i, j] = tuple((k, Fraction(num, den)) for k, num, den in terms)
-        return cls(d["name"], parities, table, d["torus"])
+        g = cls(d["name"], parities, table, d["torus"])
+        for check, what in (
+            (check_parity_consistency, "bracket [{0}, {1}] has a term of the wrong parity"),
+            (check_super_antisymmetry, "brackets [{0}, {1}] and [{1}, {0}] are not super antisymmetric"),
+            (check_super_jacobi, "super Jacobi identity fails at the triple ({0}, {1}, {2})"),
+        ):
+            ok, witness = check(g)
+            if not ok:
+                raise DimensionMismatch(what.format(*witness))
+        return g
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.name!r}, dim={self.dim})"
@@ -239,21 +252,28 @@ def check_super_jacobi(g: LieSuperalgebra) -> tuple[bool, tuple[int, int, int] |
     """Graded Jacobi identity on all homogeneous basis triples.
 
     (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
-    Returns (False, witness triple) on the first failure.
+    Returns (False, witness triple) on the first failure, triples i <= j <= k
+    in lexicographic order.  The brackets are read from the table; a triple
+    whose three inner brackets vanish sums to zero and is skipped.
     """
     p = g.parities
+    get = g.table.get
     for i in range(g.dim):
         for j in range(i, g.dim):
-            bij = {k: v for k, v in g.bracket_basis(i, j)}
+            bij = get((i, j), ())
             for k in range(j, g.dim):
+                bjk = get((j, k), ())
+                bki = get((k, i), ())
+                if not (bij or bjk or bki):
+                    continue
                 acc: SparseVec = {}
-                for sign_par, a, inner in (
-                    (p[i] * p[k], i, g.bracket_basis_vec(j, {k: 1})),
-                    (p[j] * p[i], j, g.bracket_basis_vec(k, {i: 1})),
-                    (p[k] * p[j], k, dict(bij)),
+                for a, inner, sign in (
+                    (i, bjk, -1 if p[i] & p[k] else 1),
+                    (j, bki, -1 if p[j] & p[i] else 1),
+                    (k, bij, -1 if p[k] & p[j] else 1),
                 ):
-                    term = g.bracket_basis_vec(a, inner)
-                    _add_scaled(acc, term.items(), -1 if sign_par % 2 else 1)
+                    for m, c in inner:
+                        _add_scaled(acc, get((a, m), ()), sign * c)
                 if acc:
                     return False, (i, j, k)
     return True, None
@@ -573,7 +593,7 @@ class SubalgebraSpan:
     """A homogeneous spanning set of a subalgebra, in parent coordinates.
 
     Vectors must be linearly independent and each supported on a single
-    parity.  The span owns what its row-reduced form decides: the
+    parity.  The span owns what its echelon form decides: the
     ``complement`` (parent basis vectors off its pivot columns, in basis
     order), the ``projections`` onto it, and its bracket table, solved once
     on first demand for ``closure_witness`` and ``to_algebra``.

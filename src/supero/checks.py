@@ -12,7 +12,7 @@ degree cap exceeds that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import EVEN, LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import cohomology
@@ -23,8 +23,7 @@ from .reps import trivial
 Vec = Vector
 
 
-@dataclass(frozen=True)
-class GradingTorus:
+class GradingTorus(NamedTuple):
     """Cocharacter data: one exponent vector per weight coordinate.
 
     ``basis_kind`` records whether coordinates are torus-dual basis vectors
@@ -176,8 +175,7 @@ def positive_even_roots(family: str, params: tuple = ()) -> list[Vec]:
     raise UnsupportedRank(f"unknown root family {family!r}")
 
 
-@dataclass(frozen=True)
-class AbstractRootData:
+class AbstractRootData(NamedTuple):
     """Root-and-grading data for the families without matrix models."""
 
     family: str
@@ -213,8 +211,7 @@ def check_positive_grading(gt: GradingTorus, roots: list[Vec]) -> tuple[bool, Ve
     return True, None
 
 
-@dataclass(frozen=True)
-class CountCertificate:
+class CountCertificate(NamedTuple):
     epsilon: Scalar
     degree_bound: int
     cap: int

@@ -98,9 +98,9 @@ the next degree's check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError
@@ -119,7 +119,6 @@ Coord = tuple[int, int]  # (module basis index, monomial index)
 Cochain = dict[Coord, Scalar]
 
 
-@dataclass
 class CochainSpace:
     """Equivariant cochains in one degree, split by map parity.
 
@@ -130,27 +129,31 @@ class CochainSpace:
     Every cochain lists its coordinates (v, w) in the order by (w, v).
     """
 
-    degree: int
-    monomials: tuple[tuple[int, ...], ...]
-    monomial_parities: tuple[int, ...]
-    basis: tuple[list[Cochain], list[Cochain]]  # index 0: even maps, 1: odd maps
-    free_coords: tuple[list[Coord], list[Coord]]
-    numerators: tuple[list[dict[Coord, int]], list[dict[Coord, int]]] = field(
-        repr=False, compare=False
-    )
-    scales: tuple[list[int], list[int]] = field(repr=False, compare=False)
-    # per sector: anchor coordinate -> index of the basis vector it anchors
-    free_index: tuple[dict[Coord, int], dict[Coord, int]] = field(
-        init=False, repr=False, compare=False
-    )
-    # per sector: lcm of the scales, so lcm // scale weights each numerator
-    lcm: tuple[int, int] = field(init=False, repr=False, compare=False)
+    # __weakref__: a profiler may key spaces by identity without keeping them
+    __slots__ = ("degree", "monomials", "monomial_parities", "basis", "free_coords",
+                 "numerators", "scales", "free_index", "lcm", "__weakref__")
 
-    def __post_init__(self):
-        self.free_index = tuple(
-            {coord: k for k, coord in enumerate(coords)} for coords in self.free_coords
-        )
-        self.lcm = tuple(math.lcm(*scales) for scales in self.scales)
+    def __init__(
+        self,
+        degree: int,
+        monomials: tuple[tuple[int, ...], ...],
+        monomial_parities: tuple[int, ...],
+        basis: tuple[list[Cochain], list[Cochain]],  # index 0: even maps, 1: odd maps
+        free_coords: tuple[list[Coord], list[Coord]],
+        numerators: tuple[list[dict[Coord, int]], list[dict[Coord, int]]],
+        scales: tuple[list[int], list[int]],
+    ):
+        self.degree = degree
+        self.monomials = monomials
+        self.monomial_parities = monomial_parities
+        self.basis = basis
+        self.free_coords = free_coords
+        self.numerators = numerators
+        self.scales = scales
+        # per sector: anchor coordinate -> index of the basis vector it anchors
+        self.free_index = tuple({coord: k for k, coord in enumerate(coords)} for coords in free_coords)
+        # per sector: lcm of the scales, so lcm // scale weights each numerator
+        self.lcm = tuple(math.lcm(*s) for s in scales)
 
     @property
     def dim_even(self) -> int:
@@ -165,8 +168,7 @@ class CochainSpace:
         return self.dim_even + self.dim_odd
 
 
-@dataclass
-class CohomologyRow:
+class CohomologyRow(NamedTuple):
     degree: int
     dim_cochains_even: int
     dim_cochains_odd: int
@@ -189,8 +191,7 @@ class CohomologyRow:
         }
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     algebra: str
     subalgebra: str
     module: str
@@ -873,5 +874,4 @@ def relative_ext(
     elif pair.g is not g or pair.h is not h:
         raise AlgebraMismatch("pair is not built on (g, h)")
     report = RelativeComplex(pair, tensor(dual(m), n)).report(max_degree)
-    report.module = f"Ext({m.name},{n.name})"
-    return report
+    return report._replace(module=f"Ext({m.name},{n.name})")

@@ -15,7 +15,7 @@ point is confined to that fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import RelativePair, cohomology, relative_ext
@@ -24,8 +24,7 @@ from .linalg import SparseMatrix, nullity
 from .reps import Representation, dual, odd_part_module, super_symmetric_power, trivial
 
 
-@dataclass
-class HilbertTable:
+class HilbertTable(NamedTuple):
     """Dimensions of the invariant ring per polynomial degree."""
 
     algebra: str
@@ -105,8 +104,7 @@ def compare_invariants_vs_cohomology(
     return rows, all_ok
 
 
-@dataclass
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     """Finite-window growth-rate estimate for an Ext dimension sequence.
 
     ``estimated_rate`` approximates the polynomial rate of growth plus one

@@ -383,49 +383,49 @@ def nullity(m: SparseMatrix) -> int:
 
 
 class SpanSolver:
-    """Row-reduced form of a list of vectors, for membership and coordinates.
+    """Row echelon form of a list of vectors, for membership and coordinates.
 
-    Gauss-Jordan with leading-1 normalization; pivot columns are
-    deterministic (leftmost possible, rows processed in input order).
-    Used for subalgebra spans: ``reduce`` splits an ambient vector into
-    its component inside the span and a residual supported on the
-    non-pivot columns.
+    Each row is stored with its lead column and normalized to 1 there;
+    pivot columns are deterministic (leftmost possible, rows processed in
+    input order).  The form is not reduced: a row may be nonzero at the
+    lead of a later row.  ``reduce`` walks the rows in lead order, so its
+    results do not depend on that.  Used for subalgebra spans: ``reduce``
+    splits an ambient vector into its component inside the span and a
+    residual supported on the non-pivot columns.
     """
 
     def __init__(self, vectors: Sequence[Sequence[Scalar]], ambient_dim: int):
         self.ambient_dim = ambient_dim
-        # each reduced row carries the combination of input vectors producing it
-        rows: list[tuple[dict[int, Scalar], dict[int, Scalar]]] = []
+        # (lead, row, combination of input vectors producing it), by lead
+        rows: list[tuple[int, dict[int, Scalar], dict[int, Scalar]]] = []
         for idx, vec in enumerate(vectors):
             if len(vec) != ambient_dim:
                 raise DimensionMismatch(f"span vector {idx} has length {len(vec)} != {ambient_dim}")
             row = {i: _exact(v) for i, v in enumerate(vec) if v}
             row, comb = self._eliminate(rows, row, {idx: 1}, -1)
             if row:
-                lead = row[min(row)]
-                if lead != 1:
-                    row = {k: _exact(Fraction(v, lead)) for k, v in row.items()}
-                    comb = {k: _exact(Fraction(v, lead)) for k, v in comb.items()}
-                # the other rows are already clear of each other's leads:
-                # clear the new lead from them, so the form stays fully reduced
-                rows = [self._eliminate([(row, comb)], r, c, -1) for r, c in rows]
-                rows.append((row, comb))
-                rows.sort(key=lambda rc: min(rc[0]))
+                lead = min(row)
+                c = row[lead]
+                if c != 1:
+                    row = {k: _exact(Fraction(v, c)) for k, v in row.items()}
+                    comb = {k: _exact(Fraction(v, c)) for k, v in comb.items()}
+                rows.append((lead, row, comb))
+                rows.sort(key=lambda r: r[0])
         self._rows = rows
-        self.pivot_cols = [min(r) for r, _ in rows]
+        self.pivot_cols = [lead for lead, _, _ in rows]
         self.rank = len(rows)
         self.n_inputs = len(vectors)
 
     @staticmethod
     def _eliminate(rows, row: dict[int, Scalar], comb: dict[int, Scalar], sign: int):
-        """Clear the lead column of every row in ``rows`` from ``row``.
+        """Clear the lead column of every row in ``rows``, in lead order, from ``row``.
 
         Each step subtracts coef * (pivot row) from ``row`` and adds
         sign * coef * (its input combination) to ``comb``.  Both results
         come back under the scalar convention.
         """
-        for prow, pcomb in rows:
-            coef = row.get(min(prow))
+        for lead, prow, pcomb in rows:
+            coef = row.get(lead)
             if coef:
                 _add_scaled(row, prow.items(), -coef)
                 _add_scaled(comb, pcomb.items(), sign * coef)

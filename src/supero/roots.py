@@ -9,8 +9,7 @@ are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .algebras import (
     LieSuperalgebra,
@@ -27,8 +26,7 @@ Weight = Vector
 Functional = Vector
 
 
-@dataclass(frozen=True)
-class RootSpace:
+class RootSpace(NamedTuple):
     """One root: weight, plus the basis indices of its root space by parity."""
 
     weight: Weight
@@ -43,8 +41,7 @@ class RootSpace:
         }
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     algebra: LieSuperalgebra
     roots: tuple[RootSpace, ...]
     zero_weight_indices: tuple[int, ...]
@@ -91,8 +88,7 @@ def pair(H: Functional, w: Weight) -> Scalar:
     return _exact(sum(a * b for a, b in zip(H, w)))
 
 
-@dataclass(frozen=True)
-class ParabolicDecomposition:
+class ParabolicDecomposition(NamedTuple):
     """Triangular decomposition induced by a functional H.
 
     phi_plus / phi_zero / phi_minus partition the roots by the sign of

@@ -1,5 +1,6 @@
-"""Matrix oracles for the tests, on the entries of a ``SparseMatrix``
-(a container with no product or sum of its own)."""
+"""Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
+(a container with no product or sum of its own), and the super Jacobi
+identity on sparse vectors."""
 
 from supero.linalg import SparseMatrix
 
@@ -45,4 +46,34 @@ def verify_representation(r) -> tuple[bool, tuple[int, int] | None]:
             rhs = _combination((c, r.actions[k], one) for k, c in g.bracket_basis(i, j))
             if lhs != rhs:
                 return False, (i, j)
+    return True, None
+
+
+def _bracket_vec(g, i: int, y: dict) -> dict:
+    """[b_i, y] for a sparse vector y, without zeros."""
+    out = {}
+    for j, c in y.items():
+        for k, v in g.bracket_basis(i, j):
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def super_jacobi(g) -> tuple[bool, tuple[int, int, int] | None]:
+    """Graded Jacobi identity on all basis triples i <= j <= k, each side
+    built as a sparse vector [b_a, [b_b, b_c]]; the first failing triple."""
+    p = g.parities
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            for k in range(j, g.dim):
+                acc = {}
+                for sign_par, a, b, c in (
+                    (p[i] * p[k], i, j, k),
+                    (p[j] * p[i], j, k, i),
+                    (p[k] * p[j], k, i, j),
+                ):
+                    sign = -1 if sign_par % 2 else 1
+                    for m, v in _bracket_vec(g, a, _bracket_vec(g, b, {c: 1})).items():
+                        acc[m] = acc.get(m, 0) + sign * v
+                if any(acc.values()):
+                    return False, (i, j, k)
     return True, None

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -29,8 +30,9 @@ from supero.errors import (
     UnsupportedRank,
 )
 from supero.reps import weight_decomposition
+from supero.suites import jacobi_families
 
-from oracles import verify_representation
+from oracles import super_jacobi, verify_representation
 
 F = Fraction
 
@@ -200,6 +202,29 @@ def test_corrupted_table_fails_jacobi():
     assert not ok and witness is not None
 
 
+def test_jacobi_matches_the_oracle_on_seeded_corruptions():
+    # one structure constant of each jacobi-suite algebra changed, dropped
+    # or added; the table check must give the oracle's (ok, witness)
+    rng = random.Random(14)
+    families = jacobi_families()
+    cases = 0
+    failing = 0
+    for _ in range(5):
+        for g in families:
+            table = dict(g.table)
+            i, j = rng.randrange(g.dim), rng.randrange(g.dim)
+            terms = dict(table.get((i, j), ()))
+            k = rng.choice(sorted(terms)) if terms and rng.random() < 0.7 else rng.randrange(g.dim)
+            terms[k] = terms.get(k, 0) + rng.choice((-2, -1, 1, F(1, 2)))
+            table[i, j] = tuple((m, v) for m, v in terms.items() if v)
+            bad = LieSuperalgebra("bad", g.parities, table, g.torus)
+            expected = super_jacobi(bad)
+            assert check_super_jacobi(bad) == expected, (g.name, (i, j, k))
+            cases += 1
+            failing += not expected[0]
+    assert cases >= 100 and 0 < failing < cases
+
+
 def test_sl21_span_closed_and_jacobi():
     g = build_gl(2, 1)
     span = special_linear_span(g, 2, 1)
@@ -324,7 +349,8 @@ def test_json_round_trip_bit_exact(g):
     assert g2.torus == g.torus
 
 
-GOOD_JSON = {"name": "t", "dim": 2, "parities": [0, 1], "torus": [0], "bracket": [[0, 1, [[1, 1, 1]]]]}
+GOOD_JSON = {"name": "t", "dim": 2, "parities": [0, 1], "torus": [0],
+             "bracket": [[0, 1, [[1, 1, 1]]], [1, 0, [[1, -1, 1]]]]}
 MISSING = object()  # the key is left out
 
 
@@ -359,16 +385,20 @@ MISSING = object()  # the key is left out
         # JSON true equals 1, the dim of one parity, but is no number
         (("dim", "parities", "torus", "bracket"), (True, [0], [0], [])),
         ("dim", 2.0),
+        # a repeated term index: bracket() would read 2 b1, the axiom checks b1
+        ("bracket", [[0, 1, [[1, 1, 1], [1, 1, 1]]], [1, 0, [[1, -2, 1]]]]),
+        ("bracket", [[0, 1, [[1, 1, 1]]], [1, 0, [[1, -1, 1]]], [0, 0, [[0, 0, 1]]]]),
     ],
     ids=["k-out-of-range", "i-out-of-range", "j-negative", "zero-denominator",
          "torus-out-of-range", "torus-negative", "parity-2", "dim-mismatch",
          "no-name", "no-parities", "no-torus", "no-bracket", "term-too-short",
          "term-not-int", "term-not-a-list", "entry-too-short", "entry-repeated",
          "index-true", "numerator-true", "denominator-true", "torus-false",
-         "parities-bool", "parity-float", "name-not-a-string", "dim-true", "dim-float"],
+         "parities-bool", "parity-float", "name-not-a-string", "dim-true", "dim-float",
+         "term-index-repeated", "zero-coefficient"],
 )
 def test_from_json_dict_rejects_malformed_input(key, value):
-    assert LieSuperalgebra.from_json_dict(GOOD_JSON).table == {(0, 1): ((1, Fraction(1)),)}
+    assert LieSuperalgebra.from_json_dict(GOOD_JSON).table == {(0, 1): ((1, 1),), (1, 0): ((1, -1),)}
     keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
     bad = {k: v for k, v in GOOD_JSON.items() if k not in keys}
     for k, v in zip(keys, values):
@@ -388,13 +418,46 @@ def test_from_json_dict_rejects_malformed_input(key, value):
         ({**GOOD_JSON, "torus": ["a"]}, "torus index 'a'"),
         ({**GOOD_JSON, "bracket": 5}, "'bracket' is not a list"),
         ({**GOOD_JSON, "torus": [1]}, "torus index 1 is odd"),
+        ({**GOOD_JSON, "bracket": [[0, 1, [[1, 1, 1], [1, 1, 1]]], [1, 0, [[1, -2, 1]]]]},
+         "bracket [0, 1] repeats a term index"),
+        ({**GOOD_JSON, "bracket": [[0, 0, [[0, 0, 1]]]]}, "zero coefficient in bracket [0, 0]"),
     ],
     ids=["missing-key", "bad-term", "repeated-entry", "parities-not-a-list",
-         "torus-not-an-int", "bracket-not-a-list", "torus-odd"],
+         "torus-not-an-int", "bracket-not-a-list", "torus-odd", "term-index-repeated",
+         "zero-coefficient"],
 )
 def test_from_json_dict_error_names_key_or_entry(bad, named):
     with pytest.raises(DimensionMismatch, match=re.escape(named)):
         LieSuperalgebra.from_json_dict(bad)
+
+
+def _gl11_json(edit):
+    """gl(1|1) as JSON (e11, e22 even; e12, e21 odd), each bracket entry
+    [i, j, terms] replaced by ``edit(i, j, terms)``."""
+    d = build_gl(1, 1).to_json_dict()
+    d["bracket"] = [edit(i, j, terms) for i, j, terms in d["bracket"]]
+    return d
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        # [e12, e21] = [e21, e12] = e12, an odd result of two odd factors
+        (lambda i, j, t: [i, j, [[2, 1, 1]]] if {i, j} == {2, 3} else [i, j, t],
+         "bracket [2, 3] has a term of the wrong parity"),
+        # [e12, e11] = -2 e12 against [e11, e12] = e12
+        (lambda i, j, t: [i, j, [[2, -2, 1]]] if (i, j) == (2, 0) else [i, j, t],
+         "brackets [0, 2] and [2, 0] are not super antisymmetric"),
+        # [e11, e12] = 2 e12 on both sides: parity and antisymmetry hold
+        (lambda i, j, t: [i, j, [[k, 2 * a, b] for k, a, b in t]] if {i, j} == {0, 2} else [i, j, t],
+         "super Jacobi identity fails at the triple (0, 2, 3)"),
+    ],
+    ids=["parity", "antisymmetry", "jacobi"],
+)
+def test_from_json_dict_checks_the_axioms(edit, named):
+    assert LieSuperalgebra.from_json_dict(_gl11_json(lambda *entry: list(entry))).table == build_gl(1, 1).table
+    with pytest.raises(DimensionMismatch, match=re.escape(named)):
+        LieSuperalgebra.from_json_dict(_gl11_json(edit))
 
 
 def test_json_is_deterministic():

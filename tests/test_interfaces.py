@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -127,3 +130,17 @@ def test_every_public_name_in_src_is_called_in_src_or_exported():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_") and node.name not in used | exported)
     assert unused == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI process pays for its imports: compare the modules a clean
+    # interpreter holds before and after ``import supero.cli``
+    src = pathlib.Path(supero.__file__).parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    code = ("import sys; before = set(sys.modules); import supero.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "supero.cli" in added
+    assert [name for name in added if name in ("dataclasses", "inspect")] == []
