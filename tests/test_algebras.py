@@ -387,6 +387,7 @@ MISSING = object()  # the key is left out
         ("dim", 2.0),
         # a repeated term index: bracket() would read 2 b1, the axiom checks b1
         ("bracket", [[0, 1, [[1, 1, 1], [1, 1, 1]]], [1, 0, [[1, -2, 1]]]]),
+        # a zero coefficient would be stored as a term
         ("bracket", [[0, 1, [[1, 1, 1]]], [1, 0, [[1, -1, 1]]], [0, 0, [[0, 0, 1]]]]),
     ],
     ids=["k-out-of-range", "i-out-of-range", "j-negative", "zero-denominator",
