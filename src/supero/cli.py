@@ -58,6 +58,11 @@ USAGE_ERRORS = (
 # request in the tests, the README and the benchmark has 23166.
 COCHAIN_BUDGET = 200_000
 
+# ``Fraction`` builds 10**e in full, so an ``--H`` exponent gets the digit
+# limit of a plain integer; each ``--mod`` nesting level is one recursion.
+MAX_EXPONENT = 4300
+MAX_MODULE_DEPTH = 32
+
 
 def largest_cochain_space(even: int, odd: int, top: int, dim_m: int) -> int:
     """Upper bound on the coordinates of C^p(g, h; M) for p <= top: the
@@ -102,7 +107,10 @@ def parse_rationals(text: str) -> tuple[Scalar, ...]:
         piece = piece.strip()
         if not piece:
             continue
+        _, e, exponent = piece.lower().partition("e")
         try:
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError(exponent)
             out.append(_exact(Fraction(piece)))
         except (ValueError, ZeroDivisionError):
             raise UnsupportedSubalgebra(f"not a rational number: {piece!r}") from None
@@ -116,6 +124,8 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
     for i, ch in enumerate(spec):
         if ch == "(":
             depth += 1
+            if depth > MAX_MODULE_DEPTH:
+                raise UnsupportedModule(f"module spec nests deeper than {MAX_MODULE_DEPTH} levels")
         elif ch == ")":
             depth -= 1
         elif ch == "*" and depth == 0:

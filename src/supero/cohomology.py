@@ -8,15 +8,15 @@ from the super p-th exterior power of g/h to the coefficient module M,
 
 Everything but the action on M depends only on the pair (g, h), and the
 code is split the same way.  ``RelativePair(g, h)`` reads the coordinate
-complement of h from the span, and holds the action of h on g/h, the
-monomial bases of L^p_s(g/h), and, built lazily and once per pair: one
-weight key per monomial under the span vectors acting diagonally on g/h
-(``weight_keys``, incremental in p), which groups the monomials of each
-degree into weight buckets (``buckets``); the action rows of each span
-vector of h on L^p_s(g/h) per (degree, span vector, weight bucket)
-(``action_rows``); the projected brackets, and the structure maps of the
-differential per source monomial (``source_maps``), built only for the
-monomials that d reads.
+complement of h from the span, and holds the action of h on g/h and,
+built lazily and once per pair: one record per degree of L^p_s(g/h)
+(``degree``), made from the one below in one pass, with the monomials,
+their parities, positions and weight keys under the span vectors acting
+diagonally on g/h, and the monomials grouped into buckets by key; the
+action rows of each span vector of h on L^p_s(g/h) per (degree, span
+vector, weight bucket) (``action_rows``); the projected brackets, and the
+structure maps of the differential per source monomial (``source_maps``),
+built only for the monomials that d reads.
 ``RelativeComplex(pair, M)`` adds the action on M: the module vectors
 grouped by weight, which pick the kept monomial buckets; the constraint
 plan, the equivariant bases, the differential matrices and the
@@ -109,8 +109,8 @@ from .reps import (
     Representation,
     derivation_rows,
     dual,
+    monomial_steps,
     super_exterior_power,
-    super_monomials,
     tensor,
     wedge_insert,
 )
@@ -125,28 +125,25 @@ class CochainSpace:
     ``basis[s][k]`` is 1 at its anchor ``free_coords[s][k]`` and 0 at the
     other anchors.  It equals ``numerators[s][k] / scales[s][k]``, where the
     numerator is a primitive integer cochain and the scale its positive
-    value at the anchor; when the scale is 1 the two are the same dict.
-    Every cochain lists its coordinates (v, w) in the order by (w, v).
+    value at the anchor.  Only these are stored: ``basis`` divides on each
+    read, and hands out the numerator itself where the scale is 1.  Every
+    cochain lists its coordinates (v, w) in the order by (w, v).
     """
 
     # __weakref__: a profiler may key spaces by identity without keeping them
-    __slots__ = ("degree", "monomials", "monomial_parities", "basis", "free_coords",
-                 "numerators", "scales", "free_index", "lcm", "__weakref__")
+    __slots__ = ("degree", "monomials", "free_coords", "numerators", "scales",
+                 "free_index", "lcm", "__weakref__")
 
     def __init__(
         self,
         degree: int,
         monomials: tuple[tuple[int, ...], ...],
-        monomial_parities: tuple[int, ...],
-        basis: tuple[list[Cochain], list[Cochain]],  # index 0: even maps, 1: odd maps
-        free_coords: tuple[list[Coord], list[Coord]],
+        free_coords: tuple[list[Coord], list[Coord]],  # index 0: even maps, 1: odd maps
         numerators: tuple[list[dict[Coord, int]], list[dict[Coord, int]]],
         scales: tuple[list[int], list[int]],
     ):
         self.degree = degree
         self.monomials = monomials
-        self.monomial_parities = monomial_parities
-        self.basis = basis
         self.free_coords = free_coords
         self.numerators = numerators
         self.scales = scales
@@ -156,12 +153,21 @@ class CochainSpace:
         self.lcm = tuple(math.lcm(*s) for s in scales)
 
     @property
+    def basis(self) -> tuple[list[Cochain], list[Cochain]]:
+        """Each numerator divided by its scale, built on each read."""
+        return tuple(
+            [phi if s == 1 else {coord: _exact(Fraction(c, s)) for coord, c in phi.items()}
+             for phi, s in zip(numerators, scales)]
+            for numerators, scales in zip(self.numerators, self.scales)
+        )
+
+    @property
     def dim_even(self) -> int:
-        return len(self.basis[EVEN])
+        return len(self.numerators[EVEN])
 
     @property
     def dim_odd(self) -> int:
-        return len(self.basis[ODD])
+        return len(self.numerators[ODD])
 
     @property
     def dim(self) -> int:
@@ -215,6 +221,16 @@ class CohomologyReport(NamedTuple):
         }
 
 
+class MonomialDegree(NamedTuple):
+    """One degree of L^p_s(g/h): its monomials in lexicographic order and what is read off them."""
+
+    monomials: tuple[tuple[int, ...], ...]
+    parities: tuple[int, ...]
+    index: dict[tuple[int, ...], int]
+    weight_keys: list[tuple[Scalar, ...]]
+    buckets: dict[tuple[Scalar, ...], list[int]]
+
+
 class RelativePair:
     """The part of C^p(g, h; M) that does not depend on M, built on demand."""
 
@@ -235,39 +251,38 @@ class RelativePair:
             tuple(self.quotient_rep.actions[i].entry(y, y) for i in self.diagonal)
             for y in range(len(self.complement))
         ]
-        self._monos: dict[int, tuple] = {}
-        self._mono_index: dict[int, dict[tuple[int, ...], int]] = {}
-        # weight_keys by degree; degree 0 holds the empty monomial, of weight 0
-        self._keys: dict[int, list[tuple[Scalar, ...]]] = {0: [tuple(0 for _ in self.diagonal)]}
-        self._buckets: dict[int, dict[tuple[Scalar, ...], list[int]]] = {}
+        # degree 0 holds the empty monomial, even and of weight 0
+        zero = tuple(0 for _ in self.diagonal)
+        self._degrees = [MonomialDegree(((),), (0,), {(): 0}, [zero], {zero: [0]})]
         self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
         self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
         self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
         self._inverse: list[list[tuple[int, int, int, Scalar]]] | None = None
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
 
-    def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Monomial basis of L^p_s(g/h) with parities (no action matrices).
-
-        Parities are built incrementally, as ``weight_keys`` are:
-        par(mo) = par(mo[:-1]) + par(mo[-1]) mod 2.
-        """
-        if p not in self._monos:
-            qpar = self.quotient_parities
-            monos = tuple(super_monomials(qpar, p))
-            if p == 0:
-                pars = (0,) * len(monos)
-            else:
-                prev, prev_index = self.monomials(p - 1)[1], self._index(p - 1)
-                pars = tuple(prev[prev_index[mo[:-1]]] ^ qpar[mo[-1]] for mo in monos)
-            self._monos[p] = (monos, pars)
-            self._mono_index[p] = {mo: t for t, mo in enumerate(monos)}
-        return self._monos[p]
-
-    def _index(self, p: int) -> dict[tuple[int, ...], int]:
-        """Position of each monomial in ``monomials(p)``."""
-        self.monomials(p)
-        return self._mono_index[p]
+    def degree(self, p: int) -> MonomialDegree:
+        """Degree p, built in one pass from degree p - 1 (``monomial_steps``):
+        parity and weight key are the parent's plus the last factor's."""
+        degrees, qpar, eig = self._degrees, self.quotient_parities, self.eig
+        while len(degrees) <= p:
+            prev_monos, prev_pars, _, prev_keys, _ = degrees[-1]
+            # per parent key and factor, the child's key and bucket, made once
+            monos, pars, keys, buckets, children = [], [], [], {}, {}
+            steps = monomial_steps(qpar, prev_monos)
+            for mo, par, pkey, xs in zip(prev_monos, prev_pars, prev_keys, steps):
+                row = children.get(pkey) or children.setdefault(pkey, [None] * len(qpar))
+                for x in xs:
+                    if row[x] is None:
+                        key = tuple(map(add, pkey, eig[x]))
+                        row[x] = key, buckets.setdefault(key, [])
+                    key, bucket = row[x]
+                    bucket.append(len(monos))
+                    monos.append(mo + (x,))
+                    pars.append(par ^ qpar[x])
+                    keys.append(key)
+            index = {mo: t for t, mo in enumerate(monos)}
+            degrees.append(MonomialDegree(tuple(monos), tuple(pars), index, keys, buckets))
+        return degrees[p]
 
     def action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
         """Rows of span vector i of h acting on L^p_s(g/h), for the monomials
@@ -282,46 +297,20 @@ class RelativePair:
         # shift every monomial is a source, so one pass builds the rows of
         # every bucket of (p, i).  Sources go in ascending order, so each row
         # is the full row, key order included.
-        monos, _ = self.monomials(p)
-        buckets = self.buckets(p)
+        deg = self.degree(p)
         shift = self.shift(i)
         sources = (
-            range(len(monos)) if shift is None
-            else buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
+            range(len(deg.monomials)) if shift is None
+            else deg.buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
         )
         rows = derivation_rows(
-            self._quotient_cols[i], self.quotient_parities, monos, self._index(p), sources
+            self._quotient_cols[i], self.quotient_parities, deg.monomials, deg.index, sources
         )
         if shift is None:
-            for k2, ts in buckets.items():
+            for k2, ts in deg.buckets.items():
                 self._rows[p, i, k2] = {t: rows.get(t, {}) for t in ts}
             return self._rows.get((p, i, k), {})
-        return {t: rows.get(t, {}) for t in buckets.get(k, ())}
-
-    def weight_keys(self, p: int) -> list[tuple[Scalar, ...]]:
-        """Weights of each monomial of degree p under the ``diagonal`` span vectors.
-
-        Built incrementally: key(mo) = key(mo[:-1]) + eig(mo[-1]), since
-        dropping the last factor of a normal-form monomial leaves a
-        normal-form monomial.
-        """
-        keys = self._keys.get(p)
-        if keys is None:
-            prev, prev_index, eig = self.weight_keys(p - 1), self._index(p - 1), self.eig
-            keys = self._keys[p] = [
-                tuple(map(add, prev[prev_index[mo[:-1]]], eig[mo[-1]]))
-                for mo in self.monomials(p)[0]
-            ]
-        return keys
-
-    def buckets(self, p: int) -> dict[tuple[Scalar, ...], list[int]]:
-        """Positions of the monomials of degree p grouped by weight key, ascending."""
-        buckets = self._buckets.get(p)
-        if buckets is None:
-            buckets = self._buckets[p] = {}
-            for t, key in enumerate(self.weight_keys(p)):
-                buckets.setdefault(key, []).append(t)
-        return buckets
+        return {t: rows.get(t, {}) for t in deg.buckets.get(k, ())}
 
     def shift(self, i: int) -> tuple[Scalar, ...] | None:
         """Weight-key change made by span vector i on g/h, None unless uniform.
@@ -399,8 +388,8 @@ class RelativePair:
         hit = cache.get(w)
         if hit is not None:
             return hit
-        mo_w = self.monomials(p)[0][w]
-        hi_index = self._index(p + 1)
+        mo_w = self.degree(p).monomials[w]
+        hi_index = self.degree(p + 1).index
         qpar = self.quotient_parities
         # second sum: x at position i of t1, with x ^ w = sign * t1; every
         # copy of an odd x carries the sign (-1)^{i + |x| pref[i]} of the first
@@ -546,12 +535,12 @@ class RelativeComplex:
 
     def lambda_rep(self, p: int) -> Representation:
         """Exterior power of g/h in degree p with its full action matrices
-        (the engine reads the pair's ``action_rows`` and ``weight_keys`` instead)."""
+        (the engine reads the pair's ``action_rows`` and ``degree`` records instead)."""
         return super_exterior_power(self.pair.quotient_rep, p)
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
-        return self.pair.monomials(p)
+        return self.pair.degree(p)[:2]
 
     def _defect_columns(
         self, p: int, i: int, lam_rows: dict[int, dict[int, Scalar]]
@@ -566,7 +555,7 @@ class RelativeComplex:
         n = self.m.dim
         cols = self.m_action_cols[i]
         odd_vector = self.pair.h.vector_parities[i]
-        m_par, mono_par = self.m.parities, self.pair.monomials(p)[1]
+        m_par, mono_par = self.m.parities, self.pair.degree(p).parities
 
         def build(x: int) -> tuple[list[tuple[int, Scalar]], list[tuple[int, Scalar]]]:
             w, v = divmod(x, n)
@@ -632,7 +621,7 @@ class RelativeComplex:
         pos = [self.pair.diagonal.index(i) for i in self.diag_idx]
         kept_pair: list[list[int]] = [[], []]
         needed = []
-        for key, ts in self.pair.buckets(p).items():
+        for key, ts in self.pair.degree(p).buckets.items():
             vs = self.m_buckets.get(tuple(key[j] for j in pos))
             if vs:
                 needed.append(key)
@@ -648,7 +637,6 @@ class RelativeComplex:
                 lam_rows.update(self.pair.action_rows(p, i, k))
         numerators_pair: list[list[dict[Coord, int]]] = [[], []]
         scales_pair: list[list[int]] = [[], []]
-        basis_pair: list[list[Cochain]] = [[], []]
         free_pair: list[list[Coord]] = [[], []]
         for sector in (EVEN, ODD):
             kept = kept_pair[sector]
@@ -681,19 +669,13 @@ class RelativeComplex:
                     f"with defect {c}"
                 )
             # decode the flat coordinates, one (v, w) tuple per coordinate
-            # shared by every vector and anchor; the public basis divides
-            # each vector by its value at its anchor
+            # shared by every vector and anchor
             decode = {x: (x % n, x // n) for x in kept}
-            numerators = [{decode[x]: c for x, c in phi.items()} for phi in candidates]
-            scales = [phi[anchor] for phi, anchor in zip(candidates, free)]
-            basis_pair[sector] = [
-                phi if s == 1 else {coord: _exact(Fraction(c, s)) for coord, c in phi.items()}
-                for phi, s in zip(numerators, scales)
-            ]
-            numerators_pair[sector], scales_pair[sector] = numerators, scales
+            numerators_pair[sector] = [{decode[x]: c for x, c in phi.items()} for phi in candidates]
+            scales_pair[sector] = [phi[anchor] for phi, anchor in zip(candidates, free)]
             free_pair[sector] = [decode[x] for x in free]
         self._spaces[p] = CochainSpace(
-            p, monos, mono_par, tuple(basis_pair), tuple(free_pair),
+            p, monos, tuple(free_pair),
             tuple(numerators_pair), tuple(scales_pair),
         )
         return self._spaces[p]
@@ -812,7 +794,7 @@ class RelativeComplex:
                 for r, c in self._expand(image, dst, sector, s):
                     entries.append((r, k, c if s == 1 else Fraction(c, s)))
             blocks.append(
-                SparseMatrix(len(dst.basis[sector]), len(src.basis[sector]), entries)
+                SparseMatrix(len(dst.numerators[sector]), len(src.numerators[sector]), entries)
             )
         self._diffs[p] = blocks[0], blocks[1]
         return self._diffs[p]
@@ -822,7 +804,7 @@ class RelativeComplex:
         all_zero = True
         prev = (0, 0)  # ranks of d^{p-1} per sector
         for p in range(max_degree + 1):
-            if not self.pair.monomials(p)[0]:
+            if not self.pair.degree(p).monomials:
                 # C^p = 0, and so is every higher degree: dropping the last
                 # factor of a monomial leaves a monomial of one degree less
                 rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]

@@ -11,7 +11,8 @@ cochain engine also calls directly.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+import math
+from typing import Iterable, Iterator, Sequence
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan
 from .errors import (
@@ -148,32 +149,38 @@ def tensor(r: Representation, s: Representation) -> Representation:
 # super exterior monomials
 
 
+def monomial_steps(parities: Sequence[int], monos: Iterable[tuple]) -> Iterator[Sequence[int]]:
+    """For each normal-form monomial, the factors x that may follow it.
+
+    x may follow the last factor y when (|x|, x) > (|y|, y) or x = y is odd,
+    and any x may start a monomial.  Each list ascends by index, so
+    monomials in lexicographic order extend to monomials in that order."""
+    n = len(parities)
+    after = [[x for x in range(n) if (parities[x], x) > (py, y) or (x == y and py == ODD)]
+             for y, py in enumerate(parities)]
+    return (after[mo[-1]] if mo else range(n) for mo in monos)
+
+
 def super_monomials(parities: Sequence[int], p: int) -> list[tuple[int, ...]]:
-    """Normal-form monomials of the super p-th exterior power.
+    """Normal-form monomials of the super p-th exterior power, in
+    lexicographic order, each degree extending the one below.
 
     Even indices appear at most once; odd indices repeat freely.  Normal
     form sorts by (parity, index): even factors first, each block ascending.
     """
-    evens = [i for i, q in enumerate(parities) if q == EVEN]
-    odds = [i for i, q in enumerate(parities) if q == ODD]
-    out: list[tuple[int, ...]] = []
-    for k in range(min(p, len(evens)), -1, -1):
-        for ev in itertools.combinations(evens, k):
-            for od in itertools.combinations_with_replacement(odds, p - k):
-                out.append(ev + od)
-    out.sort()
-    return out
+    monos: list[tuple[int, ...]] = [()]
+    for _ in range(p):
+        monos = [mo + (x,) for mo, xs in zip(monos, monomial_steps(parities, monos)) for x in xs]
+    return monos
 
 
 def super_monomial_count(a: int, b: int, p: int) -> int:
     """Closed-form dimension: sum_k C(a,k) C(b+p-k-1, p-k), where the
     second factor (multisets of size p-k from b odd directions) is 1 at k = p."""
-    import math as _math
-
     total = 0
     for k in range(min(a, p) + 1):
         j = p - k
-        total += _math.comb(a, k) * (_math.comb(b + j - 1, j) if j else 1)
+        total += math.comb(a, k) * (math.comb(b + j - 1, j) if j else 1)
     return total
 
 

@@ -1,6 +1,9 @@
 """Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
-(a container with no product or sum of its own), and the super Jacobi
-identity on sparse vectors."""
+(a container with no product or sum of its own), the super Jacobi
+identity on sparse vectors, and the normal-form monomials of a super
+exterior power listed without the degree-by-degree walk."""
+
+import itertools
 
 from supero.linalg import SparseMatrix
 
@@ -77,3 +80,18 @@ def super_jacobi(g) -> tuple[bool, tuple[int, int, int] | None]:
                 if any(acc.values()):
                     return False, (i, j, k)
     return True, None
+
+
+def super_monomials(parities, p: int) -> list[tuple[int, ...]]:
+    """Normal-form monomials of the super p-th exterior power: every set of
+    k distinct even indices followed by every multiset of p - k odd ones,
+    sorted."""
+    evens = [i for i, q in enumerate(parities) if q == 0]
+    odds = [i for i, q in enumerate(parities) if q == 1]
+    out = []
+    for k in range(min(p, len(evens)), -1, -1):
+        for ev in itertools.combinations(evens, k):
+            for od in itertools.combinations_with_replacement(odds, p - k):
+                out.append(ev + od)
+    out.sort()
+    return out

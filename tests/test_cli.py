@@ -139,6 +139,8 @@ def test_coh_span_file_missing_exit_2(capsys):
     [
         ("--H", "abc"),
         ("--H", "1/0"),
+        # Fraction would build 10**10000000 in full
+        ("--H", "1e10000000,0"),
         ("span", "not json"),
         ("span", json.dumps({"vectors": [[1, 2, 3, 4]]})),
         # gl(1|1) basis order: e[1,1], e[2,2], e[1,2], e[2,1]
@@ -162,8 +164,8 @@ def test_coh_span_file_missing_exit_2(capsys):
         ("H-with:span", "1,0"),
     ],
     ids=[
-        "H-not-rational", "H-zero-denominator", "span-not-json", "span-flat-vector",
-        "span-not-closed", "span-not-homogeneous", "span-dependent",
+        "H-not-rational", "H-zero-denominator", "H-huge-exponent", "span-not-json",
+        "span-flat-vector", "span-not-closed", "span-not-homogeneous", "span-dependent",
         "span-true-numerator", "span-true-denominator", "span-label-newline",
         "span-label-not-a-string",
         "H-with-g0", "H-comma-with-g0", "H-empty-with-g0", "H-with-torus",
@@ -296,7 +298,10 @@ def test_console_entry_point_subprocess():
 # Malformed inputs of each kind; each must be refused as a usage error.
 MALFORMED = {
     "H": ["x", "1/0", ",", "1,x", "1", "1,2,3"],  # gl(1|1) has torus rank 2
-    "mod": ["dual(", "*", "adjoint*", "natural**natural", "dual()", "natural*dual("],
+    "mod": [
+        "dual(", "*", "adjoint*", "natural**natural", "dual()", "natural*dual(",
+        "dual(" * 3000 + "trivial" + ")" * 3000,  # deeper than the recursion limit
+    ],
     "family": [["gl", "-1", "2"], ["q", "0"], ["osp", "1", "3"], ["p", "1"]],
     "span": [
         '{"vectors": 3}',

@@ -54,6 +54,7 @@ from supero.roots import (
 )
 from supero.suites import seeded_levi_functional
 
+import oracles
 from oracles import matmul
 
 F = Fraction
@@ -386,6 +387,22 @@ def _skew_torus_pair():
     return RelativePair(g, SubalgebraSpan(g, [vec], "skew-torus"))
 
 
+def _json_reordered_torus_pair():
+    """gl(2|1) loaded from JSON with its basis reordered, so that its
+    quotient by the torus has parities (1, 1, 0, 1, 0, 1): every built-in
+    family lists even before odd."""
+    d = build_gl(2, 1).to_json_dict()
+    perm = [5, 0, 6, 1, 3, 7, 2, 4, 8]  # new index -> old index
+    new = {old: k for k, old in enumerate(perm)}
+    d["parities"] = [d["parities"][old] for old in perm]
+    d["torus"] = [new[t] for t in d["torus"]]
+    d["bracket"] = [
+        [new[i], new[j], [[new[k], num, den] for k, num, den in terms]]
+        for i, j, terms in d["bracket"]
+    ]
+    return _pair(LieSuperalgebra.from_json_dict(d), "torus")
+
+
 PAIRS = {
     "gl(2|1)-levi": lambda: _pair(build_gl(2, 1), "levi", (F(1), F(0), F(1))),
     "q(2)-borel": lambda: _pair(build_q(2), "borel"),
@@ -394,19 +411,22 @@ PAIRS = {
     "gl(2|1)-g0-rotated": _rotated_g0_pair,
     "q(2)-skew-torus": _skew_torus_pair,
 }
+# the module builders know only the built-in families, so a JSON algebra
+# joins the tests that need no coefficient module
+PAIR_TABLES = {**PAIRS, "gl(2|1)-json-reordered-torus": _json_reordered_torus_pair}
 
 
 def _all_action_rows(pair, p, i):
     """The rows of every weight bucket, in monomial order."""
     rows = {}
-    for k in pair.buckets(p):
+    for k in pair.degree(p).buckets:
         rows.update(pair.action_rows(p, i, k))
     return [rows[t] for t in range(len(rows))]
 
 
-@pytest.mark.parametrize("case", PAIRS)
+@pytest.mark.parametrize("case", PAIR_TABLES)
 def test_action_rows_match_exterior_power(case):
-    pair = PAIRS[case]()
+    pair = PAIR_TABLES[case]()
     for p in range(5):
         lam = super_exterior_power(pair.quotient_rep, p)
         for i in range(pair.h.dim):  # diagonal elements too
@@ -453,9 +473,31 @@ def test_incremental_weights_equal_direct_sums(case):
     assert diagonal and pair.diagonal == diagonal
     for col, i in enumerate(diagonal):
         for p in range(5):
-            monos, _ = pair.monomials(p)
+            monos = pair.degree(p).monomials
             direct = [sum((actions[i].entry(y, y) for y in mo), F(0)) for mo in monos]
-            assert [key[col] for key in pair.weight_keys(p)] == direct, (p, i)
+            assert [key[col] for key in pair.degree(p).weight_keys] == direct, (p, i)
+
+
+@pytest.mark.parametrize("case", PAIR_TABLES)
+def test_degree_tables_match_reference_enumeration(case):
+    pair = PAIR_TABLES[case]()
+    qpar, eig = pair.quotient_parities, pair.eig
+    zero = tuple(0 for _ in pair.diagonal)
+    if case == "gl(2|1)-json-reordered-torus":
+        assert qpar == (1, 1, 0, 1, 0, 1)
+    for p in range(7):
+        monos = oracles.super_monomials(qpar, p)
+        # each column of weights starts at 0, so the empty monomial sums to 0
+        keys = [tuple(map(sum, zip(zero, *(eig[y] for y in mo)))) for mo in monos]
+        buckets = {}
+        for t, key in enumerate(keys):
+            buckets.setdefault(key, []).append(t)
+        deg = pair.degree(p)
+        assert deg.monomials == tuple(monos), p
+        assert deg.parities == tuple(sum(qpar[y] for y in mo) % 2 for mo in monos), p
+        assert deg.index == {mo: t for t, mo in enumerate(monos)}, p
+        assert deg.weight_keys == keys, p
+        assert list(deg.buckets.items()) == list(buckets.items()), p
 
 
 def test_report_builds_no_rows_for_diagonal_elements():
@@ -563,8 +605,8 @@ def _pull_structure_maps(pair, p):
     """Oracle: the two sums of d from C^p to C^{p+1} pulled from every
     monomial of degree p+1 and every position pair (i, j), keyed by the
     source monomial of degree p."""
-    monos_hi, _ = pair.monomials(p + 1)
-    lo_index = {mo: t for t, mo in enumerate(pair.monomials(p)[0])}
+    monos_hi = pair.degree(p + 1).monomials
+    lo_index = {mo: t for t, mo in enumerate(pair.degree(p).monomials)}
     qpar = pair.quotient_parities
     proj_table = pair._projected_brackets()
     bracket_adj, action_adj = {}, {}
@@ -602,7 +644,7 @@ def test_source_maps_match_pull_form(case):
     repeated_odd = False
     for p in range(6):
         bracket_adj, action_adj = _pull_structure_maps(pair, p)
-        for w, mo in enumerate(pair.monomials(p)[0]):
+        for w, mo in enumerate(pair.degree(p).monomials):
             bracket, action = pair.source_maps(p, w)
             # entry for entry: order, signs, types and repeated terms
             assert bracket == bracket_adj.get(w, []), (p, mo)
@@ -657,7 +699,7 @@ def test_source_maps_built_only_where_d_reads():
     assert sorted(pair._sources) == [0, 2, 3, 4, 5, 6]
     for p, cache in pair._sources.items():
         assert set(cache) <= read[p], p
-    assert len(pair._sources[6]) == 80 < len(pair.monomials(6)[0]) // 90
+    assert len(pair._sources[6]) == 80 < len(pair.degree(6).monomials) // 90
 
 
 def test_nonuniform_shift_acts_on_each_monomial_once_per_vector(monkeypatch):

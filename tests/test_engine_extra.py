@@ -217,7 +217,7 @@ def _stacked_space(cx, p):
     _, mono_par = cx.monomials(p)
     pos = [cx.pair.diagonal.index(i) for i in cx.diag_idx]
     kept, needed = ([], []), []
-    for key, ts in cx.pair.buckets(p).items():
+    for key, ts in cx.pair.degree(p).buckets.items():
         vs = cx.m_buckets.get(tuple(key[j] for j in pos))
         if vs:
             needed.append(key)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from supero.reps import (
     wedge_insert,
 )
 
+import oracles
 from oracles import matmul, verify_representation
 
 F = Fraction
@@ -150,6 +152,17 @@ def test_monomial_counts_match_formula():
         b = len(parities) - a
         monos = super_monomials(parities, p)
         assert len(monos) == expected == super_monomial_count(a, b, p)
+
+
+def test_super_monomials_match_reference_enumeration():
+    # the walk must list the sorted order, interleaved parities included
+    rng = random.Random(1515)
+    vectors = [(), (0, 0, 0), (1, 1), (1, 1, 0, 1, 0, 1), (0, 1, 0, 1, 1, 0)]
+    vectors += [tuple(rng.randrange(2) for _ in range(rng.randrange(1, 7))) for _ in range(12)]
+    for parities in vectors:
+        for p in range(7):
+            expected = oracles.super_monomials(parities, p)
+            assert super_monomials(parities, p) == expected, (parities, p)
 
 
 def test_exterior_power_dims():
