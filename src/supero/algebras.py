@@ -10,8 +10,9 @@ The built-in families are realized by explicit matrices:
   split (antidiagonal) on the symmetric part so the Cartan is diagonal.
 
 Structure constants are always computed from the matrix model by exact
-super-commutators and coordinate solving, so every family goes through the
-same validated path.  Basis ordering is fixed per family (even block before
+super-commutators and coordinate solving (``linalg.SpanSolver`` on the
+flattened matrices as sparse dicts), so every family goes through the same
+validated path.  Basis ordering is fixed per family (even block before
 odd block) to keep downstream signs and reports reproducible.
 """
 
@@ -301,29 +302,25 @@ def _super_commutator(a: MatDict, b: MatDict, pa: int, pb: int) -> MatDict:
 
 
 def _solve_brackets(solver: SpanSolver, bracket) -> tuple[BracketTable, tuple[int, int] | None]:
-    """Structure constants of the solver's input vectors.
+    """Structure constants of the solver's input vectors, which are independent.
 
     ``bracket(i, j)`` is the bracket of inputs i and j as a sparse vector
     in the solver's ambient coordinates.  Pairs are solved row by row; the
-    result is the table of nonzero coordinates and the first pair whose
-    bracket escapes the span, at which the solve stops, or None.
+    result is the table of nonzero coordinates, in index order, and the
+    first pair whose bracket escapes the span (leaves a residual), at which
+    the solve stops, or None.
     """
     table: BracketTable = {}
-    n = solver.n_inputs
+    n = solver.rank
     for i in range(n):
         for j in range(n):
             out = bracket(i, j)
             if not out:
                 continue
-            vec = [0] * solver.ambient_dim
-            for k, v in out.items():
-                vec[k] = v
-            coords = solver.coordinates(vec)
-            if coords is None:
+            residual, coords = solver.reduce(out)
+            if residual:
                 return table, (i, j)
-            terms = tuple((k, c) for k, c in enumerate(coords) if c)
-            if terms:
-                table[i, j] = terms
+            table[i, j] = tuple(sorted(coords.items()))
     return table, None
 
 
@@ -336,13 +333,7 @@ def _from_matrix_basis(
     torus: Sequence[int],
     labels: Sequence[str],
 ) -> LieSuperalgebra:
-    flat = []
-    for mat in mats:
-        vec = [0] * (size * size)
-        for (a, b), v in mat.items():
-            vec[a * size + b] = v
-        flat.append(tuple(vec))
-    solver = SpanSolver(flat, size * size)
+    solver = SpanSolver([{a * size + b: v for (a, b), v in mat.items()} for mat in mats])
     if solver.rank != len(mats):
         raise NotASubalgebra(f"{name}: matrix basis is linearly dependent")
 
@@ -592,33 +583,40 @@ def _check_osp_constraint(x: MatDict, phi, size: int, cpar, sector: int) -> MatD
 class SubalgebraSpan:
     """A homogeneous spanning set of a subalgebra, in parent coordinates.
 
-    Vectors must be linearly independent and each supported on a single
-    parity.  The span owns what its echelon form decides: the
+    Vectors come in dense, must be linearly independent and each
+    supported on a single parity; the span keeps them as given
+    (``vectors``) and without zeros (``sparse_vectors``), which is what its
+    ``SpanSolver`` reads.  The span owns what its echelon form decides: the
     ``complement`` (parent basis vectors off its pivot columns, in basis
-    order), the ``projections`` onto it, and its bracket table, solved once
-    on first demand for ``closure_witness`` and ``to_algebra``.
+    order), the ``projections`` onto it, which ``project`` combines, and
+    its bracket table, solved once on first demand for ``closure_witness``
+    and ``to_algebra``.
     """
 
     __slots__ = ("parent", "vectors", "label", "vector_parities", "solver", "complement",
-                 "_projections", "_brackets")
+                 "_sparse", "_projections", "_brackets")
 
     def __init__(self, parent: LieSuperalgebra, vectors: Sequence[Sequence[Scalar]], label: str = "span"):
         vecs = []
+        sparse = []
         pars = []
         for vec in vectors:
             if len(vec) != parent.dim:
                 raise DimensionMismatch("span vector length mismatch")
             tup = tuple(_exact(v) for v in vec)
-            support_par = {parent.parities[i] for i, v in enumerate(tup) if v}
+            nonzero = {i: v for i, v in enumerate(tup) if v}
+            support_par = {parent.parities[i] for i in nonzero}
             if len(support_par) > 1:
                 raise NotASubalgebra("span vector is not parity homogeneous")
             pars.append(support_par.pop() if support_par else EVEN)
             vecs.append(tup)
+            sparse.append(nonzero)
         self.parent = parent
         self.vectors = tuple(vecs)
         self.vector_parities = tuple(pars)
         self.label = label
-        self.solver = SpanSolver(self.vectors, parent.dim)
+        self._sparse = sparse
+        self.solver = SpanSolver(sparse)
         if self.solver.rank != len(self.vectors):
             raise NotASubalgebra(f"{label}: span vectors are linearly dependent")
         pivots = set(self.solver.pivot_cols)
@@ -631,28 +629,32 @@ class SubalgebraSpan:
         return len(self.vectors)
 
     def sparse_vectors(self) -> list[SparseVec]:
-        return [{i: v for i, v in enumerate(vec) if v} for vec in self.vectors]
+        """The span vectors without their zeros, as built once (do not modify)."""
+        return self._sparse
 
     def projections(self) -> list[SparseVec]:
         """Residual of each parent basis vector modulo the span, cached.
 
         The residual lives on the ``complement``, so this is the
-        projection onto it; it is linear, so the projection of any vector
-        is combined from these.
+        projection onto it; ``project`` combines these.
         """
         if self._projections is None:
-            out = []
-            for k in range(self.parent.dim):
-                unit = [0] * self.parent.dim
-                unit[k] = 1
-                out.append(self.solver.reduce(unit)[0])
-            self._projections = out
+            self._projections = [self.solver.reduce({k: 1})[0] for k in range(self.parent.dim)]
         return self._projections
+
+    def project(self, pairs: Iterable[tuple[int, Scalar]]) -> SparseVec:
+        """Projection onto the ``complement`` of the sum of c * b_k over the
+        (k, c) in ``pairs``, under the scalar convention."""
+        projections = self.projections()
+        acc: SparseVec = {}
+        for k, c in pairs:
+            _add_scaled(acc, projections[k].items(), c)
+        return {k: _exact(v) for k, v in acc.items()}
 
     def _solve(self) -> tuple[BracketTable, tuple[int, int] | None]:
         """The bracket table in the span's basis and the first escaping pair."""
         if self._brackets is None:
-            sparse, bracket = self.sparse_vectors(), self.parent.bracket_sparse
+            sparse, bracket = self._sparse, self.parent.bracket_sparse
             self._brackets = _solve_brackets(self.solver, lambda i, j: bracket(sparse[i], sparse[j]))
         return self._brackets
 
@@ -670,7 +672,7 @@ class SubalgebraSpan:
         if witness is not None:
             raise NotASubalgebra(f"{self.label}: not closed at pair {witness}")
         on_torus = set(self.parent.torus).issuperset
-        torus = [idx for idx, vec in enumerate(self.sparse_vectors()) if vec and on_torus(vec)]
+        torus = [idx for idx, vec in enumerate(self._sparse) if vec and on_torus(vec)]
         name = name or f"{self.parent.name}<{self.label}>"
         return LieSuperalgebra(name, self.vector_parities, table, torus)
 
@@ -747,23 +749,12 @@ def quotient_action(g: LieSuperalgebra, h: SubalgebraSpan):
     algebra = h.to_algebra()  # raises NotASubalgebra unless h is bracket-closed
     complement = h.complement
     comp_pos = {c: t for t, c in enumerate(complement)}
-    projections = h.projections()
     actions = []
-    sparse = h.sparse_vectors()
-    for x in sparse:
+    for x in h.sparse_vectors():
         entries = []
         for t, c in enumerate(complement):
-            residual: SparseVec = {}
-            for k, v in g.bracket_sparse(x, {c: 1}).items():
-                _add_scaled(residual, projections[k].items(), v)
-            for kk, v in residual.items():
+            for kk, v in h.project(g.bracket_sparse(x, {c: 1}).items()).items():
                 entries.append((comp_pos[kk], t, v))
         actions.append(SparseMatrix(len(complement), len(complement), entries))
     parities = tuple(g.parities[c] for c in complement)
-    return Representation(
-        algebra,
-        f"{g.name}/{h.label}",
-        parities,
-        tuple(actions),
-        basis_labels=tuple(g.basis_labels[c] for c in complement),
-    )
+    return Representation(algebra, f"{g.name}/{h.label}", parities, tuple(actions))

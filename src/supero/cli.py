@@ -54,7 +54,7 @@ USAGE_ERRORS = (
 
 # Coordinates of the largest cochain space a ``coh`` request may build.
 # q(3) with h = g0, adjoint coefficients and N = 6 (115830 coordinates)
-# takes about 7 s on a 2-vCPU x86 machine (CPython 3.11); the largest
+# takes about 4 s on a 2-vCPU x86 machine (CPython 3.11); the largest
 # request in the tests, the README and the benchmark has 23166.
 COCHAIN_BUDGET = 200_000
 

@@ -30,14 +30,14 @@ Either way each row is the full row.
 
 Scalars follow the one convention of ``linalg``: ``int`` where the
 denominator is 1 and ``Fraction`` otherwise.  The actions of g/h and of M
-arrive as ``SparseMatrix`` columns and the projections of g as
-``SpanSolver`` residuals, both already under it, so this module converts
+arrive as ``SparseMatrix`` columns and the projected brackets from
+``SubalgebraSpan.project``, all already under it, so this module converts
 nothing on the way in.  It applies ``linalg._exact`` only where it makes
-a new value that may be an integral ``Fraction``: the projected brackets
-and the divisions by anchor values.  The constraint solve runs on
-integer cochains: each basis vector is kept as its primitive integer
-multiple (``numerators``) and its value at its anchor (``scales``), and
-the public ``basis`` divides the one by the other.  The differential
+a new value that may be an integral ``Fraction``: the divisions by anchor
+values.  The constraint solve runs on integer cochains: each basis vector
+is kept as its primitive integer multiple (``numerators``) and its value
+at its anchor (``scales``), and the public ``basis`` divides the one by
+the other.  The differential
 layer works on the numerators too: ``apply_differential`` acts on them,
 ``_expand`` checks an image against them in integers, scaled by the lcm
 of the scales, and d o d = 0 combines their images.  Values are divided
@@ -334,25 +334,14 @@ class RelativePair:
     def _projected_brackets(self) -> list[list[list[tuple[int, Scalar]]]]:
         """pi[lift(q_a), lift(q_b)] in quotient coordinates for every (a, b), cached.
 
-        pi is linear, so each bracket is combined from the projections of
-        the basis vectors of g (``SubalgebraSpan.projections``).
+        pi is the span's ``project``.
         """
         if self._proj_brackets is None:
-            g = self.g
-            projections = [
-                [(self.complement_pos[kk], v) for kk, v in residual.items()]
-                for residual in self.h.projections()
+            bracket, project, pos = self.g.bracket_basis, self.h.project, self.complement_pos
+            self._proj_brackets = [
+                [[(pos[kk], v) for kk, v in project(bracket(a, b)).items()] for b in self.complement]
+                for a in self.complement
             ]
-            table = []
-            for a in self.complement:
-                row = []
-                for b in self.complement:
-                    acc: dict[int, Scalar] = {}
-                    for k, c in g.bracket_basis(a, b):
-                        _add_scaled(acc, projections[k], c)
-                    row.append([(q, _exact(v)) for q, v in acc.items()])
-                table.append(row)
-            self._proj_brackets = table
         return self._proj_brackets
 
     def _bracket_inverse(self) -> list[list[tuple[int, int, int, Scalar]]]:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import RelativePair, cohomology, relative_ext
 from .errors import DimensionMismatch
-from .linalg import SparseMatrix, nullity
+from .linalg import SparseMatrix, rank
 from .reps import Representation, dual, odd_part_module, super_symmetric_power, trivial
 
 
@@ -66,7 +66,7 @@ def invariant_subspace_dim(r: Representation) -> int:
             rid = row_ids.setdefault((ci, row), len(row_ids))
             entries.append((rid, t, val))
     mat = SparseMatrix(len(row_ids), len(kept), entries)
-    return nullity(mat)
+    return mat.cols - rank(mat)
 
 
 def invariant_dims(g: LieSuperalgebra, max_degree: int) -> HilbertTable:

@@ -28,10 +28,10 @@ per vector; a ``Fraction`` appears only in the dense ``kernel_basis``.
 This module owns the package's one scalar convention: a value is an
 ``int`` when its denominator is 1 and a ``Fraction`` otherwise.  The
 helper ``_exact`` applies it, and every value that leaves this module in
-a ``SparseMatrix``, a ``SpanSolver`` residual or coordinate, or a dense
-kernel vector follows it.  So an integral entry is stored as the ``int``
-it already is, and the integral bulk of the arithmetic downstream never
-builds a ``Fraction``.
+a ``SparseMatrix``, a sparse ``SpanSolver`` residual or coordinate, or a
+dense kernel vector follows it.  So an integral entry is stored as the
+``int`` it already is, and the integral bulk of the arithmetic downstream
+never builds a ``Fraction``.
 
 The convention holds in every module, and no other module decides it.
 Elsewhere integral constants are written as ``int``s, and ``_exact`` is
@@ -378,31 +378,24 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
     ]
 
 
-def nullity(m: SparseMatrix) -> int:
-    return m.cols - rank(m)
-
-
 class SpanSolver:
-    """Row echelon form of a list of vectors, for membership and coordinates.
+    """Row echelon form of a list of sparse vectors, for membership and coordinates.
 
-    Each row is stored with its lead column and normalized to 1 there;
-    pivot columns are deterministic (leftmost possible, rows processed in
-    input order).  The form is not reduced: a row may be nonzero at the
-    lead of a later row.  ``reduce`` walks the rows in lead order, so its
-    results do not depend on that.  Used for subalgebra spans: ``reduce``
-    splits an ambient vector into its component inside the span and a
-    residual supported on the non-pivot columns.
+    Vectors are dicts {index: value} holding no zero value.  Each row is
+    stored with its lead column and normalized to 1 there; pivot columns
+    are deterministic (leftmost possible, rows processed in input order).
+    The form is not reduced: a row may be nonzero at the lead of a later
+    row.  ``reduce`` walks the rows in lead order, so its results do not
+    depend on that.  Used for subalgebra spans: ``reduce`` splits an
+    ambient vector into its component inside the span and a residual
+    supported on the non-pivot columns.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[Scalar]], ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self, vectors: Sequence[dict[int, Scalar]]):
         # (lead, row, combination of input vectors producing it), by lead
         rows: list[tuple[int, dict[int, Scalar], dict[int, Scalar]]] = []
         for idx, vec in enumerate(vectors):
-            if len(vec) != ambient_dim:
-                raise DimensionMismatch(f"span vector {idx} has length {len(vec)} != {ambient_dim}")
-            row = {i: _exact(v) for i, v in enumerate(vec) if v}
-            row, comb = self._eliminate(rows, row, {idx: 1}, -1)
+            row, comb = self._eliminate(rows, dict(vec), {idx: 1}, -1)
             if row:
                 lead = min(row)
                 c = row[lead]
@@ -414,7 +407,6 @@ class SpanSolver:
         self._rows = rows
         self.pivot_cols = [lead for lead, _, _ in rows]
         self.rank = len(rows)
-        self.n_inputs = len(vectors)
 
     @staticmethod
     def _eliminate(rows, row: dict[int, Scalar], comb: dict[int, Scalar], sign: int):
@@ -431,20 +423,10 @@ class SpanSolver:
                 _add_scaled(comb, pcomb.items(), sign * coef)
         return {k: _exact(v) for k, v in row.items()}, {k: _exact(v) for k, v in comb.items()}
 
-    def reduce(self, vec: Sequence[Scalar]) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
-        """Split ``vec`` = (span part) + residual.
+    def reduce(self, vec: dict[int, Scalar]) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
+        """Split the sparse ``vec`` = (span part) + residual.
 
-        Returns (residual as sparse dict, coordinates of the span part in
-        terms of the input vectors).
+        Returns (residual, coordinates of the span part in terms of the
+        input vectors), both sparse; ``vec`` is zero-free and not modified.
         """
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatch("vector length mismatch in reduce")
-        row = {i: _exact(v) for i, v in enumerate(vec) if v}
-        return self._eliminate(self._rows, row, {}, 1)
-
-    def coordinates(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-        """Coordinates of ``vec`` in terms of the input vectors, or None."""
-        residual, comb = self.reduce(vec)
-        if residual:
-            return None
-        return tuple(comb.get(i, 0) for i in range(self.n_inputs))
+        return self._eliminate(self._rows, dict(vec), {}, 1)

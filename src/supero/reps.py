@@ -28,11 +28,10 @@ class Representation:
     """Module over a Lie superalgebra, given by exact action matrices.
 
     ``actions[i]`` is the matrix of the algebra basis vector b_i; columns
-    index module basis vectors.  ``basis_labels`` keeps human-readable (or
-    structured, e.g. monomial tuples) names for the module basis.
+    index module basis vectors.
     """
 
-    __slots__ = ("algebra", "name", "parities", "actions", "basis_labels")
+    __slots__ = ("algebra", "name", "parities", "actions")
 
     def __init__(
         self,
@@ -40,7 +39,6 @@ class Representation:
         name: str,
         parities: Sequence[int],
         actions: Sequence[SparseMatrix],
-        basis_labels: Sequence | None = None,
     ):
         if len(actions) != algebra.dim:
             raise DimensionMismatch("one action matrix per algebra basis element required")
@@ -52,9 +50,6 @@ class Representation:
         self.name = name
         self.parities = tuple(int(p) for p in parities)
         self.actions = tuple(actions)
-        self.basis_labels = tuple(basis_labels) if basis_labels is not None else tuple(
-            f"v{i}" for i in range(dim)
-        )
 
     @property
     def dim(self) -> int:
@@ -76,13 +71,11 @@ class Representation:
 
 def trivial(g: LieSuperalgebra) -> Representation:
     zero = SparseMatrix(1, 1)
-    return Representation(g, "trivial", (EVEN,), tuple(zero for _ in range(g.dim)), ("1",))
+    return Representation(g, "trivial", (EVEN,), tuple(zero for _ in range(g.dim)))
 
 
 def adjoint(g: LieSuperalgebra) -> Representation:
-    return Representation(
-        g, "adjoint", g.parities, tuple(g.ad_matrix(i) for i in range(g.dim)), g.basis_labels
-    )
+    return Representation(g, "adjoint", g.parities, tuple(g.ad_matrix(i) for i in range(g.dim)))
 
 
 def natural(g: LieSuperalgebra) -> Representation:
@@ -93,8 +86,7 @@ def natural(g: LieSuperalgebra) -> Representation:
     actions = []
     for mat in mats:
         actions.append(SparseMatrix(size, size, ((a, b, v) for (a, b), v in mat.items())))
-    labels = tuple(f"u{a + 1}" for a in range(size))
-    return Representation(g, "natural", model_parities, tuple(actions), labels)
+    return Representation(g, "natural", model_parities, tuple(actions))
 
 
 def dual(r: Representation) -> Representation:
@@ -112,8 +104,7 @@ def dual(r: Representation) -> Representation:
             # action on the dual basis: x.f_row = -(-1)^{|x||f_row|} v f_col
             entries.append((col, row, v if (g.parities[i] * r.parities[row]) % 2 else -v))
         actions.append(SparseMatrix(r.dim, r.dim, entries))
-    labels = tuple(f"{lab}*" for lab in r.basis_labels)
-    return Representation(g, f"dual({r.name})", r.parities, tuple(actions), labels)
+    return Representation(g, f"dual({r.name})", r.parities, tuple(actions))
 
 
 def tensor(r: Representation, s: Representation) -> Representation:
@@ -139,10 +130,7 @@ def tensor(r: Representation, s: Representation) -> Representation:
                  for a in range(r.dim)),
             )
         actions.append(SparseMatrix(dim, dim, ((a, b, v) for (a, b), v in acc.items())))
-    labels = tuple(
-        f"{la}(x){lb}" for la in r.basis_labels for lb in s.basis_labels
-    )
-    return Representation(g, f"{r.name}(x){s.name}", parities, tuple(actions), labels)
+    return Representation(g, f"{r.name}(x){s.name}", parities, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +258,7 @@ def super_exterior_power(r: Representation, p: int) -> Representation:
                 ((t2, t, v) for t2 in sorted(rows) for t, v in rows[t2].items()),
             )
         )
-    # basis labels are the monomial tuples themselves
-    return Representation(r.algebra, f"L^{p}_s({r.name})", parities, tuple(actions), monos)
+    return Representation(r.algebra, f"L^{p}_s({r.name})", parities, tuple(actions))
 
 
 def super_symmetric_power(r: Representation, j: int) -> Representation:
@@ -303,7 +290,7 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
         actions.append(
             SparseMatrix(len(monos), len(monos), ((a, b, v) for (a, b), v in acc.items()))
         )
-    return Representation(g, f"S^{j}({r.name})", tuple(EVEN for _ in monos), tuple(actions), monos)
+    return Representation(g, f"S^{j}({r.name})", tuple(EVEN for _ in monos), tuple(actions))
 
 
 def restrict(r: Representation, h: SubalgebraSpan) -> Representation:
@@ -312,21 +299,17 @@ def restrict(r: Representation, h: SubalgebraSpan) -> Representation:
         raise AlgebraMismatch("span does not belong to the module's algebra")
     algebra = h.to_algebra()  # raises NotASubalgebra unless h is bracket-closed
     actions = tuple(r.action_of_vector(vec) for vec in h.vectors)
-    return Representation(algebra, f"{r.name}|{h.label}", r.parities, actions, r.basis_labels)
+    return Representation(algebra, f"{r.name}|{h.label}", r.parities, actions)
 
 
-def weight_decomposition(
-    r: Representation, torus_indices: Sequence[int] | None = None
-) -> dict[tuple[Scalar, ...], tuple[int, int]]:
+def weight_decomposition(r: Representation) -> dict[tuple[Scalar, ...], tuple[int, int]]:
     """Simultaneous eigenspace dimensions under the torus, split by parity.
 
     Requires every torus action matrix to be diagonal in the module basis
     (true for all constructions in this package).
     """
-    g = r.algebra
-    torus = list(g.torus) if torus_indices is None else list(torus_indices)
     diag = []
-    for t in torus:
+    for t in r.algebra.torus:
         a = r.actions[t]
         if not a.is_diagonal():
             raise DecompositionError(f"torus element {t} does not act diagonally on {r.name}")
@@ -354,10 +337,5 @@ def odd_part_module(g: LieSuperalgebra) -> Representation:
             for k, v in g.bracket_basis(i, o):
                 entries.append((pos[k], t, v))
         actions.append(SparseMatrix(len(odd), len(odd), entries))
-    return Representation(
-        h.to_algebra(),
-        f"{g.name}_odd",
-        tuple(g.parities[o] for o in odd),
-        tuple(actions),
-        tuple(g.basis_labels[o] for o in odd),
-    )
+    parities = tuple(g.parities[o] for o in odd)
+    return Representation(h.to_algebra(), f"{g.name}_odd", parities, tuple(actions))

@@ -243,10 +243,8 @@ def borel_span(g: LieSuperalgebra, rd: RootDatum | None = None, H: Sequence[Scal
     return _unit_span(g, idx, "borel")
 
 
-def levi_span(g: LieSuperalgebra, H: Sequence[Scalar], rd: RootDatum | None = None) -> SubalgebraSpan:
-    rd = rd or root_decomposition(g)
-    dec = principal_parabolic(rd, H)
-    return dec.levi
+def levi_span(g: LieSuperalgebra, H: Sequence[Scalar]) -> SubalgebraSpan:
+    return principal_parabolic(root_decomposition(g), H).levi
 
 
 def named_subalgebra(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -22,6 +23,7 @@ from supero.algebras import (
     special_linear_span,
     torus_span,
 )
+from supero.cli import dumps
 from supero.errors import (
     DimensionMismatch,
     EmptyAlgebra,
@@ -466,3 +468,39 @@ def test_json_is_deterministic():
     b = _dumps(build_q(2))
     assert a == b
     json.loads(a)  # well-formed
+
+
+# sha256 of ``cli.dumps(g.to_json_dict())``: every structure constant of the
+# jacobi-suite algebras and of osp(5|4), as the matrix models solve them
+STRUCTURE_DIGESTS = {
+    "gl(0|1)": "658b1dc6a459283f7a7c1b1acd4e1bce170159ac06b9bb8d318ade0335875faf",
+    "gl(0|2)": "72823c85434afa9210e8062f638480d3968a4017a94621cab7ed5efb2662b8f2",
+    "gl(0|3)": "258547acc85f2fc7c3c9d881ed45823602d65353bb62f7804bc655c25557fe13",
+    "gl(1|0)": "2f0b7dd908920512d5881f4d800fa4fbb1e952bdd0581ab0e44714de32640cf7",
+    "gl(1|1)": "1d5e84328ce23f2c56d22fc0b8efa0549a3ebd826f8980f22a61ee6ad71bf81f",
+    "gl(1|2)": "942a86ed5fa8666915e413985e47bcf2561e6dc2e54eabf51d3f26c4171923d5",
+    "gl(1|3)": "0418d698a41009c02433de347a29d8350d3f23400f186aae017bdd6fb8e6df1c",
+    "gl(2|0)": "cd793c5d7b107298c4e64df0fc223838737d5366f3db2f233a8bdadc9aa0fa05",
+    "gl(2|1)": "ff93409d5466502922c0662ec8388368dcec66e827c5543f231bcc9dd5dea037",
+    "gl(2|2)": "cce5293f85863491a4879b20b8c712f15f21e5f452e67caa5169355b1ab956c0",
+    "gl(2|3)": "c78066dee8b9c710b2dc013a34af5df05292527c63752ea2f23877b9556b91c0",
+    "gl(3|0)": "121623836adad85a184c380aba834e9345ac02c886c084839ec6cf7fe8e95661",
+    "gl(3|1)": "c68767863f05af017e257579b60efda450e520897376fd573d66b3ff66ef14e5",
+    "gl(3|2)": "f6b0195b707fc7a3baee3c846a760fb28ea6b6f360cf653a5815f3db00bbe143",
+    "gl(3|3)": "bf7c4d4e01f657a8c543bc0d0b4b180f3b7cf7c488b5a0742652d9b992f24b3f",
+    "sl(2|1)": "27c3045f42023e17598ec5acb59c8203b9877edcc468f346eb6064b5651f2e2f",
+    "q(1)": "a512d5878ebe4f7187e293cf7beba23fc7b588c941526bcb0954081d144799da",
+    "q(2)": "a2974076301254cd85e9d78565322a3b00fa310af5f5d71117f23273b31d1196",
+    "q(3)": "e4906380a1da304a8e25d2ddda6782a1b1d960ae6fc71a8bc84098c7bb553102",
+    "p~(2)": "e6068bebbcda42fc979dc7f53dc1344aaa9fe35dbd994e9d0a705f7893eca28a",
+    "osp(1|2)": "d6e6d9f82575846feeacd7a6f354d3ceadd921d01ba57ecaf25b532ccc233e60",
+    "osp(2|2)": "8f2b0ca93df1d7153e6d0b560e022433046db7e5075af45b93c363a5acaac26f",
+    "osp(3|2)": "6eaa4d8ac3deccf946db4f24cbd404dcac9d7d099b26ab525ed1ebc87ff63618",
+    "osp(5|4)": "af0cb4ec8e60087a253be5592e63e6bf40584c4492429dfc70d81f949746e0a7",
+}
+
+
+def test_structure_constants_are_pinned():
+    algebras = jacobi_families() + [build_osp(5, 4)]
+    digests = {g.name: hashlib.sha256(dumps(g.to_json_dict()).encode()).hexdigest() for g in algebras}
+    assert digests == STRUCTURE_DIGESTS

@@ -118,24 +118,23 @@ def test_duplicate_entry_rejected():
 
 
 def test_span_solver_membership_and_coords():
-    v1 = (F(1), F(0), F(1))
-    v2 = (F(0), F(1), F(1))
-    s = SpanSolver([v1, v2], 3)
+    v1 = {0: F(1), 2: F(1)}
+    v2 = {1: F(1), 2: F(1)}
+    s = SpanSolver([v1, v2])
     assert s.rank == 2
-    assert not s.reduce((F(1), F(1), F(2)))[0]
-    assert s.reduce((F(0), F(0), F(1)))[0]
-    assert s.coordinates((F(2), F(-1), F(1))) == (F(2), F(-1))
+    assert not s.reduce({0: F(1), 1: F(1), 2: F(2)})[0]
+    assert s.reduce({2: F(1)})[0]
+    assert s.reduce({0: F(2), 1: F(-1), 2: F(1)}) == ({}, {0: F(2), 1: F(-1)})
 
 
 def test_span_solver_residual_on_free_columns():
-    s = SpanSolver([(F(1), F(1), F(0))], 3)
-    residual, _ = s.reduce((F(1), F(2), F(3)))
+    s = SpanSolver([{0: F(1), 1: F(1)}])
+    vec = {0: F(1), 1: F(2), 2: F(3)}
+    residual, _ = s.reduce(vec)
     assert set(residual) <= {1, 2}
-    back = [Fraction(0)] * 3
-    for k, v in residual.items():
-        back[k] = v
+    assert vec == {0: F(1), 1: F(2), 2: F(3)}  # the input is not modified
     # residual differs from the input by a span element
-    diff = [a - b for a, b in zip((F(1), F(2), F(3)), back)]
+    diff = {k: vec[k] - residual.get(k, 0) for k in vec if vec[k] != residual.get(k, 0)}
     assert not s.reduce(diff)[0]
 
 
@@ -148,12 +147,12 @@ def test_entries_are_int_where_integral():
 
 def test_span_solver_divides_exactly():
     # an int lead of 3 must scale by Fraction(1, 3), never by the float 1 / 3
-    s = SpanSolver([(3, 1, 0)], 3)
-    residual, comb = s.reduce((1, 0, 5))
+    s = SpanSolver([{0: 3, 1: 1}])
+    residual, comb = s.reduce({0: 1, 2: 5})
     assert residual == {1: F(-1, 3), 2: 5} and comb == {0: F(1, 3)}
     assert type(residual[1]) is Fraction and type(residual[2]) is int
-    coords = s.coordinates((6, 2, 0))
-    assert coords == (2,) and type(coords[0]) is int
+    residual, coords = s.reduce({0: 6, 1: 2})
+    assert residual == {} and coords == {0: 2} and type(coords[0]) is int
 
 
 def test_span_solver_properties_random():
@@ -174,7 +173,7 @@ def test_span_solver_properties_random():
                 inputs.append(tuple(
                     F(rng.randint(-3, 3), den) if rng.random() < 0.6 else 0 for _ in range(cols)
                 ))
-        s = SpanSolver(inputs, cols)
+        s = SpanSolver([{k: x for k, x in enumerate(v) if x} for v in inputs])
         # pivot columns: the columns not in the span of the columns to their left
         prefix_ranks = [rank(from_rows([v[:c] for v in inputs])) if inputs else 0
                         for c in range(cols + 1)]
@@ -184,7 +183,7 @@ def test_span_solver_properties_random():
             v = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols))
             if inputs and rng.random() < 0.5:
                 v = tuple(rng.randint(-2, 2) * x for x in rng.choice(inputs))
-            residual, coords = s.reduce(v)
+            residual, coords = s.reduce({k: x for k, x in enumerate(v) if x})
             assert not set(residual) & set(s.pivot_cols)
             span_part = [x - residual.get(k, 0) for k, x in enumerate(v)]
             combined = [sum(c * inputs[i][k] for i, c in coords.items()) for k in range(cols)]
