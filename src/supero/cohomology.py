@@ -11,8 +11,9 @@ code is split the same way.  ``RelativePair(g, h)`` reads the coordinate
 complement of h from the span, and holds the action of h on g/h and,
 built lazily and once per pair: one record per degree of L^p_s(g/h)
 (``degree``), made from the one below in one pass, with the monomials,
-their parities, positions and weight keys under the span vectors acting
-diagonally on g/h, and the monomials grouped into buckets by key; the
+their parities and positions, and, on first read, their weight keys under
+the span vectors acting diagonally on g/h and the monomials grouped into
+buckets by key; the
 action rows of each span vector of h on L^p_s(g/h) per (degree, span
 vector, weight bucket) (``action_rows``); the projected brackets, and the
 structure maps of the differential per source monomial (``source_maps``),
@@ -58,7 +59,13 @@ splits into even and odd map parities, which the differential preserves.
 The terms are pushed from the monomials of phi's support: a source w
 reaches x ^ w in the second sum, and, for each factor q of w and each
 (x_a, x_b) whose projected bracket holds q, the monomial (w / q) ^ x_a ^ x_b
-in the first.
+in the first.  Every sign and insertion point is read from positions in
+the normal form, which sorts factors by their rank (parity, index), so
+even factors precede odd ones.  A factor x goes in at the bisect of its
+rank among the ranks of w; x ^ w is (-1)^pos t1 for even x (zero when x is
+already in w) and (-1)^(even factors of w) t1 for odd x.  In a monomial
+t1, the odd factors before position i number max(0, i - even factors of
+t1), which is the prefix sum in s(i, j).
 
 Cochain bases are found as the simultaneous kernel of the equivariance
 constraints, cut one span vector at a time.  The candidates start as one
@@ -98,8 +105,10 @@ the next degree's check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import add
+from functools import partial
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
@@ -112,7 +121,6 @@ from .reps import (
     monomial_steps,
     super_exterior_power,
     tensor,
-    wedge_insert,
 )
 
 Coord = tuple[int, int]  # (module basis index, monomial index)
@@ -221,14 +229,43 @@ class CohomologyReport(NamedTuple):
         }
 
 
-class MonomialDegree(NamedTuple):
-    """One degree of L^p_s(g/h): its monomials in lexicographic order and what is read off them."""
+class MonomialDegree:
+    """One degree of L^p_s(g/h): its monomials in lexicographic order, their
+    parities and positions, and, built on first read, a weight key per
+    monomial (``weight_keys``) and the monomials grouped by key (``buckets``)."""
 
-    monomials: tuple[tuple[int, ...], ...]
-    parities: tuple[int, ...]
-    index: dict[tuple[int, ...], int]
-    weight_keys: list[tuple[Scalar, ...]]
-    buckets: dict[tuple[Scalar, ...], list[int]]
+    __slots__ = ("monomials", "parities", "index", "_tables")
+
+    def __init__(self, monomials, parities, index, tables):
+        self.monomials, self.parities, self.index = monomials, parities, index
+        self._tables = tables  # (weight keys, buckets), or a function that builds them
+
+    weight_keys = property(lambda self: self._read()[0])
+    buckets = property(lambda self: self._read()[1])
+
+    def _read(self) -> tuple[list[tuple[Scalar, ...]], dict[tuple[Scalar, ...], list[int]]]:
+        if callable(self._tables):
+            self._tables = self._tables()
+        return self._tables
+
+
+def _key_tables(
+    qpar: tuple[int, ...], eig: list[tuple[Scalar, ...]], below: MonomialDegree
+) -> tuple[list[tuple[Scalar, ...]], dict[tuple[Scalar, ...], list[int]]]:
+    """Weight keys and buckets of the degree above ``below``: the parent's
+    key plus the last factor's, the child's key and bucket made once per
+    parent key and factor."""
+    keys, buckets, children = [], {}, {}
+    for pkey, xs in zip(below.weight_keys, monomial_steps(qpar, below.monomials)):
+        row = children.get(pkey) or children.setdefault(pkey, [None] * len(qpar))
+        for x in xs:
+            if row[x] is None:
+                key = tuple(map(add, pkey, eig[x]))
+                row[x] = key, buckets.setdefault(key, [])
+            key, bucket = row[x]
+            bucket.append(len(keys))
+            keys.append(key)
+    return keys, buckets
 
 
 class RelativePair:
@@ -242,6 +279,8 @@ class RelativePair:
         self.complement = h.complement
         self.complement_pos = {c: t for t, c in enumerate(self.complement)}
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
+        # normal form sorts the factors by rank, (parity, index) as one int
+        self.rank = [par * len(self.complement) + x for x, par in enumerate(self.quotient_parities)]
         self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
         self._quotient_cols = [a.col_dicts() for a in self.quotient_rep.actions]
         # span vectors acting diagonally on g/h; their weights key the monomials
@@ -253,35 +292,30 @@ class RelativePair:
         ]
         # degree 0 holds the empty monomial, even and of weight 0
         zero = tuple(0 for _ in self.diagonal)
-        self._degrees = [MonomialDegree(((),), (0,), {(): 0}, [zero], {zero: [0]})]
+        self._degrees = [MonomialDegree(((),), (0,), {(): 0}, ([zero], {zero: [0]}))]
         self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
         self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
         self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
-        self._inverse: list[list[tuple[int, int, int, Scalar]]] | None = None
+        self._groups: list[list[tuple[int, list[tuple[int, int, Scalar]]]]] | None = None
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
 
     def degree(self, p: int) -> MonomialDegree:
         """Degree p, built in one pass from degree p - 1 (``monomial_steps``):
-        parity and weight key are the parent's plus the last factor's."""
-        degrees, qpar, eig = self._degrees, self.quotient_parities, self.eig
+        parity is the parent's plus the last factor's, and so is the weight
+        key, on first read."""
+        degrees, qpar = self._degrees, self.quotient_parities
         while len(degrees) <= p:
-            prev_monos, prev_pars, _, prev_keys, _ = degrees[-1]
-            # per parent key and factor, the child's key and bucket, made once
-            monos, pars, keys, buckets, children = [], [], [], {}, {}
-            steps = monomial_steps(qpar, prev_monos)
-            for mo, par, pkey, xs in zip(prev_monos, prev_pars, prev_keys, steps):
-                row = children.get(pkey) or children.setdefault(pkey, [None] * len(qpar))
+            below = degrees[-1]
+            monos, pars = [], []
+            steps = monomial_steps(qpar, below.monomials)
+            for mo, par, xs in zip(below.monomials, below.parities, steps):
                 for x in xs:
-                    if row[x] is None:
-                        key = tuple(map(add, pkey, eig[x]))
-                        row[x] = key, buckets.setdefault(key, [])
-                    key, bucket = row[x]
-                    bucket.append(len(monos))
                     monos.append(mo + (x,))
                     pars.append(par ^ qpar[x])
-                    keys.append(key)
             index = {mo: t for t, mo in enumerate(monos)}
-            degrees.append(MonomialDegree(tuple(monos), tuple(pars), index, keys, buckets))
+            # not a bound method: that would tie the pair into a reference cycle
+            tables = partial(_key_tables, qpar, self.eig, below)
+            degrees.append(MonomialDegree(tuple(monos), tuple(pars), index, tables))
         return degrees[p]
 
     def action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
@@ -344,20 +378,21 @@ class RelativePair:
             ]
         return self._proj_brackets
 
-    def _bracket_inverse(self) -> list[list[tuple[int, int, int, Scalar]]]:
-        """For each quotient basis vector q, the (a, b, k, v) such that q is
-        term k of pi[lift(q_a), lift(q_b)] with coefficient v, for a before or
-        equal to b in normal order (the only order a monomial holds them in)."""
-        if self._inverse is None:
-            qpar = self.quotient_parities
-            inverse: list[list[tuple[int, int, int, Scalar]]] = [[] for _ in qpar]
+    def _bracket_groups(self) -> list[list[tuple[int, list[tuple[int, int, Scalar]]]]]:
+        """For each quotient basis vector q, the pairs (a, [(b, k, v), ...])
+        such that q is term k of pi[lift(q_a), lift(q_b)] with coefficient v,
+        for a before or equal to b in normal order (the only order a monomial
+        holds them in), grouped by a."""
+        if self._groups is None:
+            rank = self.rank
+            groups: list[dict[int, list[tuple[int, int, Scalar]]]] = [{} for _ in rank]
             for a, row in enumerate(self._projected_brackets()):
                 for b, terms in enumerate(row):
-                    if (qpar[a], a) <= (qpar[b], b):
+                    if rank[a] <= rank[b]:
                         for k, (q, v) in enumerate(terms):
-                            inverse[q].append((a, b, k, v))
-            self._inverse = inverse
-        return self._inverse
+                            groups[q].setdefault(a, []).append((b, k, v))
+            self._groups = [list(by_a.items()) for by_a in groups]
+        return self._groups
 
     def source_maps(
         self, p: int, w: int
@@ -372,6 +407,9 @@ class RelativePair:
         vector x acts on phi(w) and lands at t1 = x ^ w, once per position
         of x in t1.  Both lists follow the position order of the formula in
         the module docstring: (t1, i, j, term of pi) and (t1, i).
+
+        Signs and insertion points are read from positions in the normal
+        form (see the module docstring), with no product of monomials.
         """
         cache = self._sources.setdefault(p, {})
         hit = cache.get(w)
@@ -379,45 +417,55 @@ class RelativePair:
             return hit
         mo_w = self.degree(p).monomials[w]
         hi_index = self.degree(p + 1).index
-        qpar = self.quotient_parities
-        # second sum: x at position i of t1, with x ^ w = sign * t1; every
-        # copy of an odd x carries the sign (-1)^{i + |x| pref[i]} of the first
+        qpar, rank = self.quotient_parities, self.rank
+        ranks_w = [rank[y] for y in mo_w]
+        even_w = bisect_left(ranks_w, len(qpar))
+        # second sum: x goes in at position i of t1 with x ^ w = sign * t1
         action: list[tuple[int, int, int]] = []
-        for x in range(len(qpar)):
-            ins = wedge_insert(x, mo_w, qpar)
-            if ins is not None:
-                sgn, mo = ins
-                action += [(x, hi_index[mo], sgn)] * mo.count(x)
-        action.sort(key=lambda term: term[1])
-        # first sum: w = q ^ rest up to the sign s_q, and every (a, b) whose
-        # projected bracket holds q reaches the target rest ^ a ^ b
-        inverse = self._bracket_inverse()
+        for x, px in enumerate(qpar):
+            i = bisect_left(ranks_w, rank[x])
+            if px:  # passes every even factor; one term per copy in t1
+                sgn, copies = -1 if even_w % 2 else 1, mo_w.count(x) + 1
+            elif i == p or mo_w[i] != x:  # passes the i even factors before it
+                sgn, copies = -1 if i % 2 else 1, 1
+            else:  # x ^ x = 0
+                continue
+            action += [(x, hi_index[mo_w[:i] + (x,) + mo_w[i:]], sgn)] * copies
+        action.sort(key=itemgetter(1))
+        # first sum: w = s_q * q ^ rest, and every (a, b) whose projected
+        # bracket holds q reaches the target t1 = rest ^ a ^ b
+        groups = self._bracket_groups()
         bracket: list[tuple[int, int, int, int, Scalar]] = []
         for q in dict.fromkeys(mo_w):
             pos = mo_w.index(q)
-            rest = mo_w[:pos] + mo_w[pos + 1 :]
-            s_q = wedge_insert(q, rest, qpar)[0]
-            for a, b, k, v in inverse[q]:
-                ins = wedge_insert(a, rest, qpar)
-                if ins is None:
+            rest, ranks_r = mo_w[:pos] + mo_w[pos + 1 :], ranks_w[:pos] + ranks_w[pos + 1 :]
+            s_q = -1 if (even_w if qpar[q] else pos) % 2 else 1
+            even_r = even_w - 1 + qpar[q]
+            for a, terms in groups[q]:
+                pa, ra = qpar[a], rank[a]
+                ia = bisect_left(ranks_r, ra)
+                if not pa and ia < p - 1 and rest[ia] == a:
                     continue
-                ins = wedge_insert(b, ins[1], qpar)
-                if ins is None:
-                    continue
-                mo = ins[1]
-                t1 = hi_index[mo]
-                pref = [0]
-                for y in mo:
-                    pref.append(pref[-1] + qpar[y])
-                pa, pb = qpar[a], qpar[b]
-                # the copies of a and of b each form one block of positions
-                first_a, first_b = mo.index(a), mo.index(b)
-                for i in range(first_a, first_a + mo.count(a)):
-                    for j in range(max(i + 1, first_b), first_b + mo.count(b)):
-                        # sigma sign, 1-based positions
-                        sig = (i + j + pa * pref[i] + pb * (pref[j] + pa)) % 2
-                        bracket.append((t1, i, j, k, -s_q * v if sig else s_q * v))
-        bracket.sort(key=lambda term: term[:4])
+                rest_a, ranks_a = rest[:ia] + (a,) + rest[ia:], ranks_r[:ia] + [ra] + ranks_r[ia:]
+                n_a = bisect_right(ranks_a, ra, ia) - ia  # copies of a in rest ^ a
+                for b, k, v in terms:
+                    pb, rb = qpar[b], rank[b]
+                    ib = bisect_left(ranks_a, rb)
+                    if not pb and ib < p and rest_a[ib] == b:
+                        continue
+                    t1 = hi_index[rest_a[:ib] + (b,) + rest_a[ib:]]
+                    # the copies of a and of b each form one block of t1,
+                    # starting at ia and at ib (for a = b one block, whose
+                    # last copy is never an i); an odd factor at position i
+                    # of t1 has i - even1 odd factors before it
+                    n_b = bisect_right(ranks_a, rb, ib) - ib + 1
+                    even1 = even_r + 2 - pa - pb
+                    for i in range(ia, ia + n_a):
+                        for j in range(max(i + 1, ib), ib + n_b):
+                            # sigma sign, 1-based positions
+                            sig = (i + j + pa * (i - even1) + pb * (j - even1 + pa)) % 2
+                            bracket.append((t1, i, j, k, -s_q * v if sig else s_q * v))
+        bracket.sort()
         hit = cache[w] = ([(t1, coeff) for t1, _, _, _, coeff in bracket], action)
         return hit
 
@@ -529,7 +577,7 @@ class RelativeComplex:
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
-        return self.pair.degree(p)[:2]
+        return self.pair.degree(p).monomials, self.pair.degree(p).parities
 
     def _defect_columns(
         self, p: int, i: int, lam_rows: dict[int, dict[int, Scalar]]
@@ -672,22 +720,32 @@ class RelativeComplex:
     # -- differential ----------------------------------------------------------
 
     def apply_differential(self, p: int, sector: int, phi: Cochain) -> Cochain:
+        # _add_scaled inlined: this is the engine's hottest accumulate
         source_maps = self.pair.source_maps
-        qpar = self.pair.quotient_parities
+        odd = self.pair.quotient_parities if sector else [0] * len(self.pair.complement)
         m_cols = self.m_cols_by_complement
         out: Cochain = {}
+        get = out.get
         for (v, w), c in phi.items():
             bracket_terms, action_terms = source_maps(p, w)
-            _add_scaled(out, (((v, t1), coeff) for t1, coeff in bracket_terms), c)
-            neg = None  # -c, built at most once per coordinate
+            for t1, coeff in bracket_terms:
+                key = v, t1
+                val = get(key, 0) + c * coeff
+                if val:
+                    out[key] = val
+                elif key in out:
+                    del out[key]
             for x, t1, sgn in action_terms:
                 col = m_cols[x][v]
                 if col:
-                    if qpar[x] and sector:
-                        sgn = -sgn
-                    if sgn < 0 and neg is None:
-                        neg = -c
-                    _add_scaled(out, (((v2, t1), a) for v2, a in col.items()), c if sgn > 0 else neg)
+                    s = c if (sgn > 0) != odd[x] else -c
+                    for v2, a in col.items():
+                        key = v2, t1
+                        val = get(key, 0) + s * a
+                        if val:
+                            out[key] = val
+                        elif key in out:
+                            del out[key]
         return out
 
     def _expand(

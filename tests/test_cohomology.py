@@ -638,11 +638,12 @@ def _pull_structure_maps(pair, p):
     return bracket_adj, action_adj
 
 
-@pytest.mark.parametrize("case", PAIRS)
-def test_source_maps_match_pull_form(case):
-    pair = PAIRS[case]()
+def _source_maps_match_pull_form(pair, max_degree):
+    """source_maps(p, w) for every monomial w of degree p <= max_degree,
+    entry for entry against the pull form; True when some action term
+    repeats (an odd factor met twice)."""
     repeated_odd = False
-    for p in range(6):
+    for p in range(max_degree + 1):
         bracket_adj, action_adj = _pull_structure_maps(pair, p)
         for w, mo in enumerate(pair.degree(p).monomials):
             bracket, action = pair.source_maps(p, w)
@@ -651,7 +652,31 @@ def test_source_maps_match_pull_form(case):
             assert [type(c) for _, c in bracket] == [type(c) for _, c in bracket_adj.get(w, [])]
             assert action == action_adj.get(w, []), (p, mo)
             repeated_odd = repeated_odd or len(action) > len(set(action))
+    return repeated_odd
+
+
+@pytest.mark.parametrize("case", PAIR_TABLES)
+def test_source_maps_match_pull_form(case):
+    pair = PAIR_TABLES[case]()
+    repeated_odd = _source_maps_match_pull_form(pair, 5)
     assert repeated_odd == any(par for par in pair.quotient_parities)
+
+
+def test_source_maps_match_pull_form_on_the_heaviest_ddzero_pairs():
+    # the torus pairs where d reads the most structure maps, odd factors
+    # repeated; ddzero reads them up to degree 5
+    for g in (build_gl(2, 2), build_osp(3, 2)):
+        assert _source_maps_match_pull_form(_pair(g, "torus"), 5), g.name
+
+
+def test_ddzero_builds_no_key_tables_for_the_degree_it_only_indexes():
+    g = build_gl(2, 1)
+    pair = _pair(g, "torus")
+    cx = RelativeComplex(pair, adjoint(g))
+    assert all(cx.ddzero(p) for p in range(5))
+    # d on C^5 reads the positions of degree 6, never its weight keys
+    assert len(pair._degrees) == 7
+    assert [callable(deg._tables) for deg in pair._degrees] == [False] * 6 + [True]
 
 
 @pytest.mark.parametrize("p_break", [0, 1, 2])
