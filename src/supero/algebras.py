@@ -301,19 +301,31 @@ def _super_commutator(a: MatDict, b: MatDict, pa: int, pb: int) -> MatDict:
     return _add_scaled(dict(ab), ba.items(), sign)
 
 
-def _solve_brackets(solver: SpanSolver, bracket) -> tuple[BracketTable, tuple[int, int] | None]:
-    """Structure constants of the solver's input vectors, which are independent.
+def _solve_brackets(
+    solver: SpanSolver, bracket, parities: Sequence[int]
+) -> tuple[BracketTable, tuple[int, int] | None]:
+    """Structure constants of the solver's input vectors, which are
+    independent and of pure parity ``parities``.
 
     ``bracket(i, j)`` is the bracket of inputs i and j as a sparse vector
-    in the solver's ambient coordinates.  Pairs are solved row by row; the
+    in the solver's ambient coordinates.  Pairs are taken row by row; the
     result is the table of nonzero coordinates, in index order, and the
     first pair whose bracket escapes the span (leaves a residual), at which
-    the solve stops, or None.
+    the solve stops, or None.  Only the pairs j >= i are solved: for j < i,
+    [x_i, x_j] = -(-1)^{|x_i||x_j|} [x_j, x_i] is row j's entry with that
+    sign, and it cannot escape, since row j, solved first, would have
+    stopped the solve.
     """
     table: BracketTable = {}
     n = solver.rank
     for i in range(n):
         for j in range(n):
+            if j < i:
+                terms = table.get((j, i))
+                if terms:
+                    sign = 1 if parities[i] & parities[j] else -1
+                    table[i, j] = tuple((k, sign * c) for k, c in terms)
+                continue
             out = bracket(i, j)
             if not out:
                 continue
@@ -341,7 +353,7 @@ def _from_matrix_basis(
         comm = _super_commutator(mats[i], mats[j], parities[i], parities[j])
         return {a * size + b: v for (a, b), v in comm.items()}
 
-    table, witness = _solve_brackets(solver, bracket)
+    table, witness = _solve_brackets(solver, bracket, parities)
     if witness is not None:
         i, j = witness
         raise NotASubalgebra(f"{name}: bracket escapes the span at pair ({i},{j})")
@@ -655,7 +667,9 @@ class SubalgebraSpan:
         """The bracket table in the span's basis and the first escaping pair."""
         if self._brackets is None:
             sparse, bracket = self._sparse, self.parent.bracket_sparse
-            self._brackets = _solve_brackets(self.solver, lambda i, j: bracket(sparse[i], sparse[j]))
+            self._brackets = _solve_brackets(
+                self.solver, lambda i, j: bracket(sparse[i], sparse[j]), self.vector_parities
+            )
         return self._brackets
 
     def closure_witness(self) -> tuple[int, int] | None:

@@ -78,7 +78,12 @@ int x = w * dim M + v, whose order is the order by (w, v), and decodes it
 only when the space is stored.  Each span vector's defect column of each
 coordinate is built on first use, as a module part with the odd sign
 folded in and an exterior-power part, and the same columns serve the cuts
-and the re-verification.
+and the re-verification.  ``_defect`` adds up a cochain's columns in one
+pass, module parts first, with ``_add_scaled``'s rules inlined, and each
+cut hands its defects to the kernel as rows (``linalg.RowMatrix``): one
+dict per defect coordinate, in first-appearance order, keyed by candidate
+index.  The solve stays in integers from the defects to the kernel; a
+``Fraction`` enters only through a module whose action has one.
 
 Two exact reductions keep this affordable at scale, and both belong to
 the complex because they depend on which elements of h act diagonally on
@@ -113,7 +118,9 @@ from typing import NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError
-from .linalg import Scalar, SparseMatrix, _add_scaled, _exact, kernel_basis_with_free, rank
+from .linalg import (
+    RowMatrix, Scalar, SparseMatrix, _add_scaled, _exact, kernel_basis_with_free, rank
+)
 from .reps import (
     Representation,
     derivation_rows,
@@ -489,9 +496,20 @@ def _defect(columns: _DefectColumns, phi: dict[int, int]) -> dict[int, Scalar]:
     """Equivariance defect of the flat-coordinate cochain phi under the span
     vector of ``columns``: the module parts of all its coordinates, then the
     exterior-power parts, so the defect's keys come in that order."""
-    cols = list(zip(map(columns.__getitem__, phi), phi.values()))
-    out = _add_scaled({}, ((y, c * a) for (module, _), c in cols for y, a in module))
-    return _add_scaled(out, ((y, c * a) for (_, ext), c in cols for y, a in ext))
+    # _add_scaled inlined: a key keeps its place while nonzero, a zero sum
+    # is deleted
+    cols = [(columns[x], c) for x, c in phi.items()]
+    out: dict[int, Scalar] = {}
+    get = out.get
+    for part in (0, 1):  # module parts, then exterior-power parts
+        for col, c in cols:
+            for y, a in col[part]:
+                val = get(y, 0) + c * a
+                if val:
+                    out[y] = val
+                elif y in out:
+                    del out[y]
+    return out
 
 
 class RelativeComplex:
@@ -625,15 +643,19 @@ class RelativeComplex:
         """
         for i in constraint_ids:
             columns = columns_by_id[i]
-            row_ids: dict[int, int] = {}
-            entries = []
+            # one row per defect coordinate, in first-appearance order, each
+            # {candidate index: value} with the indices ascending
+            rows: dict[int, dict[int, Scalar]] = {}
             for k, phi in enumerate(candidates):
                 for x, val in _defect(columns, phi).items():
-                    entries.append((row_ids.setdefault(x, len(row_ids)), k, val))
-            if not entries:  # no candidates, or none with a defect: nothing to cut
+                    row = rows.get(x)
+                    if row is None:
+                        rows[x] = {k: val}
+                    else:
+                        row[k] = val
+            if not rows:  # no candidates, or none with a defect: nothing to cut
                 continue
-            mat = SparseMatrix(len(row_ids), len(candidates), entries)
-            combos, free_cols = kernel_basis_with_free(mat)
+            combos, free_cols = kernel_basis_with_free(RowMatrix(list(rows.values()), len(candidates)))
             out: list[dict[int, int]] = []
             for nums, _ in combos:
                 vec = _add_scaled({}, (

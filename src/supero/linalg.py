@@ -25,6 +25,16 @@ nullity x cols basis from the rightmost column leftwards, which recovers F
 and the normalised vectors.  Both steps stay in integers, one denominator
 per vector; a ``Fraction`` appears only in the dense ``kernel_basis``.
 
+Rank and kernel read a matrix as its row dicts and column count: a
+``SparseMatrix`` gives them by ``row_dicts``, and a ``RowMatrix`` holds
+them as a caller built them, which is how the cochain engine hands its
+constraint rows to the kernel with no ``SparseMatrix`` in between.
+``_int_rows`` scales only the rows holding a ``Fraction``, so integer rows
+go to the elimination as they came.  A ``RowMatrix`` may hold integral
+``Fraction``s (products and sums of ``Fraction``s made on the way), the
+one input here not held to the convention below; ``_int_rows`` turns them
+into ``int``s with the rest of their row.
+
 This module owns the package's one scalar convention: a value is an
 ``int`` when its denominator is 1 and a ``Fraction`` otherwise.  The
 helper ``_exact`` applies it, and every value that leaves this module in
@@ -169,16 +179,48 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _int_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Scale each nonzero row to primitive integer entries (kernel and rank are unchanged)."""
+class RowMatrix:
+    """A matrix given as its row dicts {col: value} and a column count: the
+    form ``rank`` and ``kernel_basis_with_free`` read (``SparseMatrix``
+    hands it out by ``row_dicts``), built by a caller that has the rows at
+    hand.  Values are ``int``s or ``Fraction``s, integral ones allowed, and
+    no dict stores a zero.  The solve consumes the dicts, so a ``RowMatrix``
+    serves one call.  ``rows``, ``cols`` and ``nnz`` read as a
+    ``SparseMatrix``'s do, for a profiler looking at the call.
+    """
+
+    __slots__ = ("rows", "cols", "nnz", "_dicts")
+
+    def __init__(self, dicts: list[dict[int, Scalar]], cols: int):
+        self._dicts = dicts
+        self.rows = len(dicts)
+        self.cols = cols
+        self.nnz = sum(map(len, dicts))
+
+    def row_dicts(self) -> list[dict[int, Scalar]]:
+        return self._dicts
+
+
+def _int_rows(m: SparseMatrix | RowMatrix) -> list[dict[int, int]]:
+    """Scale each nonzero row to primitive integer entries (kernel and rank
+    are unchanged).
+
+    Only a row holding a ``Fraction`` is scaled, by the lcm of its
+    denominators, which also turns an integral ``Fraction`` into its
+    ``int``: ``math.gcd`` takes ``int``s only, and raises on any
+    ``Fraction``, ``Fraction(2, 1)`` too.  A row needing no change is
+    passed on as it is.
+    """
     out = []
     for row in m.row_dicts():
         if not row:
             continue
-        scale = math.lcm(*(v.denominator for v in row.values()))
-        if scale > 1:
+        try:
+            g = math.gcd(*row.values())
+        except TypeError:  # the row holds a Fraction
+            scale = math.lcm(*(v.denominator for v in row.values()))
             row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-        g = math.gcd(*row.values())
+            g = math.gcd(*row.values())
         if g > 1:
             row = {c: v // g for c, v in row.items()}
         out.append(row)
@@ -308,13 +350,16 @@ def _reduce_from_right(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     return out
 
 
-def rank(m: SparseMatrix) -> int:
+def rank(m: SparseMatrix | RowMatrix) -> int:
     """Rank over Q, computed exactly."""
     return len(_eliminate(_int_rows(m)))
 
 
-def kernel_basis_with_free(m: SparseMatrix) -> tuple[list[KernelVector], list[int]]:
+def kernel_basis_with_free(m: SparseMatrix | RowMatrix) -> tuple[list[KernelVector], list[int]]:
     """Kernel basis plus the free columns anchoring it.
+
+    One implementation for both forms: it reads only ``m.row_dicts()``
+    and ``m.cols``.
 
     The free columns are those not in the span of the columns to their
     left.  Basis vector i has entry 1 at free column i and entry 0 at every

@@ -15,7 +15,7 @@ from supero.algebras import (
 from supero.cohomology import RelativeComplex, RelativePair, cohomology
 from supero.invariants import compare_invariants_vs_cohomology, invariant_dims
 from supero.linalg import SparseMatrix, _add_scaled, kernel_basis_with_free
-from supero.reps import adjoint, trivial
+from supero.reps import Representation, adjoint, trivial
 from supero.roots import named_subalgebra
 from supero.suites import coefficient_modules, ddzero_algebras, ddzero_subalgebras
 
@@ -172,6 +172,46 @@ def test_unverified_basis_raises_after_the_full_solve(monkeypatch, capsys):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("consistency error: cochain basis fails")
     assert captured.err.count("\n") == 1
+
+
+def test_coefficients_given_by_rational_matrices(monkeypatch):
+    # M^D: adjoint(gl(2|1)) conjugated by a diagonal rational matrix D, an
+    # isomorphic module whose action entries are Fractions, so defects hold
+    # Fractions and some kernel rows hold integral Fractions only
+    from supero import cohomology as engine
+
+    g = build_gl(2, 1)
+    m = adjoint(g)
+    d = [F(1), F(2), F(1, 3), F(3, 2), F(5), F(1, 2), F(2, 7), F(4), F(3)]
+    md = Representation(g, "adjoint^D", m.parities, [
+        SparseMatrix(m.dim, m.dim, ((r, c, d[r] * v / d[c]) for r, c, v in a.entries()))
+        for a in m.actions
+    ])
+    assert any(type(v) is F for a in md.actions for _, _, v in a.entries())
+    seen = {"fraction_defects": 0, "integral_fraction_rows": 0}
+    defect, kernel = engine._defect, engine.kernel_basis_with_free
+
+    def defect_spy(columns, phi):
+        out = defect(columns, phi)
+        seen["fraction_defects"] += any(type(v) is F for v in out.values())
+        return out
+
+    def kernel_spy(mat):
+        rows = mat.row_dicts()
+        seen["integral_fraction_rows"] += sum(
+            1 for row in rows if row and all(type(v) is F and v.denominator == 1 for v in row.values())
+        )
+        return kernel(mat)
+
+    monkeypatch.setattr(engine, "_defect", defect_spy)
+    monkeypatch.setattr(engine, "kernel_basis_with_free", kernel_spy)
+    want = {"g0": [1, 0, 1, 0, 1], "borel": [1, 0, 0, 0, 0], "levi": [1, 0, 1, 0, 1]}
+    for spec, dims in want.items():
+        h = named_subalgebra(g, spec, (1, 0, 1) if spec == "levi" else None)
+        pair = RelativePair(g, h)
+        assert RelativeComplex(pair, m).report(4).dims() == dims, spec
+        assert RelativeComplex(pair, md).report(4).dims() == dims, spec
+    assert seen["fraction_defects"] > 0 and seen["integral_fraction_rows"] > 0, seen
 
 
 # --- the stacked one-kernel solve, kept as the oracle of space ---------------

@@ -6,6 +6,7 @@ import pytest
 
 from supero.errors import DimensionMismatch
 from supero.linalg import (
+    RowMatrix,
     SpanSolver,
     SparseMatrix,
     _add_scaled,
@@ -328,6 +329,51 @@ def test_kernel_and_rank_match_dense_oracle():
             assert nums[f] == den > 0 and math.gcd(*nums.values()) == 1
         assert kernel_basis(m) == want_basis
         assert rank(m) == want_rank
+
+
+def test_row_form_and_sparse_matrix_form_give_one_kernel():
+    # kernel_basis_with_free reads a SparseMatrix and a RowMatrix alike; the
+    # row form gets its values as they come (no _exact), integral Fractions
+    # such as Fraction(4, 1) included, which math.gcd refuses
+    rng = random.Random(1957)
+
+    def value(kind):
+        if kind == "int":
+            return rng.choice([-3, -2, -1, 1, 2, 4])
+        if kind == "frac":
+            return Fraction(rng.choice([-5, -1, 1, 3]), rng.choice([2, 3, 7]))
+        return Fraction(rng.choice([-4, -2, 2, 6]))  # integral Fraction
+
+    kinds = {"int": 0, "frac": 0, "integral": 0}
+    for n in range(150):
+        nr, nc = rng.randint(0, 8), rng.randint(1, 9)
+        zero_cols = set(rng.sample(range(nc), rng.randint(0, nc - 1)))
+        rows = []
+        for _ in range(nr):
+            row = {}
+            if rng.random() < 0.8:  # else an empty row
+                for c in range(nc):
+                    if c not in zero_cols and rng.random() < 0.4:
+                        kind = "integral" if n % 3 == 0 else rng.choice(list(kinds))
+                        row[c] = value(kind)
+                        kinds[kind] += 1
+            rows.append(row)
+        matrix = SparseMatrix(nr, nc, [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()])
+        want = kernel_basis_with_free(matrix)
+        assert kernel_basis_with_free(RowMatrix([dict(row) for row in rows], nc)) == want, rows
+        assert rank(RowMatrix([dict(row) for row in rows], nc)) == rank(matrix) == nc - len(want[1])
+        assert all(nums[f] == den for (nums, den), f in zip(*want))
+    assert min(kinds.values()) > 100
+
+
+def test_integral_fraction_rows_reach_the_elimination_as_ints():
+    # every entry an integral Fraction: math.gcd would raise on the row as is
+    rows = [{0: Fraction(2), 1: Fraction(4), 3: Fraction(-6)}, {1: Fraction(3), 2: Fraction(-3)}]
+    assert _int_rows(RowMatrix(rows, 4)) == [{0: 1, 1: 2, 3: -3}, {1: 1, 2: -1}]
+    assert all(type(v) is int for row in _int_rows(RowMatrix([dict(r) for r in rows], 4))
+               for v in row.values())
+    basis, free = kernel_basis_with_free(RowMatrix(rows, 4))
+    assert free == [2, 3] and basis == [({0: -2, 1: 1, 2: 1}, 1), ({0: 3, 3: 1}, 1)]
 
 
 def test_arrow_matrix_pivots_out_of_column_order():
