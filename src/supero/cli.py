@@ -117,9 +117,14 @@ def parse_rationals(text: str) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
-    """Module expressions: trivial | natural | adjoint | dual(E) | E*E."""
+def parse_module(g: LieSuperalgebra, spec: str, whole: str | None = None) -> Representation:
+    """Module expressions: trivial | natural | adjoint | dual(E) | E*E.
+
+    ``whole`` is the expression that ``spec`` is part of, quoted in the
+    error when a part fails to parse."""
     spec = spec.strip()
+    if whole is None:
+        whole = spec
     depth, cuts = 0, [-1]
     for i, ch in enumerate(spec):
         if ch == "(":
@@ -132,7 +137,7 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
             cuts.append(i)
     if len(cuts) > 1:
         cuts.append(len(spec))
-        factors = [parse_module(g, spec[a + 1 : b]) for a, b in zip(cuts, cuts[1:])]
+        factors = [parse_module(g, spec[a + 1 : b], whole) for a, b in zip(cuts, cuts[1:])]
         # C^0 alone has dim M coordinates, so a larger M is over budget anyway;
         # refuse it before any product is built
         dim = math.prod(f.dim for f in factors)
@@ -146,14 +151,16 @@ def parse_module(g: LieSuperalgebra, spec: str) -> Representation:
             module = tensor(factors.pop(), module)
         return module
     if spec.startswith("dual(") and spec.endswith(")"):
-        return dual(parse_module(g, spec[5:-1]))
+        return dual(parse_module(g, spec[5:-1], whole))
     if spec == "trivial":
         return trivial(g)
     if spec == "natural":
         return natural(g)
     if spec == "adjoint":
         return adjoint(g)
-    raise UnsupportedModule(f"cannot parse module spec {spec!r}")
+    if spec == whole:
+        raise UnsupportedModule(f"cannot parse module spec {spec!r}")
+    raise UnsupportedModule(f"cannot parse {spec!r} in module spec {whole!r}")
 
 
 def _ratio(num, den) -> Fraction:

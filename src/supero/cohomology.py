@@ -74,16 +74,33 @@ canonical kernel combinations of their defects under it, so every cut is
 a small kernel on what the cut before left.  Kernel bases are canonical,
 so the result is the simultaneous kernel, anchored at its free
 coordinates.  The solve numbers each kept coordinate (v, w) by the flat
-int x = w * dim M + v, whose order is the order by (w, v), and decodes it
-only when the space is stored.  Each span vector's defect column of each
-coordinate is built on first use, as a module part with the odd sign
-folded in and an exterior-power part, and the same columns serve the cuts
-and the re-verification.  ``_defect`` adds up a cochain's columns in one
-pass, module parts first, with ``_add_scaled``'s rules inlined, and each
-cut hands its defects to the kernel as rows (``linalg.RowMatrix``): one
-dict per defect coordinate, in first-appearance order, keyed by candidate
-index.  The solve stays in integers from the defects to the kernel; a
-``Fraction`` enters only through a module whose action has one.
+int x = w * dim M + v, whose order is the order by (w, v).  Each span
+vector's defect column of each coordinate is built on first use, as a
+module part with the odd sign folded in and an exterior-power part, and
+the same columns serve the cuts and the re-verification.  ``_defect`` adds
+up a cochain's columns in one pass, module parts first, with
+``_add_scaled``'s rules inlined, and each cut hands its defects to the
+kernel as rows (``linalg.RowMatrix``): one dict per defect coordinate, in
+first-appearance order, keyed by candidate index.  The solve stays in
+integers from the defects to the kernel; a ``Fraction`` enters only
+through a module whose action has one.
+
+The solve runs on blocks of M: the connected components of the graph that
+the non-diagonal span vectors draw on M's basis.  Each block spans an
+h-submodule, so Hom_h(L^p, M) is the direct sum over blocks and every cut
+matrix is block-diagonal; a sector is solved one unit at a time, and the
+union of the units' canonical kernels, in the order of their anchors, is
+the sector's canonical kernel.  A unit is the kept coordinates of one
+(block, sector) pair.  Two units pose the same system on the same
+monomials when the order-preserving bijection sigma between their blocks
+keeps relative parities, diagonal weight keys and every non-diagonal
+action entry, and, when an odd span vector is among the constraints, the
+sector too.  Such a unit is solved once and its result relabelled
+v -> sigma(v), from the odd sector read off the decoded numerators the
+space keeps.  The units of a sector that pose a system no other unit
+poses are solved together, as one unit, so a module with no two such
+blocks is solved a sector at a time.  With no non-diagonal span vector
+there is nothing to solve and no split.
 
 Two exact reductions keep this affordable at scale, and both belong to
 the complex because they depend on which elements of h act diagonally on
@@ -92,9 +109,10 @@ coordinates directly, and when the non-diagonal even part of h is spanned
 by paired root vectors (a reductive situation), a weight-zero map killed
 by the simple positive root vectors is automatically killed by all of h's
 even part.  The plan (``constraint_plan``) lists the span vectors whose
-constraints are imposed, in order.  Every returned basis vector is
-re-verified against every constraint exactly; on any failure the full
-kernel is recomputed without shortcuts and re-verified in turn, and a
+constraints are imposed, in order.  Every returned basis vector, relabelled
+ones included, is re-verified against every constraint exactly, in the
+order of the anchors; on any failure the full kernel is recomputed without
+shortcuts, unit by unit as the plan was, and re-verified in turn, and a
 basis that still fails raises ConventionError, naming the span vector,
 degree, sector and first defect coordinate.
 
@@ -111,6 +129,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter
@@ -512,6 +531,61 @@ def _defect(columns: _DefectColumns, phi: dict[int, int]) -> dict[int, Scalar]:
     return out
 
 
+def _cut(
+    constraint_ids: list[int],
+    columns_by_id: dict[int, _DefectColumns],
+    candidates: list[dict[int, int]],
+    free: list[int],
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Cut the span of candidates by the listed equivariance constraints,
+    one span vector after another.
+
+    Candidates are integer cochains on flat coordinates: candidate k is
+    positive at its anchor ``free[k]`` and 0 at the other anchors.  Each
+    cut keeps the canonical kernel combinations of the candidates left by
+    the one before, so the result is the kernel of all the listed
+    constraints at once, anchored at its free columns.  The output vectors
+    are the primitive integer multiples of those combinations, keys
+    ascending, so they are integer cochains of the same kind.
+    """
+    for i in constraint_ids:
+        columns = columns_by_id[i]
+        # one row per defect coordinate, in first-appearance order, each
+        # {candidate index: value} with the indices ascending
+        rows: dict[int, dict[int, Scalar]] = {}
+        for k, phi in enumerate(candidates):
+            for x, val in _defect(columns, phi).items():
+                row = rows.get(x)
+                if row is None:
+                    rows[x] = {k: val}
+                else:
+                    row[k] = val
+        if not rows:  # no candidates, or none with a defect: nothing to cut
+            continue
+        combos, free_cols = kernel_basis_with_free(RowMatrix(list(rows.values()), len(candidates)))
+        out: list[dict[int, int]] = []
+        for nums, _ in combos:
+            vec = _add_scaled({}, (
+                (x, c * a) for k, c in nums.items() for x, a in candidates[k].items()
+            ))
+            g = math.gcd(*vec.values())
+            out.append({x: vec[x] // g for x in sorted(vec)})
+        # candidate k is nonzero at its own anchor only, so the anchors of
+        # the free candidate columns anchor the output
+        candidates, free = out, [free[k] for k in free_cols]
+    return candidates, free
+
+
+def _relabel(
+    vectors: list[dict], anchors: list, to: dict
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The vectors and anchors of a solved unit moved to a unit that poses
+    the same system: ``to`` maps each kept coordinate of the one, in the
+    form its vectors are keyed by, to the kept coordinate of the other that
+    sigma gives it (v -> sigma(v), w fixed)."""
+    return [{to[k]: c for k, c in phi.items()} for phi in vectors], [to[k] for k in anchors]
+
+
 class RelativeComplex:
     """Cochain complex of a pair (g, h) with coefficients in a g-module."""
 
@@ -534,11 +608,14 @@ class RelativeComplex:
         # module vectors by joint eigenvalue under diag_idx: a coordinate map
         # E_{vw} commutes with every diagonal element iff the keys agree
         self.m_buckets: dict[tuple[Scalar, ...], list[int]] = {}
-        for v in range(m.dim):
-            key = tuple(m_actions[i].entry(v, v) for i in self.diag_idx)
+        keys = [tuple(m_actions[i].entry(v, v) for i in self.diag_idx) for v in range(m.dim)]
+        for v, key in enumerate(keys):
             self.m_buckets.setdefault(key, []).append(v)
 
         self.constraint_plan = self._plan_reduction()
+        # the blocks of M that the solve is split by (``_units``); with no
+        # constraint there is nothing to solve, and no split
+        self._blocks = self._split(keys) if self.nondiag_idx else None
         self._spaces: dict[int, CochainSpace] = {}
         self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
         # ddzero: d on the numerators of C^p per (sector, basis index), by degree p
@@ -586,6 +663,61 @@ class RelativeComplex:
         odd = [i for i in self.nondiag_idx if h_alg.parities[i] == ODD]
         return [x for x in even_nondiag if roots[x] in simple] + odd
 
+    def _split(
+        self, keys: list[tuple[Scalar, ...]]
+    ) -> tuple[list[int], list[tuple[int, int]]] | None:
+        """M's basis split into blocks, the connected components of the graph
+        that the non-diagonal span vectors draw on it, each block ascending.
+
+        Every block spans an h-submodule, so Hom_h(L^p, M) is the direct sum
+        over blocks and every cut matrix is block-diagonal.  Returns the
+        block of each module vector and, per block, its class and the parity
+        of its first vector; or None when no two blocks are of one class,
+        and so no solve can be shared.  Two blocks are of one class when the
+        order-preserving bijection between them keeps the parities relative
+        to the first vector, the diagonal weight keys and every non-diagonal
+        action entry; with an odd span vector among the constraints, whose
+        sign depends on the sector, it must keep the first parity too.
+        """
+        n, par = self.m.dim, self.m.parities
+        cols = [self.m_action_cols[i] for i in self.nondiag_idx]
+        root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for by_v in cols:
+            for v, col in enumerate(by_v):
+                for v2 in col:
+                    a, b = find(v), find(v2)
+                    if a != b:
+                        root[max(a, b)] = min(a, b)
+        by_root: dict[int, list[int]] = {}
+        for v in range(n):
+            by_root.setdefault(find(v), []).append(v)
+        if len(by_root) == 1:
+            return None
+        blocks = list(by_root.values())
+        block_of = [0] * n
+        odd = any(self.pair.h.vector_parities[i] for i in self.nondiag_idx)
+        classes: dict[tuple, int] = {}
+        bases = []
+        for b, vs in enumerate(blocks):
+            at = {v: t for t, v in enumerate(vs)}
+            for v in vs:
+                block_of[v] = b
+            p0 = par[vs[0]]
+            signature = (
+                p0 if odd else None,
+                tuple(par[v] ^ p0 for v in vs),
+                tuple(keys[v] for v in vs),
+                tuple(tuple(sorted((at[v2], a) for v2, a in by_v[v].items())) for by_v in cols for v in vs),
+            )
+            bases.append((classes.setdefault(signature, len(classes)), p0))
+        return (block_of, bases) if len(classes) < len(blocks) else None
+
     # -- cochain spaces --------------------------------------------------------
 
     def lambda_rep(self, p: int) -> Representation:
@@ -623,50 +755,81 @@ class RelativeComplex:
 
         return _DefectColumns(build)
 
+    def _units(
+        self, kept_pair: list[list[int]]
+    ) -> list[list[tuple[tuple[int, int] | None, list[int]]]]:
+        """Per sector, the units the solve runs on, each (key, coordinates),
+        the coordinates ascending.
+
+        The kept coordinates of a sector on one block of M pose a system of
+        their own, keyed by the block's class and the sector relative to the
+        parity of the block's first vector: units with one key pose the same
+        system.  A unit whose key no other unit of the degree has gains
+        nothing from being solved alone, so those of a sector are solved
+        together, as one unit keyed None; so is a whole sector when no two
+        blocks are of one class.
+        """
+        if self._blocks is None:
+            return [[(None, kept)] if kept else [] for kept in kept_pair]
+        (block_of, bases), n = self._blocks, self.m.dim
+        by_block_pair = []
+        for kept in kept_pair:
+            by_block: dict[int, list[int]] = {}
+            for x in kept:
+                by_block.setdefault(block_of[x % n], []).append(x)
+            by_block_pair.append(by_block)
+        keyed = [
+            [((bases[b][0], sector ^ bases[b][1]), xs) for b, xs in by_block.items()]
+            for sector, by_block in enumerate(by_block_pair)
+        ]
+        count = Counter(key for units in keyed for key, _ in units)
+        out = []
+        for kept, units in zip(kept_pair, keyed):
+            shared = [(key, xs) for key, xs in units if count[key] > 1]
+            if len(shared) < len(units):
+                rest = sorted(x for key, xs in units if count[key] == 1 for x in xs)
+                shared.append((None, rest if shared else kept))
+            out.append(shared)
+        return out
+
     def _impose(
         self,
         constraint_ids: list[int],
         columns_by_id: dict[int, _DefectColumns],
-        candidates: list[dict[int, int]],
-        free: list[int],
+        units: list[tuple[tuple[int, int] | None, list[int]]],
+        solved: dict[tuple[int, int], tuple[list, list[dict], list]],
     ) -> tuple[list[dict[int, int]], list[int]]:
-        """Cut the span of candidates by the listed equivariance constraints,
-        one span vector after another.
+        """Cut the kept coordinates of one sector by the listed equivariance
+        constraints, one unit at a time.
 
-        Candidates are integer cochains on flat coordinates: candidate k is
-        positive at its anchor ``free[k]`` and 0 at the other anchors.  Each
-        cut keeps the canonical kernel combinations of the candidates left by
-        the one before, so the result is the kernel of all the listed
-        constraints at once, anchored at its free columns.  The output
-        vectors are the primitive integer multiples of those combinations,
-        keys ascending, so they are integer cochains of the same kind.
+        A unit (key, kept) holds kept coordinates on one block of M, or on
+        several (key None), ascending (``_units``).  Its unit cochains are
+        cut by ``_cut``, unless a unit with the same key, which poses the
+        same system on the same monomials, is in ``solved``: then that
+        result is relabelled.  The bijection sigma between the two blocks
+        keeps the order by (w, v), so it maps the i-th kept coordinate of
+        the one unit to the i-th of the other.  A keyed unit solved here goes
+        into ``solved`` as (kept coordinates, vectors, anchors), all on flat
+        coordinates.  Returns the vectors of all units and their anchors,
+        in the order of the anchors.
         """
-        for i in constraint_ids:
-            columns = columns_by_id[i]
-            # one row per defect coordinate, in first-appearance order, each
-            # {candidate index: value} with the indices ascending
-            rows: dict[int, dict[int, Scalar]] = {}
-            for k, phi in enumerate(candidates):
-                for x, val in _defect(columns, phi).items():
-                    row = rows.get(x)
-                    if row is None:
-                        rows[x] = {k: val}
-                    else:
-                        row[k] = val
-            if not rows:  # no candidates, or none with a defect: nothing to cut
-                continue
-            combos, free_cols = kernel_basis_with_free(RowMatrix(list(rows.values()), len(candidates)))
-            out: list[dict[int, int]] = []
-            for nums, _ in combos:
-                vec = _add_scaled({}, (
-                    (x, c * a) for k, c in nums.items() for x, a in candidates[k].items()
-                ))
-                g = math.gcd(*vec.values())
-                out.append({x: vec[x] // g for x in sorted(vec)})
-            # candidate k is nonzero at its own anchor only, so the anchors of
-            # the free candidate columns anchor the output
-            candidates, free = out, [free[k] for k in free_cols]
-        return candidates, free
+        results = []
+        for key, kept in units:
+            hit = solved.get(key)
+            if hit is None:
+                vectors, free = _cut(constraint_ids, columns_by_id, [{x: 1} for x in kept], kept)
+                if key is not None:
+                    solved[key] = kept, vectors, free
+            else:
+                coords, vectors, free = hit
+                vectors, free = _relabel(vectors, free, dict(zip(coords, kept)))
+            results.append((vectors, free))
+        if len(results) == 1:
+            return results[0]
+        parts = sorted(
+            (pair for vectors, free in results for pair in zip(free, vectors)), key=itemgetter(0)
+        )
+        return [phi for _, phi in parts], [x for x, _ in parts]
 
     def space(self, p: int) -> CochainSpace:
         if p in self._spaces:
@@ -697,21 +860,31 @@ class RelativeComplex:
         numerators_pair: list[list[dict[Coord, int]]] = [[], []]
         scales_pair: list[list[int]] = [[], []]
         free_pair: list[list[Coord]] = [[], []]
+        # the units solved in the even sector, by key, decoded: (kept
+        # coordinates, numerators, anchors), read from what the space keeps
+        accepted: dict[tuple[int, int], tuple[list[Coord], list[dict], list[Coord]]] = {}
+        units_pair = self._units(kept_pair)
         for sector in (EVEN, ODD):
             kept = kept_pair[sector]
+            if not self.nondiag_idx:  # nothing to solve: one vector per coordinate
+                coords = [(x % n, x // n) for x in kept]
+                numerators_pair[sector] = [{coord: 1} for coord in coords]
+                scales_pair[sector] = [1] * len(kept)
+                free_pair[sector] = coords
+                continue
             # one set of defect columns per span vector, shared by the plan,
             # the full solve and the re-verification; a coordinate belongs
             # to one sector, so each sector builds its own
             columns_by_id = {
                 i: self._defect_columns(p, i, lam_rows_by_id[i]) for i in self.nondiag_idx
             }
+            units = units_pair[sector]
             # the plan, then the full solve; either must pass the exact
             # re-verification of every constraint on every basis vector (on
             # its integer multiple: scaling keeps a zero defect zero)
             for plan in (self.constraint_plan, self.nondiag_idx):
-                candidates, free = self._impose(
-                    plan, columns_by_id, [{x: 1} for x in kept], list(kept)
-                )
+                solved = dict(accepted)
+                candidates, free = self._impose(plan, columns_by_id, units, solved)
                 witness = next((
                     (i, defect) for phi in candidates for i in self.nondiag_idx
                     if (defect := _defect(columns_by_id[i], phi))
@@ -730,9 +903,24 @@ class RelativeComplex:
             # decode the flat coordinates, one (v, w) tuple per coordinate
             # shared by every vector and anchor
             decode = {x: (x % n, x // n) for x in kept}
-            numerators_pair[sector] = [{decode[x]: c for x, c in phi.items()} for phi in candidates]
+            numerators = numerators_pair[sector] = [
+                {decode[x]: c for x, c in phi.items()} for phi in candidates
+            ]
             scales_pair[sector] = [phi[anchor] for phi, anchor in zip(candidates, free)]
-            free_pair[sector] = [decode[x] for x in free]
+            anchors = free_pair[sector] = [decode[x] for x in free]
+            # the units solved here that the odd sector asks for serve it
+            # decoded
+            wanted = sector == EVEN and {key for key, _ in units_pair[ODD]} & solved.keys()
+            if wanted:
+                at = {id(phi): k for k, phi in enumerate(candidates)}
+                accepted = {
+                    key: (
+                        [decode[x] for x in coords],
+                        [numerators[at[id(phi)]] for phi in vectors],
+                        [anchors[at[id(phi)]] for phi in vectors],
+                    )
+                    for key, (coords, vectors, _) in solved.items() if key in wanted
+                }
         self._spaces[p] = CochainSpace(
             p, monos, tuple(free_pair),
             tuple(numerators_pair), tuple(scales_pair),
@@ -811,7 +999,15 @@ class RelativeComplex:
         )
 
     def ddzero(self, p: int) -> bool:
-        """Exact check that d(d(phi)) = 0 for every basis cochain of C^p.
+        """Exact check that d(d(phi)) = 0 for every basis cochain of C^p."""
+        return self.ddzero_witness(p) is None
+
+    def ddzero_witness(
+        self, p: int
+    ) -> tuple[int, int, tuple[int, tuple[int, ...]], Scalar] | None:
+        """None when d(d(phi)) = 0 for every basis cochain phi of C^p;
+        otherwise the sector, basis index, coordinate (v, monomial) and value
+        of the first nonzero entry of d(d(phi)) for the first phi that fails.
 
         The check runs on the integer numerators, which d(d(.)) kills
         exactly when it kills the basis vectors.  Each image d(phi) is
@@ -834,8 +1030,9 @@ class RelativeComplex:
                 image = images.pop((sector, k), None)
                 if image is None:
                     image = self.apply_differential(p, sector, phi)
+                scale = src.scales[sector][k]
                 dd: Cochain = {}
-                for k2, c in self._expand(image, dst, sector, src.scales[sector][k]):
+                for k2, c in self._expand(image, dst, sector, scale):
                     d_psi = next_images.get((sector, k2))
                     if d_psi is None:
                         d_psi = next_images[sector, k2] = self.apply_differential(
@@ -843,8 +1040,10 @@ class RelativeComplex:
                         )
                     _add_scaled(dd, d_psi.items(), c * (lcm // scales[k2]))
                 if dd:
-                    return False
-        return True
+                    (v, w), c = next(iter(dd.items()))
+                    monomial = self.pair.degree(p + 2).monomials[w]
+                    return sector, k, (v, monomial), _exact(Fraction(c, lcm * scale))
+        return None
 
     def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
         """(even block, odd block) of d^p: C^p -> C^{p+1}, cached.

@@ -143,13 +143,20 @@ def suite_ddzero() -> dict:
             for mod in coefficient_modules(g):
                 cx = RelativeComplex(pair, mod)
                 bad = next((p for p in range(5) if not cx.ddzero(p)), None)
+                witness = None
+                if bad is not None:
+                    sector, k, (v, monomial), value = cx.ddzero_witness(bad)
+                    witness = (
+                        f"p={bad} sector={sector} basis={k} coordinate=({v}, {monomial}) "
+                        f"value={value}"
+                    )
                 rows.append(
                     _row(
                         "dd_zero",
                         g.name,
                         {"h": hname, "coefficients": mod.name},
                         bad is None,
-                        None if bad is None else f"p={bad}",
+                        witness,
                     )
                 )
     return _report("ddzero", rows)

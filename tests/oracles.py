@@ -1,7 +1,8 @@
 """Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
 (a container with no product or sum of its own), the super Jacobi
-identity on sparse vectors, and the normal-form monomials of a super
-exterior power listed without the degree-by-degree walk."""
+identity on sparse vectors, the normal-form monomials of a super
+exterior power listed without the degree-by-degree walk, and the
+constraint solve of a cochain space run on each sector whole."""
 
 import itertools
 
@@ -94,4 +95,46 @@ def super_monomials(parities, p: int) -> list[tuple[int, ...]]:
             for od in itertools.combinations_with_replacement(odds, p - k):
                 out.append(ev + od)
     out.sort()
+    return out
+
+
+def whole_sector_space(cx, p: int):
+    """Per sector, (numerators, scales, anchors) of C^p as the constraint
+    solve found them before it split M into blocks: every kept coordinate
+    of a sector in one set of candidates, cut by the plan and then, unless
+    every constraint holds exactly, by all the non-diagonal span vectors.
+    Numerators and anchors are keyed by (v, w), as ``CochainSpace`` keeps
+    them."""
+    from supero.cohomology import _cut, _defect
+
+    n = cx.m.dim
+    mono_par = cx.pair.degree(p).parities
+    pos = [cx.pair.diagonal.index(i) for i in cx.diag_idx]
+    kept, needed = ([], []), []
+    for key, ts in cx.pair.degree(p).buckets.items():
+        vs = cx.m_buckets.get(tuple(key[j] for j in pos))
+        if vs:
+            needed.append(key)
+            for w in ts:
+                for v in vs:
+                    kept[(cx.m.parities[v] + mono_par[w]) % 2].append(w * n + v)
+    lam_rows_by_id = {i: {} for i in cx.nondiag_idx}
+    for i, rows in lam_rows_by_id.items():
+        for key in needed:
+            rows.update(cx.pair.action_rows(p, i, key))
+    out = []
+    for sector in (0, 1):
+        coords = sorted(kept[sector])
+        columns = {i: cx._defect_columns(p, i, lam_rows_by_id[i]) for i in cx.nondiag_idx}
+        for plan in (cx.constraint_plan, cx.nondiag_idx):
+            candidates, free = _cut(plan, columns, [{x: 1} for x in coords], coords)
+            if not any(_defect(columns[i], phi) for phi in candidates for i in cx.nondiag_idx):
+                break
+        else:
+            raise AssertionError(f"whole-sector solve fails equivariance (degree {p})")
+        out.append((
+            [{(x % n, x // n): c for x, c in phi.items()} for phi in candidates],
+            [phi[x] for phi, x in zip(candidates, free)],
+            [(x % n, x // n) for x in free],
+        ))
     return out

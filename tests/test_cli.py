@@ -107,6 +107,20 @@ def test_coh_module_expression(capsys):
     assert doc["rows"][0]["dimH_even"] + doc["rows"][0]["dimH_odd"] == 1
 
 
+@pytest.mark.parametrize("spec, part", [
+    ("natural**2", ""), ("dual()", ""), ("*natural", ""), ("dual(foo)*natural", "foo"),
+])
+def test_coh_bad_module_part_quotes_the_whole_spec(capsys, spec, part):
+    code, out, err = run_cli(capsys, "coh", "gl", "1", "1", "--sub", "g0", "--mod", spec, "-N", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse {part!r} in module spec {spec!r}\n"
+
+
+def test_coh_bad_module_spec_is_quoted_once(capsys):
+    code, _, err = run_cli(capsys, "coh", "gl", "1", "1", "--sub", "g0", "--mod", "foo", "-N", "1")
+    assert code == 2 and err == "error: cannot parse module spec 'foo'\n"
+
+
 def test_coh_default_N(capsys):
     code, out, _ = run_cli(capsys, "coh", "gl", "1", "1", "--format", "json")
     assert code == 0
