@@ -214,7 +214,16 @@ def test_ddzero_witness_names_a_broken_sign():
     assert witness is not None
     sector, k, (v, monomial), value = witness
     assert monomial == target and value != 0
-    assert 0 <= k < len(cx.space(1).numerators[sector]) and 0 <= v < cx.m.dim
+    # d(d(phi)) applied directly, through the same broken d: the witness
+    # names the first basis vector it does not kill, and one of its entries
+    sp = cx.space(1)
+    direct = {
+        (s, j): cx.apply_differential(2, s, cx.apply_differential(1, s, phi))
+        for s in (0, 1) for j, phi in enumerate(sp.numerators[s])
+    }
+    assert next(key for key, dd in direct.items() if dd) == (sector, k)
+    w = pair.degree(3).index[monomial]
+    assert value == F(direct[sector, k][v, w], sp.scales[sector][k])
     assert RelativeComplex(pair, adjoint(g)).ddzero(1) is False
 
 
