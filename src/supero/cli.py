@@ -52,9 +52,9 @@ USAGE_ERRORS = (
 )
 
 
-# Coordinates of the largest cochain space a ``coh`` request may build.
+# Coordinates of the largest cochain space a ``coh`` request may reach.
 # q(3) with h = g0, adjoint coefficients and N = 6 (115830 coordinates)
-# takes about 4 s on a 2-vCPU x86 machine (CPython 3.11); the largest
+# takes about 1.5 s on a 2-vCPU x86 machine (CPython 3.11); the largest
 # request in the tests, the README and the benchmark has 23166.
 COCHAIN_BUDGET = 200_000
 
@@ -263,7 +263,8 @@ def cmd_coh(args) -> int:
         max_degree = len(g.odd_indices) + even_quot
     if max_degree < 0:
         raise DimensionMismatch("N must be nonnegative")
-    # the report builds C^0 .. C^{N+1}
+    # the report builds C^0 .. C^N, and d^N's images live on the
+    # coordinates of degree N + 1
     size = largest_cochain_space(even_quot, len(quotient) - even_quot, max_degree + 1, mod.dim)
     if size > COCHAIN_BUDGET:
         raise DimensionMismatch(

@@ -43,7 +43,8 @@ layer works on the numerators too: ``apply_differential`` acts on them,
 ``_expand`` checks an image against them in integers, scaled by the lcm
 of the scales, and d o d = 0 combines their images.  Values are divided
 only where they leave that layer: the entries of ``differential(p)`` by
-the source scale, and a ``ConventionError`` residual by the lcm.
+the source scale, and a ``ConventionError`` residual by the lcm, or, at a
+report's last degree, by the source scale.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 
@@ -122,7 +123,15 @@ ConventionError, naming the first escaping coordinate and its residual,
 instead of silently projecting.  The d o d = 0 check reuses those
 coefficients: d(d(phi)) = sum_k c_k d(psi_k), with d on the numerators
 of the basis vectors psi_k of the next degree built once and shared with
-the next degree's check.
+the next degree's check.  The report's last degree N is the exception:
+no row prints C^{N+1}, so its basis is never solved (``_top_rank``).
+rank d^N is the rank of the images of C^N's numerators as integer rows on
+the flat coordinates of degree N + 1, equal to that of their expansions
+because expanding is injective, and each image is checked against the
+definition of C^{N+1} instead of against a basis: every coordinate must be
+kept by the sector, or the escape error above is raised, and the defect
+under every non-diagonal span vector must vanish, or ConventionError names
+the span vector, coordinate and defect.
 """
 
 from __future__ import annotations
@@ -1067,7 +1076,75 @@ class RelativeComplex:
         self._diffs[p] = blocks[0], blocks[1]
         return self._diffs[p]
 
+    def _top_rank(self, p: int, sector: int) -> int:
+        """Rank of one sector's block of d^p, read off the images of the
+        numerators of C^p, with no basis of C^{p+1}.
+
+        The images are integer rows on the flat coordinates
+        x = w * dim M + v of degree p + 1.  Expanding in a basis is
+        injective, so their rank is the block's.  Each image is checked
+        against the definition of C^{p+1}: every coordinate must be a kept
+        coordinate of the sector, or ``_expand``'s ConventionError names the
+        first that is not, and its defect under every non-diagonal span
+        vector must vanish, or a ConventionError names the span vector and
+        the first defect coordinate, span vectors taken in order.  Both
+        values are divided by the source scale, so they are those of d on
+        the basis vector.  Degree p + 1's
+        weight keys are read only when some image is nonzero, and its action
+        rows only in the buckets the images touch.
+        """
+        src = self.space(p)
+        n = self.m.dim
+        images: list[dict[int, Scalar]] = []
+        scales: list[int] = []
+        for phi, s in zip(src.numerators[sector], src.scales[sector]):
+            image = self.apply_differential(p, sector, phi)
+            if image:
+                images.append({w * n + v: c for (v, w), c in image.items()})
+                scales.append(s)
+        if not images:
+            return 0
+        deg = self.pair.degree(p + 1)
+        keys, mono_par, m_par = deg.weight_keys, deg.parities, self.m.parities
+        pos = [self.pair.diagonal.index(i) for i in self.diag_idx]
+        # weight bucket of degree p + 1 -> the module vectors kept with it,
+        # for the buckets the images touch
+        kept: dict[tuple[Scalar, ...], frozenset[int]] = {}
+        for image, s in zip(images, scales):
+            for x, c in image.items():
+                w, v = divmod(x, n)
+                key = keys[w]
+                vs = kept.get(key)
+                if vs is None:
+                    vs = kept[key] = frozenset(self.m_buckets.get(tuple(key[j] for j in pos), ()))
+                if v not in vs or (m_par[v] + mono_par[w]) % 2 != sector:
+                    raise ConventionError(
+                        "differential image escapes the equivariant span "
+                        f"(degree {p + 1}, sector {sector}) at coordinate "
+                        f"({v}, {deg.monomials[w]}) with residual {_exact(Fraction(c, s))}"
+                    )
+        # one span vector at a time, so only its defect columns are held
+        for i in self.nondiag_idx:
+            lam_rows: dict[int, dict[int, Scalar]] = {}
+            for k in kept:
+                lam_rows.update(self.pair.action_rows(p + 1, i, k))
+            columns = self._defect_columns(p + 1, i, lam_rows)
+            for image, s in zip(images, scales):
+                defect = _defect(columns, image)
+                if defect:
+                    x, c = next(iter(defect.items()))
+                    w, v = divmod(x, n)
+                    raise ConventionError(
+                        f"differential image fails equivariance under span vector {i} of h "
+                        f"(degree {p + 1}, sector {sector}) at coordinate "
+                        f"({v}, {deg.monomials[w]}) with defect {_exact(Fraction(c, s))}"
+                    )
+        return rank(RowMatrix(images, len(deg.monomials) * n))
+
     def report(self, max_degree: int) -> CohomologyReport:
+        """H^p for p <= max_degree.  Below the last degree the ranks come from
+        ``_differential_blocks``; the last one's from ``_top_rank``, so the
+        report never builds C^{max_degree + 1}."""
         rows = []
         all_zero = True
         prev = (0, 0)  # ranks of d^{p-1} per sector
@@ -1077,10 +1154,12 @@ class RelativeComplex:
                 # factor of a monomial leaves a monomial of one degree less
                 rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]
                 break
-            blocks = self._differential_blocks(p)
-            if not all(b.is_zero() for b in blocks):
+            if p < max_degree:
+                ranks = [rank(b) for b in self._differential_blocks(p)]
+            else:
+                ranks = [self._top_rank(p, sector) for sector in (EVEN, ODD)]
+            if any(ranks):
                 all_zero = False
-            ranks = [rank(b) for b in blocks]
             sp = self.space(p)
             he = sp.dim_even - ranks[EVEN] - prev[EVEN]
             ho = sp.dim_odd - ranks[ODD] - prev[ODD]

@@ -1,8 +1,10 @@
 """Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
 (a container with no product or sum of its own), the super Jacobi
 identity on sparse vectors, the normal-form monomials of a super
-exterior power listed without the degree-by-degree walk, and the
-constraint solve of a cochain space run on each sector whole."""
+exterior power listed without the degree-by-degree walk, the
+constraint solve of a cochain space run on each sector whole, and a
+report whose last rank is read off d expanded in the basis of the
+degree above."""
 
 import itertools
 
@@ -138,3 +140,28 @@ def whole_sector_space(cx, p: int):
             [(x % n, x // n) for x in free],
         ))
     return out
+
+
+def report_through_the_next_space(cx, max_degree: int) -> dict:
+    """``cx.report(max_degree).to_json_dict()`` with every rank, the last
+    degree's too, taken on the blocks of d^p expanded in the basis of
+    C^{p+1} (``_differential_blocks``, which runs ``_expand``), so
+    C^{max_degree + 1} is built."""
+    from supero.cohomology import CohomologyReport, CohomologyRow
+    from supero.linalg import rank
+
+    rows, all_zero, prev = [], True, (0, 0)
+    for p in range(max_degree + 1):
+        if not cx.pair.degree(p).monomials:
+            rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]
+            break
+        blocks = cx._differential_blocks(p)
+        all_zero = all_zero and all(b.is_zero() for b in blocks)
+        ranks = [rank(b) for b in blocks]
+        sp = cx.space(p)
+        he = sp.dim_even - ranks[0] - prev[0]
+        ho = sp.dim_odd - ranks[1] - prev[1]
+        rows.append(CohomologyRow(p, sp.dim_even, sp.dim_odd, sum(ranks), he, ho))
+        prev = ranks
+    report = CohomologyReport(cx.pair.g.name, cx.pair.h.label, cx.m.name, max_degree, rows, all_zero)
+    return report.to_json_dict()

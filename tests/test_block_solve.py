@@ -83,16 +83,22 @@ def test_q3_adjoint_solves_each_distinct_unit_once(monkeypatch, capsys):
         return kernel(m)
 
     monkeypatch.setattr(engine, "kernel_basis_with_free", spy)
-    assert cli.main(["coh", "q", "3", "--sub", "g0", "--mod", "adjoint", "-N", "4"]) == 0
-    capsys.readouterr()
+    g = build_q(3)
+    cx = RelativeComplex(RelativePair(g, even_part_span(g)), adjoint(g))
+    for p in range(6):
+        cx.space(p)
     assert (len(rows), sum(rows)) == (12, 1744)
     # solving each sector whole takes twice the kernels
     rows.clear()
-    g = build_q(3)
     cx = RelativeComplex(RelativePair(g, even_part_span(g)), adjoint(g))
     for p in range(6):
         oracles.whole_sector_space(cx, p)
     assert (len(rows), sum(rows)) == (24, 3488)
+    # the report to N = 4 builds C^0 to C^4 only
+    rows.clear()
+    assert cli.main(["coh", "q", "3", "--sub", "g0", "--mod", "adjoint", "-N", "4"]) == 0
+    capsys.readouterr()
+    assert (len(rows), sum(rows)) == (10, 738)
 
 
 @pytest.mark.parametrize("module", ["dual(natural)*natural", "adjoint+Pi adjoint"])
