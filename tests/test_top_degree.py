@@ -79,7 +79,10 @@ def _flip_one_action_sign(pair: RelativePair, cx: RelativeComplex, p: int) -> No
     raise AssertionError("no action term to break")
 
 
-FAILS = r"^differential image fails equivariance under span vector \d+ of h \(degree 4, sector [01]\) at coordinate \(\d+, \([\d, ]*\)\) with defect -?\d+(/\d+)?$"
+FAILS = (
+    r"^differential image fails equivariance under span vector \d+ of h \(degree 4, sector [01]\) "
+    r"at coordinate \(\d+, \([\d, ]*\)\) with defect -?\d+(/\d+)?$"
+)
 
 
 @pytest.mark.parametrize("build", [lambda: build_gl(2, 1), lambda: build_q(2)], ids=["gl(2|1)", "q(2)"])
