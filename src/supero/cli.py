@@ -53,9 +53,10 @@ USAGE_ERRORS = (
 
 
 # Coordinates of the largest cochain space a ``coh`` request may reach.
-# q(3) with h = g0, adjoint coefficients and N = 6 (115830 coordinates)
-# takes about 1.5 s on a 2-vCPU x86 machine (CPython 3.11); the largest
-# request in the tests, the README and the benchmark has 23166.
+# The largest request that CI and the tests run, ``coh gl 3 2 --sub g0
+# -N 8``, reaches 167960; the README's ``coh q 3 --sub g0 --mod adjoint
+# -N 6`` reaches 115830 and takes about 1.1 s (0.9-1.6 s over six cold
+# runs) on a 2-vCPU Intel Xeon virtual machine with CPython 3.11.7.
 COCHAIN_BUDGET = 200_000
 
 # ``Fraction`` builds 10**e in full, so an ``--H`` exponent gets the digit

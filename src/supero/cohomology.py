@@ -29,6 +29,11 @@ k - shift, so only those monomials are acted on; for one that does not,
 every monomial is a source, and one pass builds the rows of every bucket.
 Either way each row is the full row.
 
+A cochain is a dict keyed by the flat coordinate x = w * dim M + v of
+module vector v at monomial w, so its order is the order by (w, v).  The
+solve, the stored bases, d, the expansions and d o d = 0 all use it; only
+an error text or a d o d witness decodes x, to (v, monomial).
+
 Scalars follow the one convention of ``linalg``: ``int`` where the
 denominator is 1 and ``Fraction`` otherwise.  The actions of g/h and of M
 arrive as ``SparseMatrix`` columns and the projected brackets from
@@ -74,15 +79,14 @@ unit cochain per kept coordinate; each span vector replaces them by the
 canonical kernel combinations of their defects under it, so every cut is
 a small kernel on what the cut before left.  Kernel bases are canonical,
 so the result is the simultaneous kernel, anchored at its free
-coordinates.  The solve numbers each kept coordinate (v, w) by the flat
-int x = w * dim M + v, whose order is the order by (w, v).  Each span
-vector's defect column of each coordinate is built on first use, as a
-module part with the odd sign folded in and an exterior-power part, and
-the same columns serve the cuts and the re-verification.  ``_defect`` adds
-up a cochain's columns in one pass, module parts first, with
-``_add_scaled``'s rules inlined, and each cut hands its defects to the
-kernel as rows (``linalg.RowMatrix``): one dict per defect coordinate, in
-first-appearance order, keyed by candidate index.  The solve stays in
+coordinates.  Each span vector's defect column of each kept coordinate is
+built on first use, as a module part with the odd sign folded in and an
+exterior-power part, and the same columns serve the cuts and the
+re-verification.  ``_defect`` adds up a cochain's columns in one pass,
+module parts first, with ``_add_scaled``'s rules inlined, and each cut
+hands its defects to the kernel as rows (``linalg.RowMatrix``): one dict
+per defect coordinate, in first-appearance order, keyed by candidate
+index.  The solve stays in
 integers from the defects to the kernel; a ``Fraction`` enters only
 through a module whose action has one.
 
@@ -97,10 +101,10 @@ monomials when the order-preserving bijection sigma between their blocks
 keeps relative parities, diagonal weight keys and every non-diagonal
 action entry, and, when an odd span vector is among the constraints, the
 sector too.  Such a unit is solved once and its result relabelled
-v -> sigma(v), from the odd sector read off the decoded numerators the
-space keeps.  The units of a sector that pose a system no other unit
-poses are solved together, as one unit, so a module with no two such
-blocks is solved a sector at a time.  With no non-diagonal span vector
+v -> sigma(v), from the odd sector read off the even sector's numerators.
+The units of a sector that pose a system no other unit poses are solved
+together, as one unit, so a module with no two such blocks is solved a
+sector at a time.  With no non-diagonal span vector
 there is nothing to solve and no split.
 
 Two exact reductions keep this affordable at scale, and both belong to
@@ -158,8 +162,7 @@ from .reps import (
     tensor,
 )
 
-Coord = tuple[int, int]  # (module basis index, monomial index)
-Cochain = dict[Coord, Scalar]
+Cochain = dict[int, Scalar]  # flat coordinate w * dim M + v -> value
 
 
 class CochainSpace:
@@ -170,7 +173,7 @@ class CochainSpace:
     numerator is a primitive integer cochain and the scale its positive
     value at the anchor.  Only these are stored: ``basis`` divides on each
     read, and hands out the numerator itself where the scale is 1.  Every
-    cochain lists its coordinates (v, w) in the order by (w, v).
+    cochain lists its flat coordinates ascending.
     """
 
     # __weakref__: a profiler may key spaces by identity without keeping them
@@ -181,8 +184,8 @@ class CochainSpace:
         self,
         degree: int,
         monomials: tuple[tuple[int, ...], ...],
-        free_coords: tuple[list[Coord], list[Coord]],  # index 0: even maps, 1: odd maps
-        numerators: tuple[list[dict[Coord, int]], list[dict[Coord, int]]],
+        free_coords: tuple[list[int], list[int]],  # index 0: even maps, 1: odd maps
+        numerators: tuple[list[dict[int, int]], list[dict[int, int]]],
         scales: tuple[list[int], list[int]],
     ):
         self.degree = degree
@@ -191,7 +194,7 @@ class CochainSpace:
         self.numerators = numerators
         self.scales = scales
         # per sector: anchor coordinate -> index of the basis vector it anchors
-        self.free_index = tuple({coord: k for k, coord in enumerate(coords)} for coords in free_coords)
+        self.free_index = tuple({x: k for k, x in enumerate(xs)} for xs in free_coords)
         # per sector: lcm of the scales, so lcm // scale weights each numerator
         self.lcm = tuple(math.lcm(*s) for s in scales)
 
@@ -199,7 +202,7 @@ class CochainSpace:
     def basis(self) -> tuple[list[Cochain], list[Cochain]]:
         """Each numerator divided by its scale, built on each read."""
         return tuple(
-            [phi if s == 1 else {coord: _exact(Fraction(c, s)) for coord, c in phi.items()}
+            [phi if s == 1 else {x: _exact(Fraction(c, s)) for x, c in phi.items()}
              for phi, s in zip(numerators, scales)]
             for numerators, scales in zip(self.numerators, self.scales)
         )
@@ -586,13 +589,13 @@ def _cut(
 
 
 def _relabel(
-    vectors: list[dict], anchors: list, to: dict
+    vectors: list[dict[int, int]], anchors: list[int], to: dict[int, int]
 ) -> tuple[list[dict[int, int]], list[int]]:
     """The vectors and anchors of a solved unit moved to a unit that poses
-    the same system: ``to`` maps each kept coordinate of the one, in the
-    form its vectors are keyed by, to the kept coordinate of the other that
-    sigma gives it (v -> sigma(v), w fixed)."""
-    return [{to[k]: c for k, c in phi.items()} for phi in vectors], [to[k] for k in anchors]
+    the same system: ``to`` maps each kept coordinate of the one to the
+    kept coordinate of the other that sigma gives it (v -> sigma(v), w
+    fixed)."""
+    return [{to[x]: c for x, c in phi.items()} for phi in vectors], [to[x] for x in anchors]
 
 
 class RelativeComplex:
@@ -620,6 +623,8 @@ class RelativeComplex:
         keys = [tuple(m_actions[i].entry(v, v) for i in self.diag_idx) for v in range(m.dim)]
         for v, key in enumerate(keys):
             self.m_buckets.setdefault(key, []).append(v)
+        # where diag_idx sits in a monomial weight key (``_kept_vectors``)
+        self._key_pos = [pair.diagonal.index(i) for i in self.diag_idx]
 
         self.constraint_plan = self._plan_reduction()
         # the blocks of M that the solve is split by (``_units``); with no
@@ -738,6 +743,16 @@ class RelativeComplex:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
         return self.pair.degree(p).monomials, self.pair.degree(p).parities
 
+    def _kept_vectors(self, key: tuple[Scalar, ...]) -> list[int]:
+        """The module vectors kept with the monomials of weight key ``key``:
+        those whose key under diag_idx is the monomial key read there."""
+        return self.m_buckets.get(tuple(key[j] for j in self._key_pos), [])
+
+    def _coordinate(self, p: int, x: int) -> tuple[int, tuple[int, ...]]:
+        """Flat coordinate x of degree p as (module vector, monomial)."""
+        w, v = divmod(x, self.m.dim)
+        return v, self.pair.degree(p).monomials[w]
+
     def _defect_columns(
         self, p: int, i: int, lam_rows: dict[int, dict[int, Scalar]]
     ) -> _DefectColumns:
@@ -845,15 +860,14 @@ class RelativeComplex:
             return self._spaces[p]
         monos, mono_par = self.monomials(p)
         n = self.m.dim
-        # kept coordinates as flat x = w * dim M + v, ascending, so by
-        # monomial then module vector: a monomial bucket whose key, read at
-        # diag_idx, is the key of a module bucket; the constraints read
-        # action rows only in those buckets
-        pos = [self.pair.diagonal.index(i) for i in self.diag_idx]
+        # kept coordinates x = w * dim M + v, ascending, so by monomial then
+        # module vector: a monomial bucket's with the vectors it keeps
+        # (``_kept_vectors``); the constraints read action rows only in the
+        # buckets that keep some
         kept_pair: list[list[int]] = [[], []]
         needed = []
         for key, ts in self.pair.degree(p).buckets.items():
-            vs = self.m_buckets.get(tuple(key[j] for j in pos))
+            vs = self._kept_vectors(key)
             if vs:
                 needed.append(key)
                 for w in ts:
@@ -866,20 +880,16 @@ class RelativeComplex:
             lam_rows = lam_rows_by_id[i] = {}
             for k in needed:
                 lam_rows.update(self.pair.action_rows(p, i, k))
-        numerators_pair: list[list[dict[Coord, int]]] = [[], []]
-        scales_pair: list[list[int]] = [[], []]
-        free_pair: list[list[Coord]] = [[], []]
-        # the units solved in the even sector, by key, decoded: (kept
-        # coordinates, numerators, anchors), read from what the space keeps
-        accepted: dict[tuple[int, int], tuple[list[Coord], list[dict], list[Coord]]] = {}
+        # per sector, (numerators, anchors)
+        solutions: list[tuple[list[dict[int, int]], list[int]]] = []
+        # the keyed units solved so far, as (kept coordinates, vectors,
+        # anchors): the even sector's vectors are its stored numerators, and
+        # the odd sector relabels them
+        accepted: dict[tuple[int, int], tuple[list[int], list[dict[int, int]], list[int]]] = {}
         units_pair = self._units(kept_pair)
-        for sector in (EVEN, ODD):
-            kept = kept_pair[sector]
+        for sector, kept in enumerate(kept_pair):
             if not self.nondiag_idx:  # nothing to solve: one vector per coordinate
-                coords = [(x % n, x // n) for x in kept]
-                numerators_pair[sector] = [{coord: 1} for coord in coords]
-                scales_pair[sector] = [1] * len(kept)
-                free_pair[sector] = coords
+                solutions.append(([{x: 1} for x in kept], kept))
                 continue
             # one set of defect columns per span vector, shared by the plan,
             # the full solve and the re-verification; a coordinate belongs
@@ -887,13 +897,12 @@ class RelativeComplex:
             columns_by_id = {
                 i: self._defect_columns(p, i, lam_rows_by_id[i]) for i in self.nondiag_idx
             }
-            units = units_pair[sector]
             # the plan, then the full solve; either must pass the exact
             # re-verification of every constraint on every basis vector (on
             # its integer multiple: scaling keeps a zero defect zero)
             for plan in (self.constraint_plan, self.nondiag_idx):
                 solved = dict(accepted)
-                candidates, free = self._impose(plan, columns_by_id, units, solved)
+                candidates, free = self._impose(plan, columns_by_id, units_pair[sector], solved)
                 witness = next((
                     (i, defect) for phi in candidates for i in self.nondiag_idx
                     if (defect := _defect(columns_by_id[i], phi))
@@ -903,37 +912,17 @@ class RelativeComplex:
             else:
                 i, defect = witness
                 x, c = next(iter(defect.items()))
-                w, v = divmod(x, n)
                 raise ConventionError(
                     f"cochain basis fails equivariance under span vector {i} of h "
-                    f"(degree {p}, sector {sector}) at coordinate ({v}, {monos[w]}) "
+                    f"(degree {p}, sector {sector}) at coordinate {self._coordinate(p, x)} "
                     f"with defect {c}"
                 )
-            # decode the flat coordinates, one (v, w) tuple per coordinate
-            # shared by every vector and anchor
-            decode = {x: (x % n, x // n) for x in kept}
-            numerators = numerators_pair[sector] = [
-                {decode[x]: c for x, c in phi.items()} for phi in candidates
-            ]
-            scales_pair[sector] = [phi[anchor] for phi, anchor in zip(candidates, free)]
-            anchors = free_pair[sector] = [decode[x] for x in free]
-            # the units solved here that the odd sector asks for serve it
-            # decoded
-            wanted = sector == EVEN and {key for key, _ in units_pair[ODD]} & solved.keys()
-            if wanted:
-                at = {id(phi): k for k, phi in enumerate(candidates)}
-                accepted = {
-                    key: (
-                        [decode[x] for x in coords],
-                        [numerators[at[id(phi)]] for phi in vectors],
-                        [anchors[at[id(phi)]] for phi in vectors],
-                    )
-                    for key, (coords, vectors, _) in solved.items() if key in wanted
-                }
-        self._spaces[p] = CochainSpace(
-            p, monos, tuple(free_pair),
-            tuple(numerators_pair), tuple(scales_pair),
-        )
+            solutions.append((candidates, free))
+            accepted = solved
+        numerators_pair, free_pair = zip(*solutions)
+        # a numerator's scale is its value at its anchor
+        scales_pair = tuple([phi[x] for phi, x in zip(*sol)] for sol in solutions)
+        self._spaces[p] = CochainSpace(p, monos, free_pair, numerators_pair, scales_pair)
         return self._spaces[p]
 
     # -- differential ----------------------------------------------------------
@@ -943,23 +932,26 @@ class RelativeComplex:
         source_maps = self.pair.source_maps
         odd = self.pair.quotient_parities if sector else [0] * len(self.pair.complement)
         m_cols = self.m_cols_by_complement
+        n = self.m.dim
         out: Cochain = {}
         get = out.get
-        for (v, w), c in phi.items():
+        for x, c in phi.items():
+            w, v = divmod(x, n)
             bracket_terms, action_terms = source_maps(p, w)
             for t1, coeff in bracket_terms:
-                key = v, t1
+                key = t1 * n + v
                 val = get(key, 0) + c * coeff
                 if val:
                     out[key] = val
                 elif key in out:
                     del out[key]
-            for x, t1, sgn in action_terms:
-                col = m_cols[x][v]
+            for y, t1, sgn in action_terms:
+                col = m_cols[y][v]
                 if col:
-                    s = c if (sgn > 0) != odd[x] else -c
+                    s = c if (sgn > 0) != odd[y] else -c
+                    base = t1 * n
                     for v2, a in col.items():
-                        key = v2, t1
+                        key = base + v2
                         val = get(key, 0) + s * a
                         if val:
                             out[key] = val
@@ -983,18 +975,19 @@ class RelativeComplex:
         anchors = space.free_index[sector]
         numerators, scales, lcm = space.numerators[sector], space.scales[sector], space.lcm[sector]
         coeffs = []
-        residual = dict(target) if lcm == 1 else {coord: lcm * c for coord, c in target.items()}
-        for coord, c in target.items():
-            k = anchors.get(coord)
+        residual = dict(target) if lcm == 1 else {x: lcm * c for x, c in target.items()}
+        for x, c in target.items():
+            k = anchors.get(x)
             if k is not None and c:
                 coeffs.append((k, c))
                 _add_scaled(residual, numerators[k].items(), -c * (lcm // scales[k]))
         if residual:
-            (v, w), c = next(iter(residual.items()))
+            x, c = next(iter(residual.items()))
             raise ConventionError(
                 "differential image escapes the equivariant span "
                 f"(degree {space.degree}, sector {sector}) at coordinate "
-                f"({v}, {space.monomials[w]}) with residual {_exact(Fraction(c, lcm * scale))}"
+                f"{self._coordinate(space.degree, x)} with residual "
+                f"{_exact(Fraction(c, lcm * scale))}"
             )
         return coeffs
 
@@ -1049,9 +1042,8 @@ class RelativeComplex:
                         )
                     _add_scaled(dd, d_psi.items(), c * (lcm // scales[k2]))
                 if dd:
-                    (v, w), c = next(iter(dd.items()))
-                    monomial = self.pair.degree(p + 2).monomials[w]
-                    return sector, k, (v, monomial), _exact(Fraction(c, lcm * scale))
+                    x, c = next(iter(dd.items()))
+                    return sector, k, self._coordinate(p + 2, x), _exact(Fraction(c, lcm * scale))
         return None
 
     def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
@@ -1095,18 +1087,17 @@ class RelativeComplex:
         """
         src = self.space(p)
         n = self.m.dim
-        images: list[dict[int, Scalar]] = []
+        images: list[Cochain] = []
         scales: list[int] = []
         for phi, s in zip(src.numerators[sector], src.scales[sector]):
             image = self.apply_differential(p, sector, phi)
             if image:
-                images.append({w * n + v: c for (v, w), c in image.items()})
+                images.append(image)
                 scales.append(s)
         if not images:
             return 0
         deg = self.pair.degree(p + 1)
         keys, mono_par, m_par = deg.weight_keys, deg.parities, self.m.parities
-        pos = [self.pair.diagonal.index(i) for i in self.diag_idx]
         # weight bucket of degree p + 1 -> the module vectors kept with it,
         # for the buckets the images touch
         kept: dict[tuple[Scalar, ...], frozenset[int]] = {}
@@ -1116,12 +1107,12 @@ class RelativeComplex:
                 key = keys[w]
                 vs = kept.get(key)
                 if vs is None:
-                    vs = kept[key] = frozenset(self.m_buckets.get(tuple(key[j] for j in pos), ()))
+                    vs = kept[key] = frozenset(self._kept_vectors(key))
                 if v not in vs or (m_par[v] + mono_par[w]) % 2 != sector:
                     raise ConventionError(
                         "differential image escapes the equivariant span "
                         f"(degree {p + 1}, sector {sector}) at coordinate "
-                        f"({v}, {deg.monomials[w]}) with residual {_exact(Fraction(c, s))}"
+                        f"{self._coordinate(p + 1, x)} with residual {_exact(Fraction(c, s))}"
                     )
         # one span vector at a time, so only its defect columns are held
         for i in self.nondiag_idx:
@@ -1133,11 +1124,10 @@ class RelativeComplex:
                 defect = _defect(columns, image)
                 if defect:
                     x, c = next(iter(defect.items()))
-                    w, v = divmod(x, n)
                     raise ConventionError(
                         f"differential image fails equivariance under span vector {i} of h "
                         f"(degree {p + 1}, sector {sector}) at coordinate "
-                        f"({v}, {deg.monomials[w]}) with defect {_exact(Fraction(c, s))}"
+                        f"{self._coordinate(p + 1, x)} with defect {_exact(Fraction(c, s))}"
                     )
         return rank(RowMatrix(images, len(deg.monomials) * n))
 

@@ -105,8 +105,8 @@ def whole_sector_space(cx, p: int):
     solve found them before it split M into blocks: every kept coordinate
     of a sector in one set of candidates, cut by the plan and then, unless
     every constraint holds exactly, by all the non-diagonal span vectors.
-    Numerators and anchors are keyed by (v, w), as ``CochainSpace`` keeps
-    them."""
+    Numerators and anchors are on the flat coordinates w * dim M + v, as
+    ``CochainSpace`` keeps them."""
     from supero.cohomology import _cut, _defect
 
     n = cx.m.dim
@@ -134,11 +134,7 @@ def whole_sector_space(cx, p: int):
                 break
         else:
             raise AssertionError(f"whole-sector solve fails equivariance (degree {p})")
-        out.append((
-            [{(x % n, x // n): c for x, c in phi.items()} for phi in candidates],
-            [phi[x] for phi, x in zip(candidates, free)],
-            [(x % n, x // n) for x in free],
-        ))
+        out.append((candidates, [phi[x] for phi, x in zip(candidates, free)], free))
     return out
 
 

@@ -160,7 +160,7 @@ def test_blocks_that_differ_in_one_action_entry_are_both_solved(monkeypatch):
     relabel = engine._relabel
 
     def spy(vectors, anchors, to):
-        moves.update((k[0] if type(k) is tuple else k % 18, x % 18) for k, x in to.items())
+        moves.update((k % 18, x % 18) for k, x in to.items())
         return relabel(vectors, anchors, to)
 
     monkeypatch.setattr(engine, "_relabel", spy)
@@ -199,7 +199,8 @@ def _break_one_sign(pair: RelativePair, cx: RelativeComplex, p: int):
     some d(phi), phi in the basis of C^p, is nonzero; returns its target."""
     for sector in (0, 1):
         for phi in cx.space(p).numerators[sector]:
-            for v, w in cx.apply_differential(p, sector, phi):
+            for x in cx.apply_differential(p, sector, phi):
+                w, _ = divmod(x, cx.m.dim)
                 bracket, action = pair.source_maps(p + 1, w)
                 if bracket:
                     t1, coeff = bracket[0]
@@ -229,7 +230,7 @@ def test_ddzero_witness_names_a_broken_sign():
     }
     assert next(key for key, dd in direct.items() if dd) == (sector, k)
     w = pair.degree(3).index[monomial]
-    assert value == F(direct[sector, k][v, w], sp.scales[sector][k])
+    assert value == F(direct[sector, k][w * cx.m.dim + v], sp.scales[sector][k])
     assert RelativeComplex(pair, adjoint(g)).ddzero(1) is False
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -364,3 +365,31 @@ def test_cli_fuzz_malformed_inputs_exit_2(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv
+
+
+# The hash-seed jobs of CI (``.github/workflows/tests.yml``) whose output no
+# perfbench digest covers: sha256 of stdout, argv as CI splits it.
+CI_JOB_DIGESTS = {
+    "coh gl 2 2 --sub levi --H 3,2,1,0 --mod trivial -N 8 --format json":
+        "9a6fad9687ec465213e5014eb830166bd4447132eae64c5a697e58b2ccebe03b",
+    "coh q 2 --sub g0 --mod dual(natural)*natural -N 6 --format json":
+        "76a1f5d22713af3aad83addccd1801c2d41f06222b68b7d5242d881018ee6e4e",
+    "coh q 2 --sub levi --H 1,0 --mod dual(natural)*natural -N 4 --format json":
+        "e87239f7a7c077b12a80d8d60f1c9a305882aa636e8dfc3e734b075466a62875",
+    "coh gl 2 1 --sub levi --H 1,0,1 --mod adjoint -N 5 --format json":
+        "b84258e8a51d3e6d1492c68ec30585bd64bf395427236c9ab3fbb3ca6ec23630",
+    "coh gl 3 2 --sub g0 -N 8 --format json":
+        "251c9861b4c25815789db72622f51273a172960dd2d5c3c9f7bac39391e31049",
+    "build osp 3 2": "6eaa4d8ac3deccf946db4f24cbd404dcac9d7d099b26ab525ed1ebc87ff63618",
+    "build osp 5 4": "af0cb4ec8e60087a253be5592e63e6bf40584c4492429dfc70d81f949746e0a7",
+    "build q 3": "e4906380a1da304a8e25d2ddda6782a1b1d960ae6fc71a8bc84098c7bb553102",
+    "build p_tilde 3": "64611b770c9273ae4146d6a696232c640a551a3a91872128fe6cd5ef809b4f2f",
+    "build sl 2 2": "5f1347878bbe53e68d94d7b479bf4ac5db19aaeb6ba5acdc88527be72e3ca7f3",
+}
+
+
+@pytest.mark.parametrize("job", sorted(CI_JOB_DIGESTS))
+def test_ci_hash_seed_job_output_is_unchanged(capsys, job):
+    code, out, err = run_cli(capsys, *job.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CI_JOB_DIGESTS[job]

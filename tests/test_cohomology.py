@@ -305,7 +305,7 @@ def test_expansion_outside_span_raises_convention_error():
     sp1 = cx.space(1)  # zero-dimensional
     assert sp1.dim == 0
     with pytest.raises(ConventionError):
-        cx._expand({(0, 0): F(1)}, sp1, 0)
+        cx._expand({0 * cx.m.dim + 0: F(1)}, sp1, 0)  # v = 0 at monomial 0
 
 
 def test_convention_error_names_its_witness():
@@ -315,7 +315,7 @@ def test_convention_error_names_its_witness():
     mono = sp1.monomials[1]
     witness = f"(degree 1, sector 1) at coordinate (0, {mono}) with residual -1/2"
     with pytest.raises(ConventionError, match=re.escape(witness) + "$"):
-        cx._expand({(0, 1): F(-1, 2)}, sp1, 1)
+        cx._expand({1 * cx.m.dim + 0: F(-1, 2)}, sp1, 1)  # v = 0 at monomial 1
 
 
 @pytest.mark.parametrize(
@@ -687,7 +687,7 @@ def test_ddzero_sees_one_broken_sign(p_break, monkeypatch):
     pair = RelativePair(g, named_subalgebra(g, "torus"))
     cx = RelativeComplex(pair, adjoint(g))
     # the first source monomial of degree p_break read by a basis cochain
-    w0 = next(w for phi in cx.space(p_break).basis[0] for _, w in phi)
+    w0 = next(divmod(x, cx.m.dim)[0] for phi in cx.space(p_break).basis[0] for x in phi)
     source_maps = engine.RelativePair.source_maps
 
     def broken(self, p, w):
@@ -720,8 +720,9 @@ def test_source_maps_built_only_where_d_reads():
     for p in range(7):
         for sector in (0, 1):
             for phi in cx.space(p).basis[sector]:
-                read[p].update(w for _, w in phi)
-                read[p + 1].update(w for _, w in cx.apply_differential(p, sector, phi))
+                read[p].update(divmod(x, cx.m.dim)[0] for x in phi)
+                image = cx.apply_differential(p, sector, phi)
+                read[p + 1].update(divmod(x, cx.m.dim)[0] for x in image)
     assert sorted(pair._sources) == [0, 2, 3, 4, 5, 6]
     for p, cache in pair._sources.items():
         assert set(cache) <= read[p], p
@@ -839,7 +840,7 @@ def test_expand_witness_is_unscaled():
     target[coord] += F(1, 3)
     if not target[coord]:
         del target[coord]
-    v, w = coord
+    w, v = divmod(coord, cx.m.dim)
     witness = (
         f"(degree {p}, sector {sector}) at coordinate ({v}, {sp.monomials[w]}) "
         f"with residual 1/3"

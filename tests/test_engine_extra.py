@@ -286,6 +286,12 @@ def _stacked_space(cx, p):
     return out
 
 
+def _by_v_w(cx, vectors):
+    """The vectors, keyed by flat x = w * dim M + v, re-keyed by (v, w) as
+    the stacked solve keys them."""
+    return [{divmod(x, cx.m.dim)[::-1]: c for x, c in phi.items()} for phi in vectors]
+
+
 def test_space_matches_the_stacked_solve():
     # every ddzero cell with a shortcut plan to p = 3, and q(3), h = g0,
     # adjoint coefficients to p = 5, where one span vector at a time cuts
@@ -305,9 +311,9 @@ def test_space_matches_the_stacked_solve():
             sp = cx.space(p)
             for sector, (nums, scales, free) in enumerate(_stacked_space(cx, p)):
                 where = (cx.pair.g.name, cx.pair.h.label, cx.m.name, p, sector)
-                assert sp.numerators[sector] == nums, where
+                assert _by_v_w(cx, sp.numerators[sector]) == nums, where
                 assert sp.scales[sector] == scales, where
-                assert sp.free_coords[sector] == free, where
-                assert sp.basis[sector] == [
+                assert [divmod(x, cx.m.dim)[::-1] for x in sp.free_coords[sector]] == free, where
+                assert _by_v_w(cx, sp.basis[sector]) == [
                     {coord: F(v, s) for coord, v in phi.items()} for phi, s in zip(nums, scales)
                 ], where

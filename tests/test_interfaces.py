@@ -1,6 +1,8 @@
 """Cross-module invariants and serialization surfaces."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -17,7 +19,7 @@ from supero.checks import abstract_root_data
 from supero.cli import main
 from supero.cohomology import RelativeComplex, RelativePair
 from supero.errors import UnsupportedRank
-from supero.reps import trivial
+from supero.reps import adjoint, trivial
 from supero.roots import named_subalgebra, principal_parabolic, root_decomposition
 
 F = Fraction
@@ -144,3 +146,37 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                            text=True, check=True).stdout.split()
     assert "supero.cli" in added
     assert [name for name in added if name in ("dataclasses", "inspect")] == []
+
+
+def test_perfbench_tracer_finds_what_it_wraps(monkeypatch):
+    # perfbench/tracing.py looks its methods up with vars(cls)[name] and reads
+    # apply_differential's fourth positional argument as the cochain; a
+    # rename here would only surface in a traced benchmark run
+    root = pathlib.Path(supero.__file__).parents[2]
+    tree = ast.parse((root / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    methods = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "METHODS")
+    for layer, classes in methods.items():
+        module = importlib.import_module(f"supero.{layer}")
+        for cls_name, names in classes.items():
+            cls = vars(module)[cls_name]
+            for name in names:
+                assert callable(vars(cls).get(name)), f"{layer}.{cls_name}.{name}"
+    apply = RelativeComplex.apply_differential
+    assert list(inspect.signature(apply).parameters)[:4] == ["self", "p", "sector", "phi"]
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(RelativeComplex, "apply_differential", spy)
+    g = build_gl(2, 1)
+    cx = RelativeComplex(RelativePair(g, named_subalgebra(g, "g0")), adjoint(g))
+    cx.report(3)
+    assert cx.ddzero(1)
+    assert calls
+    for args, kwargs in calls:
+        assert kwargs == {} and len(args) == 3
+        p, sector, phi = args
+        assert any(phi is num for num in cx.space(p).numerators[sector])

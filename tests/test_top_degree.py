@@ -69,11 +69,12 @@ def _flip_one_action_sign(pair: RelativePair, cx: RelativeComplex, p: int) -> No
     nonzero at the numerator's module vector there."""
     for sector in (0, 1):
         for phi in cx.space(p).numerators[sector]:
-            for v, w in phi:
+            for x in phi:
+                w, v = divmod(x, cx.m.dim)
                 bracket, action = pair.source_maps(p, w)
-                for j, (x, t1, sgn) in enumerate(action):
-                    if cx.m_cols_by_complement[x][v]:
-                        action = [*action[:j], (x, t1, -sgn), *action[j + 1 :]]
+                for j, (y, t1, sgn) in enumerate(action):
+                    if cx.m_cols_by_complement[y][v]:
+                        action = [*action[:j], (y, t1, -sgn), *action[j + 1 :]]
                         pair._sources[p][w] = (bracket, action)
                         return
     raise AssertionError("no action term to break")
@@ -122,7 +123,8 @@ def _leak(cx, target, v, w):
     def leaky(q, s, phi):
         image = apply(q, s, phi)
         if phi is target:
-            image[v, w] = image.get((v, w), 0) + 1
+            x = w * cx.m.dim + v
+            image[x] = image.get(x, 0) + 1
         return image
 
     cx.apply_differential = leaky
