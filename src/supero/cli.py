@@ -55,7 +55,7 @@ USAGE_ERRORS = (
 # Coordinates of the largest cochain space a ``coh`` request may reach.
 # The largest request that CI and the tests run, ``coh gl 3 2 --sub g0
 # -N 8``, reaches 167960; the README's ``coh q 3 --sub g0 --mod adjoint
-# -N 6`` reaches 115830 and takes about 1.1 s (0.9-1.6 s over six cold
+# -N 6`` reaches 115830 and takes about 1 s (0.9-1.6 s over twelve cold
 # runs) on a 2-vCPU Intel Xeon virtual machine with CPython 3.11.7.
 COCHAIN_BUDGET = 200_000
 

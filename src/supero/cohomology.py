@@ -860,10 +860,10 @@ class RelativeComplex:
             return self._spaces[p]
         monos, mono_par = self.monomials(p)
         n = self.m.dim
-        # kept coordinates x = w * dim M + v, ascending, so by monomial then
-        # module vector: a monomial bucket's with the vectors it keeps
-        # (``_kept_vectors``); the constraints read action rows only in the
-        # buckets that keep some
+        # kept coordinates x = w * dim M + v, ascending (by monomial, then
+        # module vector): the monomials of each weight bucket with the
+        # module vectors it keeps (``_kept_vectors``); the constraints read
+        # action rows only in the buckets that keep some
         kept_pair: list[list[int]] = [[], []]
         needed = []
         for key, ts in self.pair.degree(p).buckets.items():

@@ -150,12 +150,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_perfbench_tracer_finds_what_it_wraps(monkeypatch):
     # perfbench/tracing.py looks its methods up with vars(cls)[name] and reads
-    # apply_differential's fourth positional argument as the cochain; a
-    # rename here would only surface in a traced benchmark run
+    # apply_differential's fourth positional argument as the cochain; without
+    # this check a rename in supero would only surface in a traced run
     root = pathlib.Path(supero.__file__).parents[2]
     tree = ast.parse((root / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
     methods = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign) and node.targets[0].id == "METHODS")
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "METHODS")
     for layer, classes in methods.items():
         module = importlib.import_module(f"supero.{layer}")
         for cls_name, names in classes.items():
