@@ -239,7 +239,9 @@ def count_graded_monomials(
     Refuses to count unless positivity holds (otherwise the count need not
     be finite).  The certificate records the minimal increment epsilon, the
     derived degree bound, and whether the count was verified stable (equal
-    at the bound and at the cap).
+    at the bound and at the cap).  With no roots (gl(1|1), q(1)) the only
+    monomial is 1: epsilon is 0, as there is no increment, the degree bound
+    is 0, and the count is 1 at target 0 and 0 elsewhere, stable.
     """
     ok, witness = check_positive_grading(gt, roots)
     if not ok:
@@ -250,9 +252,9 @@ def count_graded_monomials(
     if len(target_v) != gt.rank:
         raise UnsupportedRank("target length must equal the torus rank")
     values = [gt.pair(r) for r in roots]
-    epsilon = _exact(min(sum(v) for v in values))
+    epsilon = _exact(min((sum(v) for v in values), default=0))
     total = sum(target_v)
-    degree_bound = -(-total // epsilon) if total >= 0 else 0  # exact ceiling
+    degree_bound = -(-total // epsilon) if epsilon and total >= 0 else 0  # exact ceiling
     limit = max(cap, degree_bound)
     # dp[value][degree] = number of monomials; roots are distinguishable variables
     dp: dict[Vec, dict[int, int]] = {(0,) * gt.rank: {0: 1}}

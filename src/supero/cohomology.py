@@ -81,8 +81,8 @@ a small kernel on what the cut before left.  Kernel bases are canonical,
 so the result is the simultaneous kernel, anchored at its free
 coordinates.  Each span vector's defect column of each kept coordinate is
 built on first use, as a module part with the odd sign folded in and an
-exterior-power part, and the same columns serve the cuts and the
-re-verification.  ``_defect`` adds up a cochain's columns in one pass,
+exterior-power part, and the same columns serve both sectors, the cuts
+and the re-verification.  ``_defect`` adds up a cochain's columns in one pass,
 module parts first, with ``_add_scaled``'s rules inlined, and each cut
 hands its defects to the kernel as rows (``linalg.RowMatrix``): one dict
 per defect coordinate, in first-appearance order, keyed by candidate
@@ -93,19 +93,22 @@ through a module whose action has one.
 The solve runs on blocks of M: the connected components of the graph that
 the non-diagonal span vectors draw on M's basis.  Each block spans an
 h-submodule, so Hom_h(L^p, M) is the direct sum over blocks and every cut
-matrix is block-diagonal; a sector is solved one unit at a time, and the
-union of the units' canonical kernels, in the order of their anchors, is
-the sector's canonical kernel.  A unit is the kept coordinates of one
-(block, sector) pair.  Two units pose the same system on the same
-monomials when the order-preserving bijection sigma between their blocks
-keeps relative parities, diagonal weight keys and every non-diagonal
-action entry, and, when an odd span vector is among the constraints, the
-sector too.  Such a unit is solved once and its result relabelled
-v -> sigma(v), from the odd sector read off the even sector's numerators.
-The units of a sector that pose a system no other unit poses are solved
-together, as one unit, so a module with no two such blocks is solved a
-sector at a time.  With no non-diagonal span vector
-there is nothing to solve and no split.
+matrix is block-diagonal; both sectors are solved in one pass, one unit at
+a time, and the union of a sector's units' canonical kernels, in the order
+of their anchors, is the sector's canonical kernel.  Two blocks are of one
+class when the order-preserving bijection sigma between them keeps
+relative parities, diagonal weight keys and every non-diagonal action
+entry, and, when an odd span vector is among the constraints, the parity
+of the first vector too.  ``_split`` decides once per complex which
+blocks share their class with another.  A unit is the kept coordinates of
+one sector on one such shared block; units of one class and of one sector
+relative to their first vector pose the same system on the same
+monomials, so the first is solved and the rest relabel its result
+v -> sigma(v), the odd sector reading off the even sector's numerators.
+The kept coordinates of a sector on the other blocks are solved together,
+as one unit, so a module with no two blocks of one class is solved a
+sector at a time.  With no non-diagonal span vector there is nothing to
+solve and no split, and each kept coordinate is its own basis vector.
 
 Two exact reductions keep this affordable at scale, and both belong to
 the complex because they depend on which elements of h act diagonally on
@@ -114,12 +117,18 @@ coordinates directly, and when the non-diagonal even part of h is spanned
 by paired root vectors (a reductive situation), a weight-zero map killed
 by the simple positive root vectors is automatically killed by all of h's
 even part.  The plan (``constraint_plan``) lists the span vectors whose
-constraints are imposed, in order.  Every returned basis vector, relabelled
-ones included, is re-verified against every constraint exactly, in the
-order of the anchors; on any failure the full kernel is recomputed without
-shortcuts, unit by unit as the plan was, and re-verified in turn, and a
-basis that still fails raises ConventionError, naming the span vector,
-degree, sector and first defect coordinate.
+constraints are imposed, in order.  Every returned basis vector of both
+sectors, relabelled ones included, is re-verified against every constraint
+exactly, the even sector first and each in the order of its anchors.  On
+any failure, and when the plan drops some span vector, both sectors are
+solved again by all of them, unit by unit as the plan was, and re-verified
+in turn; a basis that still fails raises ConventionError, naming the span
+vector, degree, sector and first defect coordinate.
+
+Which coordinates are kept is decided in one place (``_kept``), for the
+solve of C^p and for the check of a report's last images against the
+definition of C^{N+1}: module vector v at a monomial of weight bucket k,
+when v's key under the diagonal span vectors is the one k reads there.
 
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
@@ -146,10 +155,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
-from .errors import AlgebraMismatch, ConventionError
+from .errors import AlgebraMismatch, ConventionError, DimensionMismatch
 from .linalg import (
     RowMatrix, Scalar, SparseMatrix, _add_scaled, _exact, kernel_basis_with_free, rank
 )
@@ -341,6 +350,8 @@ class RelativePair:
         """Degree p, built in one pass from degree p - 1 (``monomial_steps``):
         parity is the parent's plus the last factor's, and so is the weight
         key, on first read."""
+        if p < 0:
+            raise DimensionMismatch("negative exterior degree")
         degrees, qpar = self._degrees, self.quotient_parities
         while len(degrees) <= p:
             below = degrees[-1]
@@ -623,12 +634,13 @@ class RelativeComplex:
         keys = [tuple(m_actions[i].entry(v, v) for i in self.diag_idx) for v in range(m.dim)]
         for v, key in enumerate(keys):
             self.m_buckets.setdefault(key, []).append(v)
-        # where diag_idx sits in a monomial weight key (``_kept_vectors``)
+        # where diag_idx sits in a monomial weight key (``_kept``)
         self._key_pos = [pair.diagonal.index(i) for i in self.diag_idx]
 
         self.constraint_plan = self._plan_reduction()
-        # the blocks of M that the solve is split by (``_units``); with no
-        # constraint there is nothing to solve, and no split
+        # the blocks of M that the solve is split by, and which of them share
+        # a solve (``_units``); with no constraint there is nothing to
+        # solve, and no split
         self._blocks = self._split(keys) if self.nondiag_idx else None
         self._spaces: dict[int, CochainSpace] = {}
         self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
@@ -686,12 +698,16 @@ class RelativeComplex:
         Every block spans an h-submodule, so Hom_h(L^p, M) is the direct sum
         over blocks and every cut matrix is block-diagonal.  Returns the
         block of each module vector and, per block, its class and the parity
-        of its first vector; or None when no two blocks are of one class,
+        of its first vector when another block is of its class (a shared
+        block), None otherwise; or None when no two blocks are of one class,
         and so no solve can be shared.  Two blocks are of one class when the
         order-preserving bijection between them keeps the parities relative
         to the first vector, the diagonal weight keys and every non-diagonal
         action entry; with an odd span vector among the constraints, whose
-        sign depends on the sector, it must keep the first parity too.
+        sign depends on the sector, it must keep the first parity too.  So
+        two blocks of one class keep the same number of coordinates of a
+        degree, in sectors of the same relative parity, and whether a block
+        is shared does not depend on the degree.
         """
         n, par = self.m.dim, self.m.parities
         cols = [self.m_action_cols[i] for i in self.nondiag_idx]
@@ -730,7 +746,10 @@ class RelativeComplex:
                 tuple(tuple(sorted((at[v2], a) for v2, a in by_v[v].items())) for by_v in cols for v in vs),
             )
             bases.append((classes.setdefault(signature, len(classes)), p0))
-        return (block_of, bases) if len(classes) < len(blocks) else None
+        if len(classes) == len(blocks):
+            return None
+        size = Counter(c for c, _ in bases)
+        return block_of, [base if size[base[0]] > 1 else None for base in bases]
 
     # -- cochain spaces --------------------------------------------------------
 
@@ -743,26 +762,49 @@ class RelativeComplex:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
         return self.pair.degree(p).monomials, self.pair.degree(p).parities
 
-    def _kept_vectors(self, key: tuple[Scalar, ...]) -> list[int]:
-        """The module vectors kept with the monomials of weight key ``key``:
-        those whose key under diag_idx is the monomial key read there."""
-        return self.m_buckets.get(tuple(key[j] for j in self._key_pos), [])
+    def _kept(
+        self, p: int, keys: Iterable[tuple[Scalar, ...]]
+    ) -> tuple[tuple[list[int], list[int]], list[tuple[Scalar, ...]]]:
+        """The kept coordinates of degree p on the monomials of the weight
+        buckets ``keys``, per sector and ascending, and the buckets among
+        ``keys`` that keep some.
+
+        A module vector is kept with the monomials of key k when its key
+        under diag_idx is the monomial key read there; the coordinate
+        x = w * dim M + v is in the sector of the parity of v plus that of w.
+        """
+        deg, n, m_par = self.pair.degree(p), self.m.dim, self.m.parities
+        kept: tuple[list[int], list[int]] = ([], [])
+        needed = []
+        for key in keys:
+            vs = self.m_buckets.get(tuple(key[j] for j in self._key_pos))
+            if vs:
+                needed.append(key)
+                for w in deg.buckets[key]:
+                    for v in vs:
+                        kept[(m_par[v] + deg.parities[w]) % 2].append(w * n + v)
+        for xs in kept:
+            xs.sort()
+        return kept, needed
 
     def _coordinate(self, p: int, x: int) -> tuple[int, tuple[int, ...]]:
         """Flat coordinate x of degree p as (module vector, monomial)."""
         w, v = divmod(x, self.m.dim)
         return v, self.pair.degree(p).monomials[w]
 
-    def _defect_columns(
-        self, p: int, i: int, lam_rows: dict[int, dict[int, Scalar]]
-    ) -> _DefectColumns:
-        """Defect columns of span vector i on the kept coordinates of degree p.
+    def _defect_columns(self, p: int, i: int, keys: Iterable[tuple[Scalar, ...]]) -> _DefectColumns:
+        """Defect columns of span vector i on the coordinates of degree p at
+        the monomials of the weight buckets ``keys``, whose action rows it
+        reads from the pair.
 
         The column of flat coordinate x = w * dim M + v is the defect of the
         unit cochain at (v, w): its module part, with the sign of an odd
         span vector acting on an odd map folded in, then its exterior-power
         part, which does not depend on the sector.
         """
+        lam_rows: dict[int, dict[int, Scalar]] = {}
+        for k in keys:
+            lam_rows.update(self.pair.action_rows(p, i, k))
         n = self.m.dim
         cols = self.m_action_cols[i]
         odd_vector = self.pair.h.vector_parities[i]
@@ -780,65 +822,58 @@ class RelativeComplex:
         return _DefectColumns(build)
 
     def _units(
-        self, kept_pair: list[list[int]]
-    ) -> list[list[tuple[tuple[int, int] | None, list[int]]]]:
-        """Per sector, the units the solve runs on, each (key, coordinates),
-        the coordinates ascending.
+        self, kept_pair: tuple[list[int], list[int]]
+    ) -> list[tuple[tuple[int, int] | None, int, list[int]]]:
+        """The units the solve runs on, each (key, sector, coordinates), the
+        even sector's first and the coordinates of each ascending.
 
-        The kept coordinates of a sector on one block of M pose a system of
-        their own, keyed by the block's class and the sector relative to the
-        parity of the block's first vector: units with one key pose the same
-        system.  A unit whose key no other unit of the degree has gains
-        nothing from being solved alone, so those of a sector are solved
-        together, as one unit keyed None; so is a whole sector when no two
-        blocks are of one class.
+        The kept coordinates of a sector on one shared block of M (``_split``)
+        pose a system of their own, keyed by the block's class and the sector
+        relative to the parity of the block's first vector: units with one
+        key, in either sector, pose the same system.  The coordinates of a
+        sector on the blocks that share with none are solved together, as one
+        unit keyed None after the sector's keyed units; so is a whole sector
+        when no two blocks are of one class.
         """
         if self._blocks is None:
-            return [[(None, kept)] if kept else [] for kept in kept_pair]
+            return [(None, sector, kept) for sector, kept in enumerate(kept_pair) if kept]
         (block_of, bases), n = self._blocks, self.m.dim
-        by_block_pair = []
-        for kept in kept_pair:
-            by_block: dict[int, list[int]] = {}
+        units = []
+        for sector, kept in enumerate(kept_pair):
+            # shared block -> its coordinates, None -> those of the others
+            by_block: dict[int | None, list[int]] = {}
             for x in kept:
-                by_block.setdefault(block_of[x % n], []).append(x)
-            by_block_pair.append(by_block)
-        keyed = [
-            [((bases[b][0], sector ^ bases[b][1]), xs) for b, xs in by_block.items()]
-            for sector, by_block in enumerate(by_block_pair)
-        ]
-        count = Counter(key for units in keyed for key, _ in units)
-        out = []
-        for kept, units in zip(kept_pair, keyed):
-            shared = [(key, xs) for key, xs in units if count[key] > 1]
-            if len(shared) < len(units):
-                rest = sorted(x for key, xs in units if count[key] == 1 for x in xs)
-                shared.append((None, rest if shared else kept))
-            out.append(shared)
-        return out
+                b = block_of[x % n]
+                by_block.setdefault(b if bases[b] else None, []).append(x)
+            rest = by_block.pop(None, None)
+            units += [((bases[b][0], sector ^ bases[b][1]), sector, xs) for b, xs in by_block.items()]
+            if rest:
+                units.append((None, sector, rest))
+        return units
 
     def _impose(
         self,
         constraint_ids: list[int],
         columns_by_id: dict[int, _DefectColumns],
-        units: list[tuple[tuple[int, int] | None, list[int]]],
-        solved: dict[tuple[int, int], tuple[list, list[dict], list]],
-    ) -> tuple[list[dict[int, int]], list[int]]:
-        """Cut the kept coordinates of one sector by the listed equivariance
+        units: list[tuple[tuple[int, int] | None, int, list[int]]],
+    ) -> tuple[tuple[list[dict[int, int]], list[int]], tuple[list[dict[int, int]], list[int]]]:
+        """Cut the kept coordinates of both sectors by the listed equivariance
         constraints, one unit at a time.
 
-        A unit (key, kept) holds kept coordinates on one block of M, or on
-        several (key None), ascending (``_units``).  Its unit cochains are
-        cut by ``_cut``, unless a unit with the same key, which poses the
-        same system on the same monomials, is in ``solved``: then that
-        result is relabelled.  The bijection sigma between the two blocks
-        keeps the order by (w, v), so it maps the i-th kept coordinate of
-        the one unit to the i-th of the other.  A keyed unit solved here goes
-        into ``solved`` as (kept coordinates, vectors, anchors), all on flat
-        coordinates.  Returns the vectors of all units and their anchors,
-        in the order of the anchors.
+        A unit (key, sector, kept) holds kept coordinates of one sector on one
+        block of M, or on several (key None), ascending (``_units``).  Its
+        unit cochains are cut by ``_cut``, unless a unit with the same key,
+        which poses the same system on the same monomials, was solved before
+        it: then that result is relabelled, from the even sector's where the
+        two sectors share.  The bijection sigma between the two blocks keeps
+        the order by (w, v), so it maps the i-th kept coordinate of the one
+        unit to the i-th of the other.  Returns per sector the vectors of its
+        units and their anchors, in the order of the anchors.
         """
-        results = []
-        for key, kept in units:
+        # key -> (kept coordinates, vectors, anchors) of the unit solved
+        solved: dict[tuple[int, int], tuple[list[int], list[dict[int, int]], list[int]]] = {}
+        parts: tuple[list, list] = ([], [])  # per sector, (anchor, vector)
+        for key, sector, kept in units:
             hit = solved.get(key)
             if hit is None:
                 vectors, free = _cut(constraint_ids, columns_by_id, [{x: 1} for x in kept], kept)
@@ -847,82 +882,56 @@ class RelativeComplex:
             else:
                 coords, vectors, free = hit
                 vectors, free = _relabel(vectors, free, dict(zip(coords, kept)))
-            results.append((vectors, free))
-        if len(results) == 1:
-            return results[0]
-        parts = sorted(
-            (pair for vectors, free in results for pair in zip(free, vectors)), key=itemgetter(0)
-        )
-        return [phi for _, phi in parts], [x for x, _ in parts]
+            parts[sector].extend(zip(free, vectors))
+        for pairs in parts:
+            pairs.sort(key=itemgetter(0))
+        return tuple(([phi for _, phi in pairs], [x for x, _ in pairs]) for pairs in parts)
 
     def space(self, p: int) -> CochainSpace:
+        """C^p(g, h; M), solved on first use and cached.
+
+        Both sectors are solved in one pass over the units (``_units``,
+        ``_impose``), by the plan first.  Every basis vector is then checked
+        exactly against every non-diagonal span vector, sectors in order and
+        each in the order of its anchors (on its integer multiple: scaling
+        keeps a zero defect zero).  When some defect is nonzero and the plan
+        is not the full list of non-diagonal span vectors, both sectors are
+        solved again by that list and checked in turn; a basis that still
+        fails raises ConventionError with the first witness.  With no constraint every kept coordinate is
+        its own basis vector.
+        """
         if p in self._spaces:
             return self._spaces[p]
-        monos, mono_par = self.monomials(p)
-        n = self.m.dim
-        # kept coordinates x = w * dim M + v, ascending (by monomial, then
-        # module vector): the monomials of each weight bucket with the
-        # module vectors it keeps (``_kept_vectors``); the constraints read
-        # action rows only in the buckets that keep some
-        kept_pair: list[list[int]] = [[], []]
-        needed = []
-        for key, ts in self.pair.degree(p).buckets.items():
-            vs = self._kept_vectors(key)
-            if vs:
-                needed.append(key)
-                for w in ts:
-                    for v in vs:
-                        kept_pair[(self.m.parities[v] + mono_par[w]) % 2].append(w * n + v)
-        for kept in kept_pair:
-            kept.sort()
-        lam_rows_by_id: dict[int, dict[int, dict[int, Scalar]]] = {}
-        for i in self.nondiag_idx:
-            lam_rows = lam_rows_by_id[i] = {}
-            for k in needed:
-                lam_rows.update(self.pair.action_rows(p, i, k))
-        # per sector, (numerators, anchors)
-        solutions: list[tuple[list[dict[int, int]], list[int]]] = []
-        # the keyed units solved so far, as (kept coordinates, vectors,
-        # anchors): the even sector's vectors are its stored numerators, and
-        # the odd sector relabels them
-        accepted: dict[tuple[int, int], tuple[list[int], list[dict[int, int]], list[int]]] = {}
-        units_pair = self._units(kept_pair)
-        for sector, kept in enumerate(kept_pair):
-            if not self.nondiag_idx:  # nothing to solve: one vector per coordinate
-                solutions.append(([{x: 1} for x in kept], kept))
-                continue
-            # one set of defect columns per span vector, shared by the plan,
-            # the full solve and the re-verification; a coordinate belongs
-            # to one sector, so each sector builds its own
-            columns_by_id = {
-                i: self._defect_columns(p, i, lam_rows_by_id[i]) for i in self.nondiag_idx
-            }
-            # the plan, then the full solve; either must pass the exact
-            # re-verification of every constraint on every basis vector (on
-            # its integer multiple: scaling keeps a zero defect zero)
-            for plan in (self.constraint_plan, self.nondiag_idx):
-                solved = dict(accepted)
-                candidates, free = self._impose(plan, columns_by_id, units_pair[sector], solved)
-                witness = next((
-                    (i, defect) for phi in candidates for i in self.nondiag_idx
-                    if (defect := _defect(columns_by_id[i], phi))
-                ), None)
-                if witness is None:
-                    break
-            else:
-                i, defect = witness
-                x, c = next(iter(defect.items()))
-                raise ConventionError(
-                    f"cochain basis fails equivariance under span vector {i} of h "
-                    f"(degree {p}, sector {sector}) at coordinate {self._coordinate(p, x)} "
-                    f"with defect {c}"
-                )
-            solutions.append((candidates, free))
-            accepted = solved
+        deg = self.pair.degree(p)
+        kept_pair, needed = self._kept(p, deg.buckets)
+        # one set of defect columns per span vector, shared by both sectors,
+        # the plan, the full solve and the re-verification
+        columns_by_id = {i: self._defect_columns(p, i, needed) for i in self.nondiag_idx}
+        units = self._units(kept_pair)
+        plans = [self.constraint_plan]
+        if self.constraint_plan != self.nondiag_idx:
+            plans.append(self.nondiag_idx)
+        for plan in plans:
+            solutions = self._impose(plan, columns_by_id, units)
+            witness = next((
+                (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
+                for phi in vectors for i in self.nondiag_idx
+                if (defect := _defect(columns_by_id[i], phi))
+            ), None)
+            if witness is None:
+                break
+        else:
+            sector, i, defect = witness
+            x, c = next(iter(defect.items()))
+            raise ConventionError(
+                f"cochain basis fails equivariance under span vector {i} of h "
+                f"(degree {p}, sector {sector}) at coordinate {self._coordinate(p, x)} "
+                f"with defect {c}"
+            )
         numerators_pair, free_pair = zip(*solutions)
         # a numerator's scale is its value at its anchor
         scales_pair = tuple([phi[x] for phi, x in zip(*sol)] for sol in solutions)
-        self._spaces[p] = CochainSpace(p, monos, free_pair, numerators_pair, scales_pair)
+        self._spaces[p] = CochainSpace(p, deg.monomials, free_pair, numerators_pair, scales_pair)
         return self._spaces[p]
 
     # -- differential ----------------------------------------------------------
@@ -1076,14 +1085,15 @@ class RelativeComplex:
         x = w * dim M + v of degree p + 1.  Expanding in a basis is
         injective, so their rank is the block's.  Each image is checked
         against the definition of C^{p+1}: every coordinate must be a kept
-        coordinate of the sector, or ``_expand``'s ConventionError names the
-        first that is not, and its defect under every non-diagonal span
-        vector must vanish, or a ConventionError names the span vector and
-        the first defect coordinate, span vectors taken in order.  Both
-        values are divided by the source scale, so they are those of d on
-        the basis vector.  Degree p + 1's
-        weight keys are read only when some image is nonzero, and its action
-        rows only in the buckets the images touch.
+        coordinate of the sector, by the rule ``space`` solves C^{p+1} on
+        (``_kept``), or ``_expand``'s ConventionError names the first that
+        is not, and its defect under every non-diagonal span vector must
+        vanish, or a ConventionError names the span vector and the first
+        defect coordinate, span vectors taken in order.  Both values are
+        divided by the source scale, so they are those of d on the basis
+        vector.  Degree p + 1's weight keys are read only when some image is
+        nonzero, and its action rows (``_defect_columns``) only in the
+        buckets the images touch that keep some coordinate.
         """
         src = self.space(p)
         n = self.m.dim
@@ -1097,18 +1107,13 @@ class RelativeComplex:
         if not images:
             return 0
         deg = self.pair.degree(p + 1)
-        keys, mono_par, m_par = deg.weight_keys, deg.parities, self.m.parities
-        # weight bucket of degree p + 1 -> the module vectors kept with it,
-        # for the buckets the images touch
-        kept: dict[tuple[Scalar, ...], frozenset[int]] = {}
+        # the kept coordinates of the sector in the buckets the images touch
+        touched = dict.fromkeys(deg.weight_keys[x // n] for image in images for x in image)
+        kept_pair, needed = self._kept(p + 1, touched)
+        kept = set(kept_pair[sector])
         for image, s in zip(images, scales):
             for x, c in image.items():
-                w, v = divmod(x, n)
-                key = keys[w]
-                vs = kept.get(key)
-                if vs is None:
-                    vs = kept[key] = frozenset(self._kept_vectors(key))
-                if v not in vs or (m_par[v] + mono_par[w]) % 2 != sector:
+                if x not in kept:
                     raise ConventionError(
                         "differential image escapes the equivariant span "
                         f"(degree {p + 1}, sector {sector}) at coordinate "
@@ -1116,10 +1121,7 @@ class RelativeComplex:
                     )
         # one span vector at a time, so only its defect columns are held
         for i in self.nondiag_idx:
-            lam_rows: dict[int, dict[int, Scalar]] = {}
-            for k in kept:
-                lam_rows.update(self.pair.action_rows(p + 1, i, k))
-            columns = self._defect_columns(p + 1, i, lam_rows)
+            columns = self._defect_columns(p + 1, i, needed)
             for image, s in zip(images, scales):
                 defect = _defect(columns, image)
                 if defect:

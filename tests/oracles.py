@@ -120,14 +120,10 @@ def whole_sector_space(cx, p: int):
             for w in ts:
                 for v in vs:
                     kept[(cx.m.parities[v] + mono_par[w]) % 2].append(w * n + v)
-    lam_rows_by_id = {i: {} for i in cx.nondiag_idx}
-    for i, rows in lam_rows_by_id.items():
-        for key in needed:
-            rows.update(cx.pair.action_rows(p, i, key))
     out = []
     for sector in (0, 1):
         coords = sorted(kept[sector])
-        columns = {i: cx._defect_columns(p, i, lam_rows_by_id[i]) for i in cx.nondiag_idx}
+        columns = {i: cx._defect_columns(p, i, needed) for i in cx.nondiag_idx}
         for plan in (cx.constraint_plan, cx.nondiag_idx):
             candidates, free = _cut(plan, columns, [{x: 1} for x in coords], coords)
             if not any(_defect(columns[i], phi) for phi in candidates for i in cx.nondiag_idx):

@@ -60,7 +60,8 @@ def test_block_solve_matches_the_whole_sector_solve_on_the_growth_roster():
     g = build_q(2)
     cx = RelativeComplex(RelativePair(g, even_part_span(g)), tensor(dual(natural(g)), natural(g)))
     _, bases = cx._blocks
-    assert len({c for c, _ in bases}) < len(bases)
+    shared = [c for c, _ in filter(None, bases)]
+    assert len(set(shared)) < len(shared)
 
 
 def test_block_solve_matches_the_whole_sector_solve_on_the_ddzero_roster():
@@ -118,10 +119,11 @@ def test_odd_constraints_share_nothing_across_sectors(monkeypatch, module):
     shared = []
     impose = RelativeComplex._impose
 
-    def spy(self, constraint_ids, columns_by_id, units, solved):
-        # at entry, solved holds only the units of the sectors before
-        shared.extend(key for key, _ in units if key in solved)
-        return impose(self, constraint_ids, columns_by_id, units, solved)
+    def spy(self, constraint_ids, columns_by_id, units):
+        # the odd sector's units that take the key of an even sector's unit
+        even = {key for key, sector, _ in units if sector == 0 and key is not None}
+        shared.extend(key for key, sector, _ in units if sector == 1 and key in even)
+        return impose(self, constraint_ids, columns_by_id, units)
 
     monkeypatch.setattr(RelativeComplex, "_impose", spy)
     _assert_whole_sector(cx, 5)

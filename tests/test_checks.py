@@ -4,6 +4,7 @@ import pytest
 
 from supero.algebras import build_gl, build_q, even_part_span, special_linear_span
 from supero.checks import (
+    CountCertificate,
     GradingTorus,
     appendix_torus,
     check_positive_grading,
@@ -161,6 +162,17 @@ def test_count_rank2_vector_target():
     # root alpha1+alpha2 with value (1,1)
     assert count == 2
     assert cert.stable
+
+
+@pytest.mark.parametrize("family, params", [("gl", (1, 1)), ("q", (1,))])
+def test_count_without_roots_is_the_empty_monomial(family, params):
+    # gl(1|1) and q(1) have no positive even root, so the only monomial is 1
+    gt = appendix_torus(family, params)
+    roots = positive_even_roots(family, params)
+    assert roots == []
+    for target, want in ((0, 1), (2, 0), (F(1, 2), 0)):
+        count, cert = count_graded_monomials(gt, roots, target, 4)
+        assert (count, cert) == (want, CountCertificate(0, 0, 4, True, want)), target
 
 
 def test_count_refuses_without_positivity():

@@ -33,7 +33,7 @@ from supero.cohomology import (
     relative_ext,
 )
 from supero.cli import parse_rationals
-from supero.errors import AlgebraMismatch, ConventionError, NotASubalgebra
+from supero.errors import AlgebraMismatch, ConventionError, DimensionMismatch, NotASubalgebra
 from supero.linalg import SpanSolver, SparseMatrix
 from supero.reps import (
     adjoint,
@@ -102,6 +102,17 @@ def test_cochains_p0_are_invariants():
     g = build_gl(2, 1)
     sp = RelativeComplex(RelativePair(g, even_part_span(g)), trivial(g)).space(0)
     assert sp.dim == 1  # Hom_h(C, C)
+
+
+def test_negative_degree_raises():
+    # a list index of -1 would read the last degree built
+    g = build_gl(2, 1)
+    cx = RelativeComplex(RelativePair(g, even_part_span(g)), adjoint(g))
+    cx.space(2)
+    for call in (cx.pair.degree, cx.space, cx.ddzero):
+        with pytest.raises(DimensionMismatch, match="^negative exterior degree$"):
+            call(-1)
+    assert cx.report(-1).rows == []
 
 
 # --- differentials ----------------------------------------------------------

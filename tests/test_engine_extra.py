@@ -174,6 +174,90 @@ def test_unverified_basis_raises_after_the_full_solve(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_unverified_basis_is_solved_once_when_the_plan_is_full(monkeypatch):
+    # On a borel cell the plan already lists every non-diagonal span vector,
+    # so a basis that fails re-verification raises without the same solve
+    # being run again.
+    from supero import cohomology as engine
+    from supero.errors import ConventionError
+
+    def identity_kernel(mat):
+        return [({k: 1}, 1) for k in range(mat.cols)], list(range(mat.cols))
+
+    monkeypatch.setattr(engine, "kernel_basis_with_free", identity_kernel)
+    calls = []
+    impose = RelativeComplex._impose
+
+    def spy(self, *args):
+        calls.append(args[0])
+        return impose(self, *args)
+
+    monkeypatch.setattr(RelativeComplex, "_impose", spy)
+    g = build_gl(2, 1)
+    pair = RelativePair(g, named_subalgebra(g, "borel"))
+    cx = RelativeComplex(pair, adjoint(g))
+    assert cx.constraint_plan == cx.nondiag_idx
+    messages = {
+        0: "span vector 1 of h (degree 0, sector 0) at coordinate (1, ()) with defect -1",
+        1: "span vector 1 of h (degree 1, sector 0) at coordinate (0, (0,)) with defect 1",
+        2: "span vector 1 of h (degree 2, sector 0) at coordinate (8, (0, 2)) with defect -1",
+    }
+    for p, message in messages.items():
+        calls.clear()
+        cx = RelativeComplex(pair, adjoint(g))
+        with pytest.raises(ConventionError) as err:
+            cx.space(p)
+        assert str(err.value) == "cochain basis fails equivariance under " + message
+        assert calls == [cx.nondiag_idx], p
+    # a degree whose unconstrained basis happens to verify: one solve too
+    calls.clear()
+    cx = RelativeComplex(pair, adjoint(g))
+    cx.space(3)
+    assert calls == [cx.nondiag_idx]
+
+
+def test_space_solves_nothing_where_h_acts_diagonally(monkeypatch):
+    # On the ddzero cells where every span vector of h acts diagonally on
+    # g/h and on M (the torus cells, and a few more) there is no constraint:
+    # space(p) runs no kernel and keeps one unit vector per coordinate whose
+    # weights under h agree.
+    from supero import cohomology as engine
+
+    kernels = []
+    monkeypatch.setattr(engine, "kernel_basis_with_free", kernels.append)
+    cells = 0
+    for g in ddzero_algebras():
+        for _, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)
+            q = pair.quotient_rep
+            if not all(a.is_diagonal() for a in q.actions):
+                continue
+            q_wt = [tuple(a.entry(y, y) for a in q.actions) for y in range(len(pair.complement))]
+            for mod in coefficient_modules(g):
+                m_actions = [mod.action_of_vector(vec) for vec in h.vectors]
+                if not all(a.is_diagonal() for a in m_actions):
+                    continue
+                cells += 1
+                cx = RelativeComplex(pair, mod)
+                assert cx.nondiag_idx == []
+                m_wt = [tuple(a.entry(v, v) for a in m_actions) for v in range(mod.dim)]
+                for p in range(5):
+                    want = ([], [])
+                    for w, mo in enumerate(pair.degree(p).monomials):
+                        wt = tuple(sum(q_wt[y][i] for y in mo) for i in range(h.dim))
+                        par = sum(pair.quotient_parities[y] for y in mo)
+                        for v in range(mod.dim):
+                            if m_wt[v] == wt:
+                                want[(mod.parities[v] + par) % 2].append(w * mod.dim + v)
+                    sp = cx.space(p)
+                    for s in (0, 1):
+                        where = (g.name, h.label, mod.name, p, s)
+                        assert sp.free_coords[s] == want[s], where
+                        assert sp.numerators[s] == [{x: 1} for x in want[s]], where
+                        assert sp.scales[s] == [1] * len(want[s]), where
+    assert cells == 40 and kernels == []
+
+
 def test_coefficients_given_by_rational_matrices(monkeypatch):
     # M^D: adjoint(gl(2|1)) conjugated by a diagonal rational matrix D, an
     # isomorphic module whose action entries are Fractions, so defects hold

@@ -175,7 +175,7 @@ def test_defect_witness_is_unscaled():
     )
     assert got
     i, v2, w2 = int(got[1]), int(got[2]), deg.index[ast.literal_eval(got[3])]
-    columns = cx._defect_columns(p + 1, i, cx.pair.action_rows(p + 1, i, deg.weight_keys[w]))
+    columns = cx._defect_columns(p + 1, i, [deg.weight_keys[w]])
     unit = engine._defect(columns, {x: 1})
     assert unit and F(got[4]) == F(unit[w2 * n + v2], scale)
 
