@@ -897,8 +897,8 @@ class RelativeComplex:
         keeps a zero defect zero).  When some defect is nonzero and the plan
         is not the full list of non-diagonal span vectors, both sectors are
         solved again by that list and checked in turn; a basis that still
-        fails raises ConventionError with the first witness.  With no constraint every kept coordinate is
-        its own basis vector.
+        fails raises ConventionError with the first witness.  With no
+        constraint every kept coordinate is its own basis vector.
         """
         if p in self._spaces:
             return self._spaces[p]
