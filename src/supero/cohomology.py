@@ -22,8 +22,9 @@ built only for the monomials that d reads.
 grouped by weight, which pick the kept monomial buckets; the constraint
 plan, the equivariant bases, the differential matrices and the
 report.  One pair serves any number of coefficient modules, and a complex
-asks the pair only for the action rows of its non-diagonal span vectors, in
-the buckets that hold its kept monomials.  A span vector that shifts every
+asks the pair only for the action rows of the span vectors it imposes or
+checks (every non-diagonal one only once a check fails), in the buckets
+that hold its kept monomials.  A span vector that shifts every
 weight by the same amount (``shift``) reaches bucket k only from bucket
 k - shift, so only those monomials are acted on; for one that does not,
 every monomial is a source, and one pass builds the rows of every bucket.
@@ -118,12 +119,22 @@ by paired root vectors (a reductive situation), a weight-zero map killed
 by the simple positive root vectors is automatically killed by all of h's
 even part.  The plan (``constraint_plan``) lists the span vectors whose
 constraints are imposed, in order.  Every returned basis vector of both
-sectors, relabelled ones included, is re-verified against every constraint
-exactly, the even sector first and each in the order of its anchors.  On
-any failure, and when the plan drops some span vector, both sectors are
-solved again by all of them, unit by unit as the plan was, and re-verified
-in turn; a basis that still fails raises ConventionError, naming the span
-vector, degree, sector and first defect coordinate.
+sectors, relabelled ones included, is re-verified exactly, the even sector
+first and each in the order of its anchors, against the check list
+(``check_idx``): the plan, plus non-diagonal span vectors picked greedily
+until single-term brackets of h carry the checks to all the rest
+(``RelativePair.check_list``).  That is as exact as a check against every
+non-diagonal span vector.  Each bracket [b_a, b_b] = v b_k it uses is
+checked exactly to hold on g/h and on M, so it holds on L^p_s(g/h) and, up
+to the sign (-1)^{|a||b|}, on the defect operators of Hom(L^p_s(g/h), M);
+a kept coordinate is killed by every diagonal span vector, so a cochain of
+one map parity killed by b_a and b_b is killed by b_k.  Where some check
+fails, or no bracket helps, the list is every non-diagonal span vector.  On
+any failure under the list, the witness is the first defect in the order of
+all non-diagonal span vectors, and, when the plan drops some span vector,
+both sectors are solved again by all of them, unit by unit as the plan was,
+and re-verified in turn; a basis that still fails raises ConventionError,
+naming the span vector, degree, sector and first defect coordinate.
 
 Which coordinates are kept is decided in one place (``_kept``), for the
 solve of C^p and for the check of a report's last images against the
@@ -143,8 +154,9 @@ the flat coordinates of degree N + 1, equal to that of their expansions
 because expanding is injective, and each image is checked against the
 definition of C^{N+1} instead of against a basis: every coordinate must be
 kept by the sector, or the escape error above is raised, and the defect
-under every non-diagonal span vector must vanish, or ConventionError names
-the span vector, coordinate and defect.
+under every span vector of the check list must vanish, or ConventionError
+names the first span vector, in the order of all non-diagonal ones, and
+its first defect coordinate and value.
 """
 
 from __future__ import annotations
@@ -172,6 +184,45 @@ from .reps import (
 )
 
 Cochain = dict[int, Scalar]  # flat coordinate w * dim M + v -> value
+Derivation = tuple[int, int, int, Scalar]  # (k, a, b, v): [b_a, b_b] = v b_k in h
+
+
+def _derive(rules: list[tuple[int, int, int, Scalar]], have: set[int]) -> list[Derivation]:
+    """The span vectors that the single-term brackets ``rules``, each
+    (a, b, k, v) with [b_a, b_b] = v b_k, reach from the span vectors
+    ``have``, as derivations (k, a, b, v) in the order reached: a and b
+    are in ``have`` or reached before k."""
+    have = set(have)
+    out: list[Derivation] = []
+    grown = True
+    while grown:
+        grown = False
+        for a, b, k, v in rules:
+            if k not in have and a in have and b in have:
+                have.add(k)
+                out.append((k, a, b, v))
+                grown = True
+    return out
+
+
+def _respects(
+    cols: list[list[dict[int, Scalar]]], par: tuple[int, ...], k: int, a: int, b: int, v: Scalar
+) -> bool:
+    """Exact check that the action whose columns per span vector are
+    ``cols`` takes [b_a, b_b] = v b_k to the supercommutator:
+    rho(a) rho(b) - (-1)^{|a||b|} rho(b) rho(a) = v rho(k), column by column."""
+    s = 1 if par[a] and par[b] else -1
+    ca, cb, ck = cols[a], cols[b], cols[k]
+    for u, col in enumerate(ck):
+        out: dict[int, Scalar] = {}
+        for w, c in cb[u].items():
+            _add_scaled(out, ca[w].items(), c)
+        for w, c in ca[u].items():
+            _add_scaled(out, cb[w].items(), s * c)
+        _add_scaled(out, col.items(), -v)
+        if out:
+            return False
+    return True
 
 
 class CochainSpace:
@@ -345,6 +396,7 @@ class RelativePair:
         self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
         self._groups: list[list[tuple[int, list[tuple[int, int, Scalar]]]]] | None = None
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
+        self._checks: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list[int], list[Derivation]]] = {}
 
     def degree(self, p: int) -> MonomialDegree:
         """Degree p, built in one pass from degree p - 1 (``monomial_steps``):
@@ -413,6 +465,48 @@ class RelativePair:
                 shifts = {tuple(0 for _ in self.diagonal)}
             self._shifts[i] = shifts.pop() if len(shifts) == 1 else None
         return self._shifts[i]
+
+    def check_list(self, diag_idx: list[int], plan: list[int]) -> tuple[list[int], list[Derivation]]:
+        """The non-diagonal span vectors whose equivariance checks are made,
+        given the span vectors ``diag_idx`` that filter coordinates and the
+        constraint plan, with the brackets that carry the checks to the
+        rest; cached per (diag_idx, plan).
+
+        Span vector k is derived when [b_a, b_b] = v b_k is a single term of
+        h's structure constants, with a and b diagonal, listed or derived
+        before k (``_derive``).  The list starts from the plan; while some
+        non-diagonal span vector is neither listed nor derived, it takes the
+        one whose addition derives the most, the lowest index on a tie.  It
+        comes back in index order with its derivations (k, a, b, v), each
+        checked exactly on g/h (``_respects``).  When nothing is derived, or
+        a check fails, the list is every non-diagonal span vector and there
+        are no derivations.
+        """
+        key = (tuple(diag_idx), tuple(plan))
+        hit = self._checks.get(key)
+        if hit is None:
+            h_alg, diag = self.quotient_rep.algebra, set(diag_idx)
+            nondiag = [i for i in range(h_alg.dim) if i not in diag]
+            rules = [
+                (a, b, *terms[0]) for a in range(h_alg.dim) for b in range(a, h_alg.dim)
+                if len(terms := h_alg.bracket_basis(a, b)) == 1 and terms[0][0] not in diag
+            ]
+            listed = set(plan)
+            derived = _derive(rules, diag | listed)
+            while len(listed) + len(derived) < len(nondiag):
+                reached = listed.union(k for k, _, _, _ in derived)
+                listed.add(max(
+                    (i for i in nondiag if i not in reached),
+                    key=lambda i: (len(_derive(rules, diag | listed | {i})), -i),
+                ))
+                derived = _derive(rules, diag | listed)
+            par = h_alg.parities
+            if derived and all(_respects(self._quotient_cols, par, *d) for d in derived):
+                hit = [i for i in nondiag if i in listed], derived
+            else:
+                hit = nondiag, []
+            self._checks[key] = hit
+        return hit
 
     def _projected_brackets(self) -> list[list[list[tuple[int, Scalar]]]]:
         """pi[lift(q_a), lift(q_b)] in quotient coordinates for every (a, b), cached.
@@ -554,6 +648,21 @@ def _defect(columns: _DefectColumns, phi: dict[int, int]) -> dict[int, Scalar]:
     return out
 
 
+def _first_defect(
+    solutions: tuple[tuple[list[dict[int, int]], list[int]], ...],
+    columns_by_id: dict[int, _DefectColumns],
+    ids: list[int],
+) -> tuple[int, int, dict[int, Scalar]] | None:
+    """The first (sector, span vector, defect) with a nonzero defect of a
+    solved vector under one of the span vectors ``ids``: sectors in
+    order, each vector in the order of its anchor, span vectors in the
+    order of ``ids``."""
+    return next((
+        (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
+        for phi in vectors for i in ids if (defect := _defect(columns_by_id[i], phi))
+    ), None)
+
+
 def _cut(
     constraint_ids: list[int],
     columns_by_id: dict[int, _DefectColumns],
@@ -638,6 +747,12 @@ class RelativeComplex:
         self._key_pos = [pair.diagonal.index(i) for i in self.diag_idx]
 
         self.constraint_plan = self._plan_reduction()
+        # the span vectors whose equivariance is checked: the rest follow by
+        # brackets that g/h respects (``check_list``) and, checked here, M
+        self.check_idx, derived = pair.check_list(self.diag_idx, self.constraint_plan)
+        par = h.vector_parities
+        if derived and not all(_respects(self.m_action_cols, par, *d) for d in derived):
+            self.check_idx = self.nondiag_idx
         # the blocks of M that the solve is split by, and which of them share
         # a solve (``_units``); with no constraint there is nothing to
         # solve, and no split
@@ -821,6 +936,16 @@ class RelativeComplex:
 
         return _DefectColumns(build)
 
+    def _add_columns(
+        self, columns_by_id: dict[int, _DefectColumns], p: int,
+        keys: list[tuple[Scalar, ...]], ids: list[int],
+    ) -> None:
+        """Put the defect columns of each span vector of ``ids`` that lacks
+        them into ``columns_by_id`` (``_defect_columns``)."""
+        for i in ids:
+            if i not in columns_by_id:
+                columns_by_id[i] = self._defect_columns(p, i, keys)
+
     def _units(
         self, kept_pair: tuple[list[int], list[int]]
     ) -> list[tuple[tuple[int, int] | None, int, list[int]]]:
@@ -892,34 +1017,38 @@ class RelativeComplex:
 
         Both sectors are solved in one pass over the units (``_units``,
         ``_impose``), by the plan first.  Every basis vector is then checked
-        exactly against every non-diagonal span vector, sectors in order and
-        each in the order of its anchors (on its integer multiple: scaling
-        keeps a zero defect zero).  When some defect is nonzero and the plan
-        is not the full list of non-diagonal span vectors, both sectors are
-        solved again by that list and checked in turn; a basis that still
-        fails raises ConventionError with the first witness.  With no
-        constraint every kept coordinate is its own basis vector.
+        exactly against every span vector of the check list (``check_idx``),
+        sectors in order and each in the order of its anchors (on its
+        integer multiple: scaling keeps a zero defect zero).  When some
+        defect is nonzero, the witness is the first under every non-diagonal
+        span vector, in the same order; and when the plan is not the full
+        list of non-diagonal span vectors, both sectors are solved again by
+        that list and checked in turn.  A basis that still fails raises
+        ConventionError with the witness.  With no constraint every kept
+        coordinate is its own basis vector.
         """
         if p in self._spaces:
             return self._spaces[p]
         deg = self.pair.degree(p)
         kept_pair, needed = self._kept(p, deg.buckets)
         # one set of defect columns per span vector, shared by both sectors,
-        # the plan, the full solve and the re-verification
-        columns_by_id = {i: self._defect_columns(p, i, needed) for i in self.nondiag_idx}
+        # the plan, the full solve and the re-verification, each built on
+        # first use: off the plan and the check list, only once a check fails
+        columns_by_id: dict[int, _DefectColumns] = {}
         units = self._units(kept_pair)
         plans = [self.constraint_plan]
         if self.constraint_plan != self.nondiag_idx:
             plans.append(self.nondiag_idx)
         for plan in plans:
+            self._add_columns(columns_by_id, p, needed, plan + self.check_idx)
             solutions = self._impose(plan, columns_by_id, units)
-            witness = next((
-                (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
-                for phi in vectors for i in self.nondiag_idx
-                if (defect := _defect(columns_by_id[i], phi))
-            ), None)
+            witness = _first_defect(solutions, columns_by_id, self.check_idx)
             if witness is None:
                 break
+            if len(self.check_idx) < len(self.nondiag_idx):
+                # the witness is the first in nondiag_idx order
+                self._add_columns(columns_by_id, p, needed, self.nondiag_idx)
+                witness = _first_defect(solutions, columns_by_id, self.nondiag_idx)
         else:
             sector, i, defect = witness
             x, c = next(iter(defect.items()))
@@ -1087,9 +1216,10 @@ class RelativeComplex:
         against the definition of C^{p+1}: every coordinate must be a kept
         coordinate of the sector, by the rule ``space`` solves C^{p+1} on
         (``_kept``), or ``_expand``'s ConventionError names the first that
-        is not, and its defect under every non-diagonal span vector must
-        vanish, or a ConventionError names the span vector and the first
-        defect coordinate, span vectors taken in order.  Both values are
+        is not, and its defect under every span vector of the check list
+        must vanish, or a ConventionError names the first span vector, in
+        the order of all non-diagonal ones, under which some image fails,
+        and that image's first defect coordinate.  Both values are
         divided by the source scale, so they are those of d on the basis
         vector.  Degree p + 1's weight keys are read only when some image is
         nonzero, and its action rows (``_defect_columns``) only in the
@@ -1120,18 +1250,29 @@ class RelativeComplex:
                         f"{self._coordinate(p + 1, x)} with residual {_exact(Fraction(c, s))}"
                     )
         # one span vector at a time, so only its defect columns are held
+        for i in self.check_idx:
+            columns = self._defect_columns(p + 1, i, needed)
+            if any(_defect(columns, image) for image in images):
+                break
+        else:
+            return rank(RowMatrix(images, len(deg.monomials) * n))
+        # some image fails: the witness is the first in nondiag_idx order,
+        # which reaches the span vector that failed
         for i in self.nondiag_idx:
             columns = self._defect_columns(p + 1, i, needed)
-            for image, s in zip(images, scales):
-                defect = _defect(columns, image)
-                if defect:
-                    x, c = next(iter(defect.items()))
-                    raise ConventionError(
-                        f"differential image fails equivariance under span vector {i} of h "
-                        f"(degree {p + 1}, sector {sector}) at coordinate "
-                        f"{self._coordinate(p + 1, x)} with defect {_exact(Fraction(c, s))}"
-                    )
-        return rank(RowMatrix(images, len(deg.monomials) * n))
+            witness = next((
+                (defect, s) for image, s in zip(images, scales)
+                if (defect := _defect(columns, image))
+            ), None)
+            if witness:
+                break
+        defect, s = witness
+        x, c = next(iter(defect.items()))
+        raise ConventionError(
+            f"differential image fails equivariance under span vector {i} of h "
+            f"(degree {p + 1}, sector {sector}) at coordinate "
+            f"{self._coordinate(p + 1, x)} with defect {_exact(Fraction(c, s))}"
+        )
 
     def report(self, max_degree: int) -> CohomologyReport:
         """H^p for p <= max_degree.  Below the last degree the ranks come from

@@ -2,9 +2,9 @@
 (a container with no product or sum of its own), the super Jacobi
 identity on sparse vectors, the normal-form monomials of a super
 exterior power listed without the degree-by-degree walk, the
-constraint solve of a cochain space run on each sector whole, and a
+constraint solve of a cochain space run on each sector whole, a
 report whose last rank is read off d expanded in the basis of the
-degree above."""
+degree above, and the subalgebra that some basis vectors of h generate."""
 
 import itertools
 
@@ -157,3 +157,26 @@ def report_through_the_next_space(cx, max_degree: int) -> dict:
         prev = ranks
     report = CohomologyReport(cx.pair.g.name, cx.pair.h.label, cx.m.name, max_degree, rows, all_zero)
     return report.to_json_dict()
+
+
+def generated_span_vectors(h_alg, generators) -> set[int]:
+    """The basis vectors of the Lie superalgebra ``h_alg`` that lie in the
+    subalgebra generated by its basis vectors ``generators``: the span of
+    the generators, grown by the bracket of every two spanning vectors
+    that ``SpanSolver`` finds outside it until none is, with no rule about
+    which brackets are single terms."""
+    from supero.linalg import SpanSolver
+
+    span = [{i: 1} for i in generators]
+    solver = SpanSolver(span)
+    grown = True
+    while grown:
+        grown = False
+        for x in list(span):
+            for y in list(span):
+                z = h_alg.bracket_sparse(x, y)
+                if z and solver.reduce(z)[0]:
+                    span.append(z)
+                    solver = SpanSolver(span)
+                    grown = True
+    return {k for k in range(h_alg.dim) if not solver.reduce({k: 1})[0]}

@@ -63,21 +63,22 @@ def test_top_differential_nonzero_on_the_odd_sector_only():
     assert not report.all_differentials_zero
 
 
-def _flip_one_action_sign(pair: RelativePair, cx: RelativeComplex, p: int) -> None:
+def _flip_one_action_sign(pair: RelativePair, cx: RelativeComplex, p: int, last: bool = False) -> None:
     """Flip the sign of one action term of d at a monomial w of degree p in
     the support of a basis numerator of C^p, one whose module action is
-    nonzero at the numerator's module vector there."""
-    for sector in (0, 1):
-        for phi in cx.space(p).numerators[sector]:
-            for x in phi:
-                w, v = divmod(x, cx.m.dim)
-                bracket, action = pair.source_maps(p, w)
-                for j, (y, t1, sgn) in enumerate(action):
-                    if cx.m_cols_by_complement[y][v]:
-                        action = [*action[:j], (y, t1, -sgn), *action[j + 1 :]]
-                        pair._sources[p][w] = (bracket, action)
-                        return
-    raise AssertionError("no action term to break")
+    nonzero at the numerator's module vector there: the first such term,
+    sectors, numerators and coordinates in order, or with ``last`` the last."""
+    terms = [
+        (w, j) for sector in (0, 1) for phi in cx.space(p).numerators[sector]
+        for w, v in (divmod(x, cx.m.dim) for x in phi)
+        for j, (y, _, _) in enumerate(pair.source_maps(p, w)[1]) if cx.m_cols_by_complement[y][v]
+    ]
+    if not terms:
+        raise AssertionError("no action term to break")
+    w, j = terms[-1 if last else 0]
+    bracket, action = pair.source_maps(p, w)
+    y, t1, sgn = action[j]
+    pair._sources[p][w] = (bracket, [*action[:j], (y, t1, -sgn), *action[j + 1 :]])
 
 
 FAILS = (
