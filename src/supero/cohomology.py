@@ -41,14 +41,14 @@ arrive as ``SparseMatrix`` columns and the projected brackets from
 ``SubalgebraSpan.project``, all already under it, so this module converts
 nothing on the way in.  It applies ``linalg._exact`` only where it makes
 a new value that may be an integral ``Fraction``: the divisions by anchor
-values.  The constraint solve runs on integer cochains: each basis vector
-is kept as its primitive integer multiple (``numerators``) and its value
-at its anchor (``scales``), and the public ``basis`` divides the one by
-the other.  The differential
-layer works on the numerators too: ``apply_differential`` acts on them,
-``_expand`` checks an image against them in integers, scaled by the lcm
-of the scales, and d o d = 0 combines their images.  Values are divided
-only where they leave that layer: the entries of ``differential(p)`` by
+values and the bracket terms of d summed per target.  The constraint
+solve runs on integer cochains: each basis vector is kept as its
+primitive integer multiple (``numerators``) and its value at its anchor
+(``scales``), and the public ``basis`` divides the one by the other.  The
+differential layer works on the numerators too: ``apply_differential``
+acts on them, ``_expand`` checks an image against them in integers,
+scaled by the lcm of the scales, and d o d = 0 combines their images.
+Values are divided only where they leave that layer: the entries of ``differential(p)`` by
 the source scale, and a ``ConventionError`` residual by the lcm, or, at a
 report's last degree, by the source scale.
 
@@ -72,7 +72,10 @@ even factors precede odd ones.  A factor x goes in at the bisect of its
 rank among the ranks of w; x ^ w is (-1)^pos t1 for even x (zero when x is
 already in w) and (-1)^(even factors of w) t1 for odd x.  In a monomial
 t1, the odd factors before position i number max(0, i - even factors of
-t1), which is the prefix sum in s(i, j).
+t1), which is the prefix sum in s(i, j).  The c copies of an odd x in
+x ^ w give c equal terms of the second sum, so each (x, t1) is stored
+once with the signed multiplicity; the terms of the first sum that reach
+one t1 are stored as their sum.
 
 Cochain bases are found as the simultaneous kernel of the equivariance
 constraints, cut one span vector at a time.  The candidates start as one
@@ -544,12 +547,13 @@ class RelativePair:
         degree p, built on first use and cached per (p, w).
 
         Bracket terms (t1, coeff): phi(w) contributes coeff * phi(w) to
-        (d phi)(monomial t1 of degree p+1), one term per pair of positions
-        i < j of t1 whose projected bracket holds the factor inserted into
-        the rest.  Action terms (x, t1, sign): the lift of quotient basis
-        vector x acts on phi(w) and lands at t1 = x ^ w, once per position
-        of x in t1.  Both lists follow the position order of the formula in
-        the module docstring: (t1, i, j, term of pi) and (t1, i).
+        (d phi)(monomial t1 of degree p+1), one term per target t1, summed
+        over the pairs of positions i < j of t1 whose projected bracket
+        holds the factor inserted into the rest; a zero sum has no term.
+        Action terms (x, t1, m): the lift of quotient basis vector x acts on
+        phi(w) and lands at t1 = x ^ w, with m the sign times the number of
+        copies of x in t1, since every copy gives the same term.  Both lists
+        ascend by t1.
 
         Signs and insertion points are read from positions in the normal
         form (see the module docstring), with no product of monomials.
@@ -567,18 +571,19 @@ class RelativePair:
         action: list[tuple[int, int, int]] = []
         for x, px in enumerate(qpar):
             i = bisect_left(ranks_w, rank[x])
-            if px:  # passes every even factor; one term per copy in t1
-                sgn, copies = -1 if even_w % 2 else 1, mo_w.count(x) + 1
+            if px:  # passes every even factor; one equal term per copy in t1
+                m = (-1 if even_w % 2 else 1) * (mo_w.count(x) + 1)
             elif i == p or mo_w[i] != x:  # passes the i even factors before it
-                sgn, copies = -1 if i % 2 else 1, 1
+                m = -1 if i % 2 else 1
             else:  # x ^ x = 0
                 continue
-            action += [(x, hi_index[mo_w[:i] + (x,) + mo_w[i:]], sgn)] * copies
+            action.append((x, hi_index[mo_w[:i] + (x,) + mo_w[i:]], m))
         action.sort(key=itemgetter(1))
         # first sum: w = s_q * q ^ rest, and every (a, b) whose projected
         # bracket holds q reaches the target t1 = rest ^ a ^ b
         groups = self._bracket_groups()
-        bracket: list[tuple[int, int, int, int, Scalar]] = []
+        # one term per target: the (i, j, k) terms of t1 summed
+        bracket: dict[int, Scalar] = {}
         for q in dict.fromkeys(mo_w):
             pos = mo_w.index(q)
             rest, ranks_r = mo_w[:pos] + mo_w[pos + 1 :], ranks_w[:pos] + ranks_w[pos + 1 :]
@@ -591,7 +596,7 @@ class RelativePair:
                     continue
                 rest_a, ranks_a = rest[:ia] + (a,) + rest[ia:], ranks_r[:ia] + [ra] + ranks_r[ia:]
                 n_a = bisect_right(ranks_a, ra, ia) - ia  # copies of a in rest ^ a
-                for b, k, v in terms:
+                for b, _, v in terms:
                     pb, rb = qpar[b], rank[b]
                     ib = bisect_left(ranks_a, rb)
                     if not pb and ib < p and rest_a[ib] == b:
@@ -607,9 +612,8 @@ class RelativePair:
                         for j in range(max(i + 1, ib), ib + n_b):
                             # sigma sign, 1-based positions
                             sig = (i + j + pa * (i - even1) + pb * (j - even1 + pa)) % 2
-                            bracket.append((t1, i, j, k, -s_q * v if sig else s_q * v))
-        bracket.sort()
-        hit = cache[w] = ([(t1, coeff) for t1, _, _, _, coeff in bracket], action)
+                            bracket[t1] = bracket.get(t1, 0) + (-s_q * v if sig else s_q * v)
+        hit = cache[w] = ([(t1, _exact(c)) for t1, c in sorted(bracket.items()) if c], action)
         return hit
 
 
@@ -1083,10 +1087,10 @@ class RelativeComplex:
                     out[key] = val
                 elif key in out:
                     del out[key]
-            for y, t1, sgn in action_terms:
+            for y, t1, m in action_terms:
                 col = m_cols[y][v]
                 if col:
-                    s = c if (sgn > 0) != odd[y] else -c
+                    s = -c * m if odd[y] else c * m
                     base = t1 * n
                     for v2, a in col.items():
                         key = base + v2

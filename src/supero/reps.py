@@ -215,28 +215,36 @@ def derivation_rows(
     x.(y_1 ^ ... ^ y_p) = sum_i (-1)^{|x|(|y_1|+...+|y_{i-1}|)}
                           y_1 ^ ... ^ (x.y_i) ^ ... ^ y_p;
 
-    rows that no source reaches are absent.
+    rows that no source reaches are absent.  Each run of equal factors is
+    walked once: the m copies of an odd y give m equal terms, since they
+    leave the same rest and i + |y| prefix moves by 2 from one copy to the
+    next, so the run's terms are inserted once and scaled by m.
     """
     rows: dict[int, dict[int, Scalar]] = {}
     for t in sources:
         mo = monos[t]
         terms = []
-        prefix = 0
-        for i, y in enumerate(mo):
+        i = prefix = 0
+        for y in dict.fromkeys(mo):  # normal form keeps the copies of y together
+            py = parities[y]
+            m = mo.count(y) if py else 1
             col = cols[y]
             if col:
                 # replace y by x.y at slot i, then pull the replacement to the
                 # front: the derivation lead (-1)^{|x| prefix} combines with the
                 # pull-out permutation sign into (-1)^i (-1)^{|y| prefix}
                 # (the |x| dependence cancels exactly)
-                pull = -1 if (i + parities[y] * prefix) % 2 else 1
+                pull = -1 if (i + py * prefix) % 2 else 1
                 rest = mo[:i] + mo[i + 1 :]
                 for y2, coef in col.items():
                     ins = wedge_insert(y2, rest, parities)
                     if ins is not None:
                         sgn, mo2 = ins
+                        if m != 1:
+                            coef *= m
                         terms.append((index[mo2], coef if sgn == pull else -coef))
-            prefix += parities[y]
+            prefix += py * m
+            i += m
         for t2, v in _add_scaled({}, terms).items():
             rows.setdefault(t2, {})[t] = v
     return rows

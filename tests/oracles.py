@@ -1,7 +1,8 @@
 """Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
 (a container with no product or sum of its own), the super Jacobi
 identity on sparse vectors, the normal-form monomials of a super
-exterior power listed without the degree-by-degree walk, the
+exterior power listed without the degree-by-degree walk, the derivation
+action on them one factor position at a time, the
 constraint solve of a cochain space run on each sector whole, a
 report whose last rank is read off d expanded in the basis of the
 degree above, and the subalgebra that some basis vectors of h generate."""
@@ -98,6 +99,34 @@ def super_monomials(parities, p: int) -> list[tuple[int, ...]]:
                 out.append(ev + od)
     out.sort()
     return out
+
+
+def derivation_rows(cols, parities, monos, index, sources) -> dict:
+    """``reps.derivation_rows`` term by term: one term per position i of a
+    source monomial, so each copy of a repeated odd factor inserts its
+    column again, with the sign (-1)^i (-1)^{|y_i| (|y_1|+...+|y_{i-1}|)}."""
+    from supero.linalg import _add_scaled
+    from supero.reps import wedge_insert
+
+    rows = {}
+    for t in sources:
+        mo = monos[t]
+        terms = []
+        prefix = 0
+        for i, y in enumerate(mo):
+            col = cols[y]
+            if col:
+                pull = -1 if (i + parities[y] * prefix) % 2 else 1
+                rest = mo[:i] + mo[i + 1 :]
+                for y2, coef in col.items():
+                    ins = wedge_insert(y2, rest, parities)
+                    if ins is not None:
+                        sgn, mo2 = ins
+                        terms.append((index[mo2], coef if sgn == pull else -coef))
+            prefix += parities[y]
+        for t2, v in _add_scaled({}, terms).items():
+            rows.setdefault(t2, {})[t] = v
+    return rows
 
 
 def whole_sector_space(cx, p: int):

@@ -34,7 +34,7 @@ from supero.cohomology import (
 )
 from supero.cli import parse_rationals
 from supero.errors import AlgebraMismatch, ConventionError, DimensionMismatch, NotASubalgebra
-from supero.linalg import SpanSolver, SparseMatrix
+from supero.linalg import SpanSolver, SparseMatrix, _exact
 from supero.reps import (
     adjoint,
     dual,
@@ -52,7 +52,7 @@ from supero.roots import (
     principal_parabolic,
     root_decomposition,
 )
-from supero.suites import seeded_levi_functional
+from supero.suites import ddzero_algebras, ddzero_subalgebras, growth_cells, seeded_levi_functional
 
 import oracles
 from oracles import matmul
@@ -445,6 +445,45 @@ def test_action_rows_match_exterior_power(case):
             assert _all_action_rows(pair, p, i) == lam.actions[i].row_dicts(), (p, i)
 
 
+def _spelled(rows):
+    """Rows as lists: key order, values and scalar types."""
+    return [(t, [(t2, v, type(v)) for t2, v in row.items()]) for t, row in rows.items()]
+
+
+ROW_ORACLE_PAIRS = {
+    **PAIR_TABLES,
+    **{f"growth-{g.name}-{sub}": partial(RelativePair, g, h) for g, sub, h, _ in growth_cells()},
+}
+
+
+@pytest.mark.parametrize("case", ROW_ORACLE_PAIRS)
+def test_action_rows_match_the_per_position_oracle(case):
+    pair = ROW_ORACLE_PAIRS[case]()
+    for p in range(8):
+        deg = pair.degree(p)
+        for i in range(pair.h.dim):
+            rows = oracles.derivation_rows(
+                pair._quotient_cols[i], pair.quotient_parities, deg.monomials, deg.index,
+                range(len(deg.monomials)),
+            )
+            for k, ts in deg.buckets.items():
+                expected = {t: rows.get(t, {}) for t in ts}
+                assert _spelled(pair.action_rows(p, i, k)) == _spelled(expected), (p, i, k)
+
+
+@pytest.mark.parametrize("case", PAIR_TABLES)
+def test_super_exterior_power_matches_the_per_position_oracle(case):
+    r = PAIR_TABLES[case]().quotient_rep
+    for p in range(6):
+        lam = super_exterior_power(r, p)
+        monos = oracles.super_monomials(r.parities, p)
+        index = {mo: t for t, mo in enumerate(monos)}
+        for a, got in zip(r.actions, lam.actions):
+            rows = oracles.derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
+            want = [(t2, t, v, type(v)) for t2 in sorted(rows) for t, v in rows[t2].items()]
+            assert [(*e, type(e[2])) for e in got.entries()] == want, p
+
+
 def test_rotated_span_shifts_and_reports():
     pair = _rotated_g0_pair()
     g = pair.g
@@ -650,20 +689,33 @@ def _pull_structure_maps(pair, p):
     return bracket_adj, action_adj
 
 
+def _folded(terms):
+    """Pull-form terms (key..., value) with equal keys summed, in order of
+    first appearance, zero sums dropped."""
+    summed = {}
+    for *key, v in terms:
+        summed[tuple(key)] = summed.get(tuple(key), 0) + v
+    return [(*key, _exact(v)) for key, v in summed.items() if v]
+
+
 def _source_maps_match_pull_form(pair, max_degree):
     """source_maps(p, w) for every monomial w of degree p <= max_degree,
-    entry for entry against the pull form; True when some action term
-    repeats (an odd factor met twice)."""
+    entry for entry against the pull form with equal-target bracket terms
+    summed and the copies of an action term summed into one signed
+    multiplicity; True when some action term has more than one copy (an
+    odd factor met twice)."""
     repeated_odd = False
     for p in range(max_degree + 1):
         bracket_adj, action_adj = _pull_structure_maps(pair, p)
         for w, mo in enumerate(pair.degree(p).monomials):
             bracket, action = pair.source_maps(p, w)
-            # entry for entry: order, signs, types and repeated terms
-            assert bracket == bracket_adj.get(w, []), (p, mo)
-            assert [type(c) for _, c in bracket] == [type(c) for _, c in bracket_adj.get(w, [])]
-            assert action == action_adj.get(w, []), (p, mo)
-            repeated_odd = repeated_odd or len(action) > len(set(action))
+            # entry for entry: order, signs, types and multiplicities
+            expected = _folded(bracket_adj.get(w, []))
+            assert bracket == expected, (p, mo)
+            assert [type(c) for _, c in bracket] == [type(c) for _, c in expected]
+            assert action == _folded(action_adj.get(w, [])), (p, mo)
+            assert all(type(m) is int for _, _, m in action)
+            repeated_odd = repeated_odd or any(abs(m) > 1 for _, _, m in action)
     return repeated_odd
 
 
@@ -758,6 +810,42 @@ def test_nonuniform_shift_acts_on_each_monomial_once_per_vector(monkeypatch):
     mixed = {i for _, i, _ in acted if pair.shift(i) is None}
     assert mixed == {3, 4}
     assert len(acted) == len(set(acted))
+
+
+def test_action_rows_insert_each_distinct_factor_once(monkeypatch):
+    engine = importlib.import_module("supero.cohomology")
+    reps = importlib.import_module("supero.reps")
+    calls, inserted = [], []
+    derivation_rows, wedge_insert = engine.derivation_rows, reps.wedge_insert
+
+    def recorded(cols, parities, monos, index, sources):
+        sources = list(sources)
+        calls.append((cols, [monos[t] for t in sources]))
+        return derivation_rows(cols, parities, monos, index, sources)
+
+    def counted(x, mono, parities):
+        inserted.append(x)
+        return wedge_insert(x, mono, parities)
+
+    monkeypatch.setattr(engine, "derivation_rows", recorded)
+    monkeypatch.setattr(reps, "wedge_insert", counted)
+    g = build_osp(3, 2)
+    RelativeComplex(_pair(g, "g0"), tensor(dual(natural(g)), natural(g))).report(8)
+    # one insertion per (source monomial, distinct factor, column entry)
+    expected = sum(len(cols[y]) for cols, monos in calls for mo in monos for y in set(mo))
+    assert any(len(set(mo)) < len(mo) for _, monos in calls for mo in monos)
+    assert len(inserted) == expected > 0
+
+
+def test_structure_maps_hold_one_term_per_target_on_the_ddzero_roster():
+    for g in ddzero_algebras():
+        for _, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)
+            for p in range(6):
+                for w, mo in enumerate(pair.degree(p).monomials):
+                    bracket, action = pair.source_maps(p, w)
+                    assert len({t1 for t1, _ in bracket}) == len(bracket), (g.name, h.label, mo)
+                    assert len({(x, t1) for x, t1, _ in action}) == len(action), (g.name, h.label, mo)
 
 
 # --- integer numerators and one scale per basis vector ----------------------

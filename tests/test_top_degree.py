@@ -64,10 +64,12 @@ def test_top_differential_nonzero_on_the_odd_sector_only():
 
 
 def _flip_one_action_sign(pair: RelativePair, cx: RelativeComplex, p: int, last: bool = False) -> None:
-    """Flip the sign of one action term of d at a monomial w of degree p in
-    the support of a basis numerator of C^p, one whose module action is
-    nonzero at the numerator's module vector there: the first such term,
-    sectors, numerators and coordinates in order, or with ``last`` the last."""
+    """Flip the sign of one copy of an action term of d at a monomial w of
+    degree p in the support of a basis numerator of C^p, one whose module
+    action is nonzero at the numerator's module vector there: the first
+    such term, sectors, numerators and coordinates in order, or with
+    ``last`` the last.  A term (y, t1, m) holds |m| equal copies of sign
+    s, so flipping one turns m = |m| s into (|m| - 2) s."""
     terms = [
         (w, j) for sector in (0, 1) for phi in cx.space(p).numerators[sector]
         for w, v in (divmod(x, cx.m.dim) for x in phi)
@@ -77,8 +79,9 @@ def _flip_one_action_sign(pair: RelativePair, cx: RelativeComplex, p: int, last:
         raise AssertionError("no action term to break")
     w, j = terms[-1 if last else 0]
     bracket, action = pair.source_maps(p, w)
-    y, t1, sgn = action[j]
-    pair._sources[p][w] = (bracket, [*action[:j], (y, t1, -sgn), *action[j + 1 :]])
+    y, t1, m = action[j]
+    flipped = m - 2 if m > 0 else m + 2
+    pair._sources[p][w] = (bracket, [*action[:j], (y, t1, flipped), *action[j + 1 :]])
 
 
 FAILS = (
