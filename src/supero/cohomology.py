@@ -15,9 +15,10 @@ their parities and positions, and, on first read, their weight keys under
 the span vectors acting diagonally on g/h and the monomials grouped into
 buckets by key; the
 action rows of each span vector of h on L^p_s(g/h) per (degree, span
-vector, weight bucket) (``action_rows``); the projected brackets, and the
-structure maps of the differential per source monomial (``source_maps``),
-built only for the monomials that d reads.
+vector, weight bucket) (``action_rows``); the projected brackets grouped
+by the factor they hold (``_bracket_groups``), and the structure maps of
+the differential per source monomial (``source_maps``), built only for
+the monomials that d reads.
 ``RelativeComplex(pair, M)`` adds the action on M: the module vectors
 grouped by weight, which pick the kept monomial buckets; the constraint
 plan, the equivariant bases, the differential matrices and the
@@ -83,14 +84,16 @@ unit cochain per kept coordinate; each span vector replaces them by the
 canonical kernel combinations of their defects under it, so every cut is
 a small kernel on what the cut before left.  Kernel bases are canonical,
 so the result is the simultaneous kernel, anchored at its free
-coordinates.  Each span vector's defect column of each kept coordinate is
-built on first use, as a module part with the odd sign folded in and an
-exterior-power part, and the same columns serve both sectors, the cuts
-and the re-verification.  ``_defect`` adds up a cochain's columns in one pass,
-module parts first, with ``_add_scaled``'s rules inlined, and each cut
-hands its defects to the kernel as rows (``linalg.RowMatrix``): one dict
-per defect coordinate, in first-appearance order, keyed by candidate
-index.  The solve stays in
+coordinates.  A defect is computed straight from the data it is made
+of (``_defect_columns``): the pair's action rows of the degree, merged
+over the kept buckets, and M's columns of the span vector, one operator
+per span vector serving both sectors, the cuts and the re-verification.
+``_defect`` makes two passes over a cochain, with ``_add_scaled``'s rules
+inlined: the module parts of all its coordinates, with the sign of an odd
+span vector on an odd coordinate folded in, then the exterior-power
+parts.  Each cut hands its defects to the kernel as rows
+(``linalg.RowMatrix``): one dict per defect coordinate, in
+first-appearance order, keyed by candidate index.  The solve stays in
 integers from the defects to the kernel; a ``Fraction`` enters only
 through a module whose action has one.
 
@@ -187,6 +190,10 @@ from .reps import (
 )
 
 Cochain = dict[int, Scalar]  # flat coordinate w * dim M + v -> value
+# one span vector's defect operator on one degree (``_defect_columns``): the
+# action rows of its monomials, M's columns, dim M, and for an odd span
+# vector the parities of M's vectors and of the monomials, else None
+_DefectOperator = tuple[dict[int, dict[int, Scalar]], list[dict[int, Scalar]], int, tuple | None]
 Derivation = tuple[int, int, int, Scalar]  # (k, a, b, v): [b_a, b_b] = v b_k in h
 
 
@@ -396,8 +403,7 @@ class RelativePair:
         self._degrees = [MonomialDegree(((),), (0,), {(): 0}, ([zero], {zero: [0]}))]
         self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
         self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
-        self._proj_brackets: list[list[list[tuple[int, Scalar]]]] | None = None
-        self._groups: list[list[tuple[int, list[tuple[int, int, Scalar]]]]] | None = None
+        self._groups: list[list[tuple[int, list[tuple[int, Scalar]]]]] | None = None
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
         self._checks: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list[int], list[Derivation]]] = {}
 
@@ -511,32 +517,21 @@ class RelativePair:
             self._checks[key] = hit
         return hit
 
-    def _projected_brackets(self) -> list[list[list[tuple[int, Scalar]]]]:
-        """pi[lift(q_a), lift(q_b)] in quotient coordinates for every (a, b), cached.
-
-        pi is the span's ``project``.
-        """
-        if self._proj_brackets is None:
-            bracket, project, pos = self.g.bracket_basis, self.h.project, self.complement_pos
-            self._proj_brackets = [
-                [[(pos[kk], v) for kk, v in project(bracket(a, b)).items()] for b in self.complement]
-                for a in self.complement
-            ]
-        return self._proj_brackets
-
-    def _bracket_groups(self) -> list[list[tuple[int, list[tuple[int, int, Scalar]]]]]:
-        """For each quotient basis vector q, the pairs (a, [(b, k, v), ...])
-        such that q is term k of pi[lift(q_a), lift(q_b)] with coefficient v,
-        for a before or equal to b in normal order (the only order a monomial
-        holds them in), grouped by a."""
+    def _bracket_groups(self) -> list[list[tuple[int, list[tuple[int, Scalar]]]]]:
+        """For each quotient basis vector q, the pairs (a, [(b, v), ...]) such
+        that q has coefficient v in pi[lift(q_a), lift(q_b)], for a before or
+        equal to b in normal order (the only order a monomial holds them in),
+        grouped by a; built once per pair.  pi is the span's ``project``,
+        applied only to the pairs kept."""
         if self._groups is None:
-            rank = self.rank
-            groups: list[dict[int, list[tuple[int, int, Scalar]]]] = [{} for _ in rank]
-            for a, row in enumerate(self._projected_brackets()):
-                for b, terms in enumerate(row):
+            rank, pos = self.rank, self.complement_pos
+            bracket, project = self.g.bracket_basis, self.h.project
+            groups: list[dict[int, list[tuple[int, Scalar]]]] = [{} for _ in rank]
+            for a, ca in enumerate(self.complement):
+                for b, cb in enumerate(self.complement):
                     if rank[a] <= rank[b]:
-                        for k, (q, v) in enumerate(terms):
-                            groups[q].setdefault(a, []).append((b, k, v))
+                        for kk, v in project(bracket(ca, cb)).items():
+                            groups[pos[kk]].setdefault(a, []).append((b, v))
             self._groups = [list(by_a.items()) for by_a in groups]
         return self._groups
 
@@ -596,7 +591,7 @@ class RelativePair:
                     continue
                 rest_a, ranks_a = rest[:ia] + (a,) + rest[ia:], ranks_r[:ia] + [ra] + ranks_r[ia:]
                 n_a = bisect_right(ranks_a, ra, ia) - ia  # copies of a in rest ^ a
-                for b, _, v in terms:
+                for b, v in terms:
                     pb, rb = qpar[b], rank[b]
                     ib = bisect_left(ranks_a, rb)
                     if not pb and ib < p and rest_a[ib] == b:
@@ -617,44 +612,48 @@ class RelativePair:
         return hit
 
 
-class _DefectColumns(dict):
-    """Defect columns of one span vector, keyed by flat coordinate and
-    built on first use (see ``RelativeComplex._defect_columns``)."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, x: int):
-        col = self[x] = self.build(x)
-        return col
-
-
-def _defect(columns: _DefectColumns, phi: dict[int, int]) -> dict[int, Scalar]:
+def _defect(op: _DefectOperator, phi: dict[int, int]) -> dict[int, Scalar]:
     """Equivariance defect of the flat-coordinate cochain phi under the span
-    vector of ``columns``: the module parts of all its coordinates, then the
-    exterior-power parts, so the defect's keys come in that order."""
+    vector of ``op`` (``RelativeComplex._defect_columns``).
+
+    Coordinate x = w * dim M + v with value c contributes a module part,
+    c times M's column v at monomial w, negated when the span vector is odd
+    and x is odd, and an exterior-power part, minus c times the action row
+    of w at module vector v.  The module parts of all coordinates come
+    first, then the exterior-power parts, so the defect's keys come in that
+    order."""
+    lam_rows, cols, n, parities = op
     # _add_scaled inlined: a key keeps its place while nonzero, a zero sum
     # is deleted
-    cols = [(columns[x], c) for x, c in phi.items()]
     out: dict[int, Scalar] = {}
     get = out.get
-    for part in (0, 1):  # module parts, then exterior-power parts
-        for col, c in cols:
-            for y, a in col[part]:
-                val = get(y, 0) + c * a
-                if val:
-                    out[y] = val
-                elif y in out:
-                    del out[y]
+    for x, c in phi.items():
+        w, v = divmod(x, n)
+        if parities is not None and parities[0][v] != parities[1][w]:
+            c = -c
+        base = x - v
+        for v2, a in cols[v].items():
+            y = base + v2
+            val = get(y, 0) + c * a
+            if val:
+                out[y] = val
+            elif y in out:
+                del out[y]
+    for x, c in phi.items():
+        w, v = divmod(x, n)
+        for w2, a in lam_rows[w].items():
+            y = w2 * n + v
+            val = get(y, 0) - c * a
+            if val:
+                out[y] = val
+            elif y in out:
+                del out[y]
     return out
 
 
 def _first_defect(
     solutions: tuple[tuple[list[dict[int, int]], list[int]], ...],
-    columns_by_id: dict[int, _DefectColumns],
+    ops: dict[int, _DefectOperator],
     ids: list[int],
 ) -> tuple[int, int, dict[int, Scalar]] | None:
     """The first (sector, span vector, defect) with a nonzero defect of a
@@ -663,13 +662,13 @@ def _first_defect(
     order of ``ids``."""
     return next((
         (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
-        for phi in vectors for i in ids if (defect := _defect(columns_by_id[i], phi))
+        for phi in vectors for i in ids if (defect := _defect(ops[i], phi))
     ), None)
 
 
 def _cut(
     constraint_ids: list[int],
-    columns_by_id: dict[int, _DefectColumns],
+    ops: dict[int, _DefectOperator],
     candidates: list[dict[int, int]],
     free: list[int],
 ) -> tuple[list[dict[int, int]], list[int]]:
@@ -685,12 +684,12 @@ def _cut(
     ascending, so they are integer cochains of the same kind.
     """
     for i in constraint_ids:
-        columns = columns_by_id[i]
+        op = ops[i]
         # one row per defect coordinate, in first-appearance order, each
         # {candidate index: value} with the indices ascending
         rows: dict[int, dict[int, Scalar]] = {}
         for k, phi in enumerate(candidates):
-            for x, val in _defect(columns, phi).items():
+            for x, val in _defect(op, phi).items():
                 row = rows.get(x)
                 if row is None:
                     rows[x] = {k: val}
@@ -762,7 +761,6 @@ class RelativeComplex:
         # solve, and no split
         self._blocks = self._split(keys) if self.nondiag_idx else None
         self._spaces: dict[int, CochainSpace] = {}
-        self._diffs: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
         # ddzero: d on the numerators of C^p per (sector, basis index), by degree p
         self._basis_images: dict[int, dict[tuple[int, int], Cochain]] = {}
 
@@ -911,44 +909,20 @@ class RelativeComplex:
         w, v = divmod(x, self.m.dim)
         return v, self.pair.degree(p).monomials[w]
 
-    def _defect_columns(self, p: int, i: int, keys: Iterable[tuple[Scalar, ...]]) -> _DefectColumns:
-        """Defect columns of span vector i on the coordinates of degree p at
-        the monomials of the weight buckets ``keys``, whose action rows it
-        reads from the pair.
-
-        The column of flat coordinate x = w * dim M + v is the defect of the
-        unit cochain at (v, w): its module part, with the sign of an odd
-        span vector acting on an odd map folded in, then its exterior-power
-        part, which does not depend on the sector.
-        """
+    def _defect_columns(self, p: int, i: int, keys: Iterable[tuple[Scalar, ...]]) -> _DefectOperator:
+        """The defect operator of span vector i on the coordinates of degree p
+        at the monomials of the weight buckets ``keys``, for ``_defect``: the
+        pair's action rows of those monomials merged into one dict, M's
+        columns of span vector i, dim M, and, when span vector i is odd, the
+        parities of M's vectors and of the monomials, which decide the sign
+        of the module part.  One operator serves both sectors."""
         lam_rows: dict[int, dict[int, Scalar]] = {}
         for k in keys:
             lam_rows.update(self.pair.action_rows(p, i, k))
-        n = self.m.dim
-        cols = self.m_action_cols[i]
-        odd_vector = self.pair.h.vector_parities[i]
-        m_par, mono_par = self.m.parities, self.pair.degree(p).parities
-
-        def build(x: int) -> tuple[list[tuple[int, Scalar]], list[tuple[int, Scalar]]]:
-            w, v = divmod(x, n)
-            base = w * n
-            if odd_vector and (m_par[v] + mono_par[w]) % 2:
-                module = [(base + v2, -a) for v2, a in cols[v].items()]
-            else:
-                module = [(base + v2, a) for v2, a in cols[v].items()]
-            return module, [(w2 * n + v, -a) for w2, a in lam_rows[w].items()]
-
-        return _DefectColumns(build)
-
-    def _add_columns(
-        self, columns_by_id: dict[int, _DefectColumns], p: int,
-        keys: list[tuple[Scalar, ...]], ids: list[int],
-    ) -> None:
-        """Put the defect columns of each span vector of ``ids`` that lacks
-        them into ``columns_by_id`` (``_defect_columns``)."""
-        for i in ids:
-            if i not in columns_by_id:
-                columns_by_id[i] = self._defect_columns(p, i, keys)
+        parities = None
+        if self.pair.h.vector_parities[i]:
+            parities = self.m.parities, self.pair.degree(p).parities
+        return lam_rows, self.m_action_cols[i], self.m.dim, parities
 
     def _units(
         self, kept_pair: tuple[list[int], list[int]]
@@ -983,7 +957,7 @@ class RelativeComplex:
     def _impose(
         self,
         constraint_ids: list[int],
-        columns_by_id: dict[int, _DefectColumns],
+        ops: dict[int, _DefectOperator],
         units: list[tuple[tuple[int, int] | None, int, list[int]]],
     ) -> tuple[tuple[list[dict[int, int]], list[int]], tuple[list[dict[int, int]], list[int]]]:
         """Cut the kept coordinates of both sectors by the listed equivariance
@@ -1005,7 +979,7 @@ class RelativeComplex:
         for key, sector, kept in units:
             hit = solved.get(key)
             if hit is None:
-                vectors, free = _cut(constraint_ids, columns_by_id, [{x: 1} for x in kept], kept)
+                vectors, free = _cut(constraint_ids, ops, [{x: 1} for x in kept], kept)
                 if key is not None:
                     solved[key] = kept, vectors, free
             else:
@@ -1035,24 +1009,28 @@ class RelativeComplex:
             return self._spaces[p]
         deg = self.pair.degree(p)
         kept_pair, needed = self._kept(p, deg.buckets)
-        # one set of defect columns per span vector, shared by both sectors,
-        # the plan, the full solve and the re-verification, each built on
-        # first use: off the plan and the check list, only once a check fails
-        columns_by_id: dict[int, _DefectColumns] = {}
+        # one defect operator per span vector, shared by both sectors, the
+        # plan, the full solve and the re-verification; off the plan and the
+        # check list, built only once a check fails
+        ops = {
+            i: self._defect_columns(p, i, needed)
+            for i in dict.fromkeys(self.constraint_plan + self.check_idx)
+        }
         units = self._units(kept_pair)
         plans = [self.constraint_plan]
         if self.constraint_plan != self.nondiag_idx:
             plans.append(self.nondiag_idx)
         for plan in plans:
-            self._add_columns(columns_by_id, p, needed, plan + self.check_idx)
-            solutions = self._impose(plan, columns_by_id, units)
-            witness = _first_defect(solutions, columns_by_id, self.check_idx)
+            solutions = self._impose(plan, ops, units)
+            witness = _first_defect(solutions, ops, self.check_idx)
             if witness is None:
                 break
             if len(self.check_idx) < len(self.nondiag_idx):
                 # the witness is the first in nondiag_idx order
-                self._add_columns(columns_by_id, p, needed, self.nondiag_idx)
-                witness = _first_defect(solutions, columns_by_id, self.nondiag_idx)
+                for i in self.nondiag_idx:
+                    if i not in ops:
+                        ops[i] = self._defect_columns(p, i, needed)
+                witness = _first_defect(solutions, ops, self.nondiag_idx)
         else:
             sector, i, defect = witness
             x, c = next(iter(defect.items()))
@@ -1189,12 +1167,10 @@ class RelativeComplex:
         return None
 
     def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
-        """(even block, odd block) of d^p: C^p -> C^{p+1}, cached.
+        """(even block, odd block) of d^p: C^p -> C^{p+1}.
 
         d is applied to the integer numerators; only the matrix entries are
         divided by the source scale."""
-        if p in self._diffs:
-            return self._diffs[p]
         src = self.space(p)
         dst = self.space(p + 1)
         blocks = []
@@ -1207,8 +1183,7 @@ class RelativeComplex:
             blocks.append(
                 SparseMatrix(len(dst.numerators[sector]), len(src.numerators[sector]), entries)
             )
-        self._diffs[p] = blocks[0], blocks[1]
-        return self._diffs[p]
+        return blocks[0], blocks[1]
 
     def _top_rank(self, p: int, sector: int) -> int:
         """Rank of one sector's block of d^p, read off the images of the
@@ -1226,8 +1201,9 @@ class RelativeComplex:
         and that image's first defect coordinate.  Both values are
         divided by the source scale, so they are those of d on the basis
         vector.  Degree p + 1's weight keys are read only when some image is
-        nonzero, and its action rows (``_defect_columns``) only in the
-        buckets the images touch that keep some coordinate.
+        nonzero, and its action rows only in the buckets the images touch
+        that keep some coordinate, by one defect operator
+        (``_defect_columns``) per span vector checked.
         """
         src = self.space(p)
         n = self.m.dim
@@ -1253,20 +1229,19 @@ class RelativeComplex:
                         f"(degree {p + 1}, sector {sector}) at coordinate "
                         f"{self._coordinate(p + 1, x)} with residual {_exact(Fraction(c, s))}"
                     )
-        # one span vector at a time, so only its defect columns are held
         for i in self.check_idx:
-            columns = self._defect_columns(p + 1, i, needed)
-            if any(_defect(columns, image) for image in images):
+            op = self._defect_columns(p + 1, i, needed)
+            if any(_defect(op, image) for image in images):
                 break
         else:
             return rank(RowMatrix(images, len(deg.monomials) * n))
         # some image fails: the witness is the first in nondiag_idx order,
         # which reaches the span vector that failed
         for i in self.nondiag_idx:
-            columns = self._defect_columns(p + 1, i, needed)
+            op = self._defect_columns(p + 1, i, needed)
             witness = next((
                 (defect, s) for image, s in zip(images, scales)
-                if (defect := _defect(columns, image))
+                if (defect := _defect(op, image))
             ), None)
             if witness:
                 break

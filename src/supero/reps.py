@@ -274,7 +274,9 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
 
     Used for polynomial functions on the odd part: the input must be
     concentrated in one parity so no Koszul signs arise (the acting algebra
-    vectors are even).
+    vectors are even).  Each distinct factor y of a monomial is walked
+    once: its m copies leave the same rest, so they give m equal terms,
+    added as one scaled by m.
     """
     if j < 0:
         raise DimensionMismatch("negative symmetric degree")
@@ -289,11 +291,13 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
         cols = action_cols[gi]
         acc: dict[tuple[int, int], Scalar] = {}
         for t, mo in enumerate(monos):
-            for i, y in enumerate(mo):
+            for y in dict.fromkeys(mo):
+                i = mo.index(y)
                 rest = mo[:i] + mo[i + 1 :]
                 _add_scaled(
                     acc,
                     (((index[tuple(sorted(rest + (y2,)))], t), coef) for y2, coef in cols[y].items()),
+                    mo.count(y),
                 )
         actions.append(
             SparseMatrix(len(monos), len(monos), ((a, b, v) for (a, b), v in acc.items()))

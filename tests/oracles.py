@@ -2,10 +2,12 @@
 (a container with no product or sum of its own), the super Jacobi
 identity on sparse vectors, the normal-form monomials of a super
 exterior power listed without the degree-by-degree walk, the derivation
-action on them one factor position at a time, the
-constraint solve of a cochain space run on each sector whole, a
-report whose last rank is read off d expanded in the basis of the
-degree above, and the subalgebra that some basis vectors of h generate."""
+action on them and the action on a symmetric power one factor position at
+a time, the projected brackets of a pair, the equivariance defect summed
+from one column per coordinate, the constraint solve of a cochain space
+run on each sector whole, a report whose last rank is read off d expanded
+in the basis of the degree above, and the subalgebra that some basis
+vectors of h generate."""
 
 import itertools
 
@@ -127,6 +129,69 @@ def derivation_rows(cols, parities, monos, index, sources) -> dict:
         for t2, v in _add_scaled({}, terms).items():
             rows.setdefault(t2, {})[t] = v
     return rows
+
+
+def super_symmetric_power_actions(r, j: int) -> list:
+    """The action matrices of ``reps.super_symmetric_power(r, j)`` term by
+    term: one term per position i of a monomial, so each copy of a repeated
+    factor inserts its column again."""
+    from supero.linalg import _add_scaled
+
+    monos = list(itertools.combinations_with_replacement(range(r.dim), j))
+    index = {mo: t for t, mo in enumerate(monos)}
+    actions = []
+    for action in r.actions:
+        cols = action.col_dicts()
+        acc = {}
+        for t, mo in enumerate(monos):
+            for i, y in enumerate(mo):
+                rest = mo[:i] + mo[i + 1 :]
+                _add_scaled(
+                    acc,
+                    (((index[tuple(sorted(rest + (y2,)))], t), coef) for y2, coef in cols[y].items()),
+                )
+        actions.append(SparseMatrix(len(monos), len(monos), ((a, b, v) for (a, b), v in acc.items())))
+    return actions
+
+
+def projected_brackets(pair) -> list:
+    """pi[lift(q_a), lift(q_b)] in quotient coordinates for every pair (a, b)
+    of quotient basis vectors, a list of (q, v) each: g's bracket of the two
+    complement vectors through the span's ``project``."""
+    g, h, pos = pair.g, pair.h, pair.complement_pos
+    return [
+        [[(pos[k], v) for k, v in h.project(g.bracket_basis(a, b)).items()] for b in pair.complement]
+        for a in pair.complement
+    ]
+
+
+def defect(cx, p: int, i: int, keys, phi: dict) -> dict:
+    """Equivariance defect of the flat-coordinate cochain phi of degree p
+    under span vector i of h, on the monomials of the weight buckets
+    ``keys``.  Each coordinate x = w * dim M + v gets its own column: a
+    module part, M's column v at monomial w, negated when span vector i is
+    odd and x is odd, and an exterior-power part, minus the action row of
+    w at module vector v.  The columns are summed with ``_add_scaled``, the
+    module parts of all coordinates first, then the exterior-power parts."""
+    from supero.linalg import _add_scaled
+
+    rows = {}
+    for k in keys:
+        rows.update(cx.pair.action_rows(p, i, k))
+    n, cols = cx.m.dim, cx.m_action_cols[i]
+    odd = cx.pair.h.vector_parities[i]
+    m_par, mono_par = cx.m.parities, cx.pair.degree(p).parities
+    columns = {}
+    for x in phi:
+        w, v = divmod(x, n)
+        sign = -1 if odd and (m_par[v] + mono_par[w]) % 2 else 1
+        module = [(w * n + v2, sign * a) for v2, a in cols[v].items()]
+        columns[x] = module, [(w2 * n + v, -a) for w2, a in rows[w].items()]
+    out = {}
+    for part in (0, 1):
+        for x, c in phi.items():
+            _add_scaled(out, columns[x][part], c)
+    return out
 
 
 def whole_sector_space(cx, p: int):

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from supero.algebras import build_p_tilde, build_q, even_part_span
-from supero.cohomology import RelativeComplex, RelativePair, _cut
+from supero.cohomology import RelativeComplex, RelativePair, _cut, _defect
 from supero.errors import ConventionError
 from supero.linalg import SparseMatrix, _add_scaled
 from supero.reps import Representation, adjoint, dual, natural, tensor, trivial
@@ -55,11 +55,10 @@ def test_q3_g0_checks_three_of_six():
 def test_a_failing_basis_names_the_witness_of_the_full_check(monkeypatch):
     # every unit cut by span vector 1 alone: the first failing span vector
     # in nondiag_idx order is 2, derived from 1 and 5, off the list
-    def cut_by_one(self, plan, columns_by_id, units):
-        self._add_columns(columns_by_id, p, needed, [1])
+    def cut_by_one(self, plan, ops, units):
         parts = ([], [])
         for _, sector, kept in units:
-            vectors, free = _cut([1], columns_by_id, [{x: 1} for x in kept], kept)
+            vectors, free = _cut([1], ops, [{x: 1} for x in kept], kept)
             parts[sector].extend(sorted(zip(free, vectors)))
         return tuple(([phi for _, phi in s], [x for x, _ in s]) for s in map(sorted, parts))
 
@@ -72,7 +71,6 @@ def test_a_failing_basis_names_the_witness_of_the_full_check(monkeypatch):
     for p, where in messages.items():
         cx = _q3_g0()
         assert 2 not in cx.check_idx
-        _, needed = cx._kept(p, cx.pair.degree(p).buckets)
         with pytest.raises(ConventionError) as err:
             cx.space(p)
         assert str(err.value) == "cochain basis fails equivariance under span vector 2 of h " + where
@@ -163,12 +161,13 @@ def _apply(columns, vec) -> dict:
     return out
 
 
-def _bracket_holds(ops, k, a, b, lhs_sign, rhs_scale, coords) -> bool:
-    """O_a O_b + lhs_sign O_b O_a = rhs_scale O_k on every unit vector."""
+def _bracket_holds(apply, ops, k, a, b, lhs_sign, rhs_scale, coords) -> bool:
+    """O_a O_b + lhs_sign O_b O_a = rhs_scale O_k on every unit vector, with
+    ``apply(ops[i], vec)`` the operator O_i applied to vec."""
     for x in coords:
-        out = _apply(ops[a], _apply(ops[b], {x: 1}))
-        _add_scaled(out, _apply(ops[b], _apply(ops[a], {x: 1})).items(), lhs_sign)
-        _add_scaled(out, _apply(ops[k], {x: 1}).items(), -rhs_scale)
+        out = apply(ops[a], apply(ops[b], {x: 1}))
+        _add_scaled(out, apply(ops[b], apply(ops[a], {x: 1})).items(), lhs_sign)
+        _add_scaled(out, apply(ops[k], {x: 1}).items(), -rhs_scale)
         if out:
             return False
     return True
@@ -205,8 +204,8 @@ def test_derived_brackets_hold_on_exterior_powers_and_defect_operators():
                     rows[i] = {t: [col] for t, col in cols.items()}
                     defects[i] = cx._defect_columns(p, i, keys)
                 where = (cell, p, (k, a, b, v))
-                assert _bracket_holds(rows, k, a, b, -s, v, range(len(deg.monomials))), where
+                assert _bracket_holds(_apply, rows, k, a, b, -s, v, range(len(deg.monomials))), where
                 coords = range(len(deg.monomials) * n)
-                assert _bracket_holds(defects, k, a, b, -s, s * v, coords), where
+                assert _bracket_holds(_defect, defects, k, a, b, -s, s * v, coords), where
                 brackets += 1
     assert brackets > 0

@@ -386,6 +386,8 @@ CI_JOB_DIGESTS = {
         "0d50dcdc784af0b966ed1a6ac0d4b0a2a50d8d75bed90a767a96c2673d9daca9",
     "coh osp 3 2 --sub g0 --mod dual(natural)*natural -N 8 --format json":
         "082123ef199681d2626569511c7d12ce4dc582c95a83c1ea4d2b1c053b72543a",
+    "coh q 3 --sub g0 --mod adjoint -N 6 --format json":
+        "ab470f888858ebd7089a31d3e93410c469deed6b725539d20f9936e151f869e6",
     "build osp 3 2": "6eaa4d8ac3deccf946db4f24cbd404dcac9d7d099b26ab525ed1ebc87ff63618",
     "build osp 5 4": "af0cb4ec8e60087a253be5592e63e6bf40584c4492429dfc70d81f949746e0a7",
     "build q 3": "e4906380a1da304a8e25d2ddda6782a1b1d960ae6fc71a8bc84098c7bb553102",

@@ -1,5 +1,7 @@
 """Deeper engine validation: classical closed-form values and edge paths."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -144,6 +146,78 @@ def test_wrong_shortcut_plan_falls_back_to_the_full_solve(monkeypatch):
         assert sp_wrong.basis == sp_good.basis, p
         assert sp_wrong.free_coords == sp_good.free_coords, p
     assert len(full_solves) == 4
+
+
+def test_a_span_file_reaches_the_full_solve_fallback(tmp_path, monkeypatch, capsys):
+    # h = <t, e[1,2], e[4,3]> in gl(2|2), t = e[1,1] - e[2,2] + e[3,3] - e[4,4]:
+    # e[1,2] and e[4,3] have weights 2 and -2 under t, so the plan passes the
+    # shortcut's tests and keeps e[1,2] alone.  But they commute, h is no
+    # reductive algebra, and the plan's basis fails re-verification.
+    from supero import cli
+    from supero import cohomology as engine
+
+    # gl(2|2) basis: e[1,1], e[1,2], e[2,1], e[2,2], e[3,3], e[3,4], e[4,3],
+    # e[4,4], then the odd elementary matrices
+    units = [((0, 1), (3, -1), (4, 1), (7, -1)), ((1, 1),), ((6, 1),)]
+    vectors = []
+    for terms in units:
+        vec = [[0, 1]] * 16
+        for k, c in terms:
+            vec[k] = [c, 1]
+        vectors.append(vec)
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps({"vectors": vectors, "label": "t+e12+e43"}))
+    g = build_gl(2, 2)
+    h = cli.parse_subalgebra(g, f"span:{path}", None)
+    pair = RelativePair(g, h)
+    cuts = []
+    cut = engine._cut
+
+    def spy(constraint_ids, *args):
+        cuts.append(list(constraint_ids))
+        return cut(constraint_ids, *args)
+
+    monkeypatch.setattr(engine, "_cut", spy)
+    for mod, dims in ((trivial(g), [1, 1, 0, 0, 1]), (adjoint(g), [1, 1, 0, 0])):
+        cx = RelativeComplex(pair, mod)
+        assert cx.constraint_plan == [1]
+        assert cx.check_idx == cx.nondiag_idx == [1, 2]
+        full = RelativeComplex(pair, mod)
+        full.constraint_plan = full.nondiag_idx
+        fallbacks = 0
+        for p in range(len(dims)):
+            cuts.clear()
+            sp = cx.space(p)
+            fallbacks += [1, 2] in cuts
+            want = full.space(p)
+            assert sp.basis == want.basis and sp.free_coords == want.free_coords, (mod.name, p)
+        assert fallbacks > 0, mod.name
+        assert cx.report(len(dims) - 1).dims() == dims, mod.name
+    monkeypatch.undo()
+    code = cli.main(["coh", "gl", "2", "2", "--sub", f"span:{path}", "--mod", "adjoint", "-N", "3"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.endswith("# H dims: 1,1,0,0\n")
+
+
+def test_g0_vanishing_solves_no_degree_above_its_n(monkeypatch):
+    # the differentials_vanish rows read the report's ranks, and the report
+    # ranks its last degree without solving the one above
+    from supero import cli, suites
+
+    degrees = []
+    space = RelativeComplex.space
+
+    def spy(self, p):
+        degrees.append(p)
+        return space(self, p)
+
+    monkeypatch.setattr(RelativeComplex, "space", spy)
+    report = suites.suite_g0_vanishing()
+    assert max(degrees) == 6
+    assert hashlib.sha256(cli.dumps(report).encode()).hexdigest() == (
+        "7620c4191c2ebe2233d8bd595f00878b4a3f11a3b052af4a6e30bb325ced18c3"
+    )
 
 
 def test_unverified_basis_raises_after_the_full_solve(monkeypatch, capsys):

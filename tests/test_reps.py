@@ -5,6 +5,8 @@ import pytest
 
 from supero.algebras import (
     build_gl,
+    build_osp,
+    build_p_tilde,
     build_q,
     even_part_span,
     special_linear_span,
@@ -208,6 +210,25 @@ def test_symmetric_power_dims():
     assert s0.dim == 1 and all(a.is_zero() for a in s0.actions)
     assert super_symmetric_power(dual(m), 2).dim == 10  # S^2 of a 4-dim space
     assert verify_representation(super_symmetric_power(dual(m), 2)) == (True, None)
+
+
+def test_symmetric_power_matches_the_per_position_oracle():
+    # the odd modules of the invariants-suite families and their duals,
+    # which the invariant rings are read from
+    families = [
+        build_gl(1, 1), build_gl(1, 2), build_gl(2, 1), build_q(2),
+        build_p_tilde(2), build_osp(1, 2), build_osp(2, 2),
+    ]
+    for g in families:
+        odd = odd_part_module(g)
+        for m in (odd, dual(odd)):
+            for j in range(7):
+                got = super_symmetric_power(m, j).actions
+                want = oracles.super_symmetric_power_actions(m, j)
+                for a, b in zip(got, want, strict=True):
+                    assert [(*e, type(e[2])) for e in a.entries()] == [
+                        (*e, type(e[2])) for e in b.entries()
+                    ], (g.name, m.name, j)
 
 
 def test_symmetric_power_rejects_mixed_parity():
