@@ -55,8 +55,9 @@ USAGE_ERRORS = (
 # Coordinates of the largest cochain space a ``coh`` request may reach.
 # The largest request that CI and the tests run, ``coh gl 3 2 --sub g0
 # -N 8``, reaches 167960; the README's ``coh q 3 --sub g0 --mod adjoint
-# -N 6`` reaches 115830 and takes about 1 s (0.9-1.6 s over twelve cold
-# runs) on a 2-vCPU Intel Xeon virtual machine with CPython 3.11.7.
+# -N 6`` reaches 115830 and takes 0.64-1.14 s over 24 cold runs on a 2-vCPU
+# Intel Xeon virtual machine with CPython 3.11.7, whose core speed swings up
+# to about 1.9x.
 COCHAIN_BUDGET = 200_000
 
 # ``Fraction`` builds 10**e in full, so an ``--H`` exponent gets the digit

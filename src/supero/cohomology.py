@@ -48,7 +48,7 @@ primitive integer multiple (``numerators``) and its value at its anchor
 (``scales``), and the public ``basis`` divides the one by the other.  The
 differential layer works on the numerators too: ``apply_differential``
 acts on them, ``_expand`` checks an image against them in integers,
-scaled by the lcm of the scales, and d o d = 0 combines their images.
+scaled by the lcm of the scales, and d o d = 0 checks their images.
 Values are divided only where they leave that layer: the entries of ``differential(p)`` by
 the source scale, and a ``ConventionError`` residual by the lcm, or, at a
 report's last degree, by the source scale.
@@ -150,10 +150,23 @@ when v's key under the diagonal span vectors is the one k reads there.
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
 ConventionError, naming the first escaping coordinate and its residual,
-instead of silently projecting.  The d o d = 0 check reuses those
-coefficients: d(d(phi)) = sum_k c_k d(psi_k), with d on the numerators
-of the basis vectors psi_k of the next degree built once and shared with
-the next degree's check.  The report's last degree N is the exception:
+instead of silently projecting.  The d o d = 0 check asks only whether
+results are zero, so it runs on many images at once (``ddzero_witness``):
+per (degree, sector), the images d(phi_k) of the numerators of C^p, each
+built on its own, are packed into one integer cochain by Kronecker
+substitution, sum_j 2^(b j) image_j (``_pack``, at most
+``PACKED_IMAGES`` images each).  The width b comes from a bound on every
+entry that the two checks can produce per image, taken from the data
+(``_packing_width``): the images' sums of absolute values, the projected
+brackets of g/h, M's columns, and the numerators and scales of C^{p+1}.
+Above it the entries are balanced digits, so the residual of the packed
+cochain against the basis of C^{p+1} (``_residual``, ``_expand``'s rule)
+and d of it are zero exactly when every image expands in that basis and
+every d(d(phi_k)) is zero.  Nothing is checked modulo a prime or by
+sampling.  Where a packed result is nonzero, or d is not integral, the
+per-vector path names the first failure: each image is expanded, and
+L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k) is summed in the
+order of the expansion.  The report's last degree N is the exception:
 no row prints C^{N+1}, so its basis is never solved (``_top_rank``).
 rank d^N is the rank of the images of C^N's numerators as integer rows on
 the flat coordinates of degree N + 1, equal to that of their expansions
@@ -721,6 +734,49 @@ def _relabel(
     return [{to[x]: c for x, c in phi.items()} for phi in vectors], [to[x] for x in anchors]
 
 
+# Images per packed cochain in ``ddzero_witness``.  On the ddzero suite
+# (CPython 3.11, 2-vCPU VM), with no cap the q(3) cells pack up to 1,449
+# images and peak RSS rose from 51 MB to 61 MB; at 256 it is 42 MB, and the
+# other 108 cells, none over 292 images, run as fast as with no cap.
+PACKED_IMAGES = 256
+
+
+def _pack(images: list[Cochain], width: int) -> Cochain:
+    """The integer cochains ``images`` packed into one by Kronecker
+    substitution: sum_j 2^(width * j) images[j].
+
+    Under a linear map with integer entries the packed cochain goes to the
+    images packed the same way.  When every entry there is below
+    2^(width - 1) in absolute value, they are balanced digits in base
+    2^width, so the packed result is zero exactly when each one is."""
+    packed: Cochain = {}
+    get = packed.get
+    for j, image in enumerate(images):
+        shift = width * j
+        for x, c in image.items():
+            packed[x] = get(x, 0) + (c << shift)
+    return packed
+
+
+def _residual(
+    target: Cochain, space: CochainSpace, sector: int
+) -> tuple[list[tuple[int, Scalar]], Cochain]:
+    """The coefficients (k, c_k) of a cochain read off at the anchors of
+    ``space``'s basis in ``sector``, and the residual
+    L * target - sum_k c_k (L / scale_k) numerator_k, with L the lcm of the
+    scales: zero exactly when target = sum_k c_k basis_k."""
+    anchors = space.free_index[sector]
+    numerators, scales, lcm = space.numerators[sector], space.scales[sector], space.lcm[sector]
+    coeffs = []
+    residual = dict(target) if lcm == 1 else {x: lcm * c for x, c in target.items()}
+    for x, c in target.items():
+        k = anchors.get(x)
+        if k is not None and c:
+            coeffs.append((k, c))
+            _add_scaled(residual, numerators[k].items(), -c * (lcm // scales[k]))
+    return coeffs, residual
+
+
 class RelativeComplex:
     """Cochain complex of a pair (g, h) with coefficients in a g-module."""
 
@@ -761,8 +817,6 @@ class RelativeComplex:
         # solve, and no split
         self._blocks = self._split(keys) if self.nondiag_idx else None
         self._spaces: dict[int, CochainSpace] = {}
-        # ddzero: d on the numerators of C^p per (sector, basis index), by degree p
-        self._basis_images: dict[int, dict[tuple[int, int], Cochain]] = {}
 
     # -- constraint reduction plan -------------------------------------------
 
@@ -1092,22 +1146,14 @@ class RelativeComplex:
         target that is ``scale`` times the cochain of interest (the image of
         a numerator) reports the residual of that cochain.
         """
-        anchors = space.free_index[sector]
-        numerators, scales, lcm = space.numerators[sector], space.scales[sector], space.lcm[sector]
-        coeffs = []
-        residual = dict(target) if lcm == 1 else {x: lcm * c for x, c in target.items()}
-        for x, c in target.items():
-            k = anchors.get(x)
-            if k is not None and c:
-                coeffs.append((k, c))
-                _add_scaled(residual, numerators[k].items(), -c * (lcm // scales[k]))
+        coeffs, residual = _residual(target, space, sector)
         if residual:
             x, c = next(iter(residual.items()))
             raise ConventionError(
                 "differential image escapes the equivariant span "
                 f"(degree {space.degree}, sector {sector}) at coordinate "
                 f"{self._coordinate(space.degree, x)} with residual "
-                f"{_exact(Fraction(c, lcm * scale))}"
+                f"{_exact(Fraction(c, space.lcm[sector] * scale))}"
             )
         return coeffs
 
@@ -1132,39 +1178,82 @@ class RelativeComplex:
         of the first nonzero entry of d(d(phi)) for the first phi that fails.
 
         The check runs on the integer numerators, which d(d(.)) kills
-        exactly when it kills the basis vectors.  Each image d(phi) is
-        expanded in the basis of C^{p+1} (``_expand``, which verifies
-        image = sum_k c_k psi_k exactly), so by linearity, with psi_k =
+        exactly when it kills the basis vectors.  Per sector, the nonzero
+        images d(phi_k) are packed into integer cochains, at most
+        ``PACKED_IMAGES`` each, by Kronecker substitution (``_pack``), at
+        the width ``_packing_width`` bounds from the data.  Two checks run
+        once on each packed cochain: the
+        residual of its expansion in the basis of C^{p+1} (``_residual``,
+        ``_expand``'s rule) and d of it.  Both are linear, so both are zero
+        exactly when, for every image, the expansion
+        image = sum_k c_k psi_k holds and d(image) = 0, that is,
+        d(d(phi_k)) = 0.  A sector with a nonzero packed result, or where d
+        is not integral (no width), takes the per-vector path, which names
+        the first failure: each image is expanded (``_expand``, which
+        raises ConventionError on a residual), and with psi_k =
         numerator_k / scale_k and L the lcm of the scales,
-        L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k).  Each
-        d(numerator_k) is built on the first use of that k and kept for
-        ``ddzero(p + 1)``, which needs d on the numerators of C^{p+1} anyway;
-        degree p+2 only contributes its monomial combinatorics (no
-        equivariant basis is needed there).
+        L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k), accumulated
+        in the order of the expansion.  Degree p+2 only contributes its
+        monomial combinatorics (no equivariant basis is needed there).
         """
         src = self.space(p)
         dst = self.space(p + 1)
-        images = self._basis_images.pop(p, {})
-        next_images = self._basis_images.setdefault(p + 1, {})
         for sector in (EVEN, ODD):
+            images = [self.apply_differential(p, sector, phi) for phi in src.numerators[sector]]
+            nonzero = [image for image in images if image]
+            if not nonzero:
+                continue
+            width = self._packing_width(p + 1, sector, nonzero)
+            if width is not None and not any(
+                _residual(packed, dst, sector)[1] or self.apply_differential(p + 1, sector, packed)
+                for packed in (
+                    _pack(nonzero[j : j + PACKED_IMAGES], width)
+                    for j in range(0, len(nonzero), PACKED_IMAGES)
+                )
+            ):
+                continue
             numerators, scales, lcm = dst.numerators[sector], dst.scales[sector], dst.lcm[sector]
-            for k, phi in enumerate(src.numerators[sector]):
-                image = images.pop((sector, k), None)
-                if image is None:
-                    image = self.apply_differential(p, sector, phi)
+            d_psi: dict[int, Cochain] = {}
+            for k, image in enumerate(images):
                 scale = src.scales[sector][k]
                 dd: Cochain = {}
                 for k2, c in self._expand(image, dst, sector, scale):
-                    d_psi = next_images.get((sector, k2))
-                    if d_psi is None:
-                        d_psi = next_images[sector, k2] = self.apply_differential(
-                            p + 1, sector, numerators[k2]
-                        )
-                    _add_scaled(dd, d_psi.items(), c * (lcm // scales[k2]))
+                    if k2 not in d_psi:
+                        d_psi[k2] = self.apply_differential(p + 1, sector, numerators[k2])
+                    _add_scaled(dd, d_psi[k2].items(), c * (lcm // scales[k2]))
                 if dd:
                     x, c = next(iter(dd.items()))
                     return sector, k, self._coordinate(p + 2, x), _exact(Fraction(c, lcm * scale))
         return None
+
+    def _packing_width(self, p: int, sector: int, images: list[Cochain]) -> int | None:
+        """The width b for ``_pack``ing ``images``, cochains on the flat
+        coordinates of degree p, in ``ddzero_witness``; None when a projected
+        bracket of g/h or an entry of M's columns is not an int.  Otherwise
+        d has integer entries, so the images and what is made of them are
+        integer cochains.
+
+        With |.|_1 the largest sum of absolute values over one image, an
+        entry of an image's residual against C^p (``_residual``) is at most
+        |.|_1 L (1 + the largest |entry| of a numerator), L the lcm of the
+        scales.  One coordinate of d gives one output entry at most one
+        bracket term, a sum over the (p + 1) p / 2 pairs of positions of
+        the target, each term a projected bracket coefficient, and one action
+        term, at most p + 1 copies of a factor times an entry of M.  So an
+        entry of d of an image is at most |.|_1 times that sum of bounds.
+        With E the larger of the two bounds, b is the least width with
+        2^b > 2 E.
+        """
+        brackets = [v for group in self.pair._bracket_groups() for _, terms in group for _, v in terms]
+        m_entries = [a for cols in self.m_cols_by_complement for col in cols for a in col.values()]
+        if any(type(c) is not int for c in brackets + m_entries):
+            return None
+        reach = ((p + 1) * p // 2 * max(map(abs, brackets), default=0)
+                 + (p + 1) * max(map(abs, m_entries), default=0))
+        space = self.space(p)
+        top = max((abs(c) for phi in space.numerators[sector] for c in phi.values()), default=0)
+        norm = max(sum(map(abs, image.values())) for image in images)
+        return (2 * norm * max(reach, space.lcm[sector] * (1 + top))).bit_length()
 
     def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
         """(even block, odd block) of d^p: C^p -> C^{p+1}.

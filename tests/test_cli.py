@@ -367,8 +367,9 @@ def test_cli_fuzz_malformed_inputs_exit_2(tmp_path, capsys):
         assert "Traceback" not in err, argv
 
 
-# The hash-seed jobs of CI (``.github/workflows/tests.yml``) whose output no
-# perfbench digest covers: sha256 of stdout, argv as CI splits it.
+# The hash-seed jobs of CI (``.github/workflows/tests.yml``): sha256 of
+# stdout, argv as CI splits it.  The two short ``coh q`` jobs are left to the
+# perfbench digests.
 CI_JOB_DIGESTS = {
     "coh gl 2 2 --sub levi --H 3,2,1,0 --mod trivial -N 8 --format json":
         "9a6fad9687ec465213e5014eb830166bd4447132eae64c5a697e58b2ccebe03b",
@@ -388,6 +389,20 @@ CI_JOB_DIGESTS = {
         "082123ef199681d2626569511c7d12ce4dc582c95a83c1ea4d2b1c053b72543a",
     "coh q 3 --sub g0 --mod adjoint -N 6 --format json":
         "ab470f888858ebd7089a31d3e93410c469deed6b725539d20f9936e151f869e6",
+    "verify kunneth --format json":
+        "f902bd57a81283be12f2b7a8743c7bef84663ad7d81115fd7714ee871cf85b34",
+    "verify growth --format json":
+        "82adb690d4d27755135ca7f93ec2848d87450893e497640b03bbf063bbd9a3ff",
+    "verify g0-vanishing --format json":
+        "7620c4191c2ebe2233d8bd595f00878b4a3f11a3b052af4a6e30bb325ced18c3",
+    "verify appendix --format json":
+        "1ede2b1375f4689bcce63fd903db7c631449a369f0337dc79dcb4ee3e8df1493",
+    "verify ddzero --format json":
+        "03e539aad8d2ddd45ed5fa808dc28fb0ccb853ba9fc8188543edc670f22ba227",
+    "verify jacobi --format json":
+        "4bdc15d4e88789d823b21b1f75a1a8ffe47e342a7026b4a4b72f7bf47fa8cfa0",
+    "verify invariants --format json":
+        "f4f99fc8dbff2ed6f70e5ee82097dcd13c07fa220b9eefac2fad6e360d8261cb",
     "build osp 3 2": "6eaa4d8ac3deccf946db4f24cbd404dcac9d7d099b26ab525ed1ebc87ff63618",
     "build osp 5 4": "af0cb4ec8e60087a253be5592e63e6bf40584c4492429dfc70d81f949746e0a7",
     "build q 3": "e4906380a1da304a8e25d2ddda6782a1b1d960ae6fc71a8bc84098c7bb553102",

@@ -175,9 +175,18 @@ def test_perfbench_tracer_finds_what_it_wraps(monkeypatch):
     g = build_gl(2, 1)
     cx = RelativeComplex(RelativePair(g, named_subalgebra(g, "g0")), adjoint(g))
     cx.report(3)
+    from_report = len(calls)
     assert cx.ddzero(1)
     assert calls
     for args, kwargs in calls:
         assert kwargs == {} and len(args) == 3
+    # report applies d to basis numerators; ddzero also to packed images,
+    # cochains on the flat coordinates of their degree
+    for args, _ in calls[:from_report]:
         p, sector, phi = args
         assert any(phi is num for num in cx.space(p).numerators[sector])
+    assert len(calls) > from_report
+    for args, _ in calls[from_report:]:
+        p, sector, phi = args
+        coords = len(cx.pair.degree(p).monomials) * cx.m.dim
+        assert all(type(x) is int and 0 <= x < coords for x in phi)
