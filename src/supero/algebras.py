@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    DecompositionError,
     DimensionMismatch,
     EmptyAlgebra,
     FormError,
@@ -29,7 +30,8 @@ from .errors import (
     UnsupportedRank,
 )
 from .linalg import (
-    Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact, kernel_basis_with_free
+    RowMatrix, Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact,
+    kernel_basis_with_free,
 )
 
 EVEN = 0
@@ -133,8 +135,6 @@ class LieSuperalgebra:
             elif len(terms) == 1 and terms[0][0] == j:
                 w.append(terms[0][1])
             else:
-                from .errors import DecompositionError
-
                 raise DecompositionError(
                     f"torus element {t} does not act diagonally on basis vector {j}"
                 )
@@ -519,13 +519,8 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
             sgn = -1 if (sector * cpar[a]) % 2 else 1
             _add_scaled(eq_rows.setdefault((a, d), {}), [(col, sgn * phi(a, c))])
         rows = [eq_rows[key] for key in sorted(eq_rows) if eq_rows[key]]
-        mat = SparseMatrix(
-            len(rows),
-            len(positions),
-            ((r, c, v) for r, row in enumerate(rows) for c, v in row.items()),
-        )
         # each kernel vector as its primitive integer multiple
-        basis, _ = kernel_basis_with_free(mat)
+        basis, _ = kernel_basis_with_free(RowMatrix(rows, len(positions)))
         return [{positions[c]: v for c, v in nums.items()} for nums, _ in basis]
 
     mats: list[MatDict] = []

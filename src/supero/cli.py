@@ -60,6 +60,11 @@ USAGE_ERRORS = (
 # to about 1.9x.
 COCHAIN_BUDGET = 200_000
 
+# Monomial factors a ``coh`` report lists for p <= N + 1: 2.44M for
+# ``coh gl 3 2 --sub g0 -N 8``, but 21.7M for gl(1|1) over g0 at N = 400,
+# whose C^401 has only 402 coordinates.
+LISTING_BUDGET = 5_000_000
+
 # ``Fraction`` builds 10**e in full, so an ``--H`` exponent gets the digit
 # limit of a plain integer; each ``--mod`` nesting level is one recursion.
 MAX_EXPONENT = 4300
@@ -76,6 +81,18 @@ def largest_cochain_space(even: int, odd: int, top: int, dim_m: int) -> int:
     return dim_m * max(
         super_monomial_count(even, odd, p) for p in {top, min(top, even // 2)}
     )
+
+
+def listed_factors(even: int, odd: int, top: int) -> int:
+    """Factors of the monomials of L^p_s(g/h) for p <= top, summed until past
+    ``LISTING_BUDGET`` or at the first degree with none (so is every later)."""
+    total = 0
+    for p in range(1, top + 1):
+        count = super_monomial_count(even, odd, p)
+        total += p * count
+        if not count or total > LISTING_BUDGET:
+            break
+    return total
 
 
 def build_family(family: str, params: list[int]) -> LieSuperalgebra:
@@ -272,6 +289,11 @@ def cmd_coh(args) -> int:
         raise DimensionMismatch(
             f"request too large: C^p for p <= {max_degree + 1} may have {size} "
             f"coordinates, over the budget of {COCHAIN_BUDGET}"
+        )
+    if listed_factors(even_quot, len(quotient) - even_quot, max_degree + 1) > LISTING_BUDGET:
+        raise DimensionMismatch(
+            f"request too large: the monomials of degree p <= {max_degree + 1} "
+            f"hold over {LISTING_BUDGET} factors, the listing budget"
         )
     report = cohomology(g, h, mod, max_degree)
     if args.format == "json":

@@ -16,7 +16,7 @@ the span vectors acting diagonally on g/h and the monomials grouped into
 buckets by key; the
 action rows of each span vector of h on L^p_s(g/h) per (degree, span
 vector, weight bucket) (``action_rows``); the projected brackets grouped
-by the factor they hold (``_bracket_groups``), and the structure maps of
+by the factor they hold (``bracket_groups``), and the structure maps of
 the differential per source monomial (``source_maps``), built only for
 the monomials that d reads.
 ``RelativeComplex(pair, M)`` adds the action on M: the module vectors
@@ -48,10 +48,12 @@ primitive integer multiple (``numerators``) and its value at its anchor
 (``scales``), and the public ``basis`` divides the one by the other.  The
 differential layer works on the numerators too: ``apply_differential``
 acts on them, ``_expand`` checks an image against them in integers,
-scaled by the lcm of the scales, and d o d = 0 checks their images.
-Values are divided only where they leave that layer: the entries of ``differential(p)`` by
-the source scale, and a ``ConventionError`` residual by the lcm, or, at a
-report's last degree, by the source scale.
+scaled by the lcm of the scales, and d o d = 0 checks their images, all
+made in one place (``_images``).  A rank is taken on the expansion
+coefficients themselves (``_block``): a source scale scales only its
+column.  Values are divided only where they leave that layer: the entries
+of ``differential(p)`` by the source scale, and a ``ConventionError``
+residual by the lcm, or, at a report's last degree, by the source scale.
 
 The differential evaluates on monomials w = x_1 ^ ... ^ x_{p+1} as
 
@@ -152,13 +154,14 @@ next degree with an exact consistency assertion; a mismatch raises
 ConventionError, naming the first escaping coordinate and its residual,
 instead of silently projecting.  The d o d = 0 check asks only whether
 results are zero, so it runs on many images at once (``ddzero_witness``):
-per (degree, sector), the images d(phi_k) of the numerators of C^p, each
-built on its own, are packed into one integer cochain by Kronecker
-substitution, sum_j 2^(b j) image_j (``_pack``, at most
+per (degree, sector), the images d(phi_k) of the numerators of C^p
+(``_images``, each built on its own) are packed into one integer cochain
+by Kronecker substitution, sum_j 2^(b j) image_j (``_pack``, at most
 ``PACKED_IMAGES`` images each).  The width b comes from a bound on every
 entry that the two checks can produce per image, taken from the data
-(``_packing_width``): the images' sums of absolute values, the projected
-brackets of g/h, M's columns, and the numerators and scales of C^{p+1}.
+(``_packing_width``): the images' sums of absolute values, the largest
+projected bracket of g/h and entry of M's columns, found once per
+complex, and the numerators and scales of C^{p+1}.
 Above it the entries are balanced digits, so the residual of the packed
 cochain against the basis of C^{p+1} (``_residual``, ``_expand``'s rule)
 and d of it are zero exactly when every image expands in that basis and
@@ -530,7 +533,7 @@ class RelativePair:
             self._checks[key] = hit
         return hit
 
-    def _bracket_groups(self) -> list[list[tuple[int, list[tuple[int, Scalar]]]]]:
+    def bracket_groups(self) -> list[list[tuple[int, list[tuple[int, Scalar]]]]]:
         """For each quotient basis vector q, the pairs (a, [(b, v), ...]) such
         that q has coefficient v in pi[lift(q_a), lift(q_b)], for a before or
         equal to b in normal order (the only order a monomial holds them in),
@@ -589,7 +592,7 @@ class RelativePair:
         action.sort(key=itemgetter(1))
         # first sum: w = s_q * q ^ rest, and every (a, b) whose projected
         # bracket holds q reaches the target t1 = rest ^ a ^ b
-        groups = self._bracket_groups()
+        groups = self.bracket_groups()
         # one term per target: the (i, j, k) terms of t1 summed
         bracket: dict[int, Scalar] = {}
         for q in dict.fromkeys(mo_w):
@@ -817,6 +820,13 @@ class RelativeComplex:
         # solve, and no split
         self._blocks = self._split(keys) if self.nondiag_idx else None
         self._spaces: dict[int, CochainSpace] = {}
+        # ``_packing_width``'s largest |projected bracket| and |entry of M|,
+        # None unless all are ints
+        brackets = [v for group in pair.bracket_groups() for _, terms in group for _, v in terms]
+        m_entries = [a for cols in self.m_cols_by_complement for col in cols for a in col.values()]
+        self._entry_bounds = None if any(type(c) is not int for c in brackets + m_entries) else (
+            max(map(abs, brackets), default=0), max(map(abs, m_entries), default=0)
+        )
 
     # -- constraint reduction plan -------------------------------------------
 
@@ -1087,12 +1097,7 @@ class RelativeComplex:
                 witness = _first_defect(solutions, ops, self.nondiag_idx)
         else:
             sector, i, defect = witness
-            x, c = next(iter(defect.items()))
-            raise ConventionError(
-                f"cochain basis fails equivariance under span vector {i} of h "
-                f"(degree {p}, sector {sector}) at coordinate {self._coordinate(p, x)} "
-                f"with defect {c}"
-            )
+            raise self._failure("cochain basis", i, p, sector, *next(iter(defect.items())))
         numerators_pair, free_pair = zip(*solutions)
         # a numerator's scale is its value at its anchor
         scales_pair = tuple([phi[x] for phi, x in zip(*sol)] for sol in solutions)
@@ -1149,22 +1154,53 @@ class RelativeComplex:
         coeffs, residual = _residual(target, space, sector)
         if residual:
             x, c = next(iter(residual.items()))
-            raise ConventionError(
-                "differential image escapes the equivariant span "
-                f"(degree {space.degree}, sector {sector}) at coordinate "
-                f"{self._coordinate(space.degree, x)} with residual "
-                f"{_exact(Fraction(c, space.lcm[sector] * scale))}"
+            raise self._failure(
+                "differential image", None, space.degree, sector, x, c, space.lcm[sector] * scale
             )
         return coeffs
 
+    def _failure(
+        self, what: str, i: int | None, p: int, sector: int, x: int, c: Scalar, scale: int = 1
+    ) -> ConventionError:
+        """The error naming ``what``'s defect under span vector i, or for i
+        None its residual off the span, at flat coordinate x of degree p."""
+        if i is None:
+            head, name = f"{what} escapes the equivariant span", "residual"
+        else:
+            head, name = f"{what} fails equivariance under span vector {i} of h", "defect"
+        return ConventionError(
+            f"{head} (degree {p}, sector {sector}) at coordinate {self._coordinate(p, x)} "
+            f"with {name} {_exact(Fraction(c, scale))}"
+        )
+
+    def _images(self, p: int, sector: int) -> list[Cochain]:
+        """d of each numerator of C^p in ``sector``, in basis order: the one
+        place d is applied to C^p's numerators."""
+        return [self.apply_differential(p, sector, phi) for phi in self.space(p).numerators[sector]]
+
+    def _block(self, p: int, sector: int) -> RowMatrix:
+        """One sector's block of d^p times the source scales: row r is
+        {k: c}, keys ascending, c the coefficient of basis vector r of
+        C^{p+1} in the image of numerator k (``_expand``).  Scaling columns
+        keeps the rank and ``_eliminate``'s pivots."""
+        src, dst = self.space(p), self.space(p + 1)
+        rows: list[dict[int, Scalar]] = [{} for _ in dst.numerators[sector]]
+        for k, (image, s) in enumerate(zip(self._images(p, sector), src.scales[sector])):
+            for r, c in self._expand(image, dst, sector, s):
+                rows[r][k] = c
+        return RowMatrix(rows, len(src.numerators[sector]))
+
     def differential(self, p: int) -> SparseMatrix:
         """Matrix of d^p: C^p -> C^{p+1}, the even block then the odd block on
-        the diagonal (map parity is preserved)."""
-        even, odd = self._differential_blocks(p)
-        shifted = ((even.rows + r, even.cols + c, v) for r, c, v in odd.entries())
-        return SparseMatrix(
-            even.rows + odd.rows, even.cols + odd.cols, [*even.entries(), *shifted]
-        )
+        the diagonal (map parity is preserved), each entry an expansion
+        coefficient of ``_block`` divided by its source scale."""
+        scales, entries, at = self.space(p).scales, [], (0, 0)
+        for sector in (EVEN, ODD):
+            block = self._block(p, sector)
+            entries += [(at[0] + r, at[1] + k, Fraction(c, scales[sector][k]))
+                        for r, row in enumerate(block.row_dicts()) for k, c in row.items()]
+            at = (at[0] + block.rows, at[1] + block.cols)
+        return SparseMatrix(*at, entries)
 
     def ddzero(self, p: int) -> bool:
         """Exact check that d(d(phi)) = 0 for every basis cochain of C^p."""
@@ -1179,19 +1215,16 @@ class RelativeComplex:
 
         The check runs on the integer numerators, which d(d(.)) kills
         exactly when it kills the basis vectors.  Per sector, the nonzero
-        images d(phi_k) are packed into integer cochains, at most
-        ``PACKED_IMAGES`` each, by Kronecker substitution (``_pack``), at
-        the width ``_packing_width`` bounds from the data.  Two checks run
-        once on each packed cochain: the
-        residual of its expansion in the basis of C^{p+1} (``_residual``,
-        ``_expand``'s rule) and d of it.  Both are linear, so both are zero
-        exactly when, for every image, the expansion
-        image = sum_k c_k psi_k holds and d(image) = 0, that is,
-        d(d(phi_k)) = 0.  A sector with a nonzero packed result, or where d
-        is not integral (no width), takes the per-vector path, which names
-        the first failure: each image is expanded (``_expand``, which
-        raises ConventionError on a residual), and with psi_k =
-        numerator_k / scale_k and L the lcm of the scales,
+        images d(phi_k) (``_images``) are packed into integer cochains, at
+        most ``PACKED_IMAGES`` each (``_pack``), at the width
+        ``_packing_width`` bounds from the data.  The residual of each
+        packed cochain against the basis of C^{p+1} (``_residual``) and d of
+        it are linear, so both are zero exactly when every image expands as
+        sum_k c_k psi_k and d(d(phi_k)) = 0.  A sector with a nonzero packed
+        result, or where d is not integral (no width), takes the per-vector
+        path, which names the first failure: each image is expanded
+        (``_expand``, which raises ConventionError on a residual), and with
+        psi_k = numerator_k / scale_k and L the lcm of the scales,
         L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k), accumulated
         in the order of the expansion.  Degree p+2 only contributes its
         monomial combinatorics (no equivariant basis is needed there).
@@ -1199,7 +1232,7 @@ class RelativeComplex:
         src = self.space(p)
         dst = self.space(p + 1)
         for sector in (EVEN, ODD):
-            images = [self.apply_differential(p, sector, phi) for phi in src.numerators[sector]]
+            images = self._images(p, sector)
             nonzero = [image for image in images if image]
             if not nonzero:
                 continue
@@ -1214,8 +1247,7 @@ class RelativeComplex:
                 continue
             numerators, scales, lcm = dst.numerators[sector], dst.scales[sector], dst.lcm[sector]
             d_psi: dict[int, Cochain] = {}
-            for k, image in enumerate(images):
-                scale = src.scales[sector][k]
+            for k, (image, scale) in enumerate(zip(images, src.scales[sector])):
                 dd: Cochain = {}
                 for k2, c in self._expand(image, dst, sector, scale):
                     if k2 not in d_psi:
@@ -1229,9 +1261,9 @@ class RelativeComplex:
     def _packing_width(self, p: int, sector: int, images: list[Cochain]) -> int | None:
         """The width b for ``_pack``ing ``images``, cochains on the flat
         coordinates of degree p, in ``ddzero_witness``; None when a projected
-        bracket of g/h or an entry of M's columns is not an int.  Otherwise
-        d has integer entries, so the images and what is made of them are
-        integer cochains.
+        bracket of g/h or an entry of M's columns is not an int (both read
+        once per complex, ``_entry_bounds``).  Otherwise d has integer
+        entries, so the images and what is made of them are integer cochains.
 
         With |.|_1 the largest sum of absolute values over one image, an
         entry of an image's residual against C^p (``_residual``) is at most
@@ -1244,80 +1276,44 @@ class RelativeComplex:
         With E the larger of the two bounds, b is the least width with
         2^b > 2 E.
         """
-        brackets = [v for group in self.pair._bracket_groups() for _, terms in group for _, v in terms]
-        m_entries = [a for cols in self.m_cols_by_complement for col in cols for a in col.values()]
-        if any(type(c) is not int for c in brackets + m_entries):
+        if self._entry_bounds is None:
             return None
-        reach = ((p + 1) * p // 2 * max(map(abs, brackets), default=0)
-                 + (p + 1) * max(map(abs, m_entries), default=0))
+        bracket, entry = self._entry_bounds
+        reach = (p + 1) * p // 2 * bracket + (p + 1) * entry
         space = self.space(p)
         top = max((abs(c) for phi in space.numerators[sector] for c in phi.values()), default=0)
         norm = max(sum(map(abs, image.values())) for image in images)
         return (2 * norm * max(reach, space.lcm[sector] * (1 + top))).bit_length()
 
-    def _differential_blocks(self, p: int) -> tuple[SparseMatrix, SparseMatrix]:
-        """(even block, odd block) of d^p: C^p -> C^{p+1}.
-
-        d is applied to the integer numerators; only the matrix entries are
-        divided by the source scale."""
-        src = self.space(p)
-        dst = self.space(p + 1)
-        blocks = []
-        for sector in (EVEN, ODD):
-            entries = []
-            for k, (phi, s) in enumerate(zip(src.numerators[sector], src.scales[sector])):
-                image = self.apply_differential(p, sector, phi)
-                for r, c in self._expand(image, dst, sector, s):
-                    entries.append((r, k, c if s == 1 else Fraction(c, s)))
-            blocks.append(
-                SparseMatrix(len(dst.numerators[sector]), len(src.numerators[sector]), entries)
-            )
-        return blocks[0], blocks[1]
-
     def _top_rank(self, p: int, sector: int) -> int:
         """Rank of one sector's block of d^p, read off the images of the
-        numerators of C^p, with no basis of C^{p+1}.
+        numerators of C^p (``_images``) as integer rows on the flat
+        coordinates of degree p + 1, with no basis of C^{p+1}.
 
-        The images are integer rows on the flat coordinates
-        x = w * dim M + v of degree p + 1.  Expanding in a basis is
-        injective, so their rank is the block's.  Each image is checked
-        against the definition of C^{p+1}: every coordinate must be a kept
-        coordinate of the sector, by the rule ``space`` solves C^{p+1} on
-        (``_kept``), or ``_expand``'s ConventionError names the first that
-        is not, and its defect under every span vector of the check list
-        must vanish, or a ConventionError names the first span vector, in
-        the order of all non-diagonal ones, under which some image fails,
-        and that image's first defect coordinate.  Both values are
-        divided by the source scale, so they are those of d on the basis
-        vector.  Degree p + 1's weight keys are read only when some image is
-        nonzero, and its action rows only in the buckets the images touch
-        that keep some coordinate, by one defect operator
-        (``_defect_columns``) per span vector checked.
+        Expanding in a basis is injective, so their rank is the block's.
+        Each image is checked against the definition of C^{p+1}, as the
+        module docstring says: its coordinates must be kept (``_kept``) and
+        its defects under the check list zero.  An error's value is divided
+        by the source scale, so it is that of d on the basis vector.  Degree
+        p + 1's weight keys are read only when some image is nonzero, and its
+        action rows only in the buckets the images touch that keep some
+        coordinate, by one defect operator (``_defect_columns``) per span
+        vector checked.
         """
-        src = self.space(p)
-        n = self.m.dim
-        images: list[Cochain] = []
-        scales: list[int] = []
-        for phi, s in zip(src.numerators[sector], src.scales[sector]):
-            image = self.apply_differential(p, sector, phi)
-            if image:
-                images.append(image)
-                scales.append(s)
-        if not images:
+        nonzero = [(im, s) for im, s in zip(self._images(p, sector), self.space(p).scales[sector]) if im]
+        if not nonzero:
             return 0
+        images = [image for image, _ in nonzero]
+        n = self.m.dim
         deg = self.pair.degree(p + 1)
         # the kept coordinates of the sector in the buckets the images touch
         touched = dict.fromkeys(deg.weight_keys[x // n] for image in images for x in image)
         kept_pair, needed = self._kept(p + 1, touched)
         kept = set(kept_pair[sector])
-        for image, s in zip(images, scales):
+        for image, s in nonzero:
             for x, c in image.items():
                 if x not in kept:
-                    raise ConventionError(
-                        "differential image escapes the equivariant span "
-                        f"(degree {p + 1}, sector {sector}) at coordinate "
-                        f"{self._coordinate(p + 1, x)} with residual {_exact(Fraction(c, s))}"
-                    )
+                    raise self._failure("differential image", None, p + 1, sector, x, c, s)
         for i in self.check_idx:
             op = self._defect_columns(p + 1, i, needed)
             if any(_defect(op, image) for image in images):
@@ -1329,23 +1325,17 @@ class RelativeComplex:
         for i in self.nondiag_idx:
             op = self._defect_columns(p + 1, i, needed)
             witness = next((
-                (defect, s) for image, s in zip(images, scales)
-                if (defect := _defect(op, image))
+                (defect, s) for image, s in nonzero if (defect := _defect(op, image))
             ), None)
             if witness:
                 break
         defect, s = witness
-        x, c = next(iter(defect.items()))
-        raise ConventionError(
-            f"differential image fails equivariance under span vector {i} of h "
-            f"(degree {p + 1}, sector {sector}) at coordinate "
-            f"{self._coordinate(p + 1, x)} with defect {_exact(Fraction(c, s))}"
-        )
+        raise self._failure("differential image", i, p + 1, sector, *next(iter(defect.items())), s)
 
     def report(self, max_degree: int) -> CohomologyReport:
-        """H^p for p <= max_degree.  Below the last degree the ranks come from
-        ``_differential_blocks``; the last one's from ``_top_rank``, so the
-        report never builds C^{max_degree + 1}."""
+        """H^p for p <= max_degree.  Below the last degree the ranks are those
+        of the expansion coefficients (``_block``); the last one's come from
+        ``_top_rank``, so the report never builds C^{max_degree + 1}."""
         rows = []
         all_zero = True
         prev = (0, 0)  # ranks of d^{p-1} per sector
@@ -1356,7 +1346,7 @@ class RelativeComplex:
                 rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]
                 break
             if p < max_degree:
-                ranks = [rank(b) for b in self._differential_blocks(p)]
+                ranks = [rank(self._block(p, sector)) for sector in (EVEN, ODD)]
             else:
                 ranks = [self._top_rank(p, sector) for sector in (EVEN, ODD)]
             if any(ranks):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import RelativePair, cohomology, relative_ext
 from .errors import DimensionMismatch
-from .linalg import SparseMatrix, rank
+from .linalg import RowMatrix, Scalar, rank
 from .reps import Representation, dual, odd_part_module, super_symmetric_power, trivial
 
 
@@ -48,25 +48,18 @@ def invariant_subspace_dim(r: Representation) -> int:
     alg = r.algebra
     diag = [i for i in range(alg.dim) if r.actions[i].is_diagonal()]
     nondiag = [i for i in range(alg.dim) if i not in set(diag)]
-    kept = [
-        v
-        for v in range(r.dim)
-        if all(r.actions[i].entry(v, v) == 0 for i in diag)
-    ]
+    kept = [v for v in range(r.dim) if all(r.actions[i].entry(v, v) == 0 for i in diag)]
     if not nondiag:
         return len(kept)
     pos = {v: t for t, v in enumerate(kept)}
-    entries = []
-    row_ids: dict[tuple[int, int], int] = {}
+    # one row per (action, output coordinate), in first-appearance order
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for ci in nondiag:
         for row, col, val in r.actions[ci].entries():
             t = pos.get(col)
-            if t is None:
-                continue
-            rid = row_ids.setdefault((ci, row), len(row_ids))
-            entries.append((rid, t, val))
-    mat = SparseMatrix(len(row_ids), len(kept), entries)
-    return mat.cols - rank(mat)
+            if t is not None:
+                rows.setdefault((ci, row), {})[t] = val
+    return len(kept) - rank(RowMatrix(list(rows.values()), len(kept)))
 
 
 def invariant_dims(g: LieSuperalgebra, max_degree: int) -> HilbertTable:

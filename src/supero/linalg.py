@@ -25,10 +25,11 @@ nullity x cols basis from the rightmost column leftwards, which recovers F
 and the normalised vectors.  Both steps stay in integers, one denominator
 per vector; a ``Fraction`` appears only in the dense ``kernel_basis``.
 
-Rank and kernel read a matrix as its row dicts and column count: a
-``SparseMatrix`` gives them by ``row_dicts``, and a ``RowMatrix`` holds
-them as a caller built them, which is how the cochain engine hands its
-constraint rows to the kernel with no ``SparseMatrix`` in between.
+Rank and kernel read a matrix as its row dicts and column count.  Every
+solve in the package hands them its rows as a ``RowMatrix``; a
+``SparseMatrix`` is what a caller reads back (a module's actions,
+``RelativeComplex.differential``), and rank and kernel read it by
+``row_dicts``.
 ``_int_rows`` scales only the rows holding a ``Fraction``, so integer rows
 go to the elimination as they came.  A ``RowMatrix`` may hold integral
 ``Fraction``s (products and sums of ``Fraction``s made on the way), the
@@ -113,11 +114,10 @@ def _dict_matmul(a: dict[tuple[int, int], Scalar], b: dict[tuple[int, int], Scal
 class SparseMatrix:
     """Immutable sparse matrix over Q.
 
-    A container, not an algebra: it is built once, handed to ``rank`` and
-    ``kernel_basis_with_free``, and read back as entries or as row and
-    column dicts.  Entries are stored as a dict keyed by (row, col), each
-    value under the scalar convention (``_exact``); zeros are never stored
-    and duplicate positions are rejected.
+    A container, not an algebra: it is built once and read back as entries
+    or as row and column dicts.  Entries are stored as a dict keyed by
+    (row, col), each value under the scalar convention (``_exact``); zeros
+    are never stored and duplicate positions are rejected.
     """
 
     __slots__ = ("rows", "cols", "_data")

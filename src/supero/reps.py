@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan
+from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, even_part_span
 from .errors import (
     AlgebraMismatch,
     DecompositionError,
@@ -336,8 +336,6 @@ def weight_decomposition(r: Representation) -> dict[tuple[Scalar, ...], tuple[in
 
 def odd_part_module(g: LieSuperalgebra) -> Representation:
     """The odd part of g as a module over the even-part subalgebra."""
-    from .algebras import even_part_span
-
     h = even_part_span(g)
     odd = g.odd_indices
     pos = {o: t for t, o in enumerate(odd)}

@@ -5,8 +5,9 @@ exterior power listed without the degree-by-degree walk, the derivation
 action on them and the action on a symmetric power one factor position at
 a time, the projected brackets of a pair, the equivariance defect summed
 from one column per coordinate, the constraint solve of a cochain space
-run on each sector whole, a report whose last rank is read off d expanded
-in the basis of the degree above, and the subalgebra that some basis
+run on each sector whole, the two diagonal blocks of the public
+differential, a report whose last rank is read off d expanded in the
+basis of the degree above, and the subalgebra that some basis
 vectors of h generate."""
 
 import itertools
@@ -228,10 +229,24 @@ def whole_sector_space(cx, p: int):
     return out
 
 
+def differential_blocks(cx, p: int) -> tuple[SparseMatrix, SparseMatrix]:
+    """(even block, odd block) of the public ``cx.differential(p)``, split
+    at the even dimensions of C^p and C^{p+1}; an entry off the two
+    diagonal blocks falls outside both and raises."""
+    d = cx.differential(p)
+    rows, cols = cx.space(p + 1).dim_even, cx.space(p).dim_even
+    even = SparseMatrix(rows, cols, ((r, c, v) for r, c, v in d.entries() if r < rows))
+    odd = SparseMatrix(
+        d.rows - rows, d.cols - cols,
+        ((r - rows, c - cols, v) for r, c, v in d.entries() if r >= rows),
+    )
+    return even, odd
+
+
 def report_through_the_next_space(cx, max_degree: int) -> dict:
     """``cx.report(max_degree).to_json_dict()`` with every rank, the last
-    degree's too, taken on the blocks of d^p expanded in the basis of
-    C^{p+1} (``_differential_blocks``, which runs ``_expand``), so
+    degree's too, taken on the blocks of the public ``differential(p)``,
+    d^p expanded in the basis of C^{p+1} (``differential_blocks``), so
     C^{max_degree + 1} is built."""
     from supero.cohomology import CohomologyReport, CohomologyRow
     from supero.linalg import rank
@@ -241,7 +256,7 @@ def report_through_the_next_space(cx, max_degree: int) -> dict:
         if not cx.pair.degree(p).monomials:
             rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]
             break
-        blocks = cx._differential_blocks(p)
+        blocks = differential_blocks(cx, p)
         all_zero = all_zero and all(b.is_zero() for b in blocks)
         ranks = [rank(b) for b in blocks]
         sp = cx.space(p)

@@ -4,12 +4,13 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from supero import cli
 from supero.algebras import build_gl
-from supero.cli import COCHAIN_BUDGET, largest_cochain_space, main
+from supero.cli import COCHAIN_BUDGET, LISTING_BUDGET, largest_cochain_space, listed_factors, main
 from supero.errors import DimensionMismatch
 from supero.reps import super_monomials
 
@@ -249,6 +250,41 @@ def test_size_budget_bounds_every_cochain_space():
                 assert largest_cochain_space(even, odd, top, 3) == 3 * max(counts)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C^199999 has exactly COCHAIN_BUDGET coordinates
+        ["gl", "1", "1", "--sub", "g0", "-N", "199998"],
+        # the same two odd quotient directions
+        ["gl", "1", "1", "--sub", "levi", "--H", "1,-1", "-N", "400"],
+    ],
+    ids=["gl11-g0-N199998", "gl11-levi-N400"],
+)
+def test_coh_over_the_listing_budget_exit_2(capsys, monkeypatch, argv):
+    def no_cohomology(*args):
+        raise AssertionError("cohomology called")
+
+    monkeypatch.setattr(cli, "cohomology", no_cohomology)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "coh", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: request too large") and err.count("\n") == 1
+    assert f"over {LISTING_BUDGET} factors" in err
+
+
+def test_listed_factors_count_every_monomial_factor():
+    for even in range(5):
+        for odd in range(4):
+            for top in range(7):
+                factors = sum(len(super_monomials((0,) * even + (1,) * odd, p)) * p for p in range(top + 1))
+                assert listed_factors(even, odd, top) == factors
+    # the largest request CI runs, coh gl 3 2 --sub g0 -N 8
+    assert listed_factors(0, 12, 9) == 2_441_880 <= LISTING_BUDGET
+    # past the budget the sum stops, whatever the degree
+    assert LISTING_BUDGET < listed_factors(0, 2, 10**5) < 2 * LISTING_BUDGET
+
+
 def test_coh_huge_N_stops_at_the_first_empty_degree(capsys):
     # g/h has no odd directions, so every C^p with p > dim g/h = 6 is 0
     argv = ("coh", "gl", "3", "0", "--sub", "torus", "--format", "json")
@@ -409,6 +445,25 @@ CI_JOB_DIGESTS = {
     "build p_tilde 3": "64611b770c9273ae4146d6a696232c640a551a3a91872128fe6cd5ef809b4f2f",
     "build sl 2 2": "5f1347878bbe53e68d94d7b479bf4ac5db19aaeb6ba5acdc88527be72e3ca7f3",
 }
+
+
+# CI's hash-seed jobs that ``CI_JOB_DIGESTS`` leaves to the perfbench digests
+PERFBENCH_PINNED_JOBS = {
+    "coh q 2 --sub g0 --mod adjoint -N 3 --format json",
+    "coh q 3 --sub g0 --mod adjoint -N 4 --format json",
+}
+
+
+def test_ci_hash_seed_jobs_are_the_pinned_ones():
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    text = workflow.read_text(encoding="utf-8")
+    lines = [line.strip() for line in text.split("<<'JOBS'\n", 1)[1].splitlines()]
+    # each line is a name, then argv as the shell splits it
+    jobs = [line.split()[1:] for line in lines[: lines.index("JOBS")]]
+    argv = {" ".join(job) for job in jobs}
+    assert len(argv) == len(jobs) == 23
+    assert argv - PERFBENCH_PINNED_JOBS == set(CI_JOB_DIGESTS)
+    assert PERFBENCH_PINNED_JOBS <= argv
 
 
 @pytest.mark.parametrize("job", sorted(CI_JOB_DIGESTS))

@@ -34,7 +34,7 @@ from supero.cohomology import (
 )
 from supero.cli import parse_rationals
 from supero.errors import AlgebraMismatch, ConventionError, DimensionMismatch, NotASubalgebra
-from supero.linalg import SpanSolver, SparseMatrix, _exact
+from supero.linalg import SpanSolver, SparseMatrix, _eliminate, _exact, _int_rows
 from supero.reps import (
     adjoint,
     dual,
@@ -918,13 +918,36 @@ def test_integer_numerators_reproduce_the_fraction_differential(case):
                 assert all(type(v) is int or v.denominator > 1 for v in vec.values())
                 assert (vec is phi) == (s == 1)
     for p in range(5):
-        blocks = cx._differential_blocks(p)
+        blocks = oracles.differential_blocks(cx, p)
         for got, want in zip(blocks, _oracle_blocks(cx, p)):
             assert (got.rows, got.cols) == (want.rows, want.cols)
             assert _typed_entries(got) == _typed_entries(want), p
         assert cx.ddzero(p), p
     if case.startswith("q(2)-g0-Ext"):
         assert any(len(set(cx.space(p).scales[s])) > 1 for p in range(6) for s in (0, 1))
+
+
+def test_rank_rows_take_the_pivots_of_the_fraction_blocks():
+    # below the top degree a report ranks the expansion coefficients, whose
+    # column k is column k of d's block times the source scale: on the
+    # growth and ddzero rosters the elimination must pick the same pivot
+    # columns, in the same order, on both, and the report's ranks agree
+    from test_check_list import _roster_complexes
+
+    scaled = 0
+    for cell, cx in _roster_complexes():
+        top = 8 if cell[0] == "growth" else 4
+        rows = cx.report(top).rows
+        for p in range(top):
+            ranks = []
+            for sector, block in enumerate(oracles.differential_blocks(cx, p)):
+                want = [c for c, _ in _eliminate(_int_rows(block))]
+                got = [c for c, _ in _eliminate(_int_rows(cx._block(p, sector)))]
+                assert got == want, (cell, p, sector)
+                ranks.append(len(got))
+                scaled += cx.space(p).lcm[sector] > 1 and bool(want)
+            assert rows[p].rank_differential == sum(ranks), (cell, p)
+    assert scaled  # some source scale is not 1 where d is not zero
 
 
 def test_expand_witness_is_unscaled():
