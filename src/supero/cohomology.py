@@ -127,22 +127,32 @@ by paired root vectors (a reductive situation), a weight-zero map killed
 by the simple positive root vectors is automatically killed by all of h's
 even part.  The plan (``constraint_plan``) lists the span vectors whose
 constraints are imposed, in order.  Every returned basis vector of both
-sectors, relabelled ones included, is re-verified exactly, the even sector
-first and each in the order of its anchors, against the check list
-(``check_idx``): the plan, plus non-diagonal span vectors picked greedily
-until single-term brackets of h carry the checks to all the rest
+sectors, relabelled ones included, is re-verified exactly against the
+check list (``check_idx``): the plan, plus non-diagonal span vectors picked
+greedily until single-term brackets of h carry the checks to all the rest
 (``RelativePair.check_list``).  That is as exact as a check against every
 non-diagonal span vector.  Each bracket [b_a, b_b] = v b_k it uses is
 checked exactly to hold on g/h and on M, so it holds on L^p_s(g/h) and, up
 to the sign (-1)^{|a||b|}, on the defect operators of Hom(L^p_s(g/h), M);
 a kept coordinate is killed by every diagonal span vector, so a cochain of
 one map parity killed by b_a and b_b is killed by b_k.  Where some check
-fails, or no bracket helps, the list is every non-diagonal span vector.  On
-any failure under the list, the witness is the first defect in the order of
-all non-diagonal span vectors, and, when the plan drops some span vector,
-both sectors are solved again by all of them, unit by unit as the plan was,
-and re-verified in turn; a basis that still fails raises ConventionError,
-naming the span vector, degree, sector and first defect coordinate.
+fails, or no bracket helps, the list is every non-diagonal span vector.
+The check asks only whether defects are zero, so it runs on packed
+cochains (``_defects_vanish``): per sector, the numerators are packed by
+Kronecker substitution (``_packs``, see d o d = 0 below), and each packed
+cochain takes one defect per span vector of the list.  The width
+(``_defect_width``) bounds what one coordinate gives one defect entry by
+the largest |entry| of M's columns plus p times the largest |entry| of the
+quotient columns of the span vectors checked, both found once per complex
+(``_defect_bounds``); a lone vector, or vectors where one of those or an
+entry is not an int, are checked one at a time.  On any failure, the
+per-vector check names the witness: the first defect of the sectors in
+order, each vector in the order of its anchor, in the order of all
+non-diagonal span vectors.  When the plan drops some span vector, both
+sectors are then solved again by all of them, unit by unit as the plan
+was, and re-verified in turn; a basis that still fails raises
+ConventionError, naming the span vector, degree, sector and first defect
+coordinate.
 
 Which coordinates are kept is decided in one place (``_kept``), for the
 solve of C^p and for the check of a report's last images against the
@@ -176,9 +186,12 @@ the flat coordinates of degree N + 1, equal to that of their expansions
 because expanding is injective, and each image is checked against the
 definition of C^{N+1} instead of against a basis: every coordinate must be
 kept by the sector, or the escape error above is raised, and the defect
-under every span vector of the check list must vanish, or ConventionError
-names the first span vector, in the order of all non-diagonal ones, and
-its first defect coordinate and value.
+under every span vector of the check list must vanish.  That check runs on
+the images packed as the basis vectors are (``_defects_vanish``; the
+images are integral when d is); where a packed defect is nonzero, the
+images are checked one at a time, and ConventionError names the first
+failing span vector, in the order of all non-diagonal ones, and the first
+defect coordinate and value of the first image it does not kill.
 """
 
 from __future__ import annotations
@@ -189,7 +202,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError, DimensionMismatch
@@ -737,10 +750,12 @@ def _relabel(
     return [{to[x]: c for x, c in phi.items()} for phi in vectors], [to[x] for x in anchors]
 
 
-# Images per packed cochain in ``ddzero_witness``.  On the ddzero suite
-# (CPython 3.11, 2-vCPU VM), with no cap the q(3) cells pack up to 1,449
-# images and peak RSS rose from 51 MB to 61 MB; at 256 it is 42 MB, and the
-# other 108 cells, none over 292 images, run as fast as with no cap.
+# Cochains per packed cochain (``_packs``): the images of ``ddzero_witness``,
+# and the basis numerators and last images whose equivariance ``space`` and
+# ``_top_rank`` check.  Chosen on d o d = 0 over the ddzero suite (CPython
+# 3.11, 2-vCPU VM): with no cap the q(3) cells pack up to 1,449 images and
+# peak RSS rose from 51 MB to 61 MB; at 256 it is 42 MB, and the other 108
+# cells, none over 292 images, run as fast as with no cap.
 PACKED_IMAGES = 256
 
 
@@ -759,6 +774,20 @@ def _pack(images: list[Cochain], width: int) -> Cochain:
         for x, c in image.items():
             packed[x] = get(x, 0) + (c << shift)
     return packed
+
+
+def _packs(vectors: list[Cochain], width: int) -> Iterator[Cochain]:
+    """``vectors`` ``_pack``ed at ``width``, at most ``PACKED_IMAGES`` to a
+    packed cochain."""
+    for j in range(0, len(vectors), PACKED_IMAGES):
+        yield _pack(vectors[j : j + PACKED_IMAGES], width)
+
+
+def _largest(values: list[Scalar]) -> int | None:
+    """The largest absolute value among ``values``, 0 for none; None unless
+    every value is an int."""
+    # a sum of ints is an int; one Fraction makes it a Fraction
+    return max(map(abs, values), default=0) if type(sum(values)) is int else None
 
 
 def _residual(
@@ -822,11 +851,21 @@ class RelativeComplex:
         self._spaces: dict[int, CochainSpace] = {}
         # ``_packing_width``'s largest |projected bracket| and |entry of M|,
         # None unless all are ints
-        brackets = [v for group in pair.bracket_groups() for _, terms in group for _, v in terms]
-        m_entries = [a for cols in self.m_cols_by_complement for col in cols for a in col.values()]
-        self._entry_bounds = None if any(type(c) is not int for c in brackets + m_entries) else (
-            max(map(abs, brackets), default=0), max(map(abs, m_entries), default=0)
+        bounds = (
+            _largest([v for group in pair.bracket_groups() for _, terms in group for _, v in terms]),
+            _largest([a for cols in self.m_cols_by_complement for col in cols for a in col.values()]),
         )
+        self._entry_bounds = None if None in bounds else bounds
+        # ``_defect_width``'s largest |entry| of M's columns and of the
+        # quotient columns, per non-diagonal span vector
+        quotient = pair.quotient_rep.actions
+        self._defect_bounds = {
+            i: (
+                _largest([a for col in self.m_action_cols[i] for a in col.values()]),
+                _largest([a for _, _, a in quotient[i].entries()]),
+            )
+            for i in self.nondiag_idx
+        }
 
     # -- constraint reduction plan -------------------------------------------
 
@@ -1060,12 +1099,13 @@ class RelativeComplex:
         Both sectors are solved in one pass over the units (``_units``,
         ``_impose``), by the plan first.  Every basis vector is then checked
         exactly against every span vector of the check list (``check_idx``),
-        sectors in order and each in the order of its anchors (on its
+        a sector at a time on packed cochains (``_defects_vanish``; on its
         integer multiple: scaling keeps a zero defect zero).  When some
         defect is nonzero, the witness is the first under every non-diagonal
-        span vector, in the same order; and when the plan is not the full
-        list of non-diagonal span vectors, both sectors are solved again by
-        that list and checked in turn.  A basis that still fails raises
+        span vector, sectors in order and each vector in the order of its
+        anchor (``_first_defect``); and when the plan is not the full list
+        of non-diagonal span vectors, both sectors are solved again by that
+        list and checked in turn.  A basis that still fails raises
         ConventionError with the witness.  With no constraint every kept
         coordinate is its own basis vector.
         """
@@ -1084,11 +1124,12 @@ class RelativeComplex:
         plans = [self.constraint_plan]
         if self.constraint_plan != self.nondiag_idx:
             plans.append(self.nondiag_idx)
+        checks = {i: ops[i] for i in self.check_idx}
         for plan in plans:
             solutions = self._impose(plan, ops, units)
-            witness = _first_defect(solutions, ops, self.check_idx)
-            if witness is None:
+            if all(self._defects_vanish(p, checks, vectors) for vectors, _ in solutions):
                 break
+            witness = _first_defect(solutions, ops, self.check_idx)
             if len(self.check_idx) < len(self.nondiag_idx):
                 # the witness is the first in nondiag_idx order
                 for i in self.nondiag_idx:
@@ -1239,10 +1280,7 @@ class RelativeComplex:
             width = self._packing_width(p + 1, sector, nonzero)
             if width is not None and not any(
                 _residual(packed, dst, sector)[1] or self.apply_differential(p + 1, sector, packed)
-                for packed in (
-                    _pack(nonzero[j : j + PACKED_IMAGES], width)
-                    for j in range(0, len(nonzero), PACKED_IMAGES)
-                )
+                for packed in _packs(nonzero, width)
             ):
                 continue
             numerators, scales, lcm = dst.numerators[sector], dst.scales[sector], dst.lcm[sector]
@@ -1285,6 +1323,43 @@ class RelativeComplex:
         norm = max(sum(map(abs, image.values())) for image in images)
         return (2 * norm * max(reach, space.lcm[sector] * (1 + top))).bit_length()
 
+    def _defects_vanish(self, q: int, ops: dict[int, _DefectOperator], vectors: list[Cochain]) -> bool:
+        """Whether every cochain of ``vectors``, on the flat coordinates of
+        degree q, has a zero defect under every span vector of ``ops``.
+
+        Two or more vectors are packed (``_packs``) at the width
+        ``_defect_width`` gives, and each packed cochain takes one
+        ``_defect`` per span vector: a defect is linear, so it is zero on a
+        packed cochain exactly when it is on each vector.  A single vector,
+        or vectors with no width, take their own ``_defect``s."""
+        width = self._defect_width(q, ops, vectors) if len(vectors) > 1 and ops else None
+        if width is not None:
+            vectors = list(_packs(vectors, width))
+        return not any(_defect(op, phi) for op in ops.values() for phi in vectors)
+
+    def _defect_width(self, q: int, ids: Iterable[int], vectors: list[Cochain]) -> int | None:
+        """The width b for ``_pack``ing ``vectors``, cochains on the flat
+        coordinates of degree q, whose defects under the span vectors ``ids``
+        are checked; None when an entry of a vector, or of M's columns or
+        the quotient columns of one of those span vectors, is not an int
+        (the entries read once per complex, ``_defect_bounds``).
+
+        One coordinate gives one entry of a defect at most a module part, its
+        value times an entry of M's columns, and an exterior-power part, its
+        value times an entry of an action row.  An action row's entry is at
+        most q times the largest |quotient entry|: every copy of a factor of
+        the monomial contributes at most that.  So with |.|_1 the largest
+        sum of absolute values over one vector and E the largest over ``ids``
+        of |entry of M| + q |quotient entry|, every entry of a defect is at
+        most |.|_1 E, and b is the least width with 2^b > 2 |.|_1 E.
+        """
+        bounds = [self._defect_bounds[i] for i in ids]
+        # an int unless some entry is a Fraction, as in ``_largest``
+        norm = max(sum(map(abs, phi.values())) for phi in vectors)
+        if type(norm) is not int or any(None in b for b in bounds):
+            return None
+        return (2 * norm * max(m + q * a for m, a in bounds)).bit_length()
+
     def _top_rank(self, p: int, sector: int) -> int:
         """Rank of one sector's block of d^p, read off the images of the
         numerators of C^p (``_images``) as integer rows on the flat
@@ -1293,12 +1368,13 @@ class RelativeComplex:
         Expanding in a basis is injective, so their rank is the block's.
         Each image is checked against the definition of C^{p+1}, as the
         module docstring says: its coordinates must be kept (``_kept``) and
-        its defects under the check list zero.  An error's value is divided
-        by the source scale, so it is that of d on the basis vector.  Degree
-        p + 1's weight keys are read only when some image is nonzero, and its
-        action rows only in the buckets the images touch that keep some
-        coordinate, by one defect operator (``_defect_columns``) per span
-        vector checked.
+        its defects under the check list zero, on the images packed
+        (``_defects_vanish``) and, on a failure, one image at a time for
+        the witness.  An error's value is divided by the source scale, so it
+        is that of d on the basis vector.  Degree p + 1's weight keys are
+        read only when some image is nonzero, and its action rows only in
+        the buckets the images touch that keep some coordinate, by one
+        defect operator (``_defect_columns``) per span vector checked.
         """
         nonzero = [(im, s) for im, s in zip(self._images(p, sector), self.space(p).scales[sector]) if im]
         if not nonzero:
@@ -1314,11 +1390,8 @@ class RelativeComplex:
             for x, c in image.items():
                 if x not in kept:
                     raise self._failure("differential image", None, p + 1, sector, x, c, s)
-        for i in self.check_idx:
-            op = self._defect_columns(p + 1, i, needed)
-            if any(_defect(op, image) for image in images):
-                break
-        else:
+        checks = {i: self._defect_columns(p + 1, i, needed) for i in self.check_idx}
+        if self._defects_vanish(p + 1, checks, images):
             return rank(RowMatrix(images, len(deg.monomials) * n))
         # some image fails: the witness is the first in nondiag_idx order,
         # which reaches the span vector that failed

@@ -3,6 +3,8 @@ images at leaves room for every digit it must tell from zero, and a failure
 it finds is named by the per-vector path, the first failing basis vector
 and the same witness text as the unpacked check."""
 
+import sys
+
 from supero import cohomology as engine
 from supero import suites
 from supero.algebras import build_osp
@@ -18,12 +20,17 @@ WIDTH_FAMILIES = (
     "osp(1|2)", "osp(2|2)", "osp(3|2)",
 )
 PACK = engine._pack
+PACKS = engine._packs
 
 
 def _record_widths(monkeypatch) -> list:
-    """(complex, degree, sector, images, width) of every packing, with the
-    width checked to be the one ``_pack`` receives."""
+    """(complex, degree, sector, images, width) of every packing of
+    ``ddzero_witness``, with the width checked to be the one ``_packs``
+    receives from it.  The equivariance checks of ``space`` and
+    ``_top_rank`` pack at widths of their own (``_defect_width``), so their
+    packs are left to ``test_packed_checks``."""
     packing_width = RelativeComplex._packing_width
+    witness = RelativeComplex.ddzero_witness.__code__
     widths, packed = [], []
 
     def spy_width(self, p, sector, images):
@@ -31,13 +38,14 @@ def _record_widths(monkeypatch) -> list:
         widths.append((self, p, sector, images, width))
         return width
 
-    def spy_pack(images, width):
-        packed.append(width)
-        assert width == widths[-1][-1]
-        return PACK(images, width)
+    def spy_packs(images, width):
+        if sys._getframe(1).f_code is witness:
+            packed.append(width)
+            assert width == widths[-1][-1]
+        return PACKS(images, width)
 
     monkeypatch.setattr(RelativeComplex, "_packing_width", spy_width)
-    monkeypatch.setattr(engine, "_pack", spy_pack)
+    monkeypatch.setattr(engine, "_packs", spy_packs)
     return widths
 
 
