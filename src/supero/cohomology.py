@@ -138,21 +138,18 @@ a kept coordinate is killed by every diagonal span vector, so a cochain of
 one map parity killed by b_a and b_b is killed by b_k.  Where some check
 fails, or no bracket helps, the list is every non-diagonal span vector.
 The check asks only whether defects are zero, so it runs on packed
-cochains (``_defects_vanish``): per sector, the numerators are packed by
-Kronecker substitution (``_packs``, see d o d = 0 below), and each packed
-cochain takes one defect per span vector of the list.  The width
-(``_defect_width``) bounds what one coordinate gives one defect entry by
-the largest |entry| of M's columns plus p times the largest |entry| of the
-quotient columns of the span vectors checked, both found once per complex
-(``_defect_bounds``); a lone vector, or vectors where one of those or an
-entry is not an int, are checked one at a time.  On any failure, the
-per-vector check names the witness: the first defect of the sectors in
-order, each vector in the order of its anchor, in the order of all
-non-diagonal span vectors.  When the plan drops some span vector, both
-sectors are then solved again by all of them, unit by unit as the plan
-was, and re-verified in turn; a basis that still fails raises
-ConventionError, naming the span vector, degree, sector and first defect
-coordinate.
+cochains (``_defects_vanish``, see packing below): per sector, each packed
+cochain takes one defect per span vector of the list.  Per unit of a
+vector's |.|_1, a defect entry is at most the largest |entry| of M's
+columns plus p times the largest |entry| of the quotient columns of the
+span vectors checked (``_defect_bound``, both found once per complex,
+``_defect_bounds``); a lone vector is checked on its own.  When some
+defect is nonzero and the plan drops some span vector, both sectors are
+solved again by all of them, unit by unit as the plan was, and re-verified
+in turn.  A basis that still fails raises ConventionError, naming the
+first defect of the sectors in order, each vector in the order of its
+anchor, in the order of all non-diagonal span vectors: the span vector,
+degree, sector and first defect coordinate.
 
 Which coordinates are kept is decided in one place (``_kept``), for the
 solve of C^p and for the check of a report's last images against the
@@ -162,36 +159,46 @@ when v's key under the diagonal span vectors is the one k reads there.
 Images of the differential are expanded in the equivariant basis of the
 next degree with an exact consistency assertion; a mismatch raises
 ConventionError, naming the first escaping coordinate and its residual,
-instead of silently projecting.  The d o d = 0 check asks only whether
-results are zero, so it runs on many images at once (``ddzero_witness``):
-per (degree, sector), the images d(phi_k) of the numerators of C^p
-(``_images``, each built on its own) are packed into one integer cochain
-by Kronecker substitution, sum_j 2^(b j) image_j (``_pack``, at most
-``PACKED_IMAGES`` images each).  The width b comes from a bound on every
-entry that the two checks can produce per image, taken from the data
-(``_packing_width``): the images' sums of absolute values, the largest
-projected bracket of g/h and entry of M's columns, found once per
-complex, and the numerators and scales of C^{p+1}.
-Above it the entries are balanced digits, so the residual of the packed
-cochain against the basis of C^{p+1} (``_residual``, ``_expand``'s rule)
-and d of it are zero exactly when every image expands in that basis and
-every d(d(phi_k)) is zero.  Nothing is checked modulo a prime or by
-sampling.  Where a packed result is nonzero, or d is not integral, the
-per-vector path names the first failure: each image is expanded, and
-L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k) is summed in the
-order of the expansion.  The report's last degree N is the exception:
-no row prints C^{N+1}, so its basis is never solved (``_top_rank``).
-rank d^N is the rank of the images of C^N's numerators as integer rows on
-the flat coordinates of degree N + 1, equal to that of their expansions
-because expanding is injective, and each image is checked against the
-definition of C^{N+1} instead of against a basis: every coordinate must be
-kept by the sector, or the escape error above is raised, and the defect
-under every span vector of the check list must vanish.  That check runs on
-the images packed as the basis vectors are (``_defects_vanish``; the
-images are integral when d is); where a packed defect is nonzero, the
-images are checked one at a time, and ConventionError names the first
-failing span vector, in the order of all non-diagonal ones, and the first
-defect coordinate and value of the first image it does not kill.
+instead of silently projecting.
+
+The engine's exact zero tests, d o d = 0 and the two equivariance checks,
+ask only whether results are zero, so they run on many integer cochains
+at once: the cochains are packed into one by Kronecker substitution,
+sum_j 2^(b j) vector_j (``_pack``, at most ``PACKED_IMAGES`` to a packed
+cochain, ``_packs``).  The check is linear, so it is zero on the packed
+cochain exactly when it is on each vector, provided every entry it makes
+is a balanced digit.  One rule (``_width``) gives b from |.|_1, the largest
+sum of absolute values over one vector, and a bound E per unit of |.|_1
+on every entry the check makes, which each check supplies from its data:
+b is the least width with 2^b > 2 |.|_1 E.  With E None, or an entry of a
+vector that is not an int, there is no width, and the vectors are checked
+one at a time; so is a failure, to name its witness.  Nothing is checked
+modulo a prime or by sampling.
+
+The d o d = 0 check (``ddzero_witness``) packs, per (degree, sector), the
+images d(phi_k) of the numerators of C^p (``_images``, each built on its
+own).  The residual of a packed cochain against the basis of C^{p+1}
+(``_residual``, ``_expand``'s rule) and d of it are zero exactly when
+every image expands in that basis and every d(d(phi_k)) is zero.  E
+(``_dd_bound``) comes from the largest projected bracket of g/h and entry
+of M's columns, found once per complex, and the numerators and scales of
+C^{p+1}; it is None unless d is integral.  Where a packed result is
+nonzero, or there is no width, the same test runs on one image at a time,
+in basis order: ``_expand`` raises on a residual, and the first nonzero
+entry of d of the image names the failure.
+
+The report's last degree N is the exception: no row prints C^{N+1}, so
+its basis is never solved (``_top_rank``).  rank d^N is the rank of the
+images of C^N's numerators as integer rows on the flat coordinates of
+degree N + 1, equal to that of their expansions because expanding is
+injective, and each image is checked against the definition of C^{N+1}
+instead of against a basis: every coordinate must be kept by the sector,
+or the escape error above is raised, and the defect under every span
+vector of the check list must vanish.  That check runs on the images
+packed as the basis vectors are (``_defects_vanish``); where a packed
+defect is nonzero, ConventionError names the first failing span vector,
+in the order of all non-diagonal ones, and the first defect coordinate
+and value of the first image it does not kill.
 """
 
 from __future__ import annotations
@@ -202,7 +209,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError, DimensionMismatch
@@ -680,21 +687,6 @@ def _defect(op: _DefectOperator, phi: dict[int, int]) -> dict[int, Scalar]:
     return out
 
 
-def _first_defect(
-    solutions: tuple[tuple[list[dict[int, int]], list[int]], ...],
-    ops: dict[int, _DefectOperator],
-    ids: list[int],
-) -> tuple[int, int, dict[int, Scalar]] | None:
-    """The first (sector, span vector, defect) with a nonzero defect of a
-    solved vector under one of the span vectors ``ids``: sectors in
-    order, each vector in the order of its anchor, span vectors in the
-    order of ``ids``."""
-    return next((
-        (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
-        for phi in vectors for i in ids if (defect := _defect(ops[i], phi))
-    ), None)
-
-
 def _cut(
     constraint_ids: list[int],
     ops: dict[int, _DefectOperator],
@@ -776,7 +768,21 @@ def _pack(images: list[Cochain], width: int) -> Cochain:
     return packed
 
 
-def _packs(vectors: list[Cochain], width: int) -> Iterator[Cochain]:
+def _width(vectors: list[Cochain], bound: int | None) -> int | None:
+    """The width b for ``_pack``ing ``vectors`` into a check that makes no
+    entry above |.|_1 * ``bound`` from one of them, |.|_1 the largest sum
+    of absolute values over one vector: the least b with
+    2^b > 2 |.|_1 bound, so every digit of a packed result is below
+    2^(b - 1) in absolute value.  None, and the vectors are checked one at
+    a time, when ``bound`` is None or some entry of a vector is not an int."""
+    # a sum of ints is an int; one Fraction makes it a Fraction
+    norm = max(sum(map(abs, phi.values())) for phi in vectors)
+    if bound is None or type(norm) is not int:
+        return None
+    return (2 * norm * bound).bit_length()
+
+
+def _packs(vectors: list[Cochain], width: int) -> Iterable[Cochain]:
     """``vectors`` ``_pack``ed at ``width``, at most ``PACKED_IMAGES`` to a
     packed cochain."""
     for j in range(0, len(vectors), PACKED_IMAGES):
@@ -849,14 +855,14 @@ class RelativeComplex:
         # solve, and no split
         self._blocks = self._split(keys) if self.nondiag_idx else None
         self._spaces: dict[int, CochainSpace] = {}
-        # ``_packing_width``'s largest |projected bracket| and |entry of M|,
+        # ``_dd_bound``'s largest |projected bracket| and |entry of M|,
         # None unless all are ints
         bounds = (
             _largest([v for group in pair.bracket_groups() for _, terms in group for _, v in terms]),
             _largest([a for cols in self.m_cols_by_complement for col in cols for a in col.values()]),
         )
         self._entry_bounds = None if None in bounds else bounds
-        # ``_defect_width``'s largest |entry| of M's columns and of the
+        # ``_defect_bound``'s largest |entry| of M's columns and of the
         # quotient columns, per non-diagonal span vector
         quotient = pair.quotient_rep.actions
         self._defect_bounds = {
@@ -1101,13 +1107,13 @@ class RelativeComplex:
         exactly against every span vector of the check list (``check_idx``),
         a sector at a time on packed cochains (``_defects_vanish``; on its
         integer multiple: scaling keeps a zero defect zero).  When some
-        defect is nonzero, the witness is the first under every non-diagonal
-        span vector, sectors in order and each vector in the order of its
-        anchor (``_first_defect``); and when the plan is not the full list
-        of non-diagonal span vectors, both sectors are solved again by that
-        list and checked in turn.  A basis that still fails raises
-        ConventionError with the witness.  With no constraint every kept
-        coordinate is its own basis vector.
+        defect is nonzero and the plan is not the full list of non-diagonal
+        span vectors, both sectors are solved again by that list and checked
+        in turn.  A basis that still fails raises ConventionError with the
+        witness, searched for once: the first defect under every
+        non-diagonal span vector, sectors in order and each vector in the
+        order of its anchor.  With no constraint every kept coordinate is its
+        own basis vector.
         """
         if p in self._spaces:
             return self._spaces[p]
@@ -1129,15 +1135,16 @@ class RelativeComplex:
             solutions = self._impose(plan, ops, units)
             if all(self._defects_vanish(p, checks, vectors) for vectors, _ in solutions):
                 break
-            witness = _first_defect(solutions, ops, self.check_idx)
-            if len(self.check_idx) < len(self.nondiag_idx):
-                # the witness is the first in nondiag_idx order
-                for i in self.nondiag_idx:
-                    if i not in ops:
-                        ops[i] = self._defect_columns(p, i, needed)
-                witness = _first_defect(solutions, ops, self.nondiag_idx)
+            # the full solve and the witness read every non-diagonal operator
+            for i in self.nondiag_idx:
+                if i not in ops:
+                    ops[i] = self._defect_columns(p, i, needed)
         else:
-            sector, i, defect = witness
+            # sectors in order, each vector in the order of its anchor
+            sector, i, defect = next(
+                (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
+                for phi in vectors for i in self.nondiag_idx if (defect := _defect(ops[i], phi))
+            )
             raise self._failure("cochain basis", i, p, sector, *next(iter(defect.items())))
         numerators_pair, free_pair = zip(*solutions)
         # a numerator's scale is its value at its anchor
@@ -1256,19 +1263,17 @@ class RelativeComplex:
 
         The check runs on the integer numerators, which d(d(.)) kills
         exactly when it kills the basis vectors.  Per sector, the nonzero
-        images d(phi_k) (``_images``) are packed into integer cochains, at
-        most ``PACKED_IMAGES`` each (``_pack``), at the width
-        ``_packing_width`` bounds from the data.  The residual of each
-        packed cochain against the basis of C^{p+1} (``_residual``) and d of
-        it are linear, so both are zero exactly when every image expands as
-        sum_k c_k psi_k and d(d(phi_k)) = 0.  A sector with a nonzero packed
-        result, or where d is not integral (no width), takes the per-vector
-        path, which names the first failure: each image is expanded
-        (``_expand``, which raises ConventionError on a residual), and with
-        psi_k = numerator_k / scale_k and L the lcm of the scales,
-        L d(d(phi)) = sum_k c_k (L / scale_k) d(numerator_k), accumulated
-        in the order of the expansion.  Degree p+2 only contributes its
-        monomial combinatorics (no equivariant basis is needed there).
+        images d(phi_k) (``_images``) are packed into integer cochains
+        (``_packs``), at the width ``_width`` gives at ``_dd_bound``.  The
+        residual of each packed cochain against the basis of C^{p+1}
+        (``_residual``) and d of it are linear, so both are zero exactly
+        when every image expands in that basis and d(d(phi_k)) = 0.  A
+        sector with a nonzero packed result, or where d is not integral (no
+        width), runs the same test on each image in turn, which names the
+        first failure: ``_expand`` raises ConventionError on a residual, and
+        once there is none, d of the image is d(d(phi)).  Degree p+2 only
+        contributes its monomial combinatorics (no equivariant basis is
+        needed there).
         """
         src = self.space(p)
         dst = self.space(p + 1)
@@ -1277,42 +1282,35 @@ class RelativeComplex:
             nonzero = [image for image in images if image]
             if not nonzero:
                 continue
-            width = self._packing_width(p + 1, sector, nonzero)
+            width = _width(nonzero, self._dd_bound(p + 1, sector))
             if width is not None and not any(
                 _residual(packed, dst, sector)[1] or self.apply_differential(p + 1, sector, packed)
                 for packed in _packs(nonzero, width)
             ):
                 continue
-            numerators, scales, lcm = dst.numerators[sector], dst.scales[sector], dst.lcm[sector]
-            d_psi: dict[int, Cochain] = {}
             for k, (image, scale) in enumerate(zip(images, src.scales[sector])):
-                dd: Cochain = {}
-                for k2, c in self._expand(image, dst, sector, scale):
-                    if k2 not in d_psi:
-                        d_psi[k2] = self.apply_differential(p + 1, sector, numerators[k2])
-                    _add_scaled(dd, d_psi[k2].items(), c * (lcm // scales[k2]))
+                self._expand(image, dst, sector, scale)
+                dd = self.apply_differential(p + 1, sector, image)
                 if dd:
                     x, c = next(iter(dd.items()))
-                    return sector, k, self._coordinate(p + 2, x), _exact(Fraction(c, lcm * scale))
+                    return sector, k, self._coordinate(p + 2, x), _exact(Fraction(c, scale))
         return None
 
-    def _packing_width(self, p: int, sector: int, images: list[Cochain]) -> int | None:
-        """The width b for ``_pack``ing ``images``, cochains on the flat
-        coordinates of degree p, in ``ddzero_witness``; None when a projected
-        bracket of g/h or an entry of M's columns is not an int (both read
-        once per complex, ``_entry_bounds``).  Otherwise d has integer
-        entries, so the images and what is made of them are integer cochains.
+    def _dd_bound(self, p: int, sector: int) -> int | None:
+        """The bound E of ``_width`` for the d o d = 0 check of images,
+        cochains on the flat coordinates of degree p in ``sector``; None
+        when a projected bracket of g/h or an entry of M's columns is not an
+        int (both read once per complex, ``_entry_bounds``).  Otherwise d
+        has integer entries, so the images and what is made of them are
+        integer cochains.
 
-        With |.|_1 the largest sum of absolute values over one image, an
-        entry of an image's residual against C^p (``_residual``) is at most
-        |.|_1 L (1 + the largest |entry| of a numerator), L the lcm of the
-        scales.  One coordinate of d gives one output entry at most one
-        bracket term, a sum over the (p + 1) p / 2 pairs of positions of
-        the target, each term a projected bracket coefficient, and one action
-        term, at most p + 1 copies of a factor times an entry of M.  So an
-        entry of d of an image is at most |.|_1 times that sum of bounds.
-        With E the larger of the two bounds, b is the least width with
-        2^b > 2 E.
+        Per unit of an image's |.|_1, an entry of its residual against C^p
+        (``_residual``) is at most L (1 + the largest |entry| of a
+        numerator), L the lcm of the scales.  One coordinate of d gives one
+        output entry at most one bracket term, a sum over the (p + 1) p / 2
+        pairs of positions of the target, each term a projected bracket
+        coefficient, and one action term, at most p + 1 copies of a factor
+        times an entry of M.  E is the larger of the two bounds.
         """
         if self._entry_bounds is None:
             return None
@@ -1320,45 +1318,40 @@ class RelativeComplex:
         reach = (p + 1) * p // 2 * bracket + (p + 1) * entry
         space = self.space(p)
         top = max((abs(c) for phi in space.numerators[sector] for c in phi.values()), default=0)
-        norm = max(sum(map(abs, image.values())) for image in images)
-        return (2 * norm * max(reach, space.lcm[sector] * (1 + top))).bit_length()
+        return max(reach, space.lcm[sector] * (1 + top))
 
     def _defects_vanish(self, q: int, ops: dict[int, _DefectOperator], vectors: list[Cochain]) -> bool:
         """Whether every cochain of ``vectors``, on the flat coordinates of
         degree q, has a zero defect under every span vector of ``ops``.
 
-        Two or more vectors are packed (``_packs``) at the width
-        ``_defect_width`` gives, and each packed cochain takes one
+        Two or more vectors are packed (``_packs``) at the width ``_width``
+        gives at ``_defect_bound``, and each packed cochain takes one
         ``_defect`` per span vector: a defect is linear, so it is zero on a
         packed cochain exactly when it is on each vector.  A single vector,
         or vectors with no width, take their own ``_defect``s."""
-        width = self._defect_width(q, ops, vectors) if len(vectors) > 1 and ops else None
+        width = _width(vectors, self._defect_bound(q, ops)) if len(vectors) > 1 and ops else None
         if width is not None:
             vectors = list(_packs(vectors, width))
         return not any(_defect(op, phi) for op in ops.values() for phi in vectors)
 
-    def _defect_width(self, q: int, ids: Iterable[int], vectors: list[Cochain]) -> int | None:
-        """The width b for ``_pack``ing ``vectors``, cochains on the flat
-        coordinates of degree q, whose defects under the span vectors ``ids``
-        are checked; None when an entry of a vector, or of M's columns or
-        the quotient columns of one of those span vectors, is not an int
-        (the entries read once per complex, ``_defect_bounds``).
+    def _defect_bound(self, q: int, ids: Iterable[int]) -> int | None:
+        """The bound E of ``_width`` for the defects of cochains on the flat
+        coordinates of degree q under the span vectors ``ids``; None when an
+        entry of M's columns or of the quotient columns of one of those span
+        vectors is not an int (the entries read once per complex,
+        ``_defect_bounds``).
 
         One coordinate gives one entry of a defect at most a module part, its
         value times an entry of M's columns, and an exterior-power part, its
         value times an entry of an action row.  An action row's entry is at
         most q times the largest |quotient entry|: every copy of a factor of
-        the monomial contributes at most that.  So with |.|_1 the largest
-        sum of absolute values over one vector and E the largest over ``ids``
-        of |entry of M| + q |quotient entry|, every entry of a defect is at
-        most |.|_1 E, and b is the least width with 2^b > 2 |.|_1 E.
+        the monomial contributes at most that.  So E is the largest over
+        ``ids`` of |entry of M| + q |quotient entry|.
         """
         bounds = [self._defect_bounds[i] for i in ids]
-        # an int unless some entry is a Fraction, as in ``_largest``
-        norm = max(sum(map(abs, phi.values())) for phi in vectors)
-        if type(norm) is not int or any(None in b for b in bounds):
+        if any(None in b for b in bounds):
             return None
-        return (2 * norm * max(m + q * a for m, a in bounds)).bit_length()
+        return max(m + q * a for m, a in bounds)
 
     def _top_rank(self, p: int, sector: int) -> int:
         """Rank of one sector's block of d^p, read off the images of the

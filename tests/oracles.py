@@ -7,8 +7,10 @@ a time, the projected brackets of a pair, the equivariance defect summed
 from one column per coordinate, the constraint solve of a cochain space
 run on each sector whole, the two diagonal blocks of the public
 differential, a report whose last rank is read off d expanded in the
-basis of the degree above, and the subalgebra that some basis
-vectors of h generate."""
+basis of the degree above, the subalgebra that some basis vectors of h
+generate, and, for the packed zero tests, a spy on the packing width and
+the entries of d, of a residual and of a defect with every term taken
+absolutely."""
 
 import itertools
 
@@ -289,3 +291,91 @@ def generated_span_vectors(h_alg, generators) -> set[int]:
                     solver = SpanSolver(span)
                     grown = True
     return {k for k in range(h_alg.dim) if not solver.reduce({k: 1})[0]}
+
+
+def record_widths(monkeypatch, bound: str) -> list:
+    """(complex, degree, key, vectors, width) of every width that
+    ``cohomology._width`` gives at the bound E of the method ``bound``:
+    ``_dd_bound``, keyed by the sector, or ``_defect_bound``, keyed by the
+    defect operators checked.  Every ``_packs`` call is checked to pack at
+    the last width given, at either bound."""
+    from supero import cohomology as engine
+    from supero.cohomology import RelativeComplex
+
+    width_of, packs = engine._width, engine._packs
+    pending, given, out = [], [], []
+
+    def spy_bound(name):
+        method = getattr(RelativeComplex, name)
+
+        def spy(self, q, key):
+            # after the call: the bound of d o d solves C^q, which may ask
+            # for widths of its own first
+            e = method(self, q, key)
+            pending.append((name, self, q, key))
+            return e
+        return spy
+
+    def spy_width(vectors, e):
+        width = width_of(vectors, e)
+        name, cx, q, key = pending.pop()
+        given.append(width)
+        if name == bound:
+            out.append((cx, q, key, vectors, width))
+        return width
+
+    def spy_packs(vectors, width):
+        assert width == given[-1]
+        return packs(vectors, width)
+
+    for name in ("_dd_bound", "_defect_bound"):
+        monkeypatch.setattr(RelativeComplex, name, spy_bound(name))
+    monkeypatch.setattr(engine, "_width", spy_width)
+    monkeypatch.setattr(engine, "_packs", spy_packs)
+    return out
+
+
+def abs_differential(cx, p: int, image: dict) -> dict:
+    """At each coordinate of degree p + 1, the sum of the absolute values of
+    the terms d adds there from ``image``: a bound on that entry of d of
+    ``image`` under any choice of the signs of d's terms."""
+    n = cx.m.dim
+    out = {}
+    for x, c in image.items():
+        w, v = divmod(x, n)
+        bracket, action = cx.pair.source_maps(p, w)
+        for t1, coeff in bracket:
+            out[t1 * n + v] = out.get(t1 * n + v, 0) + abs(c * coeff)
+        for y, t1, m in action:
+            for v2, a in cx.m_cols_by_complement[y][v].items():
+                out[t1 * n + v2] = out.get(t1 * n + v2, 0) + abs(c * m * a)
+    return out
+
+
+def abs_residual(space, sector: int, image: dict) -> dict:
+    """The residual of ``cohomology._residual`` with every term taken
+    absolutely."""
+    lcm, anchors = space.lcm[sector], space.free_index[sector]
+    out = {x: lcm * abs(c) for x, c in image.items()}
+    for x, c in image.items():
+        k = anchors.get(x)
+        if k is not None:
+            weight = lcm // space.scales[sector][k]
+            for y, a in space.numerators[sector][k].items():
+                out[y] = out.get(y, 0) + abs(c * weight * a)
+    return out
+
+
+def abs_defect(op, phi: dict) -> dict:
+    """The defect of ``cohomology._defect`` with every term taken
+    absolutely: a bound on each entry of the defect under any choice of the
+    terms' signs."""
+    lam_rows, cols, n, _ = op
+    out = {}
+    for x, c in phi.items():
+        w, v = divmod(x, n)
+        for v2, a in cols[v].items():
+            out[w * n + v2] = out.get(w * n + v2, 0) + abs(c * a)
+        for w2, a in lam_rows[w].items():
+            out[w2 * n + v] = out.get(w2 * n + v, 0) + abs(c * a)
+    return out

@@ -76,6 +76,29 @@ def test_a_failing_basis_names_the_witness_of_the_full_check(monkeypatch):
         assert str(err.value) == "cochain basis fails equivariance under span vector 2 of h " + where
 
 
+def test_a_plan_failing_a_short_check_list_falls_back_to_the_full_solve(monkeypatch):
+    # the plan's solve imposes nothing, so its bases fail the check list;
+    # the full solve reads the operators of 2, 3 and 7, on neither the plan
+    # nor the list, and finds the spaces of an unbroken solve
+    want = [_q3_g0().space(p) for p in range(4)]
+    impose, plans = RelativeComplex._impose, []
+
+    def plan_imposes_nothing(self, plan, ops, units):
+        plans.append(plan)
+        return impose(self, [] if plan == self.constraint_plan else plan, ops, units)
+
+    monkeypatch.setattr(RelativeComplex, "_impose", plan_imposes_nothing)
+    cx = _q3_g0()
+    assert (cx.constraint_plan, cx.check_idx) == ([1, 5], [1, 5, 6])
+    assert cx.nondiag_idx == [1, 2, 3, 5, 6, 7]
+    for p, sp in enumerate(want):
+        got = cx.space(p)
+        assert got.numerators == sp.numerators, p
+        assert got.free_coords == sp.free_coords, p
+        assert got.scales == sp.scales, p
+    assert cx.nondiag_idx in plans
+
+
 def test_a_failing_top_image_names_the_witness_of_the_full_check():
     cx = _q3_g0()
     _flip_one_action_sign(cx.pair, cx, 2, last=True)

@@ -134,6 +134,24 @@ def test_every_public_name_in_src_is_called_in_src_or_exported():
     assert unused == []
 
 
+def test_every_module_level_import_in_src_is_read_in_its_module():
+    # a name imported and never read is a leftover of a deleted use;
+    # ``__init__`` imports to re-export, and ``__future__`` sets behaviour
+    unread = []
+    for f in sorted(pathlib.Path(supero.__file__).parent.glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unread += [f"{f.name}:{name}" for alias in node.names
+                           if (name := alias.asname or alias.name.partition(".")[0]) not in read]
+    assert unread == []
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every CLI process pays for its imports: compare the modules a clean
     # interpreter holds before and after ``import supero.cli``

@@ -19,41 +19,14 @@ from supero.linalg import SparseMatrix
 from supero.reps import Representation, adjoint, trivial
 from supero.roots import named_subalgebra
 
+import oracles
+
 F = Fraction
 PACK = engine._pack
 
 
-def _record_widths(monkeypatch) -> list:
-    """(complex, degree, defect operators, vectors, width) of every width
-    the equivariance checks ask for."""
-    defect_width = RelativeComplex._defect_width
-    widths = []
-
-    def spy(self, q, ops, vectors):
-        width = defect_width(self, q, ops, vectors)
-        widths.append((self, q, ops, vectors, width))
-        return width
-
-    monkeypatch.setattr(RelativeComplex, "_defect_width", spy)
-    return widths
-
-
-def _abs_defect(op, phi):
-    """The defect of ``_defect`` with every term taken absolutely: a bound
-    on each entry of the defect under any choice of the terms' signs."""
-    lam_rows, cols, n, _ = op
-    out = {}
-    for x, c in phi.items():
-        w, v = divmod(x, n)
-        for v2, a in cols[v].items():
-            out[w * n + v2] = out.get(w * n + v2, 0) + abs(c * a)
-        for w2, a in lam_rows[w].items():
-            out[w2 * n + v] = out.get(w2 * n + v, 0) + abs(c * a)
-    return out
-
-
 def test_packing_width_bounds_every_digit_on_the_growth_and_coh_stress_cells(monkeypatch):
-    widths = _record_widths(monkeypatch)
+    widths = oracles.record_widths(monkeypatch, "_defect_bound")
     assert all(row["status"] == "pass" for row in suites.suite_growth()["rows"])
     q3, gl22 = build_q(3), build_gl(2, 2)
     assert cohomology(q3, even_part_span(q3), adjoint(q3), 4).dims() == [1, 1, 2, 2, 3]
@@ -69,7 +42,7 @@ def test_packing_width_bounds_every_digit_on_the_growth_and_coh_stress_cells(mon
                 # on a passing cell every defect is zero; its entries are
                 # bounded, whatever the signs, by the absolute sums
                 assert not engine._defect(op, phi), where
-                top = max(top, max(_abs_defect(op, phi).values(), default=0))
+                top = max(top, max(oracles.abs_defect(op, phi).values(), default=0))
                 checked += 1
         assert 1 << width > 2 * top, where
         if not width:  # degree 0 with a trivial module: no term at all
@@ -93,8 +66,8 @@ def test_packing_width_bounds_the_defect_of_every_unit_cochain():
             units = [{x: 1} for x in range(len(deg.monomials) * cx.m.dim)]
             for i in cx.check_idx:
                 op = cx._defect_columns(q, i, deg.buckets)
-                width = cx._defect_width(q, {i: op}, units)
-                top = max(max(_abs_defect(op, unit).values(), default=0) for unit in units)
+                width = engine._width(units, cx._defect_bound(q, [i]))
+                top = max(max(oracles.abs_defect(op, unit).values(), default=0) for unit in units)
                 assert 1 << width > 2 * top, (g.name, q, i)
 
 
@@ -111,7 +84,7 @@ def test_a_module_with_fraction_entries_is_checked_one_vector_at_a_time(monkeypa
     # the module of test_coefficients_given_by_rational_matrices
     g = build_gl(2, 1)
     md = _conjugated(adjoint(g), [1, 2, F(1, 3), F(3, 2), 5, F(1, 2), F(2, 7), 4, 3])
-    widths = _record_widths(monkeypatch)
+    widths = oracles.record_widths(monkeypatch, "_defect_bound")
 
     def no_packs(vectors, width):
         raise AssertionError("a Fraction entry was packed")
@@ -132,7 +105,7 @@ def test_top_images_with_fraction_entries_are_checked_one_at_a_time(monkeypatch)
     m = adjoint(g)
     md = _conjugated(m, [1 + par for par in m.parities])
     pair = RelativePair(g, even_part_span(g))
-    widths = _record_widths(monkeypatch)
+    widths = oracles.record_widths(monkeypatch, "_defect_bound")
     for top in range(1, 6):
         assert RelativeComplex(pair, md).report(top) == RelativeComplex(pair, m).report(top)._replace(
             module="adjoint^D"

@@ -3,15 +3,22 @@ images at leaves room for every digit it must tell from zero, and a failure
 it finds is named by the per-vector path, the first failing basis vector
 and the same witness text as the unpacked check."""
 
-import sys
+import re
+from fractions import Fraction
+
+import pytest
 
 from supero import cohomology as engine
 from supero import suites
 from supero.algebras import build_osp
 from supero.cohomology import RelativeComplex, RelativePair
-from supero.reps import natural
+from supero.errors import ConventionError
+from supero.reps import adjoint, natural
 from supero.roots import named_subalgebra
 from supero.suites import coefficient_modules, ddzero_algebras, ddzero_subalgebras
+
+import oracles
+from test_cohomology import PAIRS
 
 # the ddzero roster without q(3) and p~(3), which would take the test past
 # a few seconds
@@ -23,64 +30,8 @@ PACK = engine._pack
 PACKS = engine._packs
 
 
-def _record_widths(monkeypatch) -> list:
-    """(complex, degree, sector, images, width) of every packing of
-    ``ddzero_witness``, with the width checked to be the one ``_packs``
-    receives from it.  The equivariance checks of ``space`` and
-    ``_top_rank`` pack at widths of their own (``_defect_width``), so their
-    packs are left to ``test_packed_checks``."""
-    packing_width = RelativeComplex._packing_width
-    witness = RelativeComplex.ddzero_witness.__code__
-    widths, packed = [], []
-
-    def spy_width(self, p, sector, images):
-        width = packing_width(self, p, sector, images)
-        widths.append((self, p, sector, images, width))
-        return width
-
-    def spy_packs(images, width):
-        if sys._getframe(1).f_code is witness:
-            packed.append(width)
-            assert width == widths[-1][-1]
-        return PACKS(images, width)
-
-    monkeypatch.setattr(RelativeComplex, "_packing_width", spy_width)
-    monkeypatch.setattr(engine, "_packs", spy_packs)
-    return widths
-
-
-def _abs_differential(cx, p, image):
-    """At each coordinate of degree p + 1, the sum of the absolute values of
-    the terms d adds there from ``image``: a bound on that entry of d of
-    ``image`` under any choice of the signs of d's terms."""
-    n = cx.m.dim
-    out = {}
-    for x, c in image.items():
-        w, v = divmod(x, n)
-        bracket, action = cx.pair.source_maps(p, w)
-        for t1, coeff in bracket:
-            out[t1 * n + v] = out.get(t1 * n + v, 0) + abs(c * coeff)
-        for y, t1, m in action:
-            for v2, a in cx.m_cols_by_complement[y][v].items():
-                out[t1 * n + v2] = out.get(t1 * n + v2, 0) + abs(c * m * a)
-    return out
-
-
-def _abs_residual(space, sector, image):
-    """The residual of ``_residual`` with every term taken absolutely."""
-    lcm, anchors = space.lcm[sector], space.free_index[sector]
-    out = {x: lcm * abs(c) for x, c in image.items()}
-    for x, c in image.items():
-        k = anchors.get(x)
-        if k is not None:
-            weight = lcm // space.scales[sector][k]
-            for y, a in space.numerators[sector][k].items():
-                out[y] = out.get(y, 0) + abs(c * weight * a)
-    return out
-
-
 def test_packing_width_bounds_every_digit_on_the_ddzero_roster(monkeypatch):
-    widths = _record_widths(monkeypatch)
+    widths = oracles.record_widths(monkeypatch, "_dd_bound")
     # a passing sector never reaches the per-vector path, which expands
     monkeypatch.setattr(RelativeComplex, "_expand", None)
     for g in ddzero_algebras():
@@ -105,8 +56,8 @@ def test_packing_width_bounds_every_digit_on_the_ddzero_roster(monkeypatch):
             assert not dd and not residual, where
             top = max(
                 top,
-                *_abs_differential(cx, p, image).values(),
-                *_abs_residual(space, sector, image).values(),
+                *oracles.abs_differential(cx, p, image).values(),
+                *oracles.abs_residual(space, sector, image).values(),
             )
         assert 1 << width > 2 * top, where
         # the digits of this pair cancel at one bit less, not at the width
@@ -138,7 +89,7 @@ def test_two_failing_images_name_the_lower_basis_index(monkeypatch):
     h = named_subalgebra(g, "torus")
     pair = RelativePair(g, h)  # a throwaway pair: its cached d is broken below
     assert _break_at_a_shared_monomial(pair, RelativeComplex(pair, natural(g)), 2) == (0, 1, 3)
-    widths = _record_widths(monkeypatch)
+    widths = oracles.record_widths(monkeypatch, "_dd_bound")
     cx = RelativeComplex(pair, natural(g))
     assert cx.ddzero(0) and cx.ddzero(1)
     # the witness and its text are those of the check that expanded and
@@ -158,3 +109,69 @@ def test_two_failing_images_name_the_lower_basis_index(monkeypatch):
     (row,) = suites.suite_ddzero()["rows"]
     assert row["status"] == "fail"
     assert row["witness"] == "p=2 sector=0 basis=1 coordinate=(2, (0, 2, 3, 3)) value=-8"
+
+
+def _flip_first_term(pair, p, w):
+    """Flip the sign of the first bracket term of d at monomial w of degree
+    p, or of its first action term when it has no bracket term."""
+    bracket, action = pair.source_maps(p, w)
+    if bracket:
+        (t1, coeff), *tail = bracket
+        bracket = [(t1, -coeff), *tail]
+    else:
+        (x, t1, m), *tail = action
+        action = [(x, t1, -m), *tail]
+    pair._sources[p][w] = (bracket, action)
+
+
+@pytest.mark.parametrize("case, p, k, packed", [
+    # d has a Fraction entry: d o d gets no width and is never packed
+    ("q(2)-skew-torus", 2, 2, False),
+    # basis vector 0 of the even sector of C^3 has scale 2
+    ("gl(2|1)-levi", 3, 0, True),
+])
+def test_a_failing_image_is_named_by_d_of_the_image(case, p, k, packed, monkeypatch):
+    pair = PAIRS[case]()  # a throwaway pair: its cached d is broken below
+    cx = RelativeComplex(pair, adjoint(pair.g))
+    n, numerators = cx.m.dim, cx.space(p).numerators[0]
+    # the first monomial of degree p + 1 that image k reads and no image
+    # before it in the even sector does
+    before = {x // n for phi in numerators[:k] for x in cx.apply_differential(p, 0, phi)}
+    w = next(x // n for x in cx.apply_differential(p, 0, numerators[k]) if x // n not in before)
+    _flip_first_term(pair, p + 1, w)
+    cx.space(p + 1)  # solved before the spy: only d o d's packs are seen
+    widths = []
+
+    def spy_packs(vectors, width):
+        widths.append(width)
+        return PACKS(vectors, width)
+
+    monkeypatch.setattr(engine, "_packs", spy_packs)
+    sector, j, (v, monomial), value = cx.ddzero_witness(p)
+    assert bool(widths) == packed
+    # d(d(numerator)) applied directly, through the same broken d: the
+    # witness names the first basis vector it does not kill, and one of its
+    # entries divided by the vector's scale
+    sp = cx.space(p)
+    direct = {
+        (s, i): cx.apply_differential(p + 1, s, cx.apply_differential(p, s, phi))
+        for s in (0, 1) for i, phi in enumerate(sp.numerators[s])
+    }
+    assert next(key for key, dd in direct.items() if dd) == (sector, j) == (0, k)
+    entry = direct[sector, j][pair.degree(p + 2).index[monomial] * n + v]
+    assert value == Fraction(entry, sp.scales[sector][j]) != 0
+
+
+def test_an_image_off_the_span_raises_in_ddzero():
+    # d on C^2 broken at a monomial that basis vector 0 reads: its image
+    # leaves the span of C^3, and the check names the residual instead of
+    # a d o d witness
+    pair = PAIRS["gl(2|1)-levi"]()  # a throwaway pair: its cached d is broken below
+    cx = RelativeComplex(pair, adjoint(pair.g))
+    _flip_first_term(pair, 2, next(iter(cx.space(2).numerators[0][0])) // cx.m.dim)
+    witness = (
+        "differential image escapes the equivariant span (degree 3, sector 0) "
+        "at coordinate (6, (0, 1, 2)) with residual 2"
+    )
+    with pytest.raises(ConventionError, match=re.escape(witness) + "$"):
+        cx.ddzero_witness(2)
