@@ -70,10 +70,10 @@ The terms are pushed from the monomials of phi's support: a source w
 reaches x ^ w in the second sum, and, for each factor q of w and each
 (x_a, x_b) whose projected bracket holds q, the monomial (w / q) ^ x_a ^ x_b
 in the first.  Every sign and insertion point is read from positions in
-the normal form, which sorts factors by their rank (parity, index), so
-even factors precede odd ones.  A factor x goes in at the bisect of its
-rank among the ranks of w; x ^ w is (-1)^pos t1 for even x (zero when x is
-already in w) and (-1)^(even factors of w) t1 for odd x.  In a monomial
+the normal form, by the one insertion rule that the module docstring of
+``reps`` states and its action rows use: x goes in at the bisect of its
+rank among the ranks of w (``self.rank``), with the sign (-1)^pos for even
+x and (-1)^(even factors of w) for odd x.  In a monomial
 t1, the odd factors before position i number max(0, i - even factors of
 t1), which is the prefix sum in s(i, j).  The c copies of an odd x in
 x ^ w give c equal terms of the second sum, so each (x, t1) is stored
@@ -138,12 +138,12 @@ a kept coordinate is killed by every diagonal span vector, so a cochain of
 one map parity killed by b_a and b_b is killed by b_k.  Where some check
 fails, or no bracket helps, the list is every non-diagonal span vector.
 The check asks only whether defects are zero, so it runs on packed
-cochains (``_defects_vanish``, see packing below): per sector, each packed
+cochains (``_vanishes``, see packing below): per sector, each packed
 cochain takes one defect per span vector of the list.  Per unit of a
 vector's |.|_1, a defect entry is at most the largest |entry| of M's
 columns plus p times the largest |entry| of the quotient columns of the
 span vectors checked (``_defect_bound``, both found once per complex,
-``_defect_bounds``); a lone vector is checked on its own.  When some
+``_defect_bounds``).  When some
 defect is nonzero and the plan drops some span vector, both sectors are
 solved again by all of them, unit by unit as the plan was, and re-verified
 in turn.  A basis that still fails raises ConventionError, naming the
@@ -170,14 +170,16 @@ cochain exactly when it is on each vector, provided every entry it makes
 is a balanced digit.  One rule (``_width``) gives b from |.|_1, the largest
 sum of absolute values over one vector, and a bound E per unit of |.|_1
 on every entry the check makes, which each check supplies from its data:
-b is the least width with 2^b > 2 |.|_1 E.  With E None, or an entry of a
-vector that is not an int, there is no width, and the vectors are checked
-one at a time; so is a failure, to name its witness.  Nothing is checked
-modulo a prime or by sampling.
+b is the least width with 2^b > 2 |.|_1 E.  One function (``_vanishes``)
+runs every such check: it packs only two or more vectors, and only then
+asks for E, so a lone vector is checked on its own.  With E None, or an
+entry of a vector that is not an int, there is no width, and the vectors
+are checked one at a time; so is a failure, to name its witness.  Nothing
+is checked modulo a prime or by sampling.
 
 The d o d = 0 check (``ddzero_witness``) packs, per (degree, sector), the
-images d(phi_k) of the numerators of C^p (``_images``, each built on its
-own).  The residual of a packed cochain against the basis of C^{p+1}
+nonzero images d(phi_k) of the numerators of C^p (``_images``, each built
+on its own).  The residual of a packed cochain against the basis of C^{p+1}
 (``_residual``, ``_expand``'s rule) and d of it are zero exactly when
 every image expands in that basis and every d(d(phi_k)) is zero.  E
 (``_dd_bound``) comes from the largest projected bracket of g/h and entry
@@ -195,7 +197,7 @@ injective, and each image is checked against the definition of C^{N+1}
 instead of against a basis: every coordinate must be kept by the sector,
 or the escape error above is raised, and the defect under every span
 vector of the check list must vanish.  That check runs on the images
-packed as the basis vectors are (``_defects_vanish``); where a packed
+packed as the basis vectors are (``_vanishes``); where a packed
 defect is nonzero, ConventionError names the first failing span vector,
 in the order of all non-diagonal ones, and the first defect coordinate
 and value of the first image it does not kill.
@@ -209,7 +211,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import add, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError, DimensionMismatch
@@ -218,6 +220,7 @@ from .linalg import (
 )
 from .reps import (
     Representation,
+    _ranks,
     derivation_rows,
     dual,
     monomial_steps,
@@ -423,8 +426,7 @@ class RelativePair:
         self.complement = h.complement
         self.complement_pos = {c: t for t, c in enumerate(self.complement)}
         self.quotient_parities = tuple(g.parities[c] for c in self.complement)
-        # normal form sorts the factors by rank, (parity, index) as one int
-        self.rank = [par * len(self.complement) + x for x, par in enumerate(self.quotient_parities)]
+        self.rank = _ranks(self.quotient_parities)  # the normal form sorts by rank
         self.quotient_rep = quotient_action(g, h)  # raises NotASubalgebra unless h is closed
         self._quotient_cols = [a.col_dicts() for a in self.quotient_rep.actions]
         # span vectors acting diagonally on g/h; their weights key the monomials
@@ -789,6 +791,25 @@ def _packs(vectors: list[Cochain], width: int) -> Iterable[Cochain]:
         yield _pack(vectors[j : j + PACKED_IMAGES], width)
 
 
+def _vanishes(
+    vectors: list[Cochain], bound: Callable[[], int | None], test: Callable[[Cochain], object]
+) -> bool:
+    """Whether the linear check ``test`` gives nothing nonzero on any
+    cochain of ``vectors``.
+
+    Two or more vectors are packed (``_packs``) at the width ``_width``
+    gives at ``bound()``, which is asked for only then: the check is zero on
+    a packed cochain exactly when it is on each vector.  A lone vector, or
+    vectors with no width, are checked on their own."""
+    width = _width(vectors, bound()) if len(vectors) > 1 else None
+    return not any(map(test, vectors if width is None else _packs(vectors, width)))
+
+
+def _defective(ops: dict[int, _DefectOperator], phi: Cochain) -> bool:
+    """Whether phi has a nonzero defect under some span vector of ``ops``."""
+    return any(_defect(op, phi) for op in ops.values())
+
+
 def _largest(values: list[Scalar]) -> int | None:
     """The largest absolute value among ``values``, 0 for none; None unless
     every value is an int."""
@@ -1105,7 +1126,7 @@ class RelativeComplex:
         Both sectors are solved in one pass over the units (``_units``,
         ``_impose``), by the plan first.  Every basis vector is then checked
         exactly against every span vector of the check list (``check_idx``),
-        a sector at a time on packed cochains (``_defects_vanish``; on its
+        a sector at a time on packed cochains (``_vanishes``; on its
         integer multiple: scaling keeps a zero defect zero).  When some
         defect is nonzero and the plan is not the full list of non-diagonal
         span vectors, both sectors are solved again by that list and checked
@@ -1133,7 +1154,10 @@ class RelativeComplex:
         checks = {i: ops[i] for i in self.check_idx}
         for plan in plans:
             solutions = self._impose(plan, ops, units)
-            if all(self._defects_vanish(p, checks, vectors) for vectors, _ in solutions):
+            if not checks or all(
+                _vanishes(vectors, partial(self._defect_bound, p, checks), partial(_defective, checks))
+                for vectors, _ in solutions
+            ):
                 break
             # the full solve and the witness read every non-diagonal operator
             for i in self.nondiag_idx:
@@ -1263,15 +1287,15 @@ class RelativeComplex:
 
         The check runs on the integer numerators, which d(d(.)) kills
         exactly when it kills the basis vectors.  Per sector, the nonzero
-        images d(phi_k) (``_images``) are packed into integer cochains
-        (``_packs``), at the width ``_width`` gives at ``_dd_bound``.  The
-        residual of each packed cochain against the basis of C^{p+1}
-        (``_residual``) and d of it are linear, so both are zero exactly
-        when every image expands in that basis and d(d(phi_k)) = 0.  A
-        sector with a nonzero packed result, or where d is not integral (no
-        width), runs the same test on each image in turn, which names the
-        first failure: ``_expand`` raises ConventionError on a residual, and
-        once there is none, d of the image is d(d(phi)).  Degree p+2 only
+        images d(phi_k) (``_images``) are checked by ``_vanishes``: two or
+        more are packed into integer cochains (``_packs``), at the width
+        ``_width`` gives at ``_dd_bound``.  The residual of a cochain
+        against the basis of C^{p+1} (``_residual``) and d of it are
+        linear, so both are zero exactly when every image expands in that
+        basis and d(d(phi_k)) = 0.  A sector with a nonzero result runs the
+        test again on each image in basis order, which names the first
+        failure: ``_expand`` raises ConventionError on a residual, and once
+        there is none, d of the image is d(d(phi)).  Degree p+2 only
         contributes its monomial combinatorics (no equivariant basis is
         needed there).
         """
@@ -1279,13 +1303,10 @@ class RelativeComplex:
         dst = self.space(p + 1)
         for sector in (EVEN, ODD):
             images = self._images(p, sector)
-            nonzero = [image for image in images if image]
-            if not nonzero:
-                continue
-            width = _width(nonzero, self._dd_bound(p + 1, sector))
-            if width is not None and not any(
-                _residual(packed, dst, sector)[1] or self.apply_differential(p + 1, sector, packed)
-                for packed in _packs(nonzero, width)
+            if _vanishes(
+                [image for image in images if image],
+                partial(self._dd_bound, p + 1, sector),
+                lambda phi: _residual(phi, dst, sector)[1] or self.apply_differential(p + 1, sector, phi),
             ):
                 continue
             for k, (image, scale) in enumerate(zip(images, src.scales[sector])):
@@ -1320,20 +1341,6 @@ class RelativeComplex:
         top = max((abs(c) for phi in space.numerators[sector] for c in phi.values()), default=0)
         return max(reach, space.lcm[sector] * (1 + top))
 
-    def _defects_vanish(self, q: int, ops: dict[int, _DefectOperator], vectors: list[Cochain]) -> bool:
-        """Whether every cochain of ``vectors``, on the flat coordinates of
-        degree q, has a zero defect under every span vector of ``ops``.
-
-        Two or more vectors are packed (``_packs``) at the width ``_width``
-        gives at ``_defect_bound``, and each packed cochain takes one
-        ``_defect`` per span vector: a defect is linear, so it is zero on a
-        packed cochain exactly when it is on each vector.  A single vector,
-        or vectors with no width, take their own ``_defect``s."""
-        width = _width(vectors, self._defect_bound(q, ops)) if len(vectors) > 1 and ops else None
-        if width is not None:
-            vectors = list(_packs(vectors, width))
-        return not any(_defect(op, phi) for op in ops.values() for phi in vectors)
-
     def _defect_bound(self, q: int, ids: Iterable[int]) -> int | None:
         """The bound E of ``_width`` for the defects of cochains on the flat
         coordinates of degree q under the span vectors ``ids``; None when an
@@ -1362,7 +1369,7 @@ class RelativeComplex:
         Each image is checked against the definition of C^{p+1}, as the
         module docstring says: its coordinates must be kept (``_kept``) and
         its defects under the check list zero, on the images packed
-        (``_defects_vanish``) and, on a failure, one image at a time for
+        (``_vanishes``) and, on a failure, one image at a time for
         the witness.  An error's value is divided by the source scale, so it
         is that of d on the basis vector.  Degree p + 1's weight keys are
         read only when some image is nonzero, and its action rows only in
@@ -1384,7 +1391,8 @@ class RelativeComplex:
                 if x not in kept:
                     raise self._failure("differential image", None, p + 1, sector, x, c, s)
         checks = {i: self._defect_columns(p + 1, i, needed) for i in self.check_idx}
-        if self._defects_vanish(p + 1, checks, images):
+        bound = partial(self._defect_bound, p + 1, checks)
+        if not checks or _vanishes(images, bound, partial(_defective, checks)):
             return rank(RowMatrix(images, len(deg.monomials) * n))
         # some image fails: the witness is the first in nondiag_idx order,
         # which reaches the span vector that failed

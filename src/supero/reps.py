@@ -2,16 +2,24 @@
 
 A Representation stores one action matrix per basis element of its algebra.
 All constructions (duals, graded tensor products, super exterior and
-symmetric powers, restrictions) produce exact matrices; Koszul signs follow
-the left-derivation convention fixed in ``wedge_insert``, and the super
-exterior power takes its action from ``derivation_rows``, which the
-cochain engine also calls directly.
+symmetric powers, restrictions) produce exact matrices.
+
+The normal form of the super exterior power sorts the factors of a
+monomial by rank, parity * n + index (``_ranks``), so even factors precede
+odd ones and only odd ones repeat.  A factor x goes in at the bisect of its
+rank among the ranks of a monomial w: x ^ w is (-1)^pos times the result
+for even x, at position pos (zero when x is already in w), and
+(-1)^(even factors of w) times it for odd x, which passes every even
+factor and commutes with the odd ones.  The action rows
+(``derivation_rows``) and the cochain engine's differential read their
+signs from this one rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, even_part_span
@@ -137,16 +145,23 @@ def tensor(r: Representation, s: Representation) -> Representation:
 # super exterior monomials
 
 
+def _ranks(parities: Sequence[int]) -> list[int]:
+    """The rank of each factor in the normal form: parity * n + index, so
+    the even factors, of rank below n, sort before the odd ones."""
+    n = len(parities)
+    return [par * n + x for x, par in enumerate(parities)]
+
+
 def monomial_steps(parities: Sequence[int], monos: Iterable[tuple]) -> Iterator[Sequence[int]]:
     """For each normal-form monomial, the factors x that may follow it.
 
-    x may follow the last factor y when (|x|, x) > (|y|, y) or x = y is odd,
+    x may follow the last factor y when x ranks above y or x = y is odd,
     and any x may start a monomial.  Each list ascends by index, so
     monomials in lexicographic order extend to monomials in that order."""
-    n = len(parities)
-    after = [[x for x in range(n) if (parities[x], x) > (py, y) or (x == y and py == ODD)]
-             for y, py in enumerate(parities)]
-    return (after[mo[-1]] if mo else range(n) for mo in monos)
+    rank = _ranks(parities)
+    after = [[x for x, rx in enumerate(rank) if rx > ry or (x == y and parities[y] == ODD)]
+             for y, ry in enumerate(rank)]
+    return (after[mo[-1]] if mo else range(len(rank)) for mo in monos)
 
 
 def super_monomials(parities: Sequence[int], p: int) -> list[tuple[int, ...]]:
@@ -154,7 +169,7 @@ def super_monomials(parities: Sequence[int], p: int) -> list[tuple[int, ...]]:
     lexicographic order, each degree extending the one below.
 
     Even indices appear at most once; odd indices repeat freely.  Normal
-    form sorts by (parity, index): even factors first, each block ascending.
+    form sorts by rank (``_ranks``): even factors first, each block ascending.
     """
     monos: list[tuple[int, ...]] = [()]
     for _ in range(p):
@@ -170,32 +185,6 @@ def super_monomial_count(a: int, b: int, p: int) -> int:
         j = p - k
         total += math.comb(a, k) * (math.comb(b + j - 1, j) if j else 1)
     return total
-
-
-def wedge_insert(
-    x: int, mono: tuple[int, ...], parities: Sequence[int]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Insert a factor into a normal-form monomial.
-
-    Returns (sign, monomial) or None when the product vanishes (repeated
-    even factor).  Moving x past a factor y flips the sign unless both are
-    odd, in which case they commute.
-    """
-    px = parities[x]
-    key = (px, x)
-    sign = 1
-    pos = 0
-    for i, y in enumerate(mono):
-        ky = (parities[y], y)
-        if ky < key:
-            if not (px == ODD and parities[y] == ODD):
-                sign = -sign
-            pos = i + 1
-        else:
-            break
-    if px == EVEN and pos < len(mono) and mono[pos] == x:
-        return None
-    return sign, mono[:pos] + (x,) + mono[pos:]
 
 
 def derivation_rows(
@@ -215,35 +204,40 @@ def derivation_rows(
     x.(y_1 ^ ... ^ y_p) = sum_i (-1)^{|x|(|y_1|+...+|y_{i-1}|)}
                           y_1 ^ ... ^ (x.y_i) ^ ... ^ y_p;
 
-    rows that no source reaches are absent.  Each run of equal factors is
-    walked once: the m copies of an odd y give m equal terms, since they
-    leave the same rest and i + |y| prefix moves by 2 from one copy to the
-    next, so the run's terms are inserted once and scaled by m.
+    rows that no source reaches are absent.  Pulling y_i out to the front
+    and the derivation lead combine into (-1)^i for even y_i and
+    (-1)^(even factors) for odd y_i, the |x| dependence cancelling, and
+    x.y_i goes back in by the insertion rule of the module docstring.
+    Each run of equal factors is walked once: the m copies of an odd y give
+    m equal terms, since they leave the same rest, so the run's terms are
+    inserted once and scaled by m.
     """
+    rank = _ranks(parities)
+    key = rank.__getitem__
     rows: dict[int, dict[int, Scalar]] = {}
     for t in sources:
         mo = monos[t]
+        even = len(mo) - sum(map(parities.__getitem__, mo))
         terms = []
-        i = prefix = 0
+        i = 0
         for y in dict.fromkeys(mo):  # normal form keeps the copies of y together
             py = parities[y]
             m = mo.count(y) if py else 1
             col = cols[y]
             if col:
-                # replace y by x.y at slot i, then pull the replacement to the
-                # front: the derivation lead (-1)^{|x| prefix} combines with the
-                # pull-out permutation sign into (-1)^i (-1)^{|y| prefix}
-                # (the |x| dependence cancels exactly)
-                pull = -1 if (i + py * prefix) % 2 else 1
+                pull = even if py else i
                 rest = mo[:i] + mo[i + 1 :]
                 for y2, coef in col.items():
-                    ins = wedge_insert(y2, rest, parities)
-                    if ins is not None:
-                        sgn, mo2 = ins
-                        if m != 1:
-                            coef *= m
-                        terms.append((index[mo2], coef if sgn == pull else -coef))
-            prefix += py * m
+                    j = bisect_left(rest, rank[y2], key=key)
+                    if parities[y2]:  # passes the even factors of rest
+                        sign = pull + even - 1 + py
+                    elif j < len(rest) and rest[j] == y2:  # y2 ^ y2 = 0
+                        continue
+                    else:  # passes the j even factors before it
+                        sign = pull + j
+                    if m != 1:
+                        coef *= m
+                    terms.append((index[rest[:j] + (y2,) + rest[j:]], -coef if sign % 2 else coef))
             i += m
         for t2, v in _add_scaled({}, terms).items():
             rows.setdefault(t2, {})[t] = v
@@ -276,7 +270,8 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
     concentrated in one parity so no Koszul signs arise (the acting algebra
     vectors are even).  Each distinct factor y of a monomial is walked
     once: its m copies leave the same rest, so they give m equal terms,
-    added as one scaled by m.
+    added as one scaled by m.  With one parity the normal form sorts by
+    index, so x.y goes back in at the bisect of its index.
     """
     if j < 0:
         raise DimensionMismatch("negative symmetric degree")
@@ -296,7 +291,8 @@ def super_symmetric_power(r: Representation, j: int) -> Representation:
                 rest = mo[:i] + mo[i + 1 :]
                 _add_scaled(
                     acc,
-                    (((index[tuple(sorted(rest + (y2,)))], t), coef) for y2, coef in cols[y].items()),
+                    (((index[rest[:k] + (y2,) + rest[k:]], t), coef)
+                     for y2, coef in cols[y].items() for k in (bisect_left(rest, y2),)),
                     mo.count(y),
                 )
         actions.append(

@@ -1,9 +1,9 @@
 """Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
 (a container with no product or sum of its own), the super Jacobi
 identity on sparse vectors, the normal-form monomials of a super
-exterior power listed without the degree-by-degree walk, the derivation
-action on them and the action on a symmetric power one factor position at
-a time, the projected brackets of a pair, the equivariance defect summed
+exterior power listed without the degree-by-degree walk, a factor
+inserted into one by a factor-by-factor scan, the derivation action on
+them and the action on a symmetric power one factor position at a time, the projected brackets of a pair, the equivariance defect summed
 from one column per coordinate, the constraint solve of a cochain space
 run on each sector whole, the two diagonal blocks of the public
 differential, a report whose last rank is read off d expanded in the
@@ -106,12 +106,35 @@ def super_monomials(parities, p: int) -> list[tuple[int, ...]]:
     return out
 
 
+def wedge_insert(x: int, mono: tuple[int, ...], parities) -> tuple[int, tuple[int, ...]] | None:
+    """Insert a factor into a normal-form monomial by scanning its factors.
+
+    Returns (sign, monomial) or None when the product vanishes (repeated
+    even factor).  Moving x past a factor y flips the sign unless both are
+    odd, in which case they commute.
+    """
+    px = parities[x]
+    key = (px, x)
+    sign = 1
+    pos = 0
+    for i, y in enumerate(mono):
+        ky = (parities[y], y)
+        if ky < key:
+            if not (px == 1 and parities[y] == 1):
+                sign = -sign
+            pos = i + 1
+        else:
+            break
+    if px == 0 and pos < len(mono) and mono[pos] == x:
+        return None
+    return sign, mono[:pos] + (x,) + mono[pos:]
+
+
 def derivation_rows(cols, parities, monos, index, sources) -> dict:
     """``reps.derivation_rows`` term by term: one term per position i of a
     source monomial, so each copy of a repeated odd factor inserts its
     column again, with the sign (-1)^i (-1)^{|y_i| (|y_1|+...+|y_{i-1}|)}."""
     from supero.linalg import _add_scaled
-    from supero.reps import wedge_insert
 
     rows = {}
     for t in sources:

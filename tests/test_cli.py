@@ -425,6 +425,8 @@ CI_JOB_DIGESTS = {
         "082123ef199681d2626569511c7d12ce4dc582c95a83c1ea4d2b1c053b72543a",
     "coh q 3 --sub g0 --mod adjoint -N 6 --format json":
         "ab470f888858ebd7089a31d3e93410c469deed6b725539d20f9936e151f869e6",
+    "coh q 3 --sub g0 -N 10 --format json":
+        "0d8e1870c93f4b73903fa83117e5668c7c12ff100b04e8824ec963f99cca1d05",
     "verify kunneth --format json":
         "f902bd57a81283be12f2b7a8743c7bef84663ad7d81115fd7714ee871cf85b34",
     "verify growth --format json":
@@ -461,7 +463,7 @@ def test_ci_hash_seed_jobs_are_the_pinned_ones():
     # each line is a name, then argv as the shell splits it
     jobs = [line.split()[1:] for line in lines[: lines.index("JOBS")]]
     argv = {" ".join(job) for job in jobs}
-    assert len(argv) == len(jobs) == 23
+    assert len(argv) == len(jobs) == 24
     assert argv - PERFBENCH_PINNED_JOBS == set(CI_JOB_DIGESTS)
     assert PERFBENCH_PINNED_JOBS <= argv
 

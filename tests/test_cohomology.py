@@ -43,7 +43,6 @@ from supero.reps import (
     super_exterior_power,
     tensor,
     trivial,
-    wedge_insert,
 )
 from supero.roots import (
     generic_functional,
@@ -55,7 +54,7 @@ from supero.roots import (
 from supero.suites import ddzero_algebras, ddzero_subalgebras, growth_cells, seeded_levi_functional
 
 import oracles
-from oracles import matmul
+from oracles import matmul, wedge_insert
 
 F = Fraction
 
@@ -484,6 +483,22 @@ def test_super_exterior_power_matches_the_per_position_oracle(case):
             assert [(*e, type(e[2])) for e in got.entries()] == want, p
 
 
+def test_interleaved_parities_match_the_per_position_oracle():
+    # odd factors at lower indices than even ones inside one module, so the
+    # normal form's rank order is not the index order
+    g = build_q(2)
+    r = tensor(dual(natural(g)), natural(g))
+    assert r.parities == (0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0)
+    for p in range(4):
+        lam = super_exterior_power(r, p)
+        monos = oracles.super_monomials(r.parities, p)
+        index = {mo: t for t, mo in enumerate(monos)}
+        for a, got in zip(r.actions, lam.actions):
+            rows = oracles.derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
+            want = [(t2, t, v, type(v)) for t2 in sorted(rows) for t, v in rows[t2].items()]
+            assert [(*e, type(e[2])) for e in got.entries()] == want, p
+
+
 def test_rotated_span_shifts_and_reports():
     pair = _rotated_g0_pair()
     g = pair.g
@@ -816,19 +831,20 @@ def test_action_rows_insert_each_distinct_factor_once(monkeypatch):
     engine = importlib.import_module("supero.cohomology")
     reps = importlib.import_module("supero.reps")
     calls, inserted = [], []
-    derivation_rows, wedge_insert = engine.derivation_rows, reps.wedge_insert
+    derivation_rows, bisect_left = engine.derivation_rows, reps.bisect_left
 
     def recorded(cols, parities, monos, index, sources):
         sources = list(sources)
         calls.append((cols, [monos[t] for t in sources]))
         return derivation_rows(cols, parities, monos, index, sources)
 
-    def counted(x, mono, parities):
-        inserted.append(x)
-        return wedge_insert(x, mono, parities)
+    def counted(rest, rank, **key):
+        # each insertion point is the bisect of a rank among the ranks of the rest
+        inserted.append(rank)
+        return bisect_left(rest, rank, **key)
 
     monkeypatch.setattr(engine, "derivation_rows", recorded)
-    monkeypatch.setattr(reps, "wedge_insert", counted)
+    monkeypatch.setattr(reps, "bisect_left", counted)
     g = build_osp(3, 2)
     RelativeComplex(_pair(g, "g0"), tensor(dual(natural(g)), natural(g))).report(8)
     # one insertion per (source monomial, distinct factor, column entry)

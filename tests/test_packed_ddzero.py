@@ -66,6 +66,37 @@ def test_packing_width_bounds_every_digit_on_the_ddzero_roster(monkeypatch):
         assert PACK(pair_digits, width) == {0: -(1 << (width - 1))}, where
 
 
+def test_only_two_or_more_images_are_packed_or_bounded_on_the_ddzero_roster(monkeypatch):
+    widths = oracles.record_widths(monkeypatch, "_dd_bound")
+    packed = []
+    packs = engine._packs  # record_widths' spy
+
+    def spy_packs(vectors, width):
+        packed.append(len(vectors))
+        return packs(vectors, width)
+
+    monkeypatch.setattr(engine, "_packs", spy_packs)
+    sectors = lone = 0
+    for g in ddzero_algebras():
+        if g.name not in WIDTH_FAMILIES:
+            continue
+        for _, h in ddzero_subalgebras(g):
+            pair = RelativePair(g, h)
+            for mod in coefficient_modules(g):
+                cx = RelativeComplex(pair, mod)
+                for p in range(5):
+                    assert cx.ddzero(p), (g.name, h.label, mod.name, p)
+                    for sector in (0, 1):
+                        count = sum(1 for image in cx._images(p, sector) if image)
+                        sectors += count > 0
+                        lone += count == 1
+    # every d o d bound is asked for two or more images, so a sector with a
+    # lone nonzero image is checked on its own
+    assert lone > 0 and len(widths) == sectors - lone
+    assert all(len(images) > 1 for _, _, _, images, _ in widths)
+    assert packed and min(packed) > 1
+
+
 def _break_at_a_shared_monomial(pair, cx, p):
     """Flip the first bracket term of d at the first monomial w of degree
     p + 1 that the images of two basis numerators j < k of one sector of

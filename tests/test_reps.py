@@ -27,11 +27,10 @@ from supero.reps import (
     tensor,
     trivial,
     weight_decomposition,
-    wedge_insert,
 )
 
 import oracles
-from oracles import matmul, verify_representation
+from oracles import matmul, verify_representation, wedge_insert
 
 F = Fraction
 
