@@ -12,7 +12,6 @@ from .algebras import (
     ODD,
     LieSuperalgebra,
     SubalgebraSpan,
-    bracket,
     build_gl,
     build_osp,
     build_p_tilde,
@@ -28,7 +27,6 @@ from .algebras import (
 )
 from .checks import (
     GradingTorus,
-    abstract_root_data,
     appendix_torus,
     check_positive_grading,
     count_graded_monomials,
@@ -50,7 +48,7 @@ from .invariants import (
     ext_growth,
     invariant_dims,
 )
-from .linalg import SparseMatrix, kernel_basis, rank
+from .linalg import SparseMatrix, rank
 from .reps import (
     Representation,
     adjoint,
@@ -62,16 +60,13 @@ from .reps import (
     super_symmetric_power,
     tensor,
     trivial,
-    weight_decomposition,
 )
 from .roots import (
     ParabolicDecomposition,
     RootDatum,
     RootSpace,
-    check_parabolic_axioms,
     named_subalgebra,
     principal_parabolic,
-    proset_compare,
     root_decomposition,
 )
 

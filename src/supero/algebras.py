@@ -227,16 +227,6 @@ class LieSuperalgebra:
         return f"LieSuperalgebra({self.name!r}, dim={self.dim})"
 
 
-def bracket(g: LieSuperalgebra, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-    """Bilinear extension of the structure-constant table."""
-    if len(x) != g.dim or len(y) != g.dim:
-        raise DimensionMismatch(f"vectors must have length {g.dim}")
-    xs = {i: _exact(v) for i, v in enumerate(x) if v}
-    ys = {j: _exact(v) for j, v in enumerate(y) if v}
-    out = g.bracket_sparse(xs, ys)
-    return tuple(_exact(out.get(k, 0)) for k in range(g.dim))
-
-
 def check_super_antisymmetry(g: LieSuperalgebra) -> tuple[bool, tuple[int, int] | None]:
     """[x,y] = -(-1)^{|x||y|}[y,x] on all homogeneous basis pairs."""
     for i in range(g.dim):

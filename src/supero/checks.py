@@ -48,16 +48,6 @@ class GradingTorus(NamedTuple):
                     acc[t] += c * vec[t]
         return tuple(map(_exact, acc))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "superO/1",
-            "kind": "grading_torus",
-            "label": self.label,
-            "rank": self.rank,
-            "basis_kind": self.basis_kind,
-            "values": [[[v.numerator, v.denominator] for v in vec] for vec in self.values],
-        }
-
 
 def _rank1(vals: list[int]) -> tuple[Vec, ...]:
     return tuple((v,) for v in vals)
@@ -175,33 +165,6 @@ def positive_even_roots(family: str, params: tuple = ()) -> list[Vec]:
     raise UnsupportedRank(f"unknown root family {family!r}")
 
 
-class AbstractRootData(NamedTuple):
-    """Root-and-grading data for the families without matrix models."""
-
-    family: str
-    positive_even_roots: tuple[Vec, ...]
-    torus: GradingTorus
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "superO/1",
-            "kind": "abstract_root_data",
-            "family": self.family,
-            "positive_even_roots": [
-                [[c.numerator, c.denominator] for c in r] for r in self.positive_even_roots
-            ],
-            "torus": self.torus.to_json_dict(),
-        }
-
-
-def abstract_root_data(family: str) -> AbstractRootData:
-    """Bundle for D(2,1;a), G(3), F(4): simple-root coordinates throughout."""
-    if family not in ("d21a", "g3", "f4"):
-        raise UnsupportedRank(f"{family!r} has a matrix model; abstract data covers d21a, g3, f4")
-    gt = appendix_torus(family, ())
-    return AbstractRootData(gt.label, tuple(positive_even_roots(family, ())), gt)
-
-
 def check_positive_grading(gt: GradingTorus, roots: list[Vec]) -> tuple[bool, Vec | None]:
     """Every root must pair componentwise nonnegative and not to zero."""
     for root in roots:
@@ -217,15 +180,6 @@ class CountCertificate(NamedTuple):
     cap: int
     stable: bool
     count_at_bound: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": [self.epsilon.numerator, self.epsilon.denominator],
-            "degree_bound": self.degree_bound,
-            "cap": self.cap,
-            "stable": self.stable,
-            "count_at_bound": self.count_at_bound,
-        }
 
 
 def count_graded_monomials(

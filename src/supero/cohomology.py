@@ -142,14 +142,13 @@ cochains (``_vanishes``, see packing below): per sector, each packed
 cochain takes one defect per span vector of the list.  Per unit of a
 vector's |.|_1, a defect entry is at most the largest |entry| of M's
 columns plus p times the largest |entry| of the quotient columns of the
-span vectors checked (``_defect_bound``, both found once per complex,
-``_defect_bounds``).  When some
-defect is nonzero and the plan drops some span vector, both sectors are
-solved again by all of them, unit by unit as the plan was, and re-verified
-in turn.  A basis that still fails raises ConventionError, naming the
-first defect of the sectors in order, each vector in the order of its
-anchor, in the order of all non-diagonal span vectors: the span vector,
-degree, sector and first defect coordinate.
+span vectors checked (``_defect_bound``, read only when two or more
+cochains pack).  When some defect is nonzero and the plan drops some span
+vector, both sectors are solved again by all of them, unit by unit as the
+plan was, and re-verified in turn.  A basis that still fails raises
+ConventionError, naming the first defect of the sectors in order, each
+vector in the order of its anchor, in the order of all non-diagonal span
+vectors: the span vector, degree, sector and first defect coordinate.
 
 Which coordinates are kept is decided in one place (``_kept``), for the
 solve of C^p and for the check of a report's last images against the
@@ -884,15 +883,8 @@ class RelativeComplex:
         )
         self._entry_bounds = None if None in bounds else bounds
         # ``_defect_bound``'s largest |entry| of M's columns and of the
-        # quotient columns, per non-diagonal span vector
-        quotient = pair.quotient_rep.actions
-        self._defect_bounds = {
-            i: (
-                _largest([a for col in self.m_action_cols[i] for a in col.values()]),
-                _largest([a for _, _, a in quotient[i].entries()]),
-            )
-            for i in self.nondiag_idx
-        }
+        # quotient columns, per span vector, found on first demand
+        self._defect_bounds: dict[int, tuple[int | None, int | None]] = {}
 
     # -- constraint reduction plan -------------------------------------------
 
@@ -1345,8 +1337,9 @@ class RelativeComplex:
         """The bound E of ``_width`` for the defects of cochains on the flat
         coordinates of degree q under the span vectors ``ids``; None when an
         entry of M's columns or of the quotient columns of one of those span
-        vectors is not an int (the entries read once per complex,
-        ``_defect_bounds``).
+        vectors is not an int.  The entries of a span vector are read on the
+        first call that names it (``_defect_bounds``): ``_vanishes`` asks for
+        E only when two or more cochains pack, and most complexes never do.
 
         One coordinate gives one entry of a defect at most a module part, its
         value times an entry of M's columns, and an exterior-power part, its
@@ -1355,7 +1348,14 @@ class RelativeComplex:
         the monomial contributes at most that.  So E is the largest over
         ``ids`` of |entry of M| + q |quotient entry|.
         """
-        bounds = [self._defect_bounds[i] for i in ids]
+        memo, quotient = self._defect_bounds, self.pair.quotient_rep.actions
+        for i in ids:
+            if i not in memo:
+                memo[i] = (
+                    _largest([a for col in self.m_action_cols[i] for a in col.values()]),
+                    _largest([a for _, _, a in quotient[i].entries()]),
+                )
+        bounds = [memo[i] for i in ids]
         if any(None in b for b in bounds):
             return None
         return max(m + q * a for m, a in bounds)

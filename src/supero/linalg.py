@@ -23,7 +23,7 @@ style over the pivot rows to get a basis anchored at the pivot order's own
 free columns, then, only if those differ from F, reduces that small
 nullity x cols basis from the rightmost column leftwards, which recovers F
 and the normalised vectors.  Both steps stay in integers, one denominator
-per vector; a ``Fraction`` appears only in the dense ``kernel_basis``.
+per vector.
 
 Rank and kernel read a matrix as its row dicts and column count.  Every
 solve in the package hands them its rows as a ``RowMatrix``; a
@@ -39,8 +39,8 @@ into ``int``s with the rest of their row.
 This module owns the package's one scalar convention: a value is an
 ``int`` when its denominator is 1 and a ``Fraction`` otherwise.  The
 helper ``_exact`` applies it, and every value that leaves this module in
-a ``SparseMatrix``, a sparse ``SpanSolver`` residual or coordinate, or a
-dense kernel vector follows it.  So an integral entry is stored as the
+a ``SparseMatrix`` or a sparse ``SpanSolver`` residual or coordinate
+follows it.  So an integral entry is stored as the
 ``int`` it already is, and the integral bulk of the arithmetic downstream
 never builds a ``Fraction``.
 
@@ -50,7 +50,7 @@ applied in two places only: once where outside input enters (parsed
 ``--H`` values, span files and algebra JSON; the vectors, functionals and
 targets callers pass to the public functions), and to a result of
 ``Fraction`` arithmetic that may come out integral before it is returned
-(``algebras.bracket``, ``roots.pair``, ``checks.GradingTorus.pair``).
+(``roots.pair``, ``checks.GradingTorus.pair``).
 """
 
 from __future__ import annotations
@@ -149,9 +149,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self._data)
 
-    def is_zero(self) -> bool:
-        return not self._data
-
     def is_diagonal(self) -> bool:
         return all(r == c for (r, c) in self._data)
 
@@ -166,14 +163,6 @@ class SparseMatrix:
         for (r, c), v in self._data.items():
             out[c][r] = v
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._data == other._data
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._data.items())))
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -408,19 +397,6 @@ def kernel_basis_with_free(m: SparseMatrix | RowMatrix) -> tuple[list[KernelVect
         free_cols.append(f)
         basis.append((dict(sorted(vec.items())), vec[f]))
     return basis, free_cols
-
-
-def kernel_basis(m: SparseMatrix) -> list[Vector]:
-    """Basis of the right null space of ``m`` as dense vectors.
-
-    One basis vector per free column f (see ``kernel_basis_with_free``),
-    normalized so that the entry at f is 1 and the entries at all other
-    free columns are 0.  The basis is therefore canonical.
-    """
-    return [
-        tuple(_exact(Fraction(nums[c], den)) if c in nums else 0 for c in range(m.cols))
-        for nums, den in kernel_basis_with_free(m)[0]
-    ]
 
 
 class SpanSolver:

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, even_part_span
 from .errors import (
     AlgebraMismatch,
-    DecompositionError,
     DimensionMismatch,
     UnsupportedModule,
 )
@@ -308,26 +307,6 @@ def restrict(r: Representation, h: SubalgebraSpan) -> Representation:
     algebra = h.to_algebra()  # raises NotASubalgebra unless h is bracket-closed
     actions = tuple(r.action_of_vector(vec) for vec in h.vectors)
     return Representation(algebra, f"{r.name}|{h.label}", r.parities, actions)
-
-
-def weight_decomposition(r: Representation) -> dict[tuple[Scalar, ...], tuple[int, int]]:
-    """Simultaneous eigenspace dimensions under the torus, split by parity.
-
-    Requires every torus action matrix to be diagonal in the module basis
-    (true for all constructions in this package).
-    """
-    diag = []
-    for t in r.algebra.torus:
-        a = r.actions[t]
-        if not a.is_diagonal():
-            raise DecompositionError(f"torus element {t} does not act diagonally on {r.name}")
-        diag.append([a.entry(v, v) for v in range(r.dim)])
-    out: dict[tuple[Scalar, ...], list[int]] = {}
-    for v in range(r.dim):
-        w = tuple(d[v] for d in diag)
-        slot = out.setdefault(w, [0, 0])
-        slot[r.parities[v]] += 1
-    return {w: (e, o) for w, (e, o) in out.items()}
 
 
 def odd_part_module(g: LieSuperalgebra) -> Representation:

@@ -1,4 +1,4 @@
-"""Root decompositions, principal parabolic subsets, and the weight proset.
+"""Root decompositions and principal parabolic subsets.
 
 Weights live in the dual of the designated even torus and are represented
 as tuples of rationals (coordinates against the torus generators fixed by
@@ -9,7 +9,7 @@ are exact.
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebras import (
     LieSuperalgebra,
@@ -33,13 +33,6 @@ class RootSpace(NamedTuple):
     even_indices: tuple[int, ...]
     odd_indices: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": [[c.numerator, c.denominator] for c in self.weight],
-            "even_indices": list(self.even_indices),
-            "odd_indices": list(self.odd_indices),
-        }
-
 
 class RootDatum(NamedTuple):
     algebra: LieSuperalgebra
@@ -49,16 +42,6 @@ class RootDatum(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.algebra.torus)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "superO/1",
-            "kind": "root_datum",
-            "algebra": self.algebra.name,
-            "rank": self.rank,
-            "roots": [r.to_json_dict() for r in self.roots],
-            "zero_weight_indices": list(self.zero_weight_indices),
-        }
 
 
 def root_decomposition(g: LieSuperalgebra) -> RootDatum:
@@ -104,20 +87,6 @@ class ParabolicDecomposition(NamedTuple):
     levi: SubalgebraSpan
     n_minus: SubalgebraSpan
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "superO/1",
-            "kind": "parabolic_decomposition",
-            "algebra": self.root_datum.algebra.name,
-            "H": [[c.numerator, c.denominator] for c in self.functional],
-            "phi_plus": [r.to_json_dict() for r in self.phi_plus],
-            "phi_zero": [r.to_json_dict() for r in self.phi_zero],
-            "phi_minus": [r.to_json_dict() for r in self.phi_minus],
-            "dim_n_plus": self.n_plus.dim,
-            "dim_levi": self.levi.dim,
-            "dim_n_minus": self.n_minus.dim,
-        }
-
 
 def principal_parabolic(rd: RootDatum, H: Sequence[Scalar]) -> ParabolicDecomposition:
     """Partition the roots by sign of H and build (n-, l, n+).
@@ -148,67 +117,6 @@ def principal_parabolic(rd: RootDatum, H: Sequence[Scalar]) -> ParabolicDecompos
     return ParabolicDecomposition(
         rd, Ht, tuple(plus), tuple(zero), tuple(minus), n_plus, levi, n_minus
     )
-
-
-def check_parabolic_axioms(
-    rd: RootDatum,
-    P: Sequence[Weight],
-    H: Sequence[Scalar] | None = None,
-) -> tuple[bool, tuple | None]:
-    """Parabolic-subset axioms for a set of root weights.
-
-    Symmetric root systems (Phi = -Phi): require Phi = P u (-P) and
-    closure (alpha, beta in P, alpha+beta in Phi => alpha+beta in P).
-    Asymmetric systems are handled by comparing P against the sign
-    partition of the functional H (which must then be supplied).
-    """
-    phi = {r.weight for r in rd.roots}
-    pset = {tuple(w) for w in P}
-    if not pset <= phi:
-        stray = sorted(pset - phi)[0]
-        return False, ("not_a_root", stray)
-    neg = {tuple(-c for c in w) for w in phi}
-    if phi == neg:
-        negp = {tuple(-c for c in w) for w in pset}
-        if pset | negp != phi:
-            missing = sorted(phi - (pset | negp))[0]
-            return False, ("union_fails", missing)
-        for a in sorted(pset):
-            for b in sorted(pset):
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in phi and s not in pset:
-                    return False, ("closure_fails", a, b)
-        return True, None
-    if H is None:
-        raise UnsupportedSubalgebra(
-            "asymmetric root system: supply the functional H to test P = P_H"
-        )
-    Ht = tuple(map(_exact, H))
-    expected = {r.weight for r in rd.roots if pair(Ht, r.weight) >= 0}
-    if pset != expected:
-        diff = sorted(pset.symmetric_difference(expected))[0]
-        return False, ("not_principal", diff)
-    return True, None
-
-
-Comparison = Literal["less", "equal", "greater", "incomparable"]
-
-
-def proset_compare(
-    lam: tuple[Weight, int], mu: tuple[Weight, int], H: Sequence[Scalar]
-) -> Comparison:
-    """Preorder on (weight, parity-index) pairs: compare H-values, same parity only."""
-    (wl, il), (wm, im) = lam, mu
-    if il != im:
-        return "incomparable"
-    Ht = tuple(map(_exact, H))
-    a = pair(Ht, wl)
-    b = pair(Ht, wm)
-    if a < b:
-        return "less"
-    if a > b:
-        return "greater"
-    return "equal"
 
 
 def generic_functional(rd: RootDatum) -> Functional:

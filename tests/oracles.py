@@ -8,13 +8,18 @@ from one column per coordinate, the constraint solve of a cochain space
 run on each sector whole, the two diagonal blocks of the public
 differential, a report whose last rank is read off d expanded in the
 basis of the degree above, the subalgebra that some basis vectors of h
-generate, and, for the packed zero tests, a spy on the packing width and
+generate, for the packed zero tests, a spy on the packing width and
 the entries of d, of a residual and of a defect with every term taken
-absolutely."""
+absolutely, and three references no command uses: the dense kernel basis,
+the torus weights of a module, and the parabolic-subset axioms of a set
+of roots."""
 
 import itertools
+from fractions import Fraction
 
-from supero.linalg import SparseMatrix
+from supero.errors import DecompositionError, UnsupportedSubalgebra
+from supero.linalg import SparseMatrix, _exact, kernel_basis_with_free
+from supero.roots import pair
 
 
 def _combination(terms) -> dict:
@@ -282,7 +287,7 @@ def report_through_the_next_space(cx, max_degree: int) -> dict:
             rows += [CohomologyRow(q, 0, 0, 0, 0, 0) for q in range(p, max_degree + 1)]
             break
         blocks = differential_blocks(cx, p)
-        all_zero = all_zero and all(b.is_zero() for b in blocks)
+        all_zero = all_zero and all(b.nnz == 0 for b in blocks)
         ranks = [rank(b) for b in blocks]
         sp = cx.space(p)
         he = sp.dim_even - ranks[0] - prev[0]
@@ -402,3 +407,73 @@ def abs_defect(op, phi: dict) -> dict:
         for w2, a in lam_rows[w].items():
             out[w2 * n + v] = out.get(w2 * n + v, 0) + abs(c * a)
     return out
+
+
+def kernel_basis(m) -> list[tuple]:
+    """Basis of the right null space of ``m`` as dense vectors.
+
+    One basis vector per free column f (see ``kernel_basis_with_free``),
+    normalized so that the entry at f is 1 and the entries at all other
+    free columns are 0.  The basis is therefore canonical.
+    """
+    return [
+        tuple(_exact(Fraction(nums[c], den)) if c in nums else 0 for c in range(m.cols))
+        for nums, den in kernel_basis_with_free(m)[0]
+    ]
+
+
+def weight_decomposition(r) -> dict[tuple, tuple[int, int]]:
+    """Simultaneous eigenspace dimensions under the torus, split by parity.
+
+    Requires every torus action matrix to be diagonal in the module basis
+    (true for all constructions in this package).
+    """
+    diag = []
+    for t in r.algebra.torus:
+        a = r.actions[t]
+        if not a.is_diagonal():
+            raise DecompositionError(f"torus element {t} does not act diagonally on {r.name}")
+        diag.append([a.entry(v, v) for v in range(r.dim)])
+    out: dict[tuple, list[int]] = {}
+    for v in range(r.dim):
+        w = tuple(d[v] for d in diag)
+        slot = out.setdefault(w, [0, 0])
+        slot[r.parities[v]] += 1
+    return {w: (e, o) for w, (e, o) in out.items()}
+
+
+def check_parabolic_axioms(rd, P, H=None) -> tuple[bool, tuple | None]:
+    """Parabolic-subset axioms for a set of root weights.
+
+    Symmetric root systems (Phi = -Phi): require Phi = P u (-P) and
+    closure (alpha, beta in P, alpha+beta in Phi => alpha+beta in P).
+    Asymmetric systems are handled by comparing P against the sign
+    partition of the functional H (which must then be supplied).
+    """
+    phi = {r.weight for r in rd.roots}
+    pset = {tuple(w) for w in P}
+    if not pset <= phi:
+        stray = sorted(pset - phi)[0]
+        return False, ("not_a_root", stray)
+    neg = {tuple(-c for c in w) for w in phi}
+    if phi == neg:
+        negp = {tuple(-c for c in w) for w in pset}
+        if pset | negp != phi:
+            missing = sorted(phi - (pset | negp))[0]
+            return False, ("union_fails", missing)
+        for a in sorted(pset):
+            for b in sorted(pset):
+                s = tuple(x + y for x, y in zip(a, b))
+                if s in phi and s not in pset:
+                    return False, ("closure_fails", a, b)
+        return True, None
+    if H is None:
+        raise UnsupportedSubalgebra(
+            "asymmetric root system: supply the functional H to test P = P_H"
+        )
+    Ht = tuple(map(_exact, H))
+    expected = {r.weight for r in rd.roots if pair(Ht, r.weight) >= 0}
+    if pset != expected:
+        diff = sorted(pset.symmetric_difference(expected))[0]
+        return False, ("not_principal", diff)
+    return True, None

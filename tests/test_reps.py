@@ -26,11 +26,10 @@ from supero.reps import (
     super_symmetric_power,
     tensor,
     trivial,
-    weight_decomposition,
 )
 
 import oracles
-from oracles import matmul, verify_representation, wedge_insert
+from oracles import matmul, verify_representation, wedge_insert, weight_decomposition
 
 F = Fraction
 
@@ -39,7 +38,7 @@ def test_trivial_actions_are_zero():
     g = build_gl(1, 1)
     r = trivial(g)
     assert r.dim == 1
-    assert all(a.is_zero() for a in r.actions)
+    assert all(a.nnz == 0 for a in r.actions)
 
 
 def test_adjoint_gl2_commutator():
@@ -78,7 +77,7 @@ def test_standard_reps_verify(r):
 
 def test_dual_of_trivial_is_trivial():
     g = build_gl(1, 1)
-    assert all(a.is_zero() for a in dual(trivial(g)).actions)
+    assert all(a.nnz == 0 for a in dual(trivial(g)).actions)
 
 
 def test_dual_negates_weights():
@@ -99,7 +98,7 @@ def test_double_dual_is_original_up_to_parity_sign():
             r.dim, r.dim, ((i, i, F(-1) if r.parities[i] else F(1)) for i in range(r.dim))
         )
         for a, b in zip(r.actions, dd.actions):
-            assert matmul(matmul(sign, b), sign) == a
+            assert list(matmul(matmul(sign, b), sign).entries()) == list(a.entries())
 
 
 def test_dual_is_representation():
@@ -121,7 +120,7 @@ def test_tensor_with_trivial_isomorphic():
     t = tensor(trivial(g), n)
     assert t.dim == n.dim
     assert t.parities == n.parities
-    assert t.actions == n.actions
+    assert [list(a.entries()) for a in t.actions] == [list(a.entries()) for a in n.actions]
 
 
 def test_tensor_algebra_mismatch():
@@ -206,7 +205,7 @@ def test_symmetric_power_dims():
     g = build_q(2)
     m = odd_part_module(g)  # 4-dimensional
     s0 = super_symmetric_power(dual(m), 0)
-    assert s0.dim == 1 and all(a.is_zero() for a in s0.actions)
+    assert s0.dim == 1 and all(a.nnz == 0 for a in s0.actions)
     assert super_symmetric_power(dual(m), 2).dim == 10  # S^2 of a 4-dim space
     assert verify_representation(super_symmetric_power(dual(m), 2)) == (True, None)
 
@@ -258,13 +257,13 @@ def test_restrict_to_full_algebra_keeps_actions():
     res = restrict(r, full_span(g))
     # full span lists even indices first; actions match vector by vector
     for vec, a in zip(full_span(g).vectors, res.actions):
-        assert a == r.action_of_vector(vec)
+        assert list(a.entries()) == list(r.action_of_vector(vec).entries())
 
 
 def test_restrict_trivial_stays_trivial():
     g = build_q(2)
     res = restrict(trivial(g), even_part_span(g))
-    assert res.dim == 1 and all(a.is_zero() for a in res.actions)
+    assert res.dim == 1 and all(a.nnz == 0 for a in res.actions)
 
 
 def test_restrict_adjoint_gl11_to_even_part():
