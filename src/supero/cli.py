@@ -55,7 +55,7 @@ USAGE_ERRORS = (
 # Coordinates of the largest cochain space a ``coh`` request may reach.
 # The largest request that CI and the tests run, ``coh gl 3 2 --sub g0
 # -N 8``, reaches 167960; the README's ``coh q 3 --sub g0 --mod adjoint
-# -N 6`` reaches 115830 and takes 0.64-1.14 s over 24 cold runs on a 2-vCPU
+# -N 6`` reaches 115830 and takes 0.52-0.78 s over 14 cold runs on a 2-vCPU
 # Intel Xeon virtual machine with CPython 3.11.7, whose core speed swings up
 # to about 1.9x.
 COCHAIN_BUDGET = 200_000

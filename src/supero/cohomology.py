@@ -13,12 +13,13 @@ built lazily and once per pair: one record per degree of L^p_s(g/h)
 (``degree``), made from the one below in one pass, with the monomials,
 their parities and positions, and, on first read, their weight keys under
 the span vectors acting diagonally on g/h and the monomials grouped into
-buckets by key; the
-action rows of each span vector of h on L^p_s(g/h) per (degree, span
-vector, weight bucket) (``action_rows``); the projected brackets grouped
-by the factor they hold (``bracket_groups``), and the structure maps of
-the differential per source monomial (``source_maps``), built only for
-the monomials that d reads.
+buckets by key; the weight shift of each span vector (``shift``); the
+projected brackets grouped by the factor they hold (``bracket_groups``),
+and the structure maps of the differential per source monomial
+(``source_maps``), built only for the monomials that d reads.  The action
+rows of a span vector of h on L^p_s(g/h) (``action_rows``) are not kept:
+each defect operator builds the rows of its buckets in one pass and holds
+them as long as it is read.
 ``RelativeComplex(pair, M)`` adds the action on M: the module vectors
 grouped by weight, which pick the kept monomial buckets; the constraint
 plan, the equivariant bases, the differential matrices and the
@@ -28,8 +29,7 @@ checks (every non-diagonal one only once a check fails), in the buckets
 that hold its kept monomials.  A span vector that shifts every
 weight by the same amount (``shift``) reaches bucket k only from bucket
 k - shift, so only those monomials are acted on; for one that does not,
-every monomial is a source, and one pass builds the rows of every bucket.
-Either way each row is the full row.
+every monomial is a source.  Either way each row is the full row.
 
 A cochain is a dict keyed by the flat coordinate x = w * dim M + v of
 module vector v at monomial w, so its order is the order by (w, v).  The
@@ -87,9 +87,10 @@ canonical kernel combinations of their defects under it, so every cut is
 a small kernel on what the cut before left.  Kernel bases are canonical,
 so the result is the simultaneous kernel, anchored at its free
 coordinates.  A defect is computed straight from the data it is made
-of (``_defect_columns``): the pair's action rows of the degree, merged
-over the kept buckets, and M's columns of the span vector, one operator
-per span vector serving both sectors, the cuts and the re-verification.
+of (``_defect_columns``): the pair's action rows of the degree in the
+kept buckets, built in one pass, and M's columns of the span vector, one
+operator per span vector serving both sectors, the cuts and the
+re-verification.
 ``_defect`` makes two passes over a cochain, with ``_add_scaled``'s rules
 inlined: the module parts of all its coordinates, with the sign of an odd
 span vector on an odd coordinate folded in, then the exterior-power
@@ -212,7 +213,7 @@ from functools import partial
 from operator import add, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
-from .algebras import EVEN, ODD, LieSuperalgebra, SubalgebraSpan, quotient_action
+from .algebras import EVEN, ODD, SCHEMA, LieSuperalgebra, SubalgebraSpan, quotient_action
 from .errors import AlgebraMismatch, ConventionError, DimensionMismatch
 from .linalg import (
     RowMatrix, Scalar, SparseMatrix, _add_scaled, _exact, kernel_basis_with_free, rank
@@ -364,7 +365,7 @@ class CohomologyReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "superO/1",
+            "schema": SCHEMA,
             "kind": "cohomology_report",
             "algebra": self.algebra,
             "subalgebra_spec": self.subalgebra,
@@ -439,10 +440,8 @@ class RelativePair:
         zero = tuple(0 for _ in self.diagonal)
         self._degrees = [MonomialDegree(((),), (0,), {(): 0}, ([zero], {zero: [0]}))]
         self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
-        self._rows: dict[tuple[int, int, tuple], dict[int, dict[int, Scalar]]] = {}
         self._groups: list[list[tuple[int, list[tuple[int, Scalar]]]]] | None = None
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
-        self._checks: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list[int], list[Derivation]]] = {}
 
     def degree(self, p: int) -> MonomialDegree:
         """Degree p, built in one pass from degree p - 1 (``monomial_steps``):
@@ -465,33 +464,24 @@ class RelativePair:
             degrees.append(MonomialDegree(tuple(monos), tuple(pars), index, tables))
         return degrees[p]
 
-    def action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
-        """Rows of span vector i of h acting on L^p_s(g/h), for the monomials
-        of weight bucket k (position -> row), cached per (p, i, k)."""
-        rows = self._rows.get((p, i, k))
-        if rows is None:
-            rows = self._rows[p, i, k] = self._build_action_rows(p, i, k)
-        return rows
+    def action_rows(
+        self, p: int, i: int, keys: Iterable[tuple[Scalar, ...]]
+    ) -> dict[int, dict[int, Scalar]]:
+        """Rows of span vector i of h acting on L^p_s(g/h) for the monomials
+        of the weight buckets ``keys`` (position -> row), bucket by bucket in
+        ``keys`` order, from one ``derivation_rows`` pass; the pair keeps none.
 
-    def _build_action_rows(self, p: int, i: int, k: tuple[Scalar, ...]) -> dict[int, dict[int, Scalar]]:
-        # only the bucket k - shift(i) reaches bucket k.  Without a uniform
-        # shift every monomial is a source, so one pass builds the rows of
-        # every bucket of (p, i).  Sources go in ascending order, so each row
-        # is the full row, key order included.
-        deg = self.degree(p)
-        shift = self.shift(i)
-        sources = (
-            range(len(deg.monomials)) if shift is None
-            else deg.buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
+        Only bucket k - shift(i) reaches bucket k; without a uniform shift
+        every monomial is a source.  Sources go in ascending order, so each
+        row is the full row, key order included."""
+        deg, shift, keys = self.degree(p), self.shift(i), list(keys)
+        sources = range(len(deg.monomials)) if shift is None else sorted(
+            t for k in keys for t in deg.buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
         )
         rows = derivation_rows(
             self._quotient_cols[i], self.quotient_parities, deg.monomials, deg.index, sources
         )
-        if shift is None:
-            for k2, ts in deg.buckets.items():
-                self._rows[p, i, k2] = {t: rows.get(t, {}) for t in ts}
-            return self._rows.get((p, i, k), {})
-        return {t: rows.get(t, {}) for t in deg.buckets.get(k, ())}
+        return {t: rows.get(t, {}) for k in keys for t in deg.buckets.get(k, ())}
 
     def shift(self, i: int) -> tuple[Scalar, ...] | None:
         """Weight-key change made by span vector i on g/h, None unless uniform.
@@ -516,7 +506,7 @@ class RelativePair:
         """The non-diagonal span vectors whose equivariance checks are made,
         given the span vectors ``diag_idx`` that filter coordinates and the
         constraint plan, with the brackets that carry the checks to the
-        rest; cached per (diag_idx, plan).
+        rest.
 
         Span vector k is derived when [b_a, b_b] = v b_k is a single term of
         h's structure constants, with a and b diagonal, listed or derived
@@ -528,31 +518,24 @@ class RelativePair:
         a check fails, the list is every non-diagonal span vector and there
         are no derivations.
         """
-        key = (tuple(diag_idx), tuple(plan))
-        hit = self._checks.get(key)
-        if hit is None:
-            h_alg, diag = self.quotient_rep.algebra, set(diag_idx)
-            nondiag = [i for i in range(h_alg.dim) if i not in diag]
-            rules = [
-                (a, b, *terms[0]) for a in range(h_alg.dim) for b in range(a, h_alg.dim)
-                if len(terms := h_alg.bracket_basis(a, b)) == 1 and terms[0][0] not in diag
-            ]
-            listed = set(plan)
+        h_alg, diag = self.quotient_rep.algebra, set(diag_idx)
+        nondiag = [i for i in range(h_alg.dim) if i not in diag]
+        rules = [
+            (a, b, *terms[0]) for a in range(h_alg.dim) for b in range(a, h_alg.dim)
+            if len(terms := h_alg.bracket_basis(a, b)) == 1 and terms[0][0] not in diag
+        ]
+        listed = set(plan)
+        derived = _derive(rules, diag | listed)
+        while len(listed) + len(derived) < len(nondiag):
+            reached = listed.union(k for k, _, _, _ in derived)
+            listed.add(max(
+                (i for i in nondiag if i not in reached),
+                key=lambda i: (len(_derive(rules, diag | listed | {i})), -i),
+            ))
             derived = _derive(rules, diag | listed)
-            while len(listed) + len(derived) < len(nondiag):
-                reached = listed.union(k for k, _, _, _ in derived)
-                listed.add(max(
-                    (i for i in nondiag if i not in reached),
-                    key=lambda i: (len(_derive(rules, diag | listed | {i})), -i),
-                ))
-                derived = _derive(rules, diag | listed)
-            par = h_alg.parities
-            if derived and all(_respects(self._quotient_cols, par, *d) for d in derived):
-                hit = [i for i in nondiag if i in listed], derived
-            else:
-                hit = nondiag, []
-            self._checks[key] = hit
-        return hit
+        if derived and all(_respects(self._quotient_cols, h_alg.parities, *d) for d in derived):
+            return [i for i in nondiag if i in listed], derived
+        return nondiag, []
 
     def bracket_groups(self) -> list[list[tuple[int, list[tuple[int, Scalar]]]]]:
         """For each quotient basis vector q, the pairs (a, [(b, v), ...]) such
@@ -993,8 +976,9 @@ class RelativeComplex:
     # -- cochain spaces --------------------------------------------------------
 
     def lambda_rep(self, p: int) -> Representation:
-        """Exterior power of g/h in degree p with its full action matrices
-        (the engine reads the pair's ``action_rows`` and ``degree`` records instead)."""
+        """Exterior power of g/h in degree p with its full action matrices.
+        The engine builds none: it reads the pair's ``degree`` records, and
+        the ``action_rows`` of the buckets each defect operator needs."""
         return super_exterior_power(self.pair.quotient_rep, p)
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -1034,17 +1018,14 @@ class RelativeComplex:
     def _defect_columns(self, p: int, i: int, keys: Iterable[tuple[Scalar, ...]]) -> _DefectOperator:
         """The defect operator of span vector i on the coordinates of degree p
         at the monomials of the weight buckets ``keys``, for ``_defect``: the
-        pair's action rows of those monomials merged into one dict, M's
+        pair's action rows of those monomials (``action_rows``), M's
         columns of span vector i, dim M, and, when span vector i is odd, the
         parities of M's vectors and of the monomials, which decide the sign
         of the module part.  One operator serves both sectors."""
-        lam_rows: dict[int, dict[int, Scalar]] = {}
-        for k in keys:
-            lam_rows.update(self.pair.action_rows(p, i, k))
         parities = None
         if self.pair.h.vector_parities[i]:
             parities = self.m.parities, self.pair.degree(p).parities
-        return lam_rows, self.m_action_cols[i], self.m.dim, parities
+        return self.pair.action_rows(p, i, keys), self.m_action_cols[i], self.m.dim, parities
 
     def _units(
         self, kept_pair: tuple[list[int], list[int]]
@@ -1397,7 +1378,7 @@ class RelativeComplex:
         # some image fails: the witness is the first in nondiag_idx order,
         # which reaches the span vector that failed
         for i in self.nondiag_idx:
-            op = self._defect_columns(p + 1, i, needed)
+            op = checks[i] if i in checks else self._defect_columns(p + 1, i, needed)
             witness = next((
                 (defect, s) for image, s in nonzero if (defect := _defect(op, image))
             ), None)

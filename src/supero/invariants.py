@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebras import LieSuperalgebra, SubalgebraSpan, even_part_span
+from .algebras import SCHEMA, LieSuperalgebra, SubalgebraSpan, even_part_span
 from .cohomology import RelativePair, cohomology, relative_ext
 from .errors import DimensionMismatch
 from .linalg import RowMatrix, Scalar, rank
@@ -32,7 +32,7 @@ class HilbertTable(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "superO/1",
+            "schema": SCHEMA,
             "kind": "hilbert_table",
             "algebra": self.algebra,
             "dims": list(self.dims),
@@ -116,7 +116,7 @@ class GrowthEstimate(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "superO/1",
+            "schema": SCHEMA,
             "kind": "growth_estimate",
             "label": self.label,
             "window": list(self.window),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .algebras import (
+    SCHEMA,
     LieSuperalgebra,
     SubalgebraSpan,
     build_gl,
@@ -36,8 +37,6 @@ from .invariants import compare_invariants_vs_cohomology, ext_growth, invariant_
 from .linalg import Vector
 from .reps import Representation, adjoint, natural, trivial
 from .roots import borel_span, generic_functional, named_subalgebra, root_decomposition
-
-SCHEMA = "superO/1"
 
 
 def _row(check: str, family: str, params, status: bool, witness: str | None = None) -> dict:

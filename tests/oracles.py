@@ -8,7 +8,8 @@ from one column per coordinate, the constraint solve of a cochain space
 run on each sector whole, the two diagonal blocks of the public
 differential, a report whose last rank is read off d expanded in the
 basis of the degree above, the subalgebra that some basis vectors of h
-generate, for the packed zero tests, a spy on the packing width and
+generate, a spy on the passes that build each defect operator's action
+rows, for the packed zero tests, a spy on the packing width and
 the entries of d, of a residual and of a defect with every term taken
 absolutely, and three references no command uses: the dense kernel basis,
 the torus weights of a module, and the parabolic-subset axioms of a set
@@ -208,7 +209,7 @@ def defect(cx, p: int, i: int, keys, phi: dict) -> dict:
 
     rows = {}
     for k in keys:
-        rows.update(cx.pair.action_rows(p, i, k))
+        rows.update(cx.pair.action_rows(p, i, [k]))
     n, cols = cx.m.dim, cx.m_action_cols[i]
     odd = cx.pair.h.vector_parities[i]
     m_par, mono_par = cx.m.parities, cx.pair.degree(p).parities
@@ -319,6 +320,36 @@ def generated_span_vectors(h_alg, generators) -> set[int]:
                     solver = SpanSolver(span)
                     grown = True
     return {k for k in range(h_alg.dim) if not solver.reduce({k: 1})[0]}
+
+
+def record_passes(monkeypatch) -> list:
+    """(pair, degree, span vector, passes) of every defect operator that
+    ``RelativeComplex._defect_columns`` builds from now on, passes being the
+    ``reps.derivation_rows`` calls made while it was built.  A pass made
+    outside a defect operator is recorded as (None, None, None, 1)."""
+    from supero import cohomology as engine
+    from supero.cohomology import RelativeComplex
+
+    defect_columns, derivation_rows = RelativeComplex._defect_columns, engine.derivation_rows
+    out, open_ops = [], []
+
+    def spy_columns(self, p, i, keys):
+        open_ops.append([self.pair, p, i, 0])
+        try:
+            return defect_columns(self, p, i, keys)
+        finally:
+            out.append(tuple(open_ops.pop()))
+
+    def spy_rows(*args):
+        if open_ops:
+            open_ops[-1][3] += 1
+        else:
+            out.append((None, None, None, 1))
+        return derivation_rows(*args)
+
+    monkeypatch.setattr(RelativeComplex, "_defect_columns", spy_columns)
+    monkeypatch.setattr(engine, "derivation_rows", spy_rows)
+    return out
 
 
 def record_widths(monkeypatch, bound: str) -> list:

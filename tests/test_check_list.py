@@ -221,7 +221,7 @@ def test_derived_brackets_hold_on_exterior_powers_and_defect_operators():
                 for i in {k, a, b}:
                     cols = {t: [] for t in range(len(deg.monomials))}
                     for key in keys:
-                        for t, row in pair.action_rows(p, i, key).items():
+                        for t, row in pair.action_rows(p, i, [key]).items():
                             for t2, c in row.items():
                                 cols[t2].append((t, c))
                     rows[i] = {t: [col] for t, col in cols.items()}

@@ -14,6 +14,8 @@ from supero.cli import COCHAIN_BUDGET, LISTING_BUDGET, largest_cochain_space, li
 from supero.errors import DimensionMismatch
 from supero.reps import super_monomials
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -427,6 +429,10 @@ CI_JOB_DIGESTS = {
         "ab470f888858ebd7089a31d3e93410c469deed6b725539d20f9936e151f869e6",
     "coh q 3 --sub g0 -N 10 --format json":
         "0d8e1870c93f4b73903fa83117e5668c7c12ff100b04e8824ec963f99cca1d05",
+    # g0 of gl(2|1) in a rotated basis: span vectors 3 and 4 shift weights
+    # non-uniformly, so their action rows read every monomial
+    "coh gl 2 1 --sub span:tests/data/gl21-g0-rotated.json --mod adjoint -N 4 --format json":
+        "080b800b5529472b74b35e65f99fc478629552010adae2317dd33d13d6f0e209",
     "verify kunneth --format json":
         "f902bd57a81283be12f2b7a8743c7bef84663ad7d81115fd7714ee871cf85b34",
     "verify growth --format json":
@@ -457,19 +463,20 @@ PERFBENCH_PINNED_JOBS = {
 
 
 def test_ci_hash_seed_jobs_are_the_pinned_ones():
-    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     lines = [line.strip() for line in text.split("<<'JOBS'\n", 1)[1].splitlines()]
     # each line is a name, then argv as the shell splits it
     jobs = [line.split()[1:] for line in lines[: lines.index("JOBS")]]
     argv = {" ".join(job) for job in jobs}
-    assert len(argv) == len(jobs) == 24
+    assert len(argv) == len(jobs) == 25
     assert argv - PERFBENCH_PINNED_JOBS == set(CI_JOB_DIGESTS)
     assert PERFBENCH_PINNED_JOBS <= argv
 
 
 @pytest.mark.parametrize("job", sorted(CI_JOB_DIGESTS))
-def test_ci_hash_seed_job_output_is_unchanged(capsys, job):
+def test_ci_hash_seed_job_output_is_unchanged(capsys, monkeypatch, job):
+    monkeypatch.chdir(ROOT)  # CI runs the jobs from the checkout, span files included
     code, out, err = run_cli(capsys, *job.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CI_JOB_DIGESTS[job]

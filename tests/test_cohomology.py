@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ from supero.cohomology import (
     cohomology,
     relative_ext,
 )
-from supero.cli import parse_rationals
+from supero.cli import parse_rationals, parse_subalgebra
 from supero.errors import AlgebraMismatch, ConventionError, DimensionMismatch, NotASubalgebra
 from supero.linalg import SpanSolver, SparseMatrix, _eliminate, _exact, _int_rows
 from supero.reps import (
@@ -56,6 +57,7 @@ import oracles
 from oracles import matmul, wedge_insert
 
 F = Fraction
+ROTATED_G0_SPAN = Path(__file__).resolve().parent / "data" / "gl21-g0-rotated.json"
 
 
 def sl2():
@@ -336,24 +338,15 @@ def test_convention_error_names_its_witness():
     ids=["gl(2|1)-levi", "q(2)-borel"],
 )
 def test_shared_pair_matches_independent_pairs(build, sub, H, monkeypatch):
-    engine = importlib.import_module("supero.cohomology")
-    built = []
-    build_rows = engine.RelativePair._build_action_rows
-
-    def counted_action_rows(self, p, i, k):
-        built.append((p, i, k))
-        return build_rows(self, p, i, k)
-
-    monkeypatch.setattr(engine.RelativePair, "_build_action_rows", counted_action_rows)
+    passes = oracles.record_passes(monkeypatch)
     g = build()
     h = named_subalgebra(g, sub, H=H)
     modules = (trivial(g), natural(g), adjoint(g))
     pair = RelativePair(g, h)
     shared = [RelativeComplex(pair, mod) for mod in modules]
     reports = [cx.report(3).to_json_dict() for cx in shared]
-    # the three modules built the rows of each (degree, span vector, weight
-    # bucket) once between them
-    assert built and len(built) == len(set(built))
+    # the pair keeps no action rows: each defect operator builds its own
+    assert passes and all(n == 1 for *_, n in passes)
     for mod, cx, report in zip(modules, shared, reports):
         alone = RelativeComplex(RelativePair(g, h), mod)
         assert report == alone.report(3).to_json_dict()
@@ -369,23 +362,11 @@ def _pair(g, sub, H=None):
 
 
 def _rotated_g0_pair():
-    """g0 of gl(2|1) spanned by e11, e22, e33, e12+e21 and e12-e21: the two
-    mixed vectors are no weight vectors, so they shift weights non-uniformly."""
+    """g0 of gl(2|1) spanned by e11, e22, e33, e12+e21 and e12-e21, read from
+    the span file of CI's hash-seed job: the two mixed vectors are no weight
+    vectors, so they shift weights non-uniformly."""
     g = build_gl(2, 1)
-
-    def vec(*terms):
-        out = [F(0)] * g.dim
-        for label, c in terms:
-            out[g.basis_labels.index(label)] = F(c)
-        return tuple(out)
-
-    span = SubalgebraSpan(
-        g,
-        [vec(("e[1,1]", 1)), vec(("e[2,2]", 1)), vec(("e[3,3]", 1)),
-         vec(("e[1,2]", 1), ("e[2,1]", 1)), vec(("e[1,2]", 1), ("e[2,1]", -1))],
-        "g0-rotated",
-    )
-    return RelativePair(g, span)
+    return RelativePair(g, parse_subalgebra(g, f"span:{ROTATED_G0_SPAN}", None))
 
 
 def _skew_torus_pair():
@@ -430,7 +411,7 @@ def _all_action_rows(pair, p, i):
     """The rows of every weight bucket, in monomial order."""
     rows = {}
     for k in pair.degree(p).buckets:
-        rows.update(pair.action_rows(p, i, k))
+        rows.update(pair.action_rows(p, i, [k]))
     return [rows[t] for t in range(len(rows))]
 
 
@@ -466,7 +447,7 @@ def test_action_rows_match_the_per_position_oracle(case):
             )
             for k, ts in deg.buckets.items():
                 expected = {t: rows.get(t, {}) for t in ts}
-                assert _spelled(pair.action_rows(p, i, k)) == _spelled(expected), (p, i, k)
+                assert _spelled(pair.action_rows(p, i, [k])) == _spelled(expected), (p, i, k)
 
 
 @pytest.mark.parametrize("case", PAIR_TABLES)
@@ -509,25 +490,17 @@ def test_rotated_span_shifts_and_reports():
         assert rotated.rows == RelativeComplex(plain, mod).report(4).rows, mod.name
 
 
-def test_growth_cell_builds_each_bucket_once(monkeypatch):
-    engine = importlib.import_module("supero.cohomology")
+def test_growth_cell_makes_one_pass_per_defect_operator(monkeypatch):
     suites = importlib.import_module("supero.suites")
-    built = []
-    build_rows = engine.RelativePair._build_action_rows
-
-    def counted_action_rows(self, p, i, k):
-        built.append((id(self), p, i, k))
-        return build_rows(self, p, i, k)
-
-    monkeypatch.setattr(engine.RelativePair, "_build_action_rows", counted_action_rows)
+    passes = oracles.record_passes(monkeypatch)
     g = build_gl(2, 1)
     cell = (g, "levi", named_subalgebra(g, "levi", H=(F(1), F(0), F(1))), "super")
     monkeypatch.setattr(suites, "growth_cells", lambda: [cell])
     report = suites.suite_growth(4)
     assert [row["params"]["coefficients"] for row in report["rows"]] == ["trivial", "natural"]
-    # one pair serves both modules, and no (degree, span vector, bucket) is built twice
-    assert built and len({pair for pair, *_ in built}) == 1
-    assert len(built) == len(set(built))
+    # one pair serves both modules, and each defect operator makes one pass
+    assert passes and len({pair for pair, *_ in passes}) == 1
+    assert all(n == 1 for *_, n in passes)
 
 
 @pytest.mark.parametrize("case", PAIRS)
@@ -565,15 +538,23 @@ def test_degree_tables_match_reference_enumeration(case):
         assert list(deg.buckets.items()) == list(buckets.items()), p
 
 
-def test_report_builds_no_rows_for_diagonal_elements():
-    pair = PAIRS["gl(2|1)-levi"]()
-    for mod in (trivial(pair.g), natural(pair.g), adjoint(pair.g)):
-        cx = RelativeComplex(pair, mod)
-        cx.report(3)
-        assert cx.diag_idx and cx.nondiag_idx
-        built = {i for _, i, _ in pair._rows}
-        assert built <= set(cx.nondiag_idx)
-        assert not built & set(cx.diag_idx)
+def test_report_builds_no_rows_for_diagonal_elements(monkeypatch):
+    passes = oracles.record_passes(monkeypatch)
+    q3 = build_q(3)
+    # gl(2|1) over its levi reads all of h's non-diagonal vectors, q(3)
+    # over g0 checks 3 of its 6
+    for pair, top in ((PAIRS["gl(2|1)-levi"](), 3), (RelativePair(q3, even_part_span(q3)), 2)):
+        for mod in (trivial(pair.g), natural(pair.g), adjoint(pair.g)):
+            cx = RelativeComplex(pair, mod)
+            passes.clear()
+            cx.report(top)
+            assert cx.diag_idx and cx.nondiag_idx
+            # every check passes, so only the plan and the check list are read
+            built = {i for _, _, i, _ in passes}
+            assert built <= set(cx.constraint_plan + cx.check_idx) <= set(cx.nondiag_idx)
+            assert not built & set(cx.diag_idx)
+            if pair.g is q3 and mod.name == "adjoint":
+                assert built == set(cx.constraint_plan + cx.check_idx) != set(cx.nondiag_idx)
 
 
 def _check_exact(values, where, seen):
@@ -818,10 +799,14 @@ def test_nonuniform_shift_acts_on_each_monomial_once_per_vector(monkeypatch):
         return derivation_rows(cols, parities, monos, index, sources)
 
     monkeypatch.setattr(engine, "derivation_rows", counted)
+    passes = oracles.record_passes(monkeypatch)
     RelativeComplex(pair, adjoint(pair.g)).report(4)
     mixed = {i for _, i, _ in acted if pair.shift(i) is None}
     assert mixed == {3, 4}
     assert len(acted) == len(set(acted))
+    # the mixed vectors act on every monomial in the one pass of each
+    # defect operator that reads them
+    assert all(n == 1 for *_, n in passes)
 
 
 def test_action_rows_insert_each_distinct_factor_once(monkeypatch):

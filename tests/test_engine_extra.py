@@ -425,7 +425,7 @@ def _stacked_space(cx, p):
     lam_rows_by_id = {i: {} for i in cx.nondiag_idx}
     for i, rows in lam_rows_by_id.items():
         for key in needed:
-            rows.update(cx.pair.action_rows(p, i, key))
+            rows.update(cx.pair.action_rows(p, i, [key]))
     out = []
     for sector in (0, 1):
         coords = sorted(kept[sector], key=lambda coord: coord[::-1])

@@ -130,12 +130,29 @@ def _reading(cx, p, vectors, w):
 
 
 def _action_row(pair, p, i, monomial):
-    """The action row of span vector i at ``monomial`` of degree p, the dict
-    the pair caches (``RelativePair._rows``) and every defect operator of
-    that degree reads."""
+    """The position of ``monomial`` in degree p and the action row of span
+    vector i there."""
     deg = pair.degree(p)
     w = deg.index[monomial]
-    return w, pair.action_rows(p, i, deg.weight_keys[w])[w]
+    return w, pair.action_rows(p, i, [deg.weight_keys[w]])[w]
+
+
+def _rows_handed_out(monkeypatch, pair, p, i, w, negate=False):
+    """The rows at position w that ``pair.action_rows`` hands out for span
+    vector i on degree p from now on: each is the dict that the defect
+    operator built from it reads.  With ``negate`` each comes out negated."""
+    rows, action_rows = [], RelativePair.action_rows
+
+    def handed_out(self, q, j, keys):
+        out = action_rows(self, q, j, keys)
+        if self is pair and (q, j) == (p, i) and w in out:
+            if negate:
+                out[w] = {w2: -a for w2, a in out[w].items()}
+            rows.append(out[w])
+        return out
+
+    monkeypatch.setattr(RelativePair, "action_rows", handed_out)
+    return rows
 
 
 # the second cap puts the failing cochains past the first packed cochain
@@ -146,8 +163,9 @@ CAPS = pytest.mark.parametrize("cap", [engine.PACKED_IMAGES, 2])
 def test_two_failing_basis_vectors_name_the_lower_anchor(monkeypatch, cap):
     # gl(2|2), h = g0, adjoint: the plan imposes span vectors 1 and 5 and
     # the check list adds 2 and 6.  The one entry of span vector 2's row at
-    # monomial (0, 6) of degree 2 is flipped after every solve, so each
-    # solve sees the true rows and each re-verification the broken ones.
+    # monomial (0, 6) of degree 2 is flipped after every solve, in the
+    # defect operator that both read, so each solve sees the true rows and
+    # each re-verification the broken ones.
     # The even basis vectors 2 and 3, and no other, read (0, 6); their
     # defects are 2 and -2 at (6, (0, 7)), and the witness is vector 2's
     g = build_gl(2, 2)
@@ -159,12 +177,15 @@ def test_two_failing_basis_vectors_name_the_lower_anchor(monkeypatch, cap):
         (0, 2), (0, 3)
     ]
     ((w2, a),) = row.items()
+    rows = _rows_handed_out(monkeypatch, pair, 2, 2, w)
     impose = RelativeComplex._impose
 
     def solve_then_break(self, plan, ops, units):
-        row[w2] = a
+        for row in rows:
+            row[w2] = a
         solved = impose(self, plan, ops, units)
-        row[w2] = -a
+        for row in rows:
+            row[w2] = -a
         return solved
 
     monkeypatch.setattr(RelativeComplex, "_impose", solve_then_break)
@@ -191,8 +212,8 @@ def test_two_failing_top_images_name_the_lower_basis_index(monkeypatch, cap):
     w, row = _action_row(pair, 3, 6, (0, 1, 4))
     images = [cx._images(2, sector) for sector in (0, 1)]
     assert _reading(cx, 3, images, w) == [(1, 1), (1, 3)]
-    ((w2, a),) = row.items()
-    row[w2] = -a
+    assert len(row) == 1
+    _rows_handed_out(monkeypatch, pair, 3, 6, w, negate=True)
     monkeypatch.setattr(engine, "PACKED_IMAGES", cap)
     witness = (
         "differential image fails equivariance under span vector 6 of h "
