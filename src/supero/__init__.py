@@ -56,7 +56,6 @@ from .reps import (
     natural,
     odd_part_module,
     restrict,
-    super_exterior_power,
     super_symmetric_power,
     tensor,
     trivial,

@@ -77,8 +77,11 @@ x and (-1)^(even factors of w) for odd x.  In a monomial
 t1, the odd factors before position i number max(0, i - even factors of
 t1), which is the prefix sum in s(i, j).  The c copies of an odd x in
 x ^ w give c equal terms of the second sum, so each (x, t1) is stored
-once with the signed multiplicity; the terms of the first sum that reach
-one t1 are stored as their sum.
+once with the signed multiplicity.  In the first sum too only odd
+factors repeat, each odd copy moving i + |x_i|(i - even factors) by 2, so
+the n_a n_b pairs of copies of x_a and x_b (n_a (n_a + 1) / 2 for a = b)
+share one sign and are one term times their number; the terms of the
+first sum that reach one t1 are stored as their sum.
 
 Cochain bases are found as the simultaneous kernel of the equivariance
 constraints, cut one span vector at a time.  The candidates start as one
@@ -92,10 +95,12 @@ kept buckets, built in one pass, and M's columns of the span vector, one
 operator per span vector serving both sectors, the cuts and the
 re-verification.
 ``_defect`` makes two passes over a cochain, with ``_add_scaled``'s rules
-inlined: the module parts of all its coordinates, with the sign of an odd
-span vector on an odd coordinate folded in, then the exterior-power
-parts.  Each cut hands its defects to the kernel as rows
-(``linalg.RowMatrix``): one dict per defect coordinate, in
+inlined: the module parts of all its coordinates, then the exterior-power
+parts.  Every cochain it is handed lies in one map-parity sector (unit
+cochains, packed cochains and images alike), so, as in
+``apply_differential``, the module parts of an odd span vector take the
+sign (-1)^sector once per cochain.  Each cut hands its defects to the
+kernel as rows (``linalg.RowMatrix``): one dict per defect coordinate, in
 first-appearance order, keyed by candidate index.  The solve stays in
 integers from the defects to the kernel; a ``Fraction`` enters only
 through a module whose action has one.
@@ -218,21 +223,12 @@ from .errors import AlgebraMismatch, ConventionError, DimensionMismatch
 from .linalg import (
     RowMatrix, Scalar, SparseMatrix, _add_scaled, _exact, kernel_basis_with_free, rank
 )
-from .reps import (
-    Representation,
-    _ranks,
-    derivation_rows,
-    dual,
-    monomial_steps,
-    super_exterior_power,
-    tensor,
-)
+from .reps import Representation, _ranks, derivation_rows, dual, monomial_steps, tensor
 
 Cochain = dict[int, Scalar]  # flat coordinate w * dim M + v -> value
 # one span vector's defect operator on one degree (``_defect_columns``): the
-# action rows of its monomials, M's columns, dim M, and for an odd span
-# vector the parities of M's vectors and of the monomials, else None
-_DefectOperator = tuple[dict[int, dict[int, Scalar]], list[dict[int, Scalar]], int, tuple | None]
+# action rows of its monomials, M's columns, dim M and the span vector's parity
+_DefectOperator = tuple[dict[int, dict[int, Scalar]], list[dict[int, Scalar]], int, int]
 Derivation = tuple[int, int, int, Scalar]  # (k, a, b, v): [b_a, b_b] = v b_k in h
 
 
@@ -564,11 +560,12 @@ class RelativePair:
         Bracket terms (t1, coeff): phi(w) contributes coeff * phi(w) to
         (d phi)(monomial t1 of degree p+1), one term per target t1, summed
         over the pairs of positions i < j of t1 whose projected bracket
-        holds the factor inserted into the rest; a zero sum has no term.
-        Action terms (x, t1, m): the lift of quotient basis vector x acts on
-        phi(w) and lands at t1 = x ^ w, with m the sign times the number of
-        copies of x in t1, since every copy gives the same term.  Both lists
-        ascend by t1.
+        holds the factor inserted into the rest, each pair of copies of the
+        same two factors with one sign; a zero sum has no term.  Action
+        terms (x, t1, m): the lift of quotient basis vector x acts on phi(w)
+        and lands at t1 = x ^ w, with m the sign times the number of copies
+        of x in t1, since every copy gives the same term.  Both lists ascend
+        by t1.
 
         Signs and insertion points are read from positions in the normal
         form (see the module docstring), with no product of monomials.
@@ -618,38 +615,39 @@ class RelativePair:
                         continue
                     t1 = hi_index[rest_a[:ib] + (b,) + rest_a[ib:]]
                     # the copies of a and of b each form one block of t1,
-                    # starting at ia and at ib (for a = b one block, whose
-                    # last copy is never an i); an odd factor at position i
-                    # of t1 has i - even1 odd factors before it
+                    # at ia and at ib (for a = b one block of n_a + 1); an
+                    # odd factor at position i of t1 has i - even1 odd
+                    # factors before it, so all pairs of copies share sigma
                     n_b = bisect_right(ranks_a, rb, ib) - ib + 1
                     even1 = even_r + 2 - pa - pb
-                    for i in range(ia, ia + n_a):
-                        for j in range(max(i + 1, ib), ib + n_b):
-                            # sigma sign, 1-based positions
-                            sig = (i + j + pa * (i - even1) + pb * (j - even1 + pa)) % 2
-                            bracket[t1] = bracket.get(t1, 0) + (-s_q * v if sig else s_q * v)
+                    i, j = ia, ib + (a == b)
+                    # sigma of the first pair, 1-based positions
+                    sig = (i + j + pa * (i - even1) + pb * (j - even1 + pa)) % 2
+                    pairs = n_a * n_b // 2 if a == b else n_a * n_b
+                    bracket[t1] = bracket.get(t1, 0) + (-pairs if sig else pairs) * s_q * v
         hit = cache[w] = ([(t1, _exact(c)) for t1, c in sorted(bracket.items()) if c], action)
         return hit
 
 
-def _defect(op: _DefectOperator, phi: dict[int, int]) -> dict[int, Scalar]:
-    """Equivariance defect of the flat-coordinate cochain phi under the span
-    vector of ``op`` (``RelativeComplex._defect_columns``).
+def _defect(op: _DefectOperator, sector: int, phi: dict[int, int]) -> dict[int, Scalar]:
+    """Equivariance defect of the flat-coordinate cochain phi of ``sector``
+    under the span vector of ``op`` (``RelativeComplex._defect_columns``).
 
     Coordinate x = w * dim M + v with value c contributes a module part,
-    c times M's column v at monomial w, negated when the span vector is odd
-    and x is odd, and an exterior-power part, minus c times the action row
-    of w at module vector v.  The module parts of all coordinates come
-    first, then the exterior-power parts, so the defect's keys come in that
-    order."""
-    lam_rows, cols, n, parities = op
+    c times M's column v at monomial w, negated when the span vector and
+    the sector are odd, and an exterior-power part, minus c times the
+    action row of w at module vector v.  The module parts of all
+    coordinates come first, then the exterior-power parts, so the defect's
+    keys come in that order."""
+    lam_rows, cols, n, odd = op
+    flip = odd and sector
     # _add_scaled inlined: a key keeps its place while nonzero, a zero sum
     # is deleted
     out: dict[int, Scalar] = {}
     get = out.get
     for x, c in phi.items():
-        w, v = divmod(x, n)
-        if parities is not None and parities[0][v] != parities[1][w]:
+        v = x % n
+        if flip:
             c = -c
         base = x - v
         for v2, a in cols[v].items():
@@ -674,17 +672,18 @@ def _defect(op: _DefectOperator, phi: dict[int, int]) -> dict[int, Scalar]:
 def _cut(
     constraint_ids: list[int],
     ops: dict[int, _DefectOperator],
+    sector: int,
     candidates: list[dict[int, int]],
     free: list[int],
 ) -> tuple[list[dict[int, int]], list[int]]:
     """Cut the span of candidates by the listed equivariance constraints,
     one span vector after another.
 
-    Candidates are integer cochains on flat coordinates: candidate k is
-    positive at its anchor ``free[k]`` and 0 at the other anchors.  Each
-    cut keeps the canonical kernel combinations of the candidates left by
-    the one before, so the result is the kernel of all the listed
-    constraints at once, anchored at its free columns.  The output vectors
+    Candidates are integer cochains on flat coordinates of ``sector``:
+    candidate k is positive at its anchor ``free[k]`` and 0 at the other
+    anchors.  Each cut keeps the canonical kernel combinations of the
+    candidates left by the one before, so the result is the kernel of all
+    the listed constraints at once, anchored at its free columns.  The output vectors
     are the primitive integer multiples of those combinations, keys
     ascending, so they are integer cochains of the same kind.
     """
@@ -694,7 +693,7 @@ def _cut(
         # {candidate index: value} with the indices ascending
         rows: dict[int, dict[int, Scalar]] = {}
         for k, phi in enumerate(candidates):
-            for x, val in _defect(op, phi).items():
+            for x, val in _defect(op, sector, phi).items():
                 row = rows.get(x)
                 if row is None:
                     rows[x] = {k: val}
@@ -787,9 +786,10 @@ def _vanishes(
     return not any(map(test, vectors if width is None else _packs(vectors, width)))
 
 
-def _defective(ops: dict[int, _DefectOperator], phi: Cochain) -> bool:
-    """Whether phi has a nonzero defect under some span vector of ``ops``."""
-    return any(_defect(op, phi) for op in ops.values())
+def _defective(ops: dict[int, _DefectOperator], sector: int, phi: Cochain) -> bool:
+    """Whether phi, a cochain of ``sector``, has a nonzero defect under some
+    span vector of ``ops``."""
+    return any(_defect(op, sector, phi) for op in ops.values())
 
 
 def _largest(values: list[Scalar]) -> int | None:
@@ -976,10 +976,17 @@ class RelativeComplex:
     # -- cochain spaces --------------------------------------------------------
 
     def lambda_rep(self, p: int) -> Representation:
-        """Exterior power of g/h in degree p with its full action matrices.
-        The engine builds none: it reads the pair's ``degree`` records, and
-        the ``action_rows`` of the buckets each defect operator needs."""
-        return super_exterior_power(self.pair.quotient_rep, p)
+        """Exterior power of g/h in degree p with its full action matrices,
+        read from the pair's ``degree`` record and the ``action_rows`` of
+        every bucket.  The engine builds none: each defect operator reads
+        the rows of the buckets it needs."""
+        pair, deg, actions = self.pair, self.pair.degree(p), []
+        for i in range(pair.h.dim):
+            rows = pair.action_rows(p, i, deg.buckets)
+            entries = ((t2, t, v) for t2 in sorted(rows) for t, v in rows[t2].items())
+            actions.append(SparseMatrix(len(deg.monomials), len(deg.monomials), entries))
+        r = pair.quotient_rep
+        return Representation(r.algebra, f"L^{p}_s({r.name})", deg.parities, actions)
 
     def monomials(self, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Monomial basis of L^p_s(g/h) with parities, shared through the pair."""
@@ -1019,13 +1026,11 @@ class RelativeComplex:
         """The defect operator of span vector i on the coordinates of degree p
         at the monomials of the weight buckets ``keys``, for ``_defect``: the
         pair's action rows of those monomials (``action_rows``), M's
-        columns of span vector i, dim M, and, when span vector i is odd, the
-        parities of M's vectors and of the monomials, which decide the sign
-        of the module part.  One operator serves both sectors."""
-        parities = None
-        if self.pair.h.vector_parities[i]:
-            parities = self.m.parities, self.pair.degree(p).parities
-        return self.pair.action_rows(p, i, keys), self.m_action_cols[i], self.m.dim, parities
+        columns of span vector i, dim M, and the parity of span vector i,
+        which with the sector decides the sign of the module part.  One
+        operator serves both sectors."""
+        rows = self.pair.action_rows(p, i, keys)
+        return rows, self.m_action_cols[i], self.m.dim, self.pair.h.vector_parities[i]
 
     def _units(
         self, kept_pair: tuple[list[int], list[int]]
@@ -1082,7 +1087,7 @@ class RelativeComplex:
         for key, sector, kept in units:
             hit = solved.get(key)
             if hit is None:
-                vectors, free = _cut(constraint_ids, ops, [{x: 1} for x in kept], kept)
+                vectors, free = _cut(constraint_ids, ops, sector, [{x: 1} for x in kept], kept)
                 if key is not None:
                     solved[key] = kept, vectors, free
             else:
@@ -1125,11 +1130,12 @@ class RelativeComplex:
         if self.constraint_plan != self.nondiag_idx:
             plans.append(self.nondiag_idx)
         checks = {i: ops[i] for i in self.check_idx}
+        bound = partial(self._defect_bound, p, checks)
         for plan in plans:
             solutions = self._impose(plan, ops, units)
             if not checks or all(
-                _vanishes(vectors, partial(self._defect_bound, p, checks), partial(_defective, checks))
-                for vectors, _ in solutions
+                _vanishes(vectors, bound, partial(_defective, checks, sector))
+                for sector, (vectors, _) in enumerate(solutions)
             ):
                 break
             # the full solve and the witness read every non-diagonal operator
@@ -1140,7 +1146,7 @@ class RelativeComplex:
             # sectors in order, each vector in the order of its anchor
             sector, i, defect = next(
                 (sector, i, defect) for sector, (vectors, _) in enumerate(solutions)
-                for phi in vectors for i in self.nondiag_idx if (defect := _defect(ops[i], phi))
+                for phi in vectors for i in self.nondiag_idx if (defect := _defect(ops[i], sector, phi))
             )
             raise self._failure("cochain basis", i, p, sector, *next(iter(defect.items())))
         numerators_pair, free_pair = zip(*solutions)
@@ -1373,14 +1379,14 @@ class RelativeComplex:
                     raise self._failure("differential image", None, p + 1, sector, x, c, s)
         checks = {i: self._defect_columns(p + 1, i, needed) for i in self.check_idx}
         bound = partial(self._defect_bound, p + 1, checks)
-        if not checks or _vanishes(images, bound, partial(_defective, checks)):
+        if not checks or _vanishes(images, bound, partial(_defective, checks, sector)):
             return rank(RowMatrix(images, len(deg.monomials) * n))
         # some image fails: the witness is the first in nondiag_idx order,
         # which reaches the span vector that failed
         for i in self.nondiag_idx:
             op = checks[i] if i in checks else self._defect_columns(p + 1, i, needed)
             witness = next((
-                (defect, s) for image, s in nonzero if (defect := _defect(op, image))
+                (defect, s) for image, s in nonzero if (defect := _defect(op, sector, image))
             ), None)
             if witness:
                 break

@@ -1,8 +1,9 @@
 """Finite-dimensional modules with exact action matrices.
 
 A Representation stores one action matrix per basis element of its algebra.
-All constructions (duals, graded tensor products, super exterior and
-symmetric powers, restrictions) produce exact matrices.
+All constructions (duals, graded tensor products, symmetric powers,
+restrictions) produce exact matrices.  The super exterior power's walk
+and action rows are here; ``cohomology.RelativePair`` builds it.
 
 The normal form of the super exterior power sorts the factors of a
 monomial by rank, parity * n + index (``_ranks``), so even factors precede
@@ -163,19 +164,6 @@ def monomial_steps(parities: Sequence[int], monos: Iterable[tuple]) -> Iterator[
     return (after[mo[-1]] if mo else range(len(rank)) for mo in monos)
 
 
-def super_monomials(parities: Sequence[int], p: int) -> list[tuple[int, ...]]:
-    """Normal-form monomials of the super p-th exterior power, in
-    lexicographic order, each degree extending the one below.
-
-    Even indices appear at most once; odd indices repeat freely.  Normal
-    form sorts by rank (``_ranks``): even factors first, each block ascending.
-    """
-    monos: list[tuple[int, ...]] = [()]
-    for _ in range(p):
-        monos = [mo + (x,) for mo, xs in zip(monos, monomial_steps(parities, monos)) for x in xs]
-    return monos
-
-
 def super_monomial_count(a: int, b: int, p: int) -> int:
     """Closed-form dimension: sum_k C(a,k) C(b+p-k-1, p-k), where the
     second factor (multisets of size p-k from b odd directions) is 1 at k = p."""
@@ -241,25 +229,6 @@ def derivation_rows(
         for t2, v in _add_scaled({}, terms).items():
             rows.setdefault(t2, {})[t] = v
     return rows
-
-
-def super_exterior_power(r: Representation, p: int) -> Representation:
-    """Super p-th exterior power with the derivation action (``derivation_rows``)."""
-    if p < 0:
-        raise DimensionMismatch("negative exterior degree")
-    monos = super_monomials(r.parities, p)
-    index = {mo: t for t, mo in enumerate(monos)}
-    parities = tuple(sum(r.parities[y] for y in mo) % 2 for mo in monos)
-    actions = []
-    for a in r.actions:
-        rows = derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
-        actions.append(
-            SparseMatrix(
-                len(monos), len(monos),
-                ((t2, t, v) for t2 in sorted(rows) for t, v in rows[t2].items()),
-            )
-        )
-    return Representation(r.algebra, f"L^{p}_s({r.name})", parities, tuple(actions))
 
 
 def super_symmetric_power(r: Representation, j: int) -> Representation:

@@ -1,7 +1,8 @@
 """Oracles for the tests: matrix checks on the entries of a ``SparseMatrix``
 (a container with no product or sum of its own), the super Jacobi
 identity on sparse vectors, the normal-form monomials of a super
-exterior power listed without the degree-by-degree walk, a factor
+exterior power listed without the degree-by-degree walk, the exterior
+power of a module on them with the action rows of ``reps``, a factor
 inserted into one by a factor-by-factor scan, the derivation action on
 them and the action on a symmetric power one factor position at a time, the projected brackets of a pair, the equivariance defect summed
 from one column per coordinate, the constraint solve of a cochain space
@@ -18,6 +19,7 @@ of roots."""
 import itertools
 from fractions import Fraction
 
+from supero import reps
 from supero.errors import DecompositionError, UnsupportedSubalgebra
 from supero.linalg import SparseMatrix, _exact, kernel_basis_with_free
 from supero.roots import pair
@@ -110,6 +112,21 @@ def super_monomials(parities, p: int) -> list[tuple[int, ...]]:
                 out.append(ev + od)
     out.sort()
     return out
+
+
+def exterior_power(r, p: int):
+    """The super p-th exterior power of the module r, on the monomials of
+    ``super_monomials``, with the derivation action of
+    ``reps.derivation_rows`` read from every monomial."""
+    monos = super_monomials(r.parities, p)
+    index = {mo: t for t, mo in enumerate(monos)}
+    parities = tuple(sum(r.parities[y] for y in mo) % 2 for mo in monos)
+    actions = []
+    for a in r.actions:
+        rows = reps.derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
+        entries = ((t2, t, v) for t2, row in rows.items() for t, v in row.items())
+        actions.append(SparseMatrix(len(monos), len(monos), entries))
+    return reps.Representation(r.algebra, f"L^{p}_s({r.name})", parities, actions)
 
 
 def wedge_insert(x: int, mono: tuple[int, ...], parities) -> tuple[int, tuple[int, ...]] | None:
@@ -251,8 +268,8 @@ def whole_sector_space(cx, p: int):
         coords = sorted(kept[sector])
         columns = {i: cx._defect_columns(p, i, needed) for i in cx.nondiag_idx}
         for plan in (cx.constraint_plan, cx.nondiag_idx):
-            candidates, free = _cut(plan, columns, [{x: 1} for x in coords], coords)
-            if not any(_defect(columns[i], phi) for phi in candidates for i in cx.nondiag_idx):
+            candidates, free = _cut(plan, columns, sector, [{x: 1} for x in coords], coords)
+            if not any(_defect(columns[i], sector, phi) for phi in candidates for i in cx.nondiag_idx):
                 break
         else:
             raise AssertionError(f"whole-sector solve fails equivariance (degree {p})")
@@ -423,6 +440,17 @@ def abs_residual(space, sector: int, image: dict) -> dict:
             for y, a in space.numerators[sector][k].items():
                 out[y] = out.get(y, 0) + abs(c * weight * a)
     return out
+
+
+def sector(cx, p: int, phi: dict) -> int:
+    """The map-parity sector of a cochain of degree p of the complex ``cx``,
+    read off its first coordinate x = w * dim M + v: the parity of v plus
+    that of monomial w; 0 for the zero cochain."""
+    x = next(iter(phi), None)
+    if x is None:
+        return 0
+    w, v = divmod(x, cx.m.dim)
+    return cx.m.parities[v] ^ cx.pair.degree(p).parities[w]
 
 
 def abs_defect(op, phi: dict) -> dict:

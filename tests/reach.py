@@ -40,9 +40,7 @@ KEEP = {
     "cohomology.RelativeComplex.differential": "perfbench's tracer: wraps it",
     "cohomology.CochainSpace.basis": "perfbench's tracer: its space counter reads it",
     "cohomology.CochainSpace.dim": "perfbench's tracer: its space counter reads it",
-    "reps.super_exterior_power": "perfbench's tracer: wraps it, and lambda_rep returns it",
-    "reps.super_monomials": "perfbench's tracer: super_exterior_power, which it wraps, lists with it",
-    "linalg.SparseMatrix.nnz": "perfbench's tracer: its exterior-power and rank counters read it",
+    "linalg.SparseMatrix.nnz": "error path: SparseMatrix.__repr__ reads it",
     "linalg.SparseMatrix.row_dicts":
         "perfbench's tracer: wraps differential, whose matrix rank and kernel read by it",
     "algebras.LieSuperalgebra.from_json_dict": "open item 9: algebras read from JSON",

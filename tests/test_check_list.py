@@ -58,7 +58,7 @@ def test_a_failing_basis_names_the_witness_of_the_full_check(monkeypatch):
     def cut_by_one(self, plan, ops, units):
         parts = ([], [])
         for _, sector, kept in units:
-            vectors, free = _cut([1], ops, [{x: 1} for x in kept], kept)
+            vectors, free = _cut([1], ops, sector, [{x: 1} for x in kept], kept)
             parts[sector].extend(sorted(zip(free, vectors)))
         return tuple(([phi for _, phi in s], [x for x, _ in s]) for s in map(sorted, parts))
 
@@ -196,6 +196,12 @@ def _bracket_holds(apply, ops, k, a, b, lhs_sign, rhs_scale, coords) -> bool:
     return True
 
 
+def _sector_defect(cx, p):
+    """``_defect`` on a cochain of degree p of ``cx``, which lies in one
+    sector as unit cochains and their defects do, handed that sector."""
+    return lambda op, vec: _defect(op, oracles.sector(cx, p, vec), vec)
+
+
 def test_derived_brackets_hold_on_exterior_powers_and_defect_operators():
     # The runtime checks a derived bracket [b_a, b_b] = v b_k on g/h and on
     # M.  On L^p_s(g/h) the action rows R are a representation:
@@ -229,6 +235,6 @@ def test_derived_brackets_hold_on_exterior_powers_and_defect_operators():
                 where = (cell, p, (k, a, b, v))
                 assert _bracket_holds(_apply, rows, k, a, b, -s, v, range(len(deg.monomials))), where
                 coords = range(len(deg.monomials) * n)
-                assert _bracket_holds(_defect, defects, k, a, b, -s, s * v, coords), where
+                assert _bracket_holds(_sector_defect(cx, p), defects, k, a, b, -s, s * v, coords), where
                 brackets += 1
     assert brackets > 0

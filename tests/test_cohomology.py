@@ -37,10 +37,10 @@ from supero.errors import AlgebraMismatch, ConventionError, DimensionMismatch, N
 from supero.linalg import SpanSolver, SparseMatrix, _eliminate, _exact, _int_rows
 from supero.reps import (
     adjoint,
+    derivation_rows,
     dual,
     natural,
     restrict,
-    super_exterior_power,
     tensor,
     trivial,
 )
@@ -419,7 +419,7 @@ def _all_action_rows(pair, p, i):
 def test_action_rows_match_exterior_power(case):
     pair = PAIR_TABLES[case]()
     for p in range(5):
-        lam = super_exterior_power(pair.quotient_rep, p)
+        lam = oracles.exterior_power(pair.quotient_rep, p)
         for i in range(pair.h.dim):  # diagonal elements too
             assert _all_action_rows(pair, p, i) == lam.actions[i].row_dicts(), (p, i)
 
@@ -452,15 +452,52 @@ def test_action_rows_match_the_per_position_oracle(case):
 
 @pytest.mark.parametrize("case", PAIR_TABLES)
 def test_super_exterior_power_matches_the_per_position_oracle(case):
-    r = PAIR_TABLES[case]().quotient_rep
+    pair = PAIR_TABLES[case]()
+    r, cx = pair.quotient_rep, RelativeComplex(pair, trivial(pair.g))
     for p in range(6):
-        lam = super_exterior_power(r, p)
+        lam = cx.lambda_rep(p)
+        assert (lam.name, lam.algebra) == (f"L^{p}_s({r.name})", r.algebra)
         monos = oracles.super_monomials(r.parities, p)
+        assert lam.parities == tuple(sum(r.parities[y] for y in mo) % 2 for mo in monos)
         index = {mo: t for t, mo in enumerate(monos)}
         for a, got in zip(r.actions, lam.actions):
             rows = oracles.derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
             want = [(t2, t, v, type(v)) for t2 in sorted(rows) for t, v in rows[t2].items()]
             assert [(*e, type(e[2])) for e in got.entries()] == want, p
+
+
+LAMBDA_ALGEBRAS = {
+    "gl(1|1)": partial(build_gl, 1, 1), "gl(2|1)": partial(build_gl, 2, 1),
+    "gl(2|2)": partial(build_gl, 2, 2), "q(2)": partial(build_q, 2), "q(3)": partial(build_q, 3),
+    "p~(2)": partial(build_p_tilde, 2), "osp(1|2)": partial(build_osp, 1, 2),
+    "osp(3|2)": partial(build_osp, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", LAMBDA_ALGEBRAS)
+def test_lambda_rep_equals_the_exterior_power_of_the_quotient(name):
+    # the pair's records against the exterior power of g/h built from every
+    # monomial: name, algebra, parities, and each action's entries with
+    # their types and its rows in insertion order
+    g = LAMBDA_ALGEBRAS[name]()
+    for hname, h in ddzero_subalgebras(g):
+        pair = RelativePair(g, h)
+        cx = RelativeComplex(pair, trivial(g))
+        for p in range(4):
+            got, want = cx.lambda_rep(p), oracles.exterior_power(pair.quotient_rep, p)
+            where = (hname, p)
+            assert (got.name, got.algebra, got.parities) == (want.name, want.algebra, want.parities), where
+            assert list(map(_spelled_matrix, got.actions)) == list(map(_spelled_matrix, want.actions)), where
+
+
+def _spelled_matrix(a):
+    """A matrix's entries with their types, and its rows in insertion order."""
+    return [(*e, type(e[2])) for e in a.entries()], [list(row.items()) for row in a.row_dicts()]
+
+
+def _entries(rows):
+    """Rows {t2: {t: v}} as the sorted entries (t2, t, v, type of v)."""
+    return [(t2, t, v, type(v)) for t2 in sorted(rows) for t, v in sorted(rows[t2].items())]
 
 
 def test_interleaved_parities_match_the_per_position_oracle():
@@ -470,13 +507,11 @@ def test_interleaved_parities_match_the_per_position_oracle():
     r = tensor(dual(natural(g)), natural(g))
     assert r.parities == (0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0)
     for p in range(4):
-        lam = super_exterior_power(r, p)
         monos = oracles.super_monomials(r.parities, p)
         index = {mo: t for t, mo in enumerate(monos)}
-        for a, got in zip(r.actions, lam.actions):
-            rows = oracles.derivation_rows(a.col_dicts(), r.parities, monos, index, range(len(monos)))
-            want = [(t2, t, v, type(v)) for t2 in sorted(rows) for t, v in rows[t2].items()]
-            assert [(*e, type(e[2])) for e in got.entries()] == want, p
+        for a in r.actions:
+            args = a.col_dicts(), r.parities, monos, index, range(len(monos))
+            assert _entries(derivation_rows(*args)) == _entries(oracles.derivation_rows(*args)), p
 
 
 def test_rotated_span_shifts_and_reports():
@@ -1038,12 +1073,12 @@ def test_defect_matches_the_per_coordinate_oracle():
                 cx = RelativeComplex(pair, mod)
                 for p in range(5):
                     kept, keys = cx._kept(p, pair.degree(p).buckets)
-                    phis = [*cx.space(p).numerators[0], *cx.space(p).numerators[1]]
-                    phis += [{x: 1} for xs in kept for x in xs]
+                    phis = [(s, phi) for s in (0, 1) for phi in cx.space(p).numerators[s]]
+                    phis += [(s, {x: 1}) for s, xs in enumerate(kept) for x in xs]
                     for i in cx.nondiag_idx:
                         op = cx._defect_columns(p, i, keys)
-                        for phi in phis:
-                            got = [(x, c, type(c)) for x, c in _defect(op, phi).items()]
+                        for sector, phi in phis:
+                            got = [(x, c, type(c)) for x, c in _defect(op, sector, phi).items()]
                             want = oracles.defect(cx, p, i, keys, phi)
                             assert got == [(x, c, type(c)) for x, c in want.items()], (
                                 g.name, hname, mod.name, p, i, phi

@@ -349,8 +349,8 @@ def test_coefficients_given_by_rational_matrices(monkeypatch):
     seen = {"fraction_defects": 0, "integral_fraction_rows": 0}
     defect, kernel = engine._defect, engine.kernel_basis_with_free
 
-    def defect_spy(columns, phi):
-        out = defect(columns, phi)
+    def defect_spy(columns, sector, phi):
+        out = defect(columns, sector, phi)
         seen["fraction_defects"] += any(type(v) is F for v in out.values())
         return out
 

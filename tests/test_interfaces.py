@@ -215,3 +215,18 @@ def test_perfbench_tracer_finds_what_it_wraps(monkeypatch):
         p, sector, phi = args
         coords = len(cx.pair.degree(p).monomials) * cx.m.dim
         assert all(type(x) is int and 0 <= x < coords for x in phi)
+
+
+def test_readme_python_examples_print_what_their_comments_say(capsys):
+    # each ```python block of README.md runs as written; its output lines
+    # are the text after "# " on its lines, in order, whether the comment
+    # ends a print line or stands on a line of its own
+    root = pathlib.Path(supero.__file__).parents[2]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    for block in blocks:
+        want = [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line]
+        assert want, block
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == want, block

@@ -41,7 +41,7 @@ def test_packing_width_bounds_every_digit_on_the_growth_and_coh_stress_cells(mon
             for phi in vectors:
                 # on a passing cell every defect is zero; its entries are
                 # bounded, whatever the signs, by the absolute sums
-                assert not engine._defect(op, phi), where
+                assert not engine._defect(op, oracles.sector(cx, q, phi), phi), where
                 top = max(top, max(oracles.abs_defect(op, phi).values(), default=0))
                 checked += 1
         assert 1 << width > 2 * top, where
