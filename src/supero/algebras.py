@@ -527,50 +527,26 @@ def build_osp(m: int, two_n: int) -> LieSuperalgebra:
     zero_solutions = solve_block(EVEN, groups.pop((EVEN, zero_wt)))
     if len(zero_solutions) != rank_t:
         raise FormError(f"osp({m}|{two_n}): unexpected Cartan dimension {len(zero_solutions)}")
+    # the Cartan matrices solve the invariance equations: they lie in the
+    # span of the weight-0 solutions
+    solver = SpanSolver([{a * size + b: v for (a, b), v in x.items()} for x in zero_solutions])
+    for t, x in enumerate(cartan):
+        if solver.reduce({a * size + b: v for (a, b), v in x.items()})[0]:
+            raise FormError(f"osp({m}|{two_n}): H[{t + 1}] does not preserve the form")
     mats.extend(cartan)
     parities.extend([EVEN] * rank_t)
     labels.extend([f"H[{t + 1}]" for t in range(rank_t)])
 
-    for (sector, wt) in sorted(groups, key=lambda key: (key[0], key[1])):
-        if sector == EVEN and wt == zero_wt:
-            continue
+    # sorted: the even blocks before the odd ones, after the Cartan
+    for (sector, wt) in sorted(groups):
         for mat in solve_block(sector, groups[sector, wt]):
             mats.append(mat)
             parities.append(sector)
             pos = sorted(mat)[0]
             labels.append(("x" if sector == EVEN else "y") + f"[{pos[0] + 1},{pos[1] + 1}]")
 
-    # reorder: even block before odd block (Cartan stays first)
-    order = [i for i, p in enumerate(parities) if p == EVEN] + [
-        i for i, p in enumerate(parities) if p == ODD
-    ]
-    mats = [mats[i] for i in order]
-    parities_o = [parities[i] for i in order]
-    labels = [labels[i] for i in order]
     torus = list(range(rank_t))
-    g = _from_matrix_basis(f"osp({m}|{two_n})", size, cpar, mats, parities_o, torus, labels)
-    # sanity: the Cartan matrices solve the invariance constraints
-    for h in cartan:
-        for (a, b), v in _check_osp_constraint(h, phi, size, cpar, EVEN).items():
-            if v:
-                raise FormError(f"osp({m}|{two_n}): Cartan violates the form at {(a, b)}")
-    return g
-
-
-def _check_osp_constraint(x: MatDict, phi, size: int, cpar, sector: int) -> MatDict:
-    out: MatDict = {}
-    for a in range(size):
-        for b in range(size):
-            s = 0
-            for (c, d), v in x.items():
-                if d == a:
-                    s += v * phi(c, b)
-                if d == b:
-                    sgn = -1 if (sector * cpar[a]) % 2 else 1
-                    s += sgn * phi(a, c) * v
-            if s:
-                out[a, b] = s
-    return out
+    return _from_matrix_basis(f"osp({m}|{two_n})", size, cpar, mats, parities, torus, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ def build_family(family: str, params: list[int]) -> LieSuperalgebra:
         if len(params) != 2:
             raise UnsupportedRank("sl needs two parameters: m n")
         m, n = params
+        if m + n < 2:
+            raise EmptyAlgebra("sl(m|n) needs m + n >= 2")
         return special_linear_span(build_gl(m, n), m, n).to_algebra(f"sl({m}|{n})")
     if family == "q":
         if len(params) != 1:

@@ -8,15 +8,16 @@ from the super p-th exterior power of g/h to the coefficient module M,
 
 Everything but the action on M depends only on the pair (g, h), and the
 code is split the same way.  ``RelativePair(g, h)`` reads the coordinate
-complement of h from the span, and holds the action of h on g/h and,
-built lazily and once per pair: one record per degree of L^p_s(g/h)
-(``degree``), made from the one below in one pass, with the monomials,
-their parities and positions, and, on first read, their weight keys under
-the span vectors acting diagonally on g/h and the monomials grouped into
-buckets by key; the weight shift of each span vector (``shift``); the
-projected brackets grouped by the factor they hold (``bracket_groups``),
-and the structure maps of the differential per source monomial
-(``source_maps``), built only for the monomials that d reads.  The action
+complement of h from the span, and holds, built with the pair because
+every complex reads them: the action of h on g/h, the weight shift of
+each span vector (``shifts``) and the projected brackets grouped by the
+factor they hold (``bracket_groups``).  Built lazily and once per pair,
+it holds one record per degree of L^p_s(g/h) (``degree``), made from the
+one below in one pass, with the monomials, their parities and positions,
+and, on first read, their weight keys under the span vectors acting
+diagonally on g/h and the monomials grouped into buckets by key; and the
+structure maps of the differential per source monomial (``source_maps``),
+built only for the monomials that d reads.  The action
 rows of a span vector of h on L^p_s(g/h) (``action_rows``) are not kept:
 each defect operator builds the rows of its buckets in one pass and holds
 them as long as it is read.
@@ -27,7 +28,7 @@ report.  One pair serves any number of coefficient modules, and a complex
 asks the pair only for the action rows of the span vectors it imposes or
 checks (every non-diagonal one only once a check fails), in the buckets
 that hold its kept monomials.  A span vector that shifts every
-weight by the same amount (``shift``) reaches bucket k only from bucket
+weight by the same amount (``shifts``) reaches bucket k only from bucket
 k - shift, so only those monomials are acted on; for one that does not,
 every monomial is a source.  Either way each row is the full row.
 
@@ -412,7 +413,8 @@ def _key_tables(
 
 
 class RelativePair:
-    """The part of C^p(g, h; M) that does not depend on M, built on demand."""
+    """The part of C^p(g, h; M) that does not depend on M: what every
+    complex reads is built with the pair, the rest on demand."""
 
     def __init__(self, g: LieSuperalgebra, h: SubalgebraSpan):
         if h.parent is not g:
@@ -435,8 +437,32 @@ class RelativePair:
         # degree 0 holds the empty monomial, even and of weight 0
         zero = tuple(0 for _ in self.diagonal)
         self._degrees = [MonomialDegree(((),), (0,), {(): 0}, ([zero], {zero: [0]}))]
-        self._shifts: dict[int, tuple[Scalar, ...] | None] = {}
-        self._groups: list[list[tuple[int, list[tuple[int, Scalar]]]]] | None = None
+        # the weight-key change made by each span vector on g/h, None unless
+        # uniform: every entry y -> y2 of its quotient action must change the
+        # key by the same amount, and a vector acting as zero shifts by 0.
+        # Keys are additive over the factors of a monomial, so the action
+        # maps weight bucket k into bucket k + shift.
+        self.shifts: list[tuple[Scalar, ...] | None] = []
+        for cols in self._quotient_cols:
+            found = {
+                tuple(a - b for a, b in zip(self.eig[y2], self.eig[y]))
+                for y, col in enumerate(cols)
+                for y2 in col
+            } or {zero}
+            self.shifts.append(found.pop() if len(found) == 1 else None)
+        # for each quotient basis vector q, the pairs (a, [(b, v), ...]) such
+        # that q has coefficient v in pi[lift(q_a), lift(q_b)], for a before
+        # or equal to b in normal order (the only order a monomial holds them
+        # in), grouped by a.  pi is the span's ``project``, applied only to
+        # the pairs kept.
+        rank, pos = self.rank, self.complement_pos
+        groups: list[dict[int, list[tuple[int, Scalar]]]] = [{} for _ in rank]
+        for a, ca in enumerate(self.complement):
+            for b, cb in enumerate(self.complement):
+                if rank[a] <= rank[b]:
+                    for kk, v in h.project(g.bracket_basis(ca, cb)).items():
+                        groups[pos[kk]].setdefault(a, []).append((b, v))
+        self.bracket_groups = [list(by_a.items()) for by_a in groups]
         self._sources: dict[int, dict[int, tuple[list, list]]] = {}
 
     def degree(self, p: int) -> MonomialDegree:
@@ -467,10 +493,10 @@ class RelativePair:
         of the weight buckets ``keys`` (position -> row), bucket by bucket in
         ``keys`` order, from one ``derivation_rows`` pass; the pair keeps none.
 
-        Only bucket k - shift(i) reaches bucket k; without a uniform shift
+        Only bucket k - shifts[i] reaches bucket k; without a uniform shift
         every monomial is a source.  Sources go in ascending order, so each
         row is the full row, key order included."""
-        deg, shift, keys = self.degree(p), self.shift(i), list(keys)
+        deg, shift, keys = self.degree(p), self.shifts[i], list(keys)
         sources = range(len(deg.monomials)) if shift is None else sorted(
             t for k in keys for t in deg.buckets.get(tuple(a - b for a, b in zip(k, shift)), ())
         )
@@ -478,25 +504,6 @@ class RelativePair:
             self._quotient_cols[i], self.quotient_parities, deg.monomials, deg.index, sources
         )
         return {t: rows.get(t, {}) for k in keys for t in deg.buckets.get(k, ())}
-
-    def shift(self, i: int) -> tuple[Scalar, ...] | None:
-        """Weight-key change made by span vector i on g/h, None unless uniform.
-
-        Every entry y -> y2 of its quotient action must change the key by
-        the same amount; a vector acting as zero shifts by 0.  Keys are
-        additive over the factors of a monomial, so the action maps weight
-        bucket k into bucket k + shift.
-        """
-        if i not in self._shifts:
-            shifts = {
-                tuple(a - b for a, b in zip(self.eig[y2], self.eig[y]))
-                for y, col in enumerate(self._quotient_cols[i])
-                for y2 in col
-            }
-            if not shifts:
-                shifts = {tuple(0 for _ in self.diagonal)}
-            self._shifts[i] = shifts.pop() if len(shifts) == 1 else None
-        return self._shifts[i]
 
     def check_list(self, diag_idx: list[int], plan: list[int]) -> tuple[list[int], list[Derivation]]:
         """The non-diagonal span vectors whose equivariance checks are made,
@@ -532,24 +539,6 @@ class RelativePair:
         if derived and all(_respects(self._quotient_cols, h_alg.parities, *d) for d in derived):
             return [i for i in nondiag if i in listed], derived
         return nondiag, []
-
-    def bracket_groups(self) -> list[list[tuple[int, list[tuple[int, Scalar]]]]]:
-        """For each quotient basis vector q, the pairs (a, [(b, v), ...]) such
-        that q has coefficient v in pi[lift(q_a), lift(q_b)], for a before or
-        equal to b in normal order (the only order a monomial holds them in),
-        grouped by a; built once per pair.  pi is the span's ``project``,
-        applied only to the pairs kept."""
-        if self._groups is None:
-            rank, pos = self.rank, self.complement_pos
-            bracket, project = self.g.bracket_basis, self.h.project
-            groups: list[dict[int, list[tuple[int, Scalar]]]] = [{} for _ in rank]
-            for a, ca in enumerate(self.complement):
-                for b, cb in enumerate(self.complement):
-                    if rank[a] <= rank[b]:
-                        for kk, v in project(bracket(ca, cb)).items():
-                            groups[pos[kk]].setdefault(a, []).append((b, v))
-            self._groups = [list(by_a.items()) for by_a in groups]
-        return self._groups
 
     def source_maps(
         self, p: int, w: int
@@ -593,7 +582,7 @@ class RelativePair:
         action.sort(key=itemgetter(1))
         # first sum: w = s_q * q ^ rest, and every (a, b) whose projected
         # bracket holds q reaches the target t1 = rest ^ a ^ b
-        groups = self.bracket_groups()
+        groups = self.bracket_groups
         # one term per target: the (i, j, k) terms of t1 summed
         bracket: dict[int, Scalar] = {}
         for q in dict.fromkeys(mo_w):
@@ -861,7 +850,7 @@ class RelativeComplex:
         # ``_dd_bound``'s largest |projected bracket| and |entry of M|,
         # None unless all are ints
         bounds = (
-            _largest([v for group in pair.bracket_groups() for _, terms in group for _, v in terms]),
+            _largest([v for group in pair.bracket_groups for _, terms in group for _, v in terms]),
             _largest([a for cols in self.m_cols_by_complement for col in cols for a in col.values()]),
         )
         self._entry_bounds = None if None in bounds else bounds
@@ -1438,21 +1427,9 @@ def cohomology(
 
 
 def relative_ext(
-    g: LieSuperalgebra,
-    h: SubalgebraSpan,
-    m: Representation,
-    n: Representation,
-    max_degree: int,
-    pair: RelativePair | None = None,
+    pair: RelativePair, m: Representation, n: Representation, max_degree: int
 ) -> CohomologyReport:
-    """Ext between modules as cohomology with coefficients in dual(m) (x) n.
-
-    ``pair`` is the ``RelativePair(g, h)`` to build on, to share it between
-    several Ext computations; by default a new one is built.
-    """
-    if pair is None:
-        pair = RelativePair(g, h)
-    elif pair.g is not g or pair.h is not h:
-        raise AlgebraMismatch("pair is not built on (g, h)")
+    """Ext between modules as cohomology with coefficients in dual(m) (x) n,
+    on the pair (g, h); one pair serves several Ext computations."""
     report = RelativeComplex(pair, tensor(dual(m), n)).report(max_degree)
     return report._replace(module=f"Ext({m.name},{n.name})")

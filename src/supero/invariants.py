@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebras import SCHEMA, LieSuperalgebra, SubalgebraSpan, even_part_span
+from .algebras import SCHEMA, LieSuperalgebra, even_part_span
 from .cohomology import RelativePair, cohomology, relative_ext
 from .errors import DimensionMismatch
 from .linalg import RowMatrix, Scalar, rank
@@ -158,20 +158,14 @@ def _fit_rate(dims: list[int], start: int, end: int) -> tuple[float, bool]:
 
 
 def ext_growth(
-    g: LieSuperalgebra,
-    h: SubalgebraSpan,
-    m: Representation,
-    n: Representation,
-    max_degree: int,
-    pair: RelativePair | None = None,
+    pair: RelativePair, m: Representation, n: Representation, max_degree: int
 ) -> GrowthEstimate:
-    """Estimate the growth rate of Ext dims and compare with dim(odd part).
-
-    ``pair`` is passed on to ``relative_ext``.
-    """
+    """Estimate the growth rate of Ext dims on the pair (g, h) and compare
+    with dim(odd part)."""
     if max_degree < 4:
         raise DimensionMismatch("growth estimation needs max_degree >= 4")
-    report = relative_ext(g, h, m, n, max_degree, pair)
+    g, h = pair.g, pair.h
+    report = relative_ext(pair, m, n, max_degree)
     dims = report.dims()
     start = math.ceil(max_degree / 2)
     rate, eventually_zero = _fit_rate(dims, start, max_degree)

@@ -375,7 +375,7 @@ def suite_growth(max_degree: int = 8) -> dict:
                 mod = natural(g)
             else:
                 mod = trivial(g)
-            est = ext_growth(g, h, mod, mod, max_degree, pair)
+            est = ext_growth(pair, mod, mod, max_degree)
             ok = est.within_bound
             witness = None
             if kind == "even":

@@ -12,9 +12,9 @@ basis of the degree above, the subalgebra that some basis vectors of h
 generate, a spy on the passes that build each defect operator's action
 rows, for the packed zero tests, a spy on the packing width and
 the entries of d, of a residual and of a defect with every term taken
-absolutely, and three references no command uses: the dense kernel basis,
-the torus weights of a module, and the parabolic-subset axioms of a set
-of roots."""
+absolutely, and four references no command uses: the dense kernel basis,
+the torus weights of a module, the parabolic-subset axioms of a set
+of roots, and the invariance defect of a matrix against osp's form."""
 
 import itertools
 from fractions import Fraction
@@ -536,3 +536,39 @@ def check_parabolic_axioms(rd, P, H=None) -> tuple[bool, tuple | None]:
         diff = sorted(pset.symmetric_difference(expected))[0]
         return False, ("not_principal", diff)
     return True, None
+
+
+def osp_gram(m: int, two_n: int):
+    """The Gram matrix phi(a, b) of osp(m|2n)'s even supersymmetric form:
+    antidiagonal 1's on the m symmetric coordinates, and on the 2n
+    symplectic ones the antidiagonal J, 1 in its first n rows and -1 in
+    the rest."""
+    n = two_n // 2
+
+    def phi(a: int, b: int) -> int:
+        if a < m and b < m:
+            return 1 if b == m - 1 - a else 0
+        if a >= m and b >= m and b - m == two_n - 1 - (a - m):
+            return 1 if a - m < n else -1
+        return 0
+
+    return phi
+
+
+def form_defect(x: dict, phi, cpar, sector: int) -> dict:
+    """Entry (a, b) of X^st phi + (-1)^{sector |a|} phi X for the matrix x
+    ({(row, col): value}) of parity ``sector``, summed entry by entry and
+    without zeros: x preserves the form phi iff the defect is empty."""
+    out = {}
+    for a in range(len(cpar)):
+        sgn = -1 if sector * cpar[a] % 2 else 1
+        for b in range(len(cpar)):
+            s = 0
+            for (c, d), v in x.items():
+                if d == a:
+                    s += v * phi(c, b)
+                if d == b:
+                    s += sgn * phi(a, c) * v
+            if s:
+                out[a, b] = s
+    return out

@@ -32,6 +32,7 @@ from supero.errors import (
 )
 from supero.suites import jacobi_families
 
+import oracles
 from oracles import super_jacobi, verify_representation, weight_decomposition
 
 F = Fraction
@@ -104,6 +105,23 @@ def test_osp22_shape():
 def test_osp_odd_form_rejected():
     with pytest.raises(FormError):
         build_osp(2, 3)
+
+
+@pytest.mark.parametrize("m, two_n", [(m, two_n) for two_n in (2, 4) for m in range(1, 7)])
+def test_every_osp_basis_matrix_preserves_the_form(m, two_n):
+    g = build_osp(m, two_n)
+    _, cpar, mats = g.matrix_model
+    phi = oracles.osp_gram(m, two_n)
+    for mat, par, label in zip(mats, g.parities, g.basis_labels):
+        assert oracles.form_defect(mat, phi, cpar, par) == {}, label
+    # the Cartan first, then the even part, then the odd part
+    rank_t = m // 2 + two_n // 2
+    assert g.torus == tuple(range(rank_t))
+    assert g.basis_labels[:rank_t] == tuple(f"H[{t + 1}]" for t in range(rank_t))
+    assert [label[0] for label in g.basis_labels[rank_t:]] == [
+        "x" if par == 0 else "y" for par in g.parities[rank_t:]
+    ]
+    assert list(g.parities) == sorted(g.parities)
 
 
 # --- brackets ---------------------------------------------------------------
@@ -451,7 +469,8 @@ def test_json_is_deterministic():
 
 
 # sha256 of ``cli.dumps(g.to_json_dict())``: every structure constant of the
-# jacobi-suite algebras and of osp(5|4), as the matrix models solve them
+# jacobi-suite algebras and of osp(4|2), osp(1|4) and osp(5|4), as the
+# matrix models solve them
 STRUCTURE_DIGESTS = {
     "gl(0|1)": "658b1dc6a459283f7a7c1b1acd4e1bce170159ac06b9bb8d318ade0335875faf",
     "gl(0|2)": "72823c85434afa9210e8062f638480d3968a4017a94621cab7ed5efb2662b8f2",
@@ -476,11 +495,13 @@ STRUCTURE_DIGESTS = {
     "osp(1|2)": "d6e6d9f82575846feeacd7a6f354d3ceadd921d01ba57ecaf25b532ccc233e60",
     "osp(2|2)": "8f2b0ca93df1d7153e6d0b560e022433046db7e5075af45b93c363a5acaac26f",
     "osp(3|2)": "6eaa4d8ac3deccf946db4f24cbd404dcac9d7d099b26ab525ed1ebc87ff63618",
+    "osp(4|2)": "f7d57aecdf1808fdbb926ab2b8f8c94a32ab93250e2fd3adc18ad14e9c1a3048",
+    "osp(1|4)": "1bd62d9910f5b342236688532e83a79b84f04f6e92526152d1e69b3a267abbb3",
     "osp(5|4)": "af0cb4ec8e60087a253be5592e63e6bf40584c4492429dfc70d81f949746e0a7",
 }
 
 
 def test_structure_constants_are_pinned():
-    algebras = jacobi_families() + [build_osp(5, 4)]
+    algebras = jacobi_families() + [build_osp(4, 2), build_osp(1, 4), build_osp(5, 4)]
     digests = {g.name: hashlib.sha256(dumps(g.to_json_dict()).encode()).hexdigest() for g in algebras}
     assert digests == STRUCTURE_DIGESTS

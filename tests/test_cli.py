@@ -38,10 +38,20 @@ def test_build_q2(capsys):
     assert json.loads(out)["dim"] == 8
 
 
-def test_build_empty_algebra_exit_2(capsys):
-    code, _, err = run_cli(capsys, "build", "gl", "0", "0")
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("gl", "0", "0"), "gl(m|n) needs m + n >= 1"),
+        (("sl", "1", "0"), "sl(m|n) needs m + n >= 2"),
+        (("sl", "0", "1"), "sl(m|n) needs m + n >= 2"),
+    ],
+    ids=["gl00", "sl10", "sl01"],
+)
+def test_build_empty_algebra_exit_2(capsys, args, text):
+    code, out, err = run_cli(capsys, "build", *args)
     assert code == 2
-    assert "m + n >= 1" in err
+    assert text in err
+    assert out == ""
 
 
 def test_build_unknown_family_exit_2(capsys):

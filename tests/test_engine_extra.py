@@ -14,7 +14,7 @@ from supero.algebras import (
     even_part_span,
     special_linear_span,
 )
-from supero.cohomology import RelativeComplex, RelativePair, cohomology
+from supero.cohomology import RelativeComplex, RelativePair, cohomology, relative_ext
 from supero.invariants import compare_invariants_vs_cohomology, invariant_dims
 from supero.linalg import SparseMatrix, _add_scaled, kernel_basis_with_free
 from supero.reps import Representation, adjoint, trivial
@@ -87,6 +87,10 @@ def test_algebra_identity_enforced():
         RelativeComplex(RelativePair(g2, h), trivial(g2))
     with pytest.raises(AlgebraMismatch):
         RelativeComplex(RelativePair(g1, h), trivial(g2))
+    # Ext on the pair of g1 with both modules of g2: the coefficient module
+    # dual(M) (x) N is a g2-module, refused by the complex
+    with pytest.raises(AlgebraMismatch, match="^coefficient module does not belong to g$"):
+        relative_ext(RelativePair(g1, h), trivial(g2), trivial(g2), 1)
 
 
 def test_reduction_shortcut_matches_full_solve(monkeypatch):

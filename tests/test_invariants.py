@@ -147,7 +147,7 @@ def test_compare_gl11_degree6():
 
 def test_growth_gl11_bounded_sequence():
     g = build_gl(1, 1)
-    est = ext_growth(g, even_part_span(g), trivial(g), trivial(g), 8)
+    est = ext_growth(RelativePair(g, even_part_span(g)), trivial(g), trivial(g), 8)
     assert est.dims == [1, 0, 1, 0, 1, 0, 1, 0, 1]
     assert not est.eventually_zero
     assert abs(est.estimated_rate - 1.0) < 0.26
@@ -157,7 +157,7 @@ def test_growth_gl11_bounded_sequence():
 
 def test_growth_purely_even_eventually_zero():
     g = build_gl(2, 0)
-    est = ext_growth(g, named_subalgebra(g, "borel"), trivial(g), trivial(g), 6)
+    est = ext_growth(RelativePair(g, named_subalgebra(g, "borel")), trivial(g), trivial(g), 6)
     assert est.eventually_zero
     assert est.estimated_rate == 0.0
     assert est.within_bound  # 0 <= bound = 0
@@ -165,7 +165,7 @@ def test_growth_purely_even_eventually_zero():
 
 def test_growth_q2_linear():
     g = build_q(2)
-    est = ext_growth(g, even_part_span(g), trivial(g), trivial(g), 8)
+    est = ext_growth(RelativePair(g, even_part_span(g)), trivial(g), trivial(g), 8)
     assert est.dims == [1, 1, 2, 2, 3, 3, 4, 4, 5]
     assert 1.0 <= est.estimated_rate <= 2.5
     assert est.bound == 4
@@ -176,26 +176,26 @@ def test_growth_monotone_under_larger_window():
     g = build_q(2)
     h = even_part_span(g)
     for n_deg in (4, 6, 8):
-        est = ext_growth(g, h, trivial(g), trivial(g), n_deg)
+        est = ext_growth(RelativePair(g, h), trivial(g), trivial(g), n_deg)
         assert est.within_bound
 
 
 def test_growth_window_too_small():
     g = build_gl(1, 1)
     with pytest.raises(DimensionMismatch):
-        ext_growth(g, even_part_span(g), trivial(g), trivial(g), 3)
+        ext_growth(RelativePair(g, even_part_span(g)), trivial(g), trivial(g), 3)
 
 
 def test_growth_natural_coefficients():
     g = build_gl(1, 1)
-    est = ext_growth(g, even_part_span(g), natural(g), natural(g), 6)
+    est = ext_growth(RelativePair(g, even_part_span(g)), natural(g), natural(g), 6)
     assert est.within_bound
     assert est.dims[0] == 1  # End_g(natural) = scalars
 
 
 def test_growth_json_round_trip_fields():
     g = build_gl(1, 1)
-    est = ext_growth(g, even_part_span(g), trivial(g), trivial(g), 4)
+    est = ext_growth(RelativePair(g, even_part_span(g)), trivial(g), trivial(g), 4)
     d = est.to_json_dict()
     assert d["schema"] == "superO/1"
     assert d["window"] == [2, 4]
@@ -235,7 +235,7 @@ def test_even_part_cohomology_and_growth_within_odd_dimension(g, max_degree, dim
     report = RelativeComplex(pair, trivial(g)).report(max_degree)
     # H(g, g0; C) against the invariant ring S(g1*)^{g0}, a separate pipeline
     assert report.dims() == invariant_dims(g, max_degree).dims == dims
-    est = ext_growth(g, h, trivial(g), trivial(g), max_degree, pair)
+    est = ext_growth(pair, trivial(g), trivial(g), max_degree)
     assert est.dims == dims
     assert est.bound == odd_dim == len(g.odd_indices)
     assert not est.eventually_zero
