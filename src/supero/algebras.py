@@ -7,7 +7,9 @@ The built-in families are realized by explicit matrices:
 * ``build_p_tilde(n)`` -- 2n x 2n matrices [[A, B], [C, -A^T]] with B symmetric
   and C antisymmetric (odd part S^2(V) + Lambda^2(V*));
 * ``build_osp(m, 2n)`` -- matrices preserving an even supersymmetric form,
-  split (antidiagonal) on the symmetric part so the Cartan is diagonal.
+  split (antidiagonal) on the symmetric part so the Cartan is diagonal;
+  past the Cartan, the basis is the closed form of e_a ^ e_b in the
+  super-antisymmetric square of the natural module, with no solve.
 
 Structure constants are always computed from the matrix model by exact
 super-commutators and coordinate solving (``linalg.SpanSolver`` on the
@@ -30,8 +32,7 @@ from .errors import (
     UnsupportedRank,
 )
 from .linalg import (
-    RowMatrix, Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact,
-    kernel_basis_with_free,
+    Scalar, SpanSolver, SparseMatrix, Vector, _add_scaled, _dict_matmul, _exact,
 )
 
 EVEN = 0
@@ -439,114 +440,77 @@ def build_p_tilde(n: int) -> LieSuperalgebra:
     return _from_matrix_basis(f"p~({n})", size, cpar, mats, parities, torus, labels)
 
 
-def build_osp(m: int, two_n: int) -> LieSuperalgebra:
-    """osp(m|2n): invariance algebra of an even supersymmetric form.
+def _wedge(a: int, b: int, partner: list[int], form: list[int], cpar: list[int]) -> MatDict:
+    """e_a ^ e_b in osp(V), for the even form phi whose only nonzero entry
+    in row c is phi(c, partner[c]) = form[c]: the map
+    u -> phi(b, u) e_a - (-1)^{|a||b|} phi(a, u) e_b, as its primitive
+    integer multiple positive at its largest (row, col) position, or {} if
+    it is zero."""
+    sign = -1 if cpar[a] & cpar[b] else 1
+    x = _add_scaled({(a, partner[b]): form[b]}, [((b, partner[a]), -sign * form[a])])
+    # the entries are +-1, or one +-2 when a == b
+    top = x[max(x)] if x else 1
+    return {pos: v // top for pos, v in x.items()}
 
-    The symmetric part uses the split (antidiagonal) Gram matrix and the
-    symplectic part the antidiagonal J with signs, so the Cartan consists of
-    diagonal matrices.  The basis is produced by solving the invariance
-    constraints weight block by weight block; each basis vector is a
-    simultaneous ad-eigenvector of the Cartan.
+
+def build_osp(m: int, two_n: int) -> LieSuperalgebra:
+    """osp(m|2n): the matrices preserving an even supersymmetric form.
+
+    The form pairs each coordinate with one partner: the split
+    (antidiagonal) Gram matrix on the symmetric part and the antidiagonal
+    J, 1 in its first n rows and -1 in the rest, on the symplectic part, so
+    the Cartan H_i = E[i,i] - E[i',i'] is diagonal.  The rest of the basis
+    is the closed form of osp(V) as the super-antisymmetric square of V
+    (Kac, Lie superalgebras, 1977): ``_wedge(a, b)`` for each a <= b of
+    nonzero weight, a simultaneous ad-eigenvector of the Cartan, ordered by
+    (parity, weight).  Every basis matrix must preserve the form, or
+    ``FormError``.
     """
     if two_n % 2 != 0 or two_n < 2:
         raise FormError("osp needs an even symplectic size two_n >= 2")
     if m < 1:
         raise UnsupportedRank("osp needs m >= 1")
-    n = two_n // 2
-    k = m // 2
     size = m + two_n
     cpar = [EVEN] * m + [ODD] * two_n
-    rank_t = k + n
+    partner = [m - 1 - a for a in range(m)] + [size + m - 1 - a for a in range(m, size)]
+    form = [1] * (m + two_n // 2) + [-1] * (two_n // 2)
+    lows = [a for a in range(size) if a < partner[a]]  # H_t is E[a,a] - E[a',a'] for lows[t]
 
-    def pair(a: int) -> int:
-        return (m - 1 - a) if a < m else m + (two_n - 1 - (a - m))
+    def weight(a: int) -> list[int]:
+        w = [0] * len(lows)
+        if a != partner[a]:
+            w[lows.index(min(a, partner[a]))] = 1 if a < partner[a] else -1
+        return w
 
-    def phi(a: int, b: int) -> int:
-        # Gram matrix: antidiag 1's on the symmetric part, antidiag +-1 on J
-        if a < m and b < m:
-            return 1 if b == m - 1 - a else 0
-        if a >= m and b >= m:
-            j = a - m
-            if b - m == two_n - 1 - j:
-                return 1 if j < n else -1
-        return 0
-
-    def coord_weight(a: int) -> tuple[int, ...]:
-        w = [0] * rank_t
-        if a < m:
-            if a < k:
-                w[a] = 1
-            elif m - 1 - a < k:
-                w[m - 1 - a] = -1
-        else:
-            j = a - m
-            if j < n:
-                w[k + j] = 1
-            else:
-                w[k + (two_n - 1 - j)] = -1
-        return tuple(w)
-
-    # unknown entries grouped by (parity sector, weight)
-    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+    wedges = []
     for a in range(size):
-        wa = coord_weight(a)
-        for b in range(size):
-            wb = coord_weight(b)
-            sector = (cpar[a] + cpar[b]) % 2
-            wt = tuple(x - y for x, y in zip(wa, wb))
-            groups.setdefault((sector, wt), []).append((a, b))
+        for b in range(a, size):
+            wt = tuple(x + y for x, y in zip(weight(a), weight(b)))
+            mat = _wedge(a, b, partner, form, cpar)
+            if any(wt) and mat:
+                wedges.append(((cpar[a] ^ cpar[b], wt), mat))
 
-    def solve_block(sector: int, positions: list[tuple[int, int]]) -> list[MatDict]:
-        index = {pos: i for i, pos in enumerate(positions)}
-        # invariance of the form: for every output position (a, b),
-        #   phi(P(b), b) X[P(b), a] + (-1)^{sector*par(a)} phi(a, P(a)) X[P(a), b] = 0
-        eq_rows: dict[tuple[int, int], dict[int, int]] = {}
-        for (c, d) in positions:
-            col = index[c, d]
-            b = pair(c)  # X[c, d] appears in equation (d, b) via the first sum
-            _add_scaled(eq_rows.setdefault((d, b), {}), [(col, phi(c, b))])
-            a = pair(c)  # and in equation (a, d) via the second sum
-            sgn = -1 if (sector * cpar[a]) % 2 else 1
-            _add_scaled(eq_rows.setdefault((a, d), {}), [(col, sgn * phi(a, c))])
-        rows = [eq_rows[key] for key in sorted(eq_rows) if eq_rows[key]]
-        # each kernel vector as its primitive integer multiple
-        basis, _ = kernel_basis_with_free(RowMatrix(rows, len(positions)))
-        return [{positions[c]: v for c, v in nums.items()} for nums, _ in basis]
+    mats = [{(a, a): 1, (partner[a], partner[a]): -1} for a in lows]
+    parities = [EVEN] * len(lows)
+    labels = [f"H[{t + 1}]" for t in range(len(lows))]
+    for (sector, _), mat in sorted(wedges, key=lambda w: w[0]):
+        mats.append(mat)
+        parities.append(sector)
+        row, col = min(mat)
+        labels.append(("x" if sector == EVEN else "y") + f"[{row + 1},{col + 1}]")
 
-    mats: list[MatDict] = []
-    parities: list[int] = []
-    labels: list[str] = []
-
-    # Cartan first: H_i = E[i,i] - E[pair(i), pair(i)]
-    zero_wt = (0,) * rank_t
-    cartan: list[MatDict] = []
-    for i in range(k):
-        cartan.append({(i, i): 1, (m - 1 - i, m - 1 - i): -1})
-    for j in range(n):
-        cartan.append({(m + j, m + j): 1, (m + two_n - 1 - j, m + two_n - 1 - j): -1})
-    zero_solutions = solve_block(EVEN, groups.pop((EVEN, zero_wt)))
-    if len(zero_solutions) != rank_t:
-        raise FormError(f"osp({m}|{two_n}): unexpected Cartan dimension {len(zero_solutions)}")
-    # the Cartan matrices solve the invariance equations: they lie in the
-    # span of the weight-0 solutions
-    solver = SpanSolver([{a * size + b: v for (a, b), v in x.items()} for x in zero_solutions])
-    for t, x in enumerate(cartan):
-        if solver.reduce({a * size + b: v for (a, b), v in x.items()})[0]:
-            raise FormError(f"osp({m}|{two_n}): H[{t + 1}] does not preserve the form")
-    mats.extend(cartan)
-    parities.extend([EVEN] * rank_t)
-    labels.extend([f"H[{t + 1}]" for t in range(rank_t)])
-
-    # sorted: the even blocks before the odd ones, after the Cartan
-    for (sector, wt) in sorted(groups):
-        for mat in solve_block(sector, groups[sector, wt]):
-            mats.append(mat)
-            parities.append(sector)
-            pos = sorted(mat)[0]
-            labels.append(("x" if sector == EVEN else "y") + f"[{pos[0] + 1},{pos[1] + 1}]")
-
-    torus = list(range(rank_t))
-    return _from_matrix_basis(f"osp({m}|{two_n})", size, cpar, mats, parities, torus, labels)
+    # phi(Xu, v) + (-1)^{|X||u|} phi(u, Xv) = 0: entry X[c, d] enters it at
+    # (u, v) = (d, c') and at (c', d)
+    for mat, sector, label in zip(mats, parities, labels):
+        defect: MatDict = {}
+        for (c, d), v in mat.items():
+            p, sgn = partner[c], -1 if sector & cpar[c] else 1
+            _add_scaled(defect, [((d, p), v * form[c]), ((p, d), sgn * v * form[p])])
+        if defect:
+            raise FormError(f"osp({m}|{two_n}): {label} does not preserve the form")
+    return _from_matrix_basis(
+        f"osp({m}|{two_n})", size, cpar, mats, parities, range(len(lows)), labels
+    )
 
 
 # ---------------------------------------------------------------------------

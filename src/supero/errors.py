@@ -18,7 +18,8 @@ class UnsupportedRank(SuperoError):
 
 
 class FormError(SuperoError):
-    """Invalid bilinear-form parameters (e.g. odd symplectic size)."""
+    """Invalid bilinear-form parameters (e.g. odd symplectic size), or a
+    basis matrix that does not preserve the form."""
 
 
 class NotASubalgebra(SuperoError):

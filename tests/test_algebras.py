@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from supero import algebras
 from supero.algebras import (
     LieSuperalgebra,
     SubalgebraSpan,
@@ -107,7 +108,7 @@ def test_osp_odd_form_rejected():
         build_osp(2, 3)
 
 
-@pytest.mark.parametrize("m, two_n", [(m, two_n) for two_n in (2, 4) for m in range(1, 7)])
+@pytest.mark.parametrize("m, two_n", [(m, two_n) for two_n in (2, 4, 6) for m in range(1, 7)])
 def test_every_osp_basis_matrix_preserves_the_form(m, two_n):
     g = build_osp(m, two_n)
     _, cpar, mats = g.matrix_model
@@ -122,6 +123,75 @@ def test_every_osp_basis_matrix_preserves_the_form(m, two_n):
         "x" if par == 0 else "y" for par in g.parities[rank_t:]
     ]
     assert list(g.parities) == sorted(g.parities)
+
+
+def test_a_basis_matrix_with_a_flipped_sign_is_refused(monkeypatch):
+    wedge = algebras._wedge
+
+    def flipped(a, b, *form):
+        mat = wedge(a, b, *form)
+        if (a, b) == (0, 3):  # e_1 ^ e_4 of osp(3|2): two entries, one sign flipped
+            mat[max(mat)] *= -1
+        return mat
+
+    monkeypatch.setattr(algebras, "_wedge", flipped)
+    with pytest.raises(FormError, match=r"^osp\(3\|2\): y\[1,5\] does not preserve the form$"):
+        build_osp(3, 2)
+
+
+# sha256 of the repr of (labels, parities, torus, matrix model, bracket
+# table) of osp(m|2n), m = 1-7, 2n = 2, 4, 6, 8, recorded from a kernel
+# solve of the invariance equations per weight block: an independent
+# construction of the same basis
+OSP_DIGESTS = {
+    "osp(1|2)": "2efd8ea38f0224d5109e8e7c129102fe2d999c08d19ec29df173cc428f553eb3",
+    "osp(2|2)": "f12b2216ef5b9acbedbd37eb4e5c1be4150d6b499bb0cf87f4055663fe8486f5",
+    "osp(3|2)": "b40df65dee35025d8a09081292df96e44f47f04ca48985b21662574ac0d1e550",
+    "osp(4|2)": "316ff2dbd0cb5298bc7f4c18c9c2b0903ebc78c74fbea63336289dce6ff6700a",
+    "osp(5|2)": "80bda0038379273d2ef3bf40cacddd6f6b13873514fd98d68476dacb4e3f38af",
+    "osp(6|2)": "45d8324ebf450ea008c10ba754d7ca30c86ec362500b5b91c47417940b766cf7",
+    "osp(7|2)": "a85bc936a3100c525ac2287f1cf4158f10783158fbdb77ca3a0c6fce1c481905",
+    "osp(1|4)": "0f2db6d919d4542cfb876a00542d83aa61d9d23a587e797678913fff0ec4ff79",
+    "osp(2|4)": "9dfa4b8626056d2b35d066c9c40024bec5eaa997531a7f429f4ad593afaf5c4e",
+    "osp(3|4)": "2c1bec936231e10796dd3f205731b0462abdf21e6756e73369e94559fdb33bbb",
+    "osp(4|4)": "d13df5533cc43c5ddb82221b7eb154a7e2cf961dfb3f990410ee98c96c23aa1b",
+    "osp(5|4)": "7ec7e8e50556d93aceaf8ce30ab2a86d7d1e91b744dad1caa97ccd74e31873e9",
+    "osp(6|4)": "9aa8f19ca7851481585e9f393c02fb07d96f5397b4d59aa4e387bc361a5ffd3d",
+    "osp(7|4)": "697d21efae92a3fb92f3e3ff0e3a15e1955ae5694d6d24161164b6f47da72add",
+    "osp(1|6)": "c59127b29837b32e0a4aa4312731453ed7b858e3b95b3c984d254812cbcc80e1",
+    "osp(2|6)": "99af29736f05599925d9462836aa7cb1e62fbd2eed699ff1f6cc3f18a3697dfd",
+    "osp(3|6)": "65b63224b33f449afe85e8d23c5c7246ac46cf7adcbb1881f0b99887e05ea2bf",
+    "osp(4|6)": "6f4538f2bbd126733ca0c43a42c8c2cd88ead0992961b34d10a4c41d4049e522",
+    "osp(5|6)": "e912bdb86b569b9d7a0e22fa1fb2400aef93fc5cf692e4f2fa0289b3162470e3",
+    "osp(6|6)": "7524922a3c55a14ed737ec982a261001f859baddd8ec6188e844e3868198aa0c",
+    "osp(7|6)": "56f22a70e360ae09352009b3458561a599d2989023a7c7002d547e509d0a84ed",
+    "osp(1|8)": "630f9b10bbcd90510091760dc7d258212f500e13a67a6ce3be3d12b6658d2eff",
+    "osp(2|8)": "57c6a1a40151640328daa8619fc64c7a5431859e54be3e3dd07780e2b3662153",
+    "osp(3|8)": "5e9f8ac4ea6580e9a703ed9aa859b46fda1869aff04500c0584639a8b4f01ee0",
+    "osp(4|8)": "1fb46dbb12ffd366cac0a3c9f4702f4fd9743c99ed24f38f305e1d934eb47907",
+    "osp(5|8)": "3efa334ce626419641f89aa4bf352545df47650b1c32fe3f6edaf3290b8ad330",
+    "osp(6|8)": "1e0d0256e2ead0760e52721916a81d6da8bb6b62379f346a96bedd0447993da9",
+    "osp(7|8)": "97c522081cb2c465daa79ed5b5ed2bdc56bb92f45663d8401576f83e18916744",
+}
+
+
+def _osp_digest(g) -> str:
+    size, cpar, mats = g.matrix_model
+    data = (
+        g.basis_labels,
+        g.parities,
+        g.torus,
+        size,
+        cpar,
+        tuple(tuple(sorted(mat.items())) for mat in mats),
+        tuple(sorted(g.table.items())),
+    )
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def test_osp_bases_and_brackets_are_pinned():
+    built = [build_osp(m, two_n) for two_n in (2, 4, 6, 8) for m in range(1, 8)]
+    assert {g.name: _osp_digest(g) for g in built} == OSP_DIGESTS
 
 
 # --- brackets ---------------------------------------------------------------

@@ -461,6 +461,7 @@ CI_JOB_DIGESTS = {
         "f4f99fc8dbff2ed6f70e5ee82097dcd13c07fa220b9eefac2fad6e360d8261cb",
     "build osp 3 2": "6eaa4d8ac3deccf946db4f24cbd404dcac9d7d099b26ab525ed1ebc87ff63618",
     "build osp 5 4": "af0cb4ec8e60087a253be5592e63e6bf40584c4492429dfc70d81f949746e0a7",
+    "build osp 4 4": "c335c643eb92edd19fb3556a5501bfc02a2b18826a8cbf48f5e89c991ac1dba8",
     "build q 3": "e4906380a1da304a8e25d2ddda6782a1b1d960ae6fc71a8bc84098c7bb553102",
     "build p_tilde 3": "64611b770c9273ae4146d6a696232c640a551a3a91872128fe6cd5ef809b4f2f",
     "build sl 2 2": "5f1347878bbe53e68d94d7b479bf4ac5db19aaeb6ba5acdc88527be72e3ca7f3",
@@ -481,7 +482,7 @@ def test_ci_hash_seed_jobs_are_the_pinned_ones():
     # each line is a name, then argv as the shell splits it
     jobs = [line.split()[1:] for line in lines[: lines.index("JOBS")]]
     argv = {" ".join(job) for job in jobs}
-    assert len(argv) == len(jobs) == 25
+    assert len(argv) == len(jobs) == 26
     assert argv - PERFBENCH_PINNED_JOBS == set(CI_JOB_DIGESTS)
     assert PERFBENCH_PINNED_JOBS <= argv
 
